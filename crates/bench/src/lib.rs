@@ -101,7 +101,7 @@ pub fn render_series_table(series: &[Series]) -> String {
             }
         }
     }
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    xs.sort_by(f64::total_cmp);
     let mut out = String::new();
     out.push('x');
     for s in series {
@@ -152,6 +152,12 @@ mod tests {
         assert!(lines[0].contains("a") && lines[0].contains("b"));
         assert!(lines[1].contains("0.5") && lines[1].ends_with("-"));
         assert!(lines[2].contains("0.6") && lines[2].contains("0.7"));
+    }
+
+    #[test]
+    fn table_with_nan_x_renders_instead_of_panicking() {
+        let s = vec![Series::new("a", vec![(f64::NAN, 0.5), (1.0, 0.25)])];
+        assert_eq!(render_series_table(&s), "x\ta\n1.000\t0.2500\nNaN\t0.5000\n");
     }
 
     #[test]

@@ -255,7 +255,7 @@ impl Dataset {
                 }
             }
         }
-        xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        xs.sort_by(f64::total_cmp);
         let maps: Vec<HashMap<u64, f64>> = self
             .series
             .iter()
@@ -1067,6 +1067,16 @@ mod tests {
         assert!(tsv.contains("jain\t0.975\n"));
         assert!(tsv.contains("config\tservers\tthroughput\nk=4\t16\t0.91\n"));
         assert!(tsv.contains("x\tJellyfish\tFat-tree\n2\t0.25\t0.125\n"));
+    }
+
+    #[test]
+    fn series_with_nan_x_renders_instead_of_panicking() {
+        let mut ds = Dataset::new();
+        ds.push_point("a", 2.0, 0.5);
+        ds.push_point("a", f64::NAN, 0.25);
+        ds.push_point("b", 1.0, 0.75);
+        // NaN sorts after every number under `f64::total_cmp`.
+        assert_eq!(ds.to_tsv(), "x\ta\tb\n1\t-\t0.75\n2\t0.5\t-\nNaN\t0.25\t-\n");
     }
 
     #[test]

@@ -1043,7 +1043,7 @@ impl Experiment for Fig13 {
         );
         let report = max_min_fair_allocation(&conns);
         let mut tputs = report.throughputs.clone();
-        tputs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        tputs.sort_by(f64::total_cmp);
         let jain = jain_fairness_index(&tputs);
         let points = tputs.iter().enumerate().map(|(rank, &t)| (rank as f64, t)).collect();
         ds.series.push(Series::new(label, points));

@@ -24,7 +24,7 @@
 //! DESIGN.md, substitution 1, for the CPLEX substitution argument and the
 //! snapshot contract.
 
-use jellyfish_routing::shortest::weighted_shortest_path_arcs;
+use jellyfish_routing::shortest::ShortestPathSearch;
 use jellyfish_routing::Path;
 use jellyfish_topology::{ArcId, CsrGraph, NodeId};
 use std::collections::HashMap;
@@ -215,6 +215,8 @@ pub fn max_concurrent_flow(
     let scaling = ((1.0 + eps) / delta).ln() / (1.0 + eps).ln();
     let mut phases = 0.0f64;
     let mut path_computations = 0usize;
+    let mut search = ShortestPathSearch::new();
+    let mut path = Vec::new();
 
     'outer: while arcs.total_weighted_length() < 1.0 {
         for c in &commodities {
@@ -225,18 +227,19 @@ pub fn max_concurrent_flow(
                 }
                 path_computations += 1;
                 let found =
-                    weighted_shortest_path_arcs(csr, c.src, c.dst, |arc| arcs.arc_length(arc));
-                let Some((path, _)) = found else {
+                    search.find_path(csr, c.src, c.dst, |_, arc| arcs.arc_length(arc), &mut path);
+                if found.is_none() {
                     // Unreachable destination: λ is zero.
                     return McfSolution {
                         lambda: 0.0,
                         arc_utilization: Vec::new(),
                         path_computations,
                     };
-                };
+                }
                 let send = remaining.min(arcs.path_bottleneck());
-                let ids = path_arcs(csr, &path);
-                arcs.send_on_arcs(&ids, send, eps);
+                // `gk_apply` folds the total-weighted-length increments in
+                // path order, which the search gives as `src → dst`.
+                arcs.send_on_arcs(&path, send, eps);
                 remaining -= send;
             }
         }

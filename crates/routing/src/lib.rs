@@ -5,7 +5,7 @@
 //! is needed to use Jellyfish's capacity. This crate provides:
 //!
 //! * [`shortest`] — BFS shortest paths, rayon-parallel all-pairs distances,
-//!   and weighted Dijkstra (node-pair and dense per-arc weight variants);
+//!   and one reusable, target-terminated weighted Dijkstra;
 //! * [`yen`] — Yen's loopless k-shortest-paths algorithm (hand-rolled, no
 //!   external graph crate);
 //! * [`ecmp`] — enumeration of equal-cost shortest paths with an ECMP-style

@@ -1,6 +1,6 @@
 //! Shortest-path primitives: BFS (unit weights), all-pairs distances, and
-//! weighted Dijkstras used by Yen's algorithm, cost-aware cabling code, and
-//! the flow solver.
+//! [`ShortestPathSearch`], the one weighted Dijkstra, which Yen's algorithm
+//! and the Garg–Könemann flow solver share.
 //!
 //! All functions traverse an immutable [`CsrGraph`] snapshot; the all-pairs
 //! sweep fans the per-source searches out with rayon and is bit-identical to
@@ -136,84 +136,103 @@ pub fn all_pairs_distances_reference(csr: &CsrGraph) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// Dijkstra over per-link weights supplied by `weight(u, v)`.
+/// A reusable point-to-point Dijkstra: the one weighted shortest-path search
+/// in the workspace, shared by Yen's spur searches and the Garg–Könemann
+/// flow solver's inner loop.
 ///
-/// Weights must be non-negative and finite for existing links; `weight` is
-/// only called for adjacent pairs. Nodes may be excluded from the search by
-/// returning `f64::INFINITY`, which is how Yen's spur computation masks
-/// removed links without mutating the graph.
-pub fn dijkstra_with<F>(csr: &CsrGraph, source: NodeId, weight: F) -> (Vec<f64>, Vec<usize>)
-where
-    F: Fn(NodeId, NodeId) -> f64,
-{
-    // The scan loop already holds the arc's source node, so the adapter never
-    // pays an `arc_source` binary search per relaxed arc.
-    dijkstra_core(csr, source, |u, arc| weight(u, csr.arc_target(arc)))
+/// The search owns its distance, parent-node, parent-arc and heap buffers,
+/// so a caller that keeps one alive across queries allocates nothing per
+/// query once the buffers have grown to the snapshot's size. It stops as
+/// soon as the destination is settled and writes the path as arc ids, so a
+/// caller holding per-arc state never maps nodes back to arcs.
+///
+/// Nodes settle in `(distance, node id)` order: the heap key is
+/// `(dist.to_bits(), node)`, which orders exactly like the distances because
+/// every distance is non-negative and finite. With non-negative weights no
+/// settled node is ever relaxed again, so the destination's parent chain is
+/// final once it is popped and the path equals the one a full shortest-path
+/// tree would give, tie for tie.
+#[derive(Debug, Clone, Default)]
+pub struct ShortestPathSearch {
+    dist: Vec<f64>,
+    parent: Vec<NodeId>,
+    parent_arc: Vec<ArcId>,
+    heap: BinaryHeap<Reverse<(u64, NodeId)>>,
 }
 
-/// Dijkstra with weights indexed by dense [`ArcId`] — the hot-path variant
-/// the flow solver uses so per-arc state lives in a flat slice.
-///
-/// Same contract as [`dijkstra_with`]: non-negative weights, `INFINITY`
-/// masks an arc.
-pub fn dijkstra_arcs<F>(csr: &CsrGraph, source: NodeId, arc_weight: F) -> (Vec<f64>, Vec<usize>)
-where
-    F: Fn(ArcId) -> f64,
-{
-    dijkstra_core(csr, source, |_, arc| arc_weight(arc))
-}
+impl ShortestPathSearch {
+    /// An empty search; its buffers grow to the snapshot's size on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
 
-/// The shared Dijkstra scan; the weight callback receives the arc's source
-/// node (free in the scan loop) alongside the arc id.
-fn dijkstra_core<F>(csr: &CsrGraph, source: NodeId, arc_weight: F) -> (Vec<f64>, Vec<usize>)
-where
-    F: Fn(NodeId, ArcId) -> f64,
-{
-    let n = csr.num_nodes();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut parent = vec![usize::MAX; n];
-    let mut heap: BinaryHeap<Reverse<(OrderedF64, NodeId)>> = BinaryHeap::new();
-    dist[source] = 0.0;
-    heap.push(Reverse((OrderedF64(0.0), source)));
-    while let Some(Reverse((OrderedF64(d), u))) = heap.pop() {
-        if d > dist[u] {
-            continue;
-        }
-        for arc in csr.arc_range(u) {
-            let w = arc_weight(u, arc);
-            if !w.is_finite() || w < 0.0 {
+    /// The cheapest path from `src` to `dst` under `arc_weight(u, arc)`,
+    /// where `u` is the arc's source node (free in the scan loop). Clears
+    /// `path`, writes the path's arc ids into it in `src → dst` order and
+    /// returns the path's cost, or returns `None` with `path` empty when
+    /// `dst` is unreachable.
+    ///
+    /// Weights must be non-negative; an infinite (or NaN) weight masks the
+    /// arc, which is how Yen's spur computation removes links without
+    /// mutating the graph.
+    pub fn find_path<F>(
+        &mut self,
+        csr: &CsrGraph,
+        src: NodeId,
+        dst: NodeId,
+        arc_weight: F,
+        path: &mut Vec<ArcId>,
+    ) -> Option<f64>
+    where
+        F: Fn(NodeId, ArcId) -> f64,
+    {
+        let n = csr.num_nodes();
+        self.dist.clear();
+        self.dist.resize(n, f64::INFINITY);
+        // Parents are written whenever a distance is, so stale entries from
+        // an earlier query are never read.
+        self.parent.resize(n, usize::MAX);
+        self.parent_arc.resize(n, usize::MAX);
+        self.heap.clear();
+        path.clear();
+        self.dist[src] = 0.0;
+        self.heap.push(Reverse((0.0f64.to_bits(), src)));
+        while let Some(Reverse((bits, u))) = self.heap.pop() {
+            let d = f64::from_bits(bits);
+            if d > self.dist[u] {
                 continue;
             }
-            let v = csr.arc_target(arc);
-            let nd = d + w;
-            if nd + 1e-15 < dist[v] {
-                dist[v] = nd;
-                parent[v] = u;
-                heap.push(Reverse((OrderedF64(nd), v)));
+            if u == dst {
+                let mut cur = dst;
+                while cur != src {
+                    path.push(self.parent_arc[cur]);
+                    cur = self.parent[cur];
+                }
+                path.reverse();
+                return Some(d);
+            }
+            for arc in csr.arc_range(u) {
+                let w = arc_weight(u, arc);
+                if !w.is_finite() || w < 0.0 {
+                    continue;
+                }
+                let v = csr.arc_target(arc);
+                let nd = d + w;
+                if nd + 1e-15 < self.dist[v] {
+                    self.dist[v] = nd;
+                    self.parent[v] = u;
+                    self.parent_arc[v] = arc;
+                    self.heap.push(Reverse((nd.to_bits(), v)));
+                }
             }
         }
+        None
     }
-    (dist, parent)
 }
 
-fn extract_path(src: NodeId, dst: NodeId, dist: &[f64], parent: &[usize]) -> Option<(Path, f64)> {
-    if !dist[dst].is_finite() {
-        return None;
-    }
-    let mut path = vec![dst];
-    let mut cur = dst;
-    while cur != src {
-        cur = parent[cur];
-        if cur == usize::MAX {
-            return None;
-        }
-        path.push(cur);
-    }
-    path.reverse();
-    Some((path, dist[dst]))
-}
-
-/// Shortest path by Dijkstra under the given node-pair weight function.
+/// Shortest path by Dijkstra under the node-pair weight function
+/// `weight(u, v)`, as a node path and its cost: a one-shot
+/// [`ShortestPathSearch`].
 pub fn weighted_shortest_path<F>(
     csr: &CsrGraph,
     src: NodeId,
@@ -223,41 +242,13 @@ pub fn weighted_shortest_path<F>(
 where
     F: Fn(NodeId, NodeId) -> f64,
 {
-    let (dist, parent) = dijkstra_with(csr, src, weight);
-    extract_path(src, dst, &dist, &parent)
-}
-
-/// Shortest path by Dijkstra under a dense per-arc weight function.
-pub fn weighted_shortest_path_arcs<F>(
-    csr: &CsrGraph,
-    src: NodeId,
-    dst: NodeId,
-    arc_weight: F,
-) -> Option<(Path, f64)>
-where
-    F: Fn(ArcId) -> f64,
-{
-    let (dist, parent) = dijkstra_arcs(csr, src, arc_weight);
-    extract_path(src, dst, &dist, &parent)
-}
-
-/// Total-ordered f64 wrapper for use in the Dijkstra heap. NaN is never
-/// inserted (weights are checked), so the ordering is total in practice.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct OrderedF64(f64);
-
-impl Eq for OrderedF64 {}
-
-impl PartialOrd for OrderedF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrderedF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.partial_cmp(&other.0).unwrap_or(std::cmp::Ordering::Equal)
-    }
+    let mut arcs = Vec::new();
+    let arc_weight = |u, arc| weight(u, csr.arc_target(arc));
+    let cost = ShortestPathSearch::new().find_path(csr, src, dst, arc_weight, &mut arcs)?;
+    let mut path = Vec::with_capacity(arcs.len() + 1);
+    path.push(src);
+    path.extend(arcs.iter().map(|&arc| csr.arc_target(arc)));
+    Some((path, cost))
 }
 
 #[cfg(test)]
@@ -347,9 +338,12 @@ mod tests {
         let topo = JellyfishBuilder::new(40, 8, 5).seed(2).build().unwrap();
         let g = topo.csr();
         let b = bfs(&g, 0);
-        let (d, _) = dijkstra_with(&g, 0, |_, _| 1.0);
+        let mut search = ShortestPathSearch::new();
+        let mut arcs = Vec::new();
         for v in g.nodes() {
-            assert!((d[v] - b.dist[v] as f64).abs() < 1e-9, "node {v}");
+            let d = search.find_path(&g, 0, v, |_, _| 1.0, &mut arcs).unwrap();
+            assert_eq!(d, b.dist[v] as f64, "node {v}");
+            assert_eq!(arcs.len(), b.dist[v], "node {v}");
         }
     }
 
@@ -359,11 +353,23 @@ mod tests {
         let csr = topo.csr();
         // A weight that depends on the endpoints, expressed both ways.
         let pair_weight = |u: usize, v: usize| 1.0 + ((u * 7 + v * 13) % 5) as f64;
-        let (d1, _) = dijkstra_with(&csr, 3, pair_weight);
-        let (d2, _) =
-            dijkstra_arcs(&csr, 3, |arc| pair_weight(csr.arc_source(arc), csr.arc_target(arc)));
+        let mut search = ShortestPathSearch::new();
+        let mut arcs = Vec::new();
         for v in csr.nodes() {
-            assert!((d1[v] - d2[v]).abs() < 1e-12, "node {v}");
+            let (path, d1) = weighted_shortest_path(&csr, 3, v, pair_weight).unwrap();
+            let d2 = search
+                .find_path(
+                    &csr,
+                    3,
+                    v,
+                    |_, arc| pair_weight(csr.arc_source(arc), csr.arc_target(arc)),
+                    &mut arcs,
+                )
+                .unwrap();
+            assert_eq!(d1.to_bits(), d2.to_bits(), "node {v}");
+            let via_arcs: Vec<NodeId> =
+                std::iter::once(3).chain(arcs.iter().map(|&a| csr.arc_target(a))).collect();
+            assert_eq!(path, via_arcs, "node {v}");
         }
     }
 
