@@ -20,7 +20,10 @@ fn run(topo: &Topology, path: PathPolicy, transport: TransportPolicy, seed: u64)
     let net = Network::build(&csr, &servers, LinkParams::default());
     let config = SimConfig { duration: 8.0, warmup: 2.0, seed, ..Default::default() };
     let report = Simulator::new(net, conns, config).run();
-    let jain = jain_fairness_index(&report.sorted_throughputs());
+    let mut throughputs: Vec<f64> =
+        report.connections.iter().map(|c| c.normalized_throughput).collect();
+    throughputs.sort_by(f64::total_cmp);
+    let jain = jain_fairness_index(&throughputs);
     (report.mean_throughput(), jain)
 }
 

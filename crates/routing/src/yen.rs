@@ -8,13 +8,16 @@
 //!
 //! This implementation is hand-rolled on top of the crate's Dijkstra (unit
 //! link weights by default), per the reproduction note that no external graph
-//! crate is used.
+//! crate is used. One [`ShortestPathSearch`] and one arc buffer serve every
+//! spur search of a call, and masked nodes and links are flags in a node
+//! mask and an edge mask (an undirected edge id masks both directions), set
+//! before each spur search and cleared after it.
 
-use crate::shortest::weighted_shortest_path;
+use crate::shortest::ShortestPathSearch;
 use crate::Path;
-use jellyfish_topology::{CsrGraph, NodeId};
+use jellyfish_topology::{ArcId, CsrGraph, EdgeId, NodeId};
 use rayon::prelude::*;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 /// Finds up to `k` loopless shortest paths from `src` to `dst` using unit
 /// link weights (hop count). Paths are returned sorted by (length, lexical
@@ -42,67 +45,79 @@ where
     if src == dst {
         return vec![vec![src]];
     }
-    let Some((first, _)) = weighted_shortest_path(csr, src, dst, weight) else {
+    let mut search = ShortestPathSearch::new();
+    let mut arcs: Vec<ArcId> = Vec::new();
+    let arc_weight = |u, arc| weight(u, csr.arc_target(arc));
+    if search.find_path(csr, src, dst, arc_weight, &mut arcs).is_none() {
         return Vec::new();
-    };
+    }
 
-    let mut found: Vec<Path> = vec![first];
+    let first = std::iter::once(src).chain(arcs.iter().map(|&arc| csr.arc_target(arc)));
+    let mut found: Vec<Path> = vec![first.collect()];
     // Candidate set keyed by (cost, path) to keep deterministic ordering and
     // deduplicate spur results found via different prefixes.
     let mut candidates: BTreeSet<(CostKey, Path)> = BTreeSet::new();
+    let mut node_masked = vec![false; csr.num_nodes()];
+    let mut edge_masked = vec![false; csr.num_edges()];
+    let mut masked_edges: Vec<EdgeId> = Vec::new();
 
     while found.len() < k {
-        let last = found.last().expect("at least one path found").clone();
+        let last = found.len() - 1;
         // Each node of the previous path except the final one is a spur node.
-        for spur_idx in 0..last.len() - 1 {
-            let spur_node = last[spur_idx];
-            let root: Vec<NodeId> = last[..=spur_idx].to_vec();
+        for spur_idx in 0..found[last].len() - 1 {
+            let root = &found[last][..=spur_idx];
+            let spur_node = root[spur_idx];
 
             // Links to mask: for every found path sharing this root, the link
             // it takes out of the spur node.
-            let mut masked_links: HashSet<(NodeId, NodeId)> = HashSet::new();
             for p in &found {
-                if p.len() > spur_idx && p[..=spur_idx] == root[..] {
-                    let a = p[spur_idx];
-                    let b = p[spur_idx + 1];
-                    masked_links.insert((a.min(b), a.max(b)));
+                if p.len() > spur_idx && p[..=spur_idx] == *root {
+                    let edge =
+                        csr.edge_index(p[spur_idx], p[spur_idx + 1]).expect("path hops are links");
+                    edge_masked[edge] = true;
+                    masked_edges.push(edge);
                 }
             }
             // Nodes of the root (except the spur node) are masked entirely to
             // keep paths simple.
-            let masked_nodes: HashSet<NodeId> = root[..spur_idx].iter().copied().collect();
-
-            let spur_weight = |u: NodeId, v: NodeId| {
-                if masked_nodes.contains(&u) || masked_nodes.contains(&v) {
-                    return f64::INFINITY;
-                }
-                if masked_links.contains(&(u.min(v), u.max(v))) {
+            for &n in &root[..spur_idx] {
+                node_masked[n] = true;
+            }
+            let spur_weight = |u: NodeId, arc: ArcId| {
+                let v = csr.arc_target(arc);
+                if node_masked[u] || node_masked[v] || edge_masked[csr.edge_of_arc(arc)] {
                     return f64::INFINITY;
                 }
                 weight(u, v)
             };
-            if let Some((spur_path, _)) = weighted_shortest_path(csr, spur_node, dst, spur_weight) {
-                let mut total: Path = root[..spur_idx].to_vec();
-                total.extend(spur_path);
-                // Guard against any residual loop (should not happen).
-                if has_duplicate(&total) {
-                    continue;
-                }
-                if found.contains(&total) {
-                    continue;
-                }
-                let cost = path_cost(&total, weight);
-                candidates.insert((CostKey(cost), total));
+            let spur = search.find_path(csr, spur_node, dst, spur_weight, &mut arcs);
+            for &n in &root[..spur_idx] {
+                node_masked[n] = false;
             }
+            for edge in masked_edges.drain(..) {
+                edge_masked[edge] = false;
+            }
+            if spur.is_none() {
+                continue;
+            }
+            let mut total: Path = Vec::with_capacity(spur_idx + 1 + arcs.len());
+            total.extend_from_slice(root);
+            total.extend(arcs.iter().map(|&arc| csr.arc_target(arc)));
+            // The masked root keeps the spur path off the root's nodes.
+            debug_assert!(total.iter().enumerate().all(|(i, n)| !total[..i].contains(n)));
+            if found.contains(&total) {
+                continue;
+            }
+            let cost = path_cost(&total, weight);
+            candidates.insert((CostKey(cost), total));
         }
         // Pop the cheapest candidate not yet in the result set.
         let next = loop {
-            let Some(entry) = candidates.iter().next().cloned() else {
+            let Some((_, path)) = candidates.pop_first() else {
                 return found;
             };
-            candidates.remove(&entry);
-            if !found.contains(&entry.1) {
-                break entry.1;
+            if !found.contains(&path) {
+                break path;
             }
         };
         found.push(next);
@@ -126,18 +141,21 @@ pub fn all_pairs_k_shortest(csr: &CsrGraph, k: usize) -> Vec<Vec<Vec<Path>>> {
         .collect()
 }
 
-fn has_duplicate(path: &Path) -> bool {
-    let mut seen = HashSet::with_capacity(path.len());
-    path.iter().any(|&n| !seen.insert(n))
-}
-
 fn path_cost<F: Fn(NodeId, NodeId) -> f64>(path: &Path, weight: F) -> f64 {
     path.windows(2).map(|w| weight(w[0], w[1])).sum()
 }
 
-/// Ordered f64 key for the candidate set (costs are finite by construction).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Ordered f64 key for the candidate set. `total_cmp` keeps the order
+/// total (and the set's invariants intact) even for a NaN cost; on the
+/// finite, non-negative costs Yen produces it is the numeric order.
+#[derive(Debug, Clone, Copy)]
 struct CostKey(f64);
+
+impl PartialEq for CostKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
 
 impl Eq for CostKey {}
 
@@ -149,7 +167,7 @@ impl PartialOrd for CostKey {
 
 impl Ord for CostKey {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.partial_cmp(&other.0).unwrap_or(std::cmp::Ordering::Equal)
+        self.0.total_cmp(&other.0)
     }
 }
 

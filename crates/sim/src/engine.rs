@@ -5,15 +5,24 @@
 //! period: a connection's goodput is the number of segments acknowledged
 //! during the measurement window divided by what its NIC could have sent in
 //! that window, which is exactly the paper's "% of the servers' NIC rate".
+//!
+//! The loop's bookkeeping hashes nothing and lives in reused buffers. The
+//! heap holds 24-byte `(time bits, counter, slot)` keys while the events sit
+//! in a slab whose slots a free list recycles. Every event time is finite
+//! and non-negative (start jitter is drawn from `[0, 0.05)` and every later
+//! time adds non-negative terms to the current time), so ordering times by
+//! their bits orders them numerically, and the unique, increasing counter
+//! breaks ties in scheduling order. Each subflow's hops are resolved to link
+//! ids once, when the simulator is built.
 
 use crate::mptcp::lia_increase_per_ack;
-use crate::net::{LinkParams, Network, Packet, SimNode, TransmitOutcome};
+use crate::net::{LinkId, LinkParams, Network, Packet, TransmitOutcome};
 use crate::tcp::{AckAction, TcpReceiver, TcpSender};
 use crate::workload::Connection;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Relative size of an acknowledgement compared to a full data segment.
 const ACK_SIZE: f64 = 0.05;
@@ -64,13 +73,22 @@ pub struct ConnectionStats {
 pub struct SimReport {
     /// Per-connection statistics.
     pub connections: Vec<ConnectionStats>,
-    /// Total packets dropped in the fabric.
+    /// Total packets dropped in the fabric: queue overflows plus
+    /// `wire_losses` (so queue drops are `drops - wire_losses`).
     pub drops: u64,
     /// Total packets transmitted in the fabric.
     pub transmitted: u64,
     /// Karn-filtered RTT samples observed after warmup, in event order
     /// (never-retransmitted segments only), for latency histograms.
     pub rtt_samples: Vec<f64>,
+    /// Events the loop handled (packet arrivals, timer checks and the
+    /// warm-up snapshot), a deterministic measure of the run's work.
+    pub events: u64,
+    /// Packets the impairment model lost on the wire (a subset of `drops`).
+    pub wire_losses: u64,
+    /// Transmit attempts on links that do not exist, as when connections
+    /// routed before a failure are simulated after it (not in `drops`).
+    pub no_link_drops: u64,
 }
 
 impl SimReport {
@@ -82,12 +100,32 @@ impl SimReport {
         self.connections.iter().map(|c| c.normalized_throughput).sum::<f64>()
             / self.connections.len() as f64
     }
+}
 
-    /// Per-connection normalized throughputs, sorted ascending (Figure 13).
-    pub fn sorted_throughputs(&self) -> Vec<f64> {
-        let mut v: Vec<f64> = self.connections.iter().map(|c| c.normalized_throughput).collect();
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        v
+/// Send timestamps by sequence number, for Karn-filtered RTT sampling. A NaN
+/// entry means "no timestamp". Entries below the cumulative ACK are kept: a
+/// late or duplicated ACK can still read one.
+#[derive(Debug, Default)]
+struct SendTimes(Vec<f64>);
+
+impl SendTimes {
+    fn insert(&mut self, seq: u64, time: f64) {
+        let seq = seq as usize;
+        if seq >= self.0.len() {
+            self.0.resize(seq + 1, f64::NAN);
+        }
+        self.0[seq] = time;
+    }
+
+    /// Removes and returns the timestamp of `seq`, if it has one.
+    fn remove(&mut self, seq: u64) -> Option<f64> {
+        let slot = self.0.get_mut(seq as usize)?;
+        let time = std::mem::replace(slot, f64::NAN);
+        (!time.is_nan()).then_some(time)
+    }
+
+    fn clear(&mut self) {
+        self.0.clear();
     }
 }
 
@@ -95,10 +133,13 @@ impl SimReport {
 struct Subflow {
     sender: TcpSender,
     receiver: TcpReceiver,
-    forward: Vec<SimNode>,
-    reverse: Vec<SimNode>,
+    /// Links of the forward path, hop by hop (`None` where the path crosses
+    /// a link the network does not have).
+    forward: Vec<Option<LinkId>>,
+    /// Links of the reverse (ACK) path, hop by hop.
+    reverse: Vec<Option<LinkId>>,
     /// Send timestamps for RTT sampling (Karn's rule: cleared on retransmit).
-    send_times: HashMap<u64, f64>,
+    send_times: SendTimes,
     /// Segments acknowledged at the end of warmup.
     delivered_at_warmup: u64,
 }
@@ -110,27 +151,11 @@ struct ConnState {
     subflows: Vec<Subflow>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 enum Event {
     Arrive(Packet),
     TimeoutCheck { conn: usize, subflow: usize },
     WarmupSnapshot,
-}
-
-/// Total-ordered event key.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct TimeKey(f64, u64);
-
-impl Eq for TimeKey {}
-impl PartialOrd for TimeKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimeKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.partial_cmp(&other.0).unwrap_or(std::cmp::Ordering::Equal).then(self.1.cmp(&other.1))
-    }
 }
 
 /// The discrete-event simulator.
@@ -138,30 +163,24 @@ pub struct Simulator {
     network: Network,
     config: SimConfig,
     connections: Vec<ConnState>,
-    events: BinaryHeap<Reverse<(TimeKey, EventBox)>>,
+    /// Min-heap of `(time bits, counter, slab slot)`.
+    queue: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    /// Pending events, indexed by the slot their heap key carries.
+    slab: Vec<Event>,
+    /// Slab slots whose events have been handled.
+    free: Vec<u32>,
     event_counter: u64,
+    events_handled: u64,
     now: f64,
     rtt_samples: Vec<f64>,
-}
-
-/// Wrapper so events can live in the heap without an Ord requirement of
-/// their own (ordering is entirely by the TimeKey).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct EventBox(Event);
-impl Eq for EventBox {}
-impl PartialOrd for EventBox {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for EventBox {
-    fn cmp(&self, _other: &Self) -> std::cmp::Ordering {
-        std::cmp::Ordering::Equal
-    }
+    /// LIA's per-ACK inputs, refilled in subflow order on every ACK.
+    lia_cwnds: Vec<f64>,
+    lia_rtts: Vec<f64>,
 }
 
 impl Simulator {
-    /// Creates a simulator for the given network and connections.
+    /// Creates a simulator for the given network and connections, resolving
+    /// every subflow hop to its link.
     pub fn new(network: Network, connections: Vec<Connection>, config: SimConfig) -> Self {
         let conn_states = connections
             .into_iter()
@@ -171,17 +190,18 @@ impl Simulator {
                 coupled: c.coupled,
                 subflows: c
                     .subflow_paths
-                    .into_iter()
-                    .map(|forward| {
-                        let reverse: Vec<SimNode> = forward.iter().rev().copied().collect();
-                        Subflow {
-                            sender: TcpSender::new(config.initial_cwnd, config.initial_rto),
-                            receiver: TcpReceiver::new(),
-                            forward,
-                            reverse,
-                            send_times: HashMap::new(),
-                            delivered_at_warmup: 0,
-                        }
+                    .iter()
+                    .map(|path| Subflow {
+                        sender: TcpSender::new(config.initial_cwnd, config.initial_rto),
+                        receiver: TcpReceiver::new(),
+                        forward: path.windows(2).map(|h| network.link_id(h[0], h[1])).collect(),
+                        reverse: path
+                            .windows(2)
+                            .rev()
+                            .map(|h| network.link_id(h[1], h[0]))
+                            .collect(),
+                        send_times: SendTimes::default(),
+                        delivered_at_warmup: 0,
                     })
                     .collect(),
             })
@@ -190,16 +210,48 @@ impl Simulator {
             network,
             config,
             connections: conn_states,
-            events: BinaryHeap::new(),
+            queue: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             event_counter: 0,
+            events_handled: 0,
             now: 0.0,
             rtt_samples: Vec::new(),
+            lia_cwnds: Vec::new(),
+            lia_rtts: Vec::new(),
         }
     }
 
     fn schedule(&mut self, time: f64, event: Event) {
+        // Bit order is numeric order only for finite times >= +0.0.
+        debug_assert!(time.is_finite() && time.is_sign_positive(), "event time {time}");
         self.event_counter += 1;
-        self.events.push(Reverse((TimeKey(time, self.event_counter), EventBox(event))));
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = event;
+                slot
+            }
+            None => {
+                self.slab.push(event);
+                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
+            }
+        };
+        self.queue.push(Reverse((time.to_bits(), self.event_counter, slot)));
+    }
+
+    /// Schedules the arrival (and any duplicate) of a packet just handed to
+    /// a link; a dropped packet schedules nothing.
+    fn schedule_outcome(&mut self, outcome: TransmitOutcome, pkt: Packet) {
+        match outcome {
+            TransmitOutcome::Delivered { arrival } => self.schedule(arrival, Event::Arrive(pkt)),
+            TransmitOutcome::Duplicated { arrival, dup_arrival } => {
+                self.schedule(arrival, Event::Arrive(pkt));
+                self.schedule(dup_arrival, Event::Arrive(pkt));
+            }
+            // Lost at a queue or on the wire, or the link is gone: the
+            // sender recovers via dupacks or RTO.
+            TransmitOutcome::Dropped | TransmitOutcome::NoLink => {}
+        }
     }
 
     /// Runs the simulation to completion and reports per-connection goodput.
@@ -218,10 +270,14 @@ impl Simulator {
         self.now = 0.0;
         self.schedule(self.config.warmup, Event::WarmupSnapshot);
 
-        while let Some(Reverse((TimeKey(time, _), EventBox(event)))) = self.events.pop() {
+        while let Some(Reverse((bits, _, slot))) = self.queue.pop() {
+            let time = f64::from_bits(bits);
             if time > self.config.duration {
                 break;
             }
+            let event = self.slab[slot as usize];
+            self.free.push(slot);
+            self.events_handled += 1;
             self.now = time;
             match event {
                 Event::Arrive(pkt) => self.handle_arrival(pkt),
@@ -259,6 +315,9 @@ impl Simulator {
             drops: self.network.total_drops(),
             transmitted: self.network.total_transmitted(),
             rtt_samples: self.rtt_samples,
+            events: self.events_handled,
+            wire_losses: self.network.total_wire_losses(),
+            no_link_drops: self.network.no_link_drops(),
         }
     }
 
@@ -277,37 +336,23 @@ impl Simulator {
 
     /// Puts a data segment onto the first link of the subflow's forward path.
     fn inject_data(&mut self, conn: usize, sub: usize, seq: u64) {
-        let (u, v) = {
-            let f = &self.connections[conn].subflows[sub].forward;
-            (f[0], f[1])
-        };
+        let link = self.connections[conn].subflows[sub].forward[0];
         let pkt = Packet { conn, subflow: sub, seq, ack: 0, is_ack: false, hop: 1 };
-        match self.network.transmit_sized(u, v, self.now, 1.0) {
-            TransmitOutcome::Delivered { arrival } => {
-                self.schedule(arrival, Event::Arrive(pkt));
-            }
-            TransmitOutcome::Duplicated { arrival, dup_arrival } => {
-                self.schedule(arrival, Event::Arrive(pkt));
-                self.schedule(dup_arrival, Event::Arrive(pkt));
-            }
-            TransmitOutcome::Dropped | TransmitOutcome::NoLink => {
-                // Lost on the host uplink (or the uplink is gone entirely);
-                // recovery will resend it.
-            }
-        }
+        let outcome = self.network.transmit_on(link, self.now, 1.0);
+        self.schedule_outcome(outcome, pkt);
     }
 
     /// Handles a packet arriving at the node at index `hop` of its path.
     fn handle_arrival(&mut self, pkt: Packet) {
-        let path_len = {
+        let links = {
             let sf = &self.connections[pkt.conn].subflows[pkt.subflow];
             if pkt.is_ack {
-                sf.reverse.len()
+                &sf.reverse
             } else {
-                sf.forward.len()
+                &sf.forward
             }
         };
-        if pkt.hop + 1 == path_len {
+        let Some(&link) = links.get(pkt.hop) else {
             // Reached the end of its path.
             if pkt.is_ack {
                 self.handle_ack(pkt);
@@ -315,40 +360,19 @@ impl Simulator {
                 self.handle_data_delivery(pkt);
             }
             return;
-        }
-        // Forward to the next hop.
-        let (u, v) = {
-            let sf = &self.connections[pkt.conn].subflows[pkt.subflow];
-            let path = if pkt.is_ack { &sf.reverse } else { &sf.forward };
-            (path[pkt.hop], path[pkt.hop + 1])
         };
+        // Forward to the next hop.
         let size = if pkt.is_ack { ACK_SIZE } else { 1.0 };
-        let next = Packet { hop: pkt.hop + 1, ..pkt };
-        match self.network.transmit_sized(u, v, self.now, size) {
-            TransmitOutcome::Delivered { arrival } => {
-                self.schedule(arrival, Event::Arrive(next));
-            }
-            TransmitOutcome::Duplicated { arrival, dup_arrival } => {
-                self.schedule(arrival, Event::Arrive(next));
-                self.schedule(dup_arrival, Event::Arrive(next));
-            }
-            TransmitOutcome::Dropped | TransmitOutcome::NoLink => {
-                // Silently lost (or the next hop's link no longer exists);
-                // the sender recovers via dupacks or RTO.
-            }
-        }
+        let outcome = self.network.transmit_on(link, self.now, size);
+        self.schedule_outcome(outcome, Packet { hop: pkt.hop + 1, ..pkt });
     }
 
     /// Data segment reached the destination host: update the receiver and
     /// send a cumulative ACK back along the reverse path.
     fn handle_data_delivery(&mut self, pkt: Packet) {
-        let ack_value = {
+        let (ack_value, link) = {
             let sf = &mut self.connections[pkt.conn].subflows[pkt.subflow];
-            sf.receiver.on_data(pkt.seq)
-        };
-        let (u, v) = {
-            let sf = &self.connections[pkt.conn].subflows[pkt.subflow];
-            (sf.reverse[0], sf.reverse[1])
+            (sf.receiver.on_data(pkt.seq), sf.reverse[0])
         };
         let ack_pkt = Packet {
             conn: pkt.conn,
@@ -358,16 +382,8 @@ impl Simulator {
             is_ack: true,
             hop: 1,
         };
-        match self.network.transmit_sized(u, v, self.now, ACK_SIZE) {
-            TransmitOutcome::Delivered { arrival } => {
-                self.schedule(arrival, Event::Arrive(ack_pkt));
-            }
-            TransmitOutcome::Duplicated { arrival, dup_arrival } => {
-                self.schedule(arrival, Event::Arrive(ack_pkt));
-                self.schedule(dup_arrival, Event::Arrive(ack_pkt));
-            }
-            TransmitOutcome::Dropped | TransmitOutcome::NoLink => {}
-        }
+        let outcome = self.network.transmit_on(link, self.now, ACK_SIZE);
+        self.schedule_outcome(outcome, ack_pkt);
     }
 
     /// ACK reached the sender: run the congestion-control state machine.
@@ -377,8 +393,7 @@ impl Simulator {
             let sf = &mut self.connections[pkt.conn].subflows[pkt.subflow];
             // RTT sample only for segments never retransmitted (Karn's rule):
             // send_times entries are removed when a segment is retransmitted.
-            let rtt_sample = sf.send_times.get(&pkt.seq).map(|&t| self.now - t);
-            sf.send_times.remove(&pkt.seq);
+            let rtt_sample = sf.send_times.remove(pkt.seq).map(|t| self.now - t);
             // Collect post-warmup samples for the latency-histogram
             // experiments; recording does not perturb the simulation.
             if self.now >= self.config.warmup {
@@ -414,20 +429,22 @@ impl Simulator {
 
     /// Per-ACK congestion-avoidance increase: Reno for plain TCP, LIA for
     /// MPTCP connections.
-    fn increase_for(&self, conn: usize, sub: usize) -> f64 {
+    fn increase_for(&mut self, conn: usize, sub: usize) -> f64 {
         let c = &self.connections[conn];
         if !c.coupled {
             return 1.0 / c.subflows[sub].sender.cwnd.max(1.0);
         }
-        let cwnds: Vec<f64> = c.subflows.iter().map(|s| s.sender.cwnd).collect();
-        let rtts: Vec<f64> =
-            c.subflows.iter().map(|s| s.sender.srtt.unwrap_or(self.config.initial_rto)).collect();
-        lia_increase_per_ack(&cwnds, &rtts, sub)
+        self.lia_cwnds.clear();
+        self.lia_cwnds.extend(c.subflows.iter().map(|s| s.sender.cwnd));
+        self.lia_rtts.clear();
+        let initial_rto = self.config.initial_rto;
+        self.lia_rtts.extend(c.subflows.iter().map(|s| s.sender.srtt.unwrap_or(initial_rto)));
+        lia_increase_per_ack(&self.lia_cwnds, &self.lia_rtts, sub)
     }
 
     fn retransmit(&mut self, conn: usize, sub: usize, seq: u64) {
         // Karn's rule: the retransmitted segment must not produce an RTT sample.
-        self.connections[conn].subflows[sub].send_times.remove(&seq);
+        self.connections[conn].subflows[sub].send_times.remove(seq);
         self.inject_data(conn, sub, seq);
     }
 
@@ -608,12 +625,39 @@ mod tests {
             drops: 3,
             transmitted: 100,
             rtt_samples: vec![0.01, 0.02],
+            events: 250,
+            wire_losses: 1,
+            no_link_drops: 0,
         };
         assert!((report.mean_throughput() - 0.75).abs() < 1e-12);
-        assert_eq!(report.sorted_throughputs(), vec![0.5, 1.0]);
-        let empty =
-            SimReport { connections: vec![], drops: 0, transmitted: 0, rtt_samples: vec![] };
+        let throughputs: Vec<f64> =
+            report.connections.iter().map(|c| c.normalized_throughput).collect();
+        assert_eq!(throughputs, vec![0.5, 1.0]);
+        let empty = SimReport {
+            connections: vec![],
+            drops: 0,
+            transmitted: 0,
+            rtt_samples: vec![],
+            events: 0,
+            wire_losses: 0,
+            no_link_drops: 0,
+        };
         assert_eq!(empty.mean_throughput(), 0.0);
+    }
+
+    #[test]
+    fn send_times_keep_entries_below_the_cumulative_ack() {
+        let mut t = SendTimes::default();
+        assert_eq!(t.remove(3), None, "reading past the end is absent, not a panic");
+        t.insert(2, 0.5);
+        t.insert(0, 0.25);
+        assert_eq!(t.remove(1), None, "a gap is absent");
+        assert_eq!(t.remove(0), Some(0.25));
+        assert_eq!(t.remove(0), None, "a removed entry is gone");
+        assert_eq!(t.remove(2), Some(0.5));
+        t.insert(4, 1.0);
+        t.clear();
+        assert_eq!(t.remove(4), None, "clear drops every entry");
     }
 
     #[test]

@@ -7,11 +7,13 @@
 //! (full duplex), and every server gets an uplink and a downlink to its ToR
 //! switch.
 //!
-//! Link state is stored flat, not hashed: switch-to-switch links live in a
-//! vector indexed by the [`CsrGraph`] snapshot's dense arc ids, and host
-//! access links in two per-server vectors. Resolving a hop on the packet hot
-//! path is an O(log degree) row search in the snapshot instead of a
-//! `HashMap<(u, v), _>` probe per packet-hop.
+//! Link state is stored flat, not hashed, in one vector indexed by a stable
+//! [`LinkId`]: the [`CsrGraph`] snapshot's dense arc ids for switch-to-switch
+//! links, then one id per host uplink, then one per host downlink.
+//! [`Network::link_id`] resolves a node pair to its id with an O(log degree)
+//! row search; the simulator does that once per subflow hop when it is
+//! built, so the packet hot path ([`Network::transmit_on`]) only indexes the
+//! vector.
 //!
 //! Queueing model: each directed link tracks the time until which its
 //! transmitter is busy. A packet handed to the link at time `t` sees a
@@ -95,23 +97,25 @@ pub enum TransmitOutcome {
     },
 }
 
+/// Stable id of one directed link: a switch arc id, then
+/// `num_arcs + server` for host uplinks, then `num_arcs + num_servers +
+/// server` for host downlinks. It indexes the link state and keys the
+/// link's impairment stream.
+pub type LinkId = u32;
+
 /// The simulated network fabric.
 #[derive(Debug, Clone)]
 pub struct Network {
-    /// Interconnect snapshot; arc ids index `switch_links`.
+    /// Interconnect snapshot; its arc ids are the switch links' [`LinkId`]s.
     csr: CsrGraph,
-    /// Directed switch-to-switch links, indexed by arc id.
-    switch_links: Vec<Link>,
-    /// Host → ToR uplinks, indexed by server id.
-    host_up: Vec<Link>,
-    /// ToR → host downlinks, indexed by server id.
-    host_down: Vec<Link>,
+    /// Every directed link, indexed by [`LinkId`].
+    links: Vec<Link>,
     /// ToR switch of each server.
     tor_of: Vec<SimNode>,
     params: LinkParams,
     num_switches: usize,
     /// Optional per-link impairment model; `None` is the ideal fabric and
-    /// keeps the arithmetic of `transmit_sized` bit-identical to the
+    /// keeps the arithmetic of `transmit_on` bit-identical to the
     /// pre-impairment implementation.
     impair: Option<Impairments>,
     /// Packets lost on the wire by the impairment model (distinct from
@@ -121,23 +125,16 @@ pub struct Network {
     no_link: u64,
 }
 
-/// Flat handle to one directed link's slot.
-enum LinkSlot {
-    Switch(usize),
-    HostUp(usize),
-    HostDown(usize),
-}
-
 impl Network {
     /// Builds the simulated network for a topology snapshot: switch-to-switch
     /// links plus host access links, all with the same parameters.
     pub fn build(csr: &CsrGraph, servers: &ServerMap, params: LinkParams) -> Self {
         let num_switches = csr.num_nodes();
         let num_servers = servers.num_servers();
+        let num_links = csr.num_arcs() + 2 * num_servers;
+        assert!(num_links <= LinkId::MAX as usize, "too many links for u32 link ids");
         Network {
-            switch_links: vec![Link::default(); csr.num_arcs()],
-            host_up: vec![Link::default(); num_servers],
-            host_down: vec![Link::default(); num_servers],
+            links: vec![Link::default(); num_links],
             tor_of: (0..num_servers).map(|s| servers.switch_of(s)).collect(),
             csr: csr.clone(),
             params,
@@ -153,24 +150,13 @@ impl Network {
     /// the link's stable id, so the packet fates of a run depend only on
     /// `(config, seed, event order)` — bit-reproducible across shards.
     pub fn with_impairment(mut self, cfg: ImpairConfig, seed: u64) -> Self {
-        let n = self.switch_links.len() + 2 * self.host_up.len();
-        self.impair = Some(Impairments::new(cfg, seed, n));
+        self.impair = Some(Impairments::new(cfg, seed, self.links.len()));
         self
     }
 
     /// The attached impairment config, if any.
     pub fn impairment(&self) -> Option<&ImpairConfig> {
         self.impair.as_ref().map(super::impair::Impairments::cfg)
-    }
-
-    /// The stable impairment-stream key of a resolved link slot: switch
-    /// arcs first, then host uplinks, then host downlinks.
-    fn link_key(&self, slot: &LinkSlot) -> usize {
-        match *slot {
-            LinkSlot::Switch(arc) => arc,
-            LinkSlot::HostUp(s) => self.switch_links.len() + s,
-            LinkSlot::HostDown(s) => self.switch_links.len() + self.host_up.len() + s,
-        }
     }
 
     /// Sim node id of server `s`.
@@ -185,50 +171,42 @@ impl Network {
 
     /// Number of hosts in the fabric.
     pub fn num_hosts(&self) -> usize {
-        self.host_up.len()
+        self.tor_of.len()
     }
 
-    /// Resolves the directed link `(u, v)` to its flat slot.
-    fn resolve(&self, u: SimNode, v: SimNode) -> Option<LinkSlot> {
-        if u >= self.num_switches {
+    /// The id of the directed link `(u, v)`, or `None` when no such link
+    /// exists (e.g. it was failed out of the topology).
+    pub fn link_id(&self, u: SimNode, v: SimNode) -> Option<LinkId> {
+        let arcs = self.csr.num_arcs();
+        let hosts = self.tor_of.len();
+        let id = if u >= self.num_switches {
             let s = u - self.num_switches;
-            (s < self.host_up.len() && v == self.tor_of[s]).then_some(LinkSlot::HostUp(s))
+            (s < hosts && v == self.tor_of[s]).then_some(arcs + s)
         } else if v >= self.num_switches {
             let s = v - self.num_switches;
-            (s < self.host_down.len() && u == self.tor_of[s]).then_some(LinkSlot::HostDown(s))
+            (s < hosts && u == self.tor_of[s]).then_some(arcs + hosts + s)
         } else {
-            self.csr.arc_index(u, v).map(LinkSlot::Switch)
-        }
-    }
-
-    fn link_mut(&mut self, slot: &LinkSlot) -> &mut Link {
-        match *slot {
-            LinkSlot::Switch(arc) => &mut self.switch_links[arc],
-            LinkSlot::HostUp(s) => &mut self.host_up[s],
-            LinkSlot::HostDown(s) => &mut self.host_down[s],
-        }
+            self.csr.arc_index(u, v)
+        };
+        id.map(|id| id as LinkId)
     }
 
     /// Whether a directed link exists.
     pub fn has_link(&self, u: SimNode, v: SimNode) -> bool {
-        self.resolve(u, v).is_some()
+        self.link_id(u, v).is_some()
     }
 
     /// Hands one full-size packet to the directed link `(u, v)` at time `now`.
     pub fn transmit(&mut self, u: SimNode, v: SimNode, now: f64) -> TransmitOutcome {
-        self.transmit_sized(u, v, now, 1.0)
+        self.transmit_on(self.link_id(u, v), now, 1.0)
     }
 
-    /// Hands a packet of `size` MSS units to the directed link `(u, v)` at
-    /// time `now`. Acknowledgements use a small fraction of an MSS.
-    pub fn transmit_sized(
-        &mut self,
-        u: SimNode,
-        v: SimNode,
-        now: f64,
-        size: f64,
-    ) -> TransmitOutcome {
-        let Some(slot) = self.resolve(u, v) else {
+    /// Hands a packet of `size` MSS units to a link resolved by
+    /// [`Network::link_id`] at time `now`; acknowledgements use a small
+    /// fraction of an MSS. A link that resolved to `None` counts as a
+    /// [`TransmitOutcome::NoLink`] attempt.
+    pub fn transmit_on(&mut self, link: Option<LinkId>, now: f64, size: f64) -> TransmitOutcome {
+        let Some(key) = link.map(|id| id as usize) else {
             self.no_link += 1;
             return TransmitOutcome::NoLink;
         };
@@ -236,8 +214,7 @@ impl Network {
         let delay = self.params.delay;
         let buffer =
             self.impair.as_ref().and_then(|i| i.cfg().queue).unwrap_or(self.params.buffer) as f64;
-        let key = self.link_key(&slot);
-        let link = self.link_mut(&slot);
+        let link = &mut self.links[key];
         let backlog = (link.busy_until - now).max(0.0) * rate;
         if backlog + size > buffer {
             link.dropped += 1;
@@ -256,7 +233,7 @@ impl Network {
             // The frame occupied the transmitter and then died on the wire:
             // bandwidth is spent, nothing arrives.
             self.wire_lost += 1;
-            self.link_mut(&slot).dropped += 1;
+            self.links[key].dropped += 1;
             return TransmitOutcome::Dropped;
         }
         let mut arrival = arrival + fate.jitter;
@@ -268,7 +245,7 @@ impl Network {
         }
         if let Some(dup_jitter) = fate.duplicate {
             // The duplicate occupies the next transmission slot.
-            let link = self.link_mut(&slot);
+            let link = &mut self.links[key];
             let dup_finish = link.busy_until + size / rate;
             link.busy_until = dup_finish;
             link.transmitted += 1;
@@ -280,18 +257,14 @@ impl Network {
         TransmitOutcome::Delivered { arrival }
     }
 
-    fn all_links(&self) -> impl Iterator<Item = &Link> {
-        self.switch_links.iter().chain(self.host_up.iter()).chain(self.host_down.iter())
-    }
-
     /// Total packets dropped across all links.
     pub fn total_drops(&self) -> u64 {
-        self.all_links().map(|l| l.dropped).sum()
+        self.links.iter().map(|l| l.dropped).sum()
     }
 
     /// Total packets transmitted across all links.
     pub fn total_transmitted(&self) -> u64 {
-        self.all_links().map(|l| l.transmitted).sum()
+        self.links.iter().map(|l| l.transmitted).sum()
     }
 
     /// Packets the impairment model lost on the wire (a subset of
@@ -311,17 +284,18 @@ impl Network {
     pub fn link_utilization(&self, horizon: f64) -> HashMap<(SimNode, SimNode), f64> {
         let denom = self.params.rate * horizon;
         let mut out = HashMap::new();
+        let mut insert = |u: SimNode, v: SimNode| {
+            let id = self.link_id(u, v).expect("enumerated links exist") as usize;
+            out.insert((u, v), self.links[id].transmitted as f64 / denom);
+        };
         for u in self.csr.nodes() {
-            for arc in self.csr.arc_range(u) {
-                let v = self.csr.arc_target(arc);
-                out.insert((u, v), self.switch_links[arc].transmitted as f64 / denom);
+            for &v in self.csr.neighbors(u) {
+                insert(u, v as SimNode);
             }
         }
-        for s in 0..self.host_up.len() {
-            let host = self.host_node(s);
-            let tor = self.tor_of[s];
-            out.insert((host, tor), self.host_up[s].transmitted as f64 / denom);
-            out.insert((tor, host), self.host_down[s].transmitted as f64 / denom);
+        for (s, &tor) in self.tor_of.iter().enumerate() {
+            insert(self.host_node(s), tor);
+            insert(tor, self.host_node(s));
         }
         out
     }
@@ -381,6 +355,29 @@ mod tests {
             assert!(net.has_link(servers.switch_of(s), host));
         }
         assert!(!net.has_link(0, net.host_node(17)) || servers.switch_of(17) == 0);
+    }
+
+    #[test]
+    fn link_ids_number_arcs_then_uplinks_then_downlinks() {
+        // The ids key the impairment streams, so their order is part of the
+        // determinism contract.
+        let topo = JellyfishBuilder::new(6, 6, 3).seed(1).build().unwrap();
+        let servers = ServerMap::new(&topo);
+        let csr = topo.csr();
+        let net = Network::build(&csr, &servers, LinkParams::default());
+        for u in csr.nodes() {
+            for arc in csr.arc_range(u) {
+                assert_eq!(net.link_id(u, csr.arc_target(arc)), Some(arc as LinkId));
+            }
+        }
+        let (arcs, hosts) = (csr.num_arcs(), servers.num_servers());
+        for s in 0..hosts {
+            let (host, tor) = (net.host_node(s), servers.switch_of(s));
+            assert_eq!(net.link_id(host, tor), Some((arcs + s) as LinkId));
+            assert_eq!(net.link_id(tor, host), Some((arcs + hosts + s) as LinkId));
+        }
+        assert_eq!(net.link_id(net.host_node(0), net.host_node(1)), None);
+        assert_eq!(net.link_id(net.host_node(hosts), 0), None, "no such host");
     }
 
     #[test]
