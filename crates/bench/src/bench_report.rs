@@ -1,8 +1,8 @@
 //! `figures bench` — the tracked hot-kernel benchmark trajectory.
 //!
 //! Runs each rewritten kernel next to its pre-rewrite scalar baseline at a
-//! fixed per-scale instance size and writes one JSON report (`BENCH_10.json`
-//! by default) with a record per kernel:
+//! fixed per-scale instance size and renders one JSON report (printed, and
+//! written to a file with `--out`) with a record per kernel:
 //! `{"kernel", "n", "ns_per_iter", "speedup_vs_scalar"}`. `ns_per_iter` is
 //! the optimized path's wall-clock per iteration; `speedup_vs_scalar` is the
 //! baseline's time divided by it, so values above 1 mean the rewrite pays
@@ -13,10 +13,8 @@
 use jellyfish::figures::Scale;
 use jellyfish::service::{ChurnEvent, Session};
 use jellyfish_flow::bisection::{min_bisection_heuristic, min_bisection_heuristic_reference};
-use jellyfish_flow::kernels as flow_kernels;
 use jellyfish_routing::path_table::RoutingScheme;
-use jellyfish_routing::shortest::{all_pairs_distances_reference, all_pairs_distances_serial};
-use jellyfish_topology::kernels as topo_kernels;
+use jellyfish_routing::shortest::{all_pairs_distances, all_pairs_distances_reference};
 use jellyfish_topology::spec::ScenarioTransform;
 use jellyfish_topology::{CsrGraph, JellyfishBuilder, Topology};
 use jellyfish_traffic::{ServerMap, TrafficSpec};
@@ -90,13 +88,6 @@ where
     }
 }
 
-fn xorshift(state: &mut u64) -> u64 {
-    *state ^= *state << 13;
-    *state ^= *state >> 7;
-    *state ^= *state << 17;
-    *state
-}
-
 /// Runs the full suite at `scale` and returns the records in a fixed order.
 pub fn run_suite(scale: Scale, seed: u64) -> Vec<BenchRecord> {
     let ((bn, bp, bd), (kn, kp, kd), restarts) = sizes(scale);
@@ -108,13 +99,14 @@ pub fn run_suite(scale: Scale, seed: u64) -> Vec<BenchRecord> {
 
     let mut records = Vec::new();
 
-    // 1. All-pairs BFS: direction-optimizing flat-matrix sweep vs the
-    //    pre-rewrite per-source queue BFS building Vec<Vec<usize>>.
+    // 1. All-pairs BFS: the 64-source bit-parallel flat-matrix sweep that
+    //    sessions and perfbench run vs the pre-rewrite per-source queue BFS
+    //    building Vec<Vec<usize>>.
     records.push(record(
         "all_pairs_bfs",
         bn,
         || {
-            std::hint::black_box(all_pairs_distances_serial(&bfs_csr));
+            std::hint::black_box(all_pairs_distances(&bfs_csr));
         },
         || {
             std::hint::black_box(all_pairs_distances_reference(&bfs_csr));
@@ -135,55 +127,7 @@ pub fn run_suite(scale: Scale, seed: u64) -> Vec<BenchRecord> {
         },
     ));
 
-    // 3. Garg–Könemann arc update: chunked vs scalar on this topology's arc
-    //    arrays with a synthetic 16-hop path (both variants always compiled,
-    //    so one binary measures both).
-    let num_arcs = bfs_csr.num_arcs();
-    let mut state = seed | 1;
-    let arcs: Vec<usize> = (0..16).map(|_| (xorshift(&mut state) as usize) % num_arcs).collect();
-    // Each variant mutates its own copy of the arc state so the two timed
-    // closures don't alias (and neither drifts the other's inputs).
-    let mut opt_state = (vec![1.0f64; num_arcs], vec![0.0f64; num_arcs], 0.0f64);
-    let mut ref_state = opt_state.clone();
-    records.push(record(
-        "gk_apply",
-        num_arcs,
-        || {
-            let (length, flow, tw) = &mut opt_state;
-            for _ in 0..64 {
-                flow_kernels::gk_apply_chunked(length, flow, &arcs, 0.5, 1.000_01, 1.0, tw);
-            }
-            std::hint::black_box(length);
-        },
-        || {
-            let (length, flow, tw) = &mut ref_state;
-            for _ in 0..64 {
-                flow_kernels::gk_apply_scalar(length, flow, &arcs, 0.5, 1.000_01, 1.0, tw);
-            }
-            std::hint::black_box(length);
-        },
-    ));
-
-    // 4. Cut-size scan: chunked vs scalar over the full edge list.
-    let num_edges = bfs_csr.num_edges();
-    let in_set: Vec<bool> = (0..bfs_csr.num_nodes()).map(|v| v % 2 == 0).collect();
-    let edges: Vec<(u32, u32)> = bfs_csr.edges().map(|(u, v)| (u as u32, v as u32)).collect();
-    records.push(record(
-        "cut_size",
-        num_edges,
-        || {
-            for _ in 0..16 {
-                std::hint::black_box(topo_kernels::cut_size_chunked(&edges, &in_set));
-            }
-        },
-        || {
-            for _ in 0..16 {
-                std::hint::black_box(topo_kernels::cut_size_scalar(&edges, &in_set));
-            }
-        },
-    ));
-
-    // 5–7. Traffic streaming: the lazy spec-built FlowStream aggregated to
+    // 3–5. Traffic streaming: the lazy spec-built FlowStream aggregated to
     //    switch demands on the fly, against the eager baseline that first
     //    materializes the full TrafficMatrix and then aggregates. Same flows,
     //    same demands — the streamed path just never holds the flow Vec.
@@ -213,7 +157,7 @@ pub fn run_suite(scale: Scale, seed: u64) -> Vec<BenchRecord> {
         ));
     }
 
-    // 8. Live-session distance maintenance: one fail-link + restore churn
+    // 6. Live-session distance maintenance: one fail-link + restore churn
     //    round-trip on a resident session. Optimized = incremental
     //    all-pairs repair limited to affected sources; scalar = the oracle
     //    session's full BFS rebuild after every event. Identical matrices
@@ -236,7 +180,7 @@ pub fn run_suite(scale: Scale, seed: u64) -> Vec<BenchRecord> {
         },
     ));
 
-    // 9. Live-session path maintenance: the same churn round-trip followed
+    // 7. Live-session path maintenance: the same churn round-trip followed
     //    by ECMP path queries for a fixed pair set. Optimized = the exact
     //    invalidation keeps provably-unaffected cache entries; scalar = the
     //    oracle session drops the cache on every event and re-enumerates.
@@ -266,7 +210,7 @@ pub fn run_suite(scale: Scale, seed: u64) -> Vec<BenchRecord> {
         },
     ));
 
-    // 10. The failure_sweep inner loop in service mode: a resident session
+    // 8. The failure_sweep inner loop in service mode: a resident session
     //    replays the fraction axis as restore + fail_links churn on the
     //    topology it already holds, against the pre-port shape that rebuilt
     //    each item's topology from its spec (the cost every cold shard
@@ -309,7 +253,6 @@ pub fn render_report(scale: Scale, seed: u64, records: &[BenchRecord]) -> String
     out.push_str("{\n");
     out.push_str(&format!("  \"scale\": \"{scale}\",\n"));
     out.push_str(&format!("  \"seed\": {seed},\n"));
-    out.push_str(&format!("  \"simd\": {},\n", topo_kernels::simd_enabled()));
     out.push_str("  \"records\": [\n");
     for (i, r) in records.iter().enumerate() {
         let comma = if i + 1 == records.len() { "" } else { "," };

@@ -103,7 +103,7 @@ commands:
   launch <experiment|all>   spawn N shard workers, merge their fragments
   merge <file...>           merge `run --shard` fragment files
   bench                     time the hot kernels against their scalar
-                            baselines and write a BENCH_*.json report
+                            baselines and print a BENCH_*.json report
                             (see PERF.md)
   serve                     hold a resident topology, apply churn events and
                             answer dist/path/throughput/bisection queries
@@ -161,7 +161,8 @@ bench options:
   --scale tiny|laptop|paper   instance-size preset (default: laptop; the
                               laptop sizes are the tracked targets)
   --seed N                    topology seed (default: 2012)
-  --out <file>                report path (default: BENCH_10.json)
+  --out <file>                also write the report to this file (default:
+                              print it to stdout only)
 
 serve options:
   --topo <spec>               resident topology (default:
@@ -509,7 +510,7 @@ fn cmd_merge(args: &[String]) -> Result<(), CliError> {
 fn cmd_bench(args: &[String]) -> Result<(), CliError> {
     let mut scale = Scale::Laptop;
     let mut seed = 2012u64;
-    let mut out = PathBuf::from("BENCH_10.json");
+    let mut out: Option<PathBuf> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -524,7 +525,7 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
                 i += 2;
             }
             "--out" => {
-                out = PathBuf::from(flag_value(args, i, "--out")?);
+                out = Some(PathBuf::from(flag_value(args, i, "--out")?));
                 i += 2;
             }
             other => return Err(CliError::Usage(format!("unknown option '{other}'"))),
@@ -533,10 +534,12 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
     eprintln!("figures: benching hot kernels at scale {scale} (seed {seed})...");
     let records = bench_report::run_suite(scale, seed);
     let report = bench_report::render_report(scale, seed, &records);
-    std::fs::write(&out, &report)
-        .map_err(|e| CliError::Invalid(format!("cannot write '{}': {e}", out.display())))?;
+    if let Some(out) = out {
+        std::fs::write(&out, &report)
+            .map_err(|e| CliError::Invalid(format!("cannot write '{}': {e}", out.display())))?;
+        eprintln!("figures: wrote {}", out.display());
+    }
     print!("{report}");
-    eprintln!("figures: wrote {}", out.display());
     Ok(())
 }
 

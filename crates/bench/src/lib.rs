@@ -1,14 +1,13 @@
-//! Shared helpers for the figure-regeneration CLI and the Criterion benches.
+//! Shared helpers for the figure-regeneration CLI.
 //!
 //! The actual experiment logic lives in [`jellyfish::experiment`] (with the
 //! shared vocabulary — scales and series — in [`jellyfish::figures`]); this
-//! crate
-//! formats its output, wires it into `cargo bench` targets, and hosts the
-//! process-level sweep drivers: [`merge`] (shard-fragment validation and
-//! recombination shared by `figures merge` and the launcher) and [`launch`]
-//! (the distributed shard launcher behind `figures launch`). See
-//! EXPERIMENTS.md at the repository root for the index of experiments and
-//! the distributed-run workflow.
+//! crate formats its output, times the hot kernels behind `figures bench`
+//! ([`bench_report`]), and hosts the process-level sweep drivers: [`merge`]
+//! (shard-fragment validation and recombination shared by `figures merge`
+//! and the launcher) and [`launch`] (the distributed shard launcher behind
+//! `figures launch`). See EXPERIMENTS.md at the repository root for the
+//! index of experiments and the distributed-run workflow.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -51,8 +51,7 @@ fn golden_ctx(topo: Option<&str>) -> (RunCtx, Option<String>) {
 }
 
 /// `figures run <exp> --scale tiny --seed 7 [--topo <spec>]` reproduces the
-/// committed golden bytes under the current build (scalar or
-/// `--features simd` alike).
+/// committed golden bytes under the current build profile.
 #[test]
 fn tiny_runs_match_goldens_byte_for_byte() {
     for (name, topo, golden) in GOLDENS {

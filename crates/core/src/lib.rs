@@ -7,7 +7,7 @@
 //!
 //! * [`capacity`] — the "how many servers can this network support at full
 //!   throughput?" binary search (paper §4, evaluation methodology).
-//! * [`metrics`] — Jain's fairness index and summary statistics.
+//! * [`metrics`] — Jain's fairness index and the latency histogram.
 //! * [`cabling`] — physical layout and cable-length models, switch-cluster
 //!   placement, and the two-layer (container-localized) Jellyfish of §6.3.
 //! * [`legup`] — the incremental-expansion cost comparison against a
@@ -61,7 +61,7 @@ pub use jellyfish_traffic as traffic;
 /// Convenience re-exports of the types most experiments need.
 pub mod prelude {
     pub use crate::capacity::{servers_at_full_throughput, CapacitySearchOptions};
-    pub use crate::metrics::{jain_fairness_index, SummaryStats};
+    pub use crate::metrics::jain_fairness_index;
     pub use jellyfish_flow::throughput::{normalized_throughput, ThroughputOptions};
     pub use jellyfish_flow::{Commodity, McfOptions};
     pub use jellyfish_routing::yen::k_shortest_paths;

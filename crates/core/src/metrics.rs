@@ -1,4 +1,4 @@
-//! Fairness and summary statistics used across the evaluation.
+//! Fairness and latency-distribution statistics used across the evaluation.
 
 /// Jain's fairness index of a set of allocations:
 /// `(Σ x)² / (n · Σ x²)`, in `(0, 1]`, 1 meaning perfectly equal shares.
@@ -13,56 +13,6 @@ pub fn jain_fairness_index(values: &[f64]) -> f64 {
         return 1.0;
     }
     (sum * sum) / (values.len() as f64 * sum_sq)
-}
-
-/// Mean / min / max / percentile summary of a sample.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SummaryStats {
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Maximum.
-    pub max: f64,
-    /// Standard deviation (population).
-    pub stddev: f64,
-    /// Sorted copy of the sample, for percentile queries.
-    sorted: Vec<f64>,
-}
-
-impl SummaryStats {
-    /// Computes summary statistics; returns `None` for an empty sample.
-    pub fn from(values: &[f64]) -> Option<Self> {
-        if values.is_empty() {
-            return None;
-        }
-        let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let n = values.len() as f64;
-        let mean = values.iter().sum::<f64>() / n;
-        let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
-        Some(SummaryStats {
-            mean,
-            min: sorted[0],
-            max: *sorted.last().unwrap(),
-            stddev: var.sqrt(),
-            sorted,
-        })
-    }
-
-    /// The `q`-th percentile (0 ≤ q ≤ 100), by the nearest-rank method:
-    /// the smallest value such that at least `q` percent of the sample is
-    /// less than or equal to it.
-    pub fn percentile(&self, q: f64) -> f64 {
-        let q = q.clamp(0.0, 100.0);
-        let rank = ((q / 100.0) * self.sorted.len() as f64).ceil() as usize;
-        self.sorted[rank.clamp(1, self.sorted.len()) - 1]
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> usize {
-        self.sorted.len()
-    }
 }
 
 /// A fixed-width latency histogram: the series type behind the
@@ -136,24 +86,6 @@ mod tests {
     fn jain_edge_cases() {
         assert_eq!(jain_fairness_index(&[]), 1.0);
         assert_eq!(jain_fairness_index(&[0.0, 0.0]), 1.0);
-    }
-
-    #[test]
-    fn summary_statistics() {
-        let s = SummaryStats::from(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]).unwrap();
-        assert!((s.mean - 5.0).abs() < 1e-12);
-        assert_eq!(s.min, 2.0);
-        assert_eq!(s.max, 9.0);
-        assert!((s.stddev - 2.0).abs() < 1e-12);
-        assert_eq!(s.count(), 8);
-        assert_eq!(s.percentile(0.0), 2.0);
-        assert_eq!(s.percentile(100.0), 9.0);
-        assert_eq!(s.percentile(50.0), 4.0);
-    }
-
-    #[test]
-    fn summary_empty_is_none() {
-        assert!(SummaryStats::from(&[]).is_none());
     }
 
     #[test]

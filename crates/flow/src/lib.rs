@@ -19,16 +19,11 @@
 //! * [`throughput`] — glue that turns a [`jellyfish_traffic::TrafficMatrix`]
 //!   plus a [`jellyfish_topology::Topology`] into a normalized throughput
 //!   number in `[0, 1]`, the unit used throughout the paper's evaluation.
-//! * [`kernels`] — the flat-slice hot loops behind the solvers (GK
-//!   multiplicative-weights update, path scoring, utilization conversion),
-//!   each with a scalar fallback and a chunked `simd`-dispatched variant;
-//!   see PERF.md at the repository root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bisection;
-pub mod kernels;
 pub mod mcf;
 pub mod throughput;
 

@@ -144,10 +144,9 @@ impl ArcState {
 
     fn send_on_arcs(&mut self, arcs: &[ArcId], amount: f64, epsilon: f64) {
         // The multiplicative factor is the same for every arc on the path;
-        // hoisting it out leaves the per-arc work branch-free and lets the
-        // chunked kernel keep several arcs in flight.
+        // hoisting it out leaves the per-arc work branch-free.
         let factor = 1.0 + epsilon * amount / self.capacity;
-        crate::kernels::gk_apply(
+        gk_apply(
             &mut self.length,
             &mut self.flow,
             arcs,
@@ -161,6 +160,33 @@ impl ArcState {
     #[inline]
     fn arc_length(&self, arc: ArcId) -> f64 {
         self.length[arc]
+    }
+}
+
+/// One Garg–Könemann multiplicative-weights update along a path.
+///
+/// For each arc in `arcs`, in order: `flow[a] += amount`,
+/// `length[a] *= factor`, and `*total_weighted_length += Δlength · capacity`.
+/// The caller precomputes `factor = 1 + ε·amount/capacity` once per call
+/// instead of once per arc; the accumulator update order is the contract —
+/// the per-arc deltas are added to `total_weighted_length` sequentially in
+/// arc order, and λ's bits depend on that order (`tests/mcf_pins.rs` pins
+/// them).
+fn gk_apply(
+    length: &mut [f64],
+    flow: &mut [f64],
+    arcs: &[ArcId],
+    amount: f64,
+    factor: f64,
+    capacity: f64,
+    total_weighted_length: &mut f64,
+) {
+    for &arc in arcs {
+        flow[arc] += amount;
+        let old = length[arc];
+        let new = old * factor;
+        length[arc] = new;
+        *total_weighted_length += (new - old) * capacity;
     }
 }
 
@@ -261,6 +287,17 @@ pub fn max_concurrent_flow(
     McfSolution { lambda, arc_utilization: utilization, path_computations }
 }
 
+/// Sum of `length[a]` over the arcs of one candidate path (the score the
+/// path-restricted solver minimizes). A sequential left-to-right sum, so
+/// path selection ties break the same way on every run.
+fn path_cost(length: &[f64], arcs: &[ArcId]) -> f64 {
+    let mut total = 0.0f64;
+    for &arc in arcs {
+        total += length[arc];
+    }
+    total
+}
+
 /// Max-concurrent flow restricted to the provided paths: `paths[j]` is the
 /// admissible path set for commodity `j` (must be non-empty and connect the
 /// commodity endpoints).
@@ -316,9 +353,9 @@ pub fn max_concurrent_flow_on_paths(
                 let best = arc_paths[j]
                     .iter()
                     .min_by(|a, b| {
-                        let ca = crate::kernels::path_cost(&arcs.length, a);
-                        let cb = crate::kernels::path_cost(&arcs.length, b);
-                        ca.partial_cmp(&cb).unwrap_or(std::cmp::Ordering::Equal)
+                        let ca = path_cost(&arcs.length, a);
+                        let cb = path_cost(&arcs.length, b);
+                        ca.total_cmp(&cb)
                     })
                     .expect("non-empty path set");
                 let send = remaining.min(arcs.path_bottleneck());
@@ -353,7 +390,15 @@ fn scaled_utilization(arcs: &ArcState, lambda_raw: f64, phases: f64) -> Vec<f64>
         return Vec::new();
     }
     let scale = if lambda_raw > 0.0 { 1.0 } else { 0.0 };
-    crate::kernels::scale_clamp(&arcs.flow, phases, scale, arcs.capacity)
+    scale_clamp(&arcs.flow, phases, scale, arcs.capacity)
+}
+
+/// Elementwise accumulated-flow → utilization conversion over the whole arc
+/// array: `min((flow[a] / phases) · scale / capacity, 1.0)`. The operation
+/// order (divide by phases first, then scale, then capacity) is part of the
+/// output: utilization bits depend on it.
+fn scale_clamp(flow: &[f64], phases: f64, scale: f64, capacity: f64) -> Vec<f64> {
+    flow.iter().map(|&f| (f / phases * scale / capacity).min(1.0)).collect()
 }
 
 #[cfg(test)]

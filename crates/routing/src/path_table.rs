@@ -7,9 +7,9 @@
 //! few paths, so capacity sits idle.
 //!
 //! [`PathTable::build`] computes the per-pair path sets in parallel with
-//! rayon (each pair's computation is independent), producing exactly the
-//! same table as [`PathTable::build_serial`]. Link counts are accumulated in
-//! a flat per-arc array indexed by the snapshot's dense arc ids.
+//! rayon (each pair's computation is independent), so the table is the one a
+//! serial per-pair loop would build. Link counts are accumulated in a flat
+//! per-arc array indexed by the snapshot's dense arc ids.
 
 use crate::ecmp::EcmpConfig;
 use crate::yen::k_shortest_paths;
@@ -73,38 +73,20 @@ pub struct PathTable {
     paths: HashMap<(NodeId, NodeId), Vec<Path>>,
 }
 
-/// Deduplicates pairs (first occurrence wins) and drops self-pairs,
-/// preserving order so the parallel and serial builds see the same work list.
-fn unique_pairs(pairs: impl IntoIterator<Item = (NodeId, NodeId)>) -> Vec<(NodeId, NodeId)> {
-    let mut seen = std::collections::HashSet::new();
-    pairs.into_iter().filter(|&(s, d)| s != d && seen.insert((s, d))).collect()
-}
-
 impl PathTable {
     /// Builds the table for the given switch pairs under `scheme`, computing
-    /// the per-pair path sets in parallel. Seed-for-seed identical to
-    /// [`PathTable::build_serial`].
+    /// the per-pair path sets in parallel. Self-pairs are dropped and a
+    /// repeated pair is computed once; each entry is exactly
+    /// `scheme.paths(csr, src, dst)`.
     pub fn build(
         csr: &CsrGraph,
         scheme: RoutingScheme,
         pairs: impl IntoIterator<Item = (NodeId, NodeId)>,
     ) -> Self {
-        let work = unique_pairs(pairs);
+        let mut seen = std::collections::HashSet::new();
+        let work: Vec<(NodeId, NodeId)> =
+            pairs.into_iter().filter(|&(s, d)| s != d && seen.insert((s, d))).collect();
         let paths = work.into_par_iter().map(|(s, d)| ((s, d), scheme.paths(csr, s, d))).collect();
-        PathTable { paths }
-    }
-
-    /// Serial reference implementation of [`PathTable::build`]; used by the
-    /// determinism tests and as the benchmark baseline.
-    pub fn build_serial(
-        csr: &CsrGraph,
-        scheme: RoutingScheme,
-        pairs: impl IntoIterator<Item = (NodeId, NodeId)>,
-    ) -> Self {
-        let paths = unique_pairs(pairs)
-            .into_iter()
-            .map(|(s, d)| ((s, d), scheme.paths(csr, s, d)))
-            .collect();
         PathTable { paths }
     }
 
@@ -236,12 +218,19 @@ mod tests {
         let pairs = permutation_pairs(30, 13);
         for scheme in [RoutingScheme::ecmp8(), RoutingScheme::ksp8()] {
             let par = PathTable::build(&csr, scheme, pairs.iter().copied());
-            let ser = PathTable::build_serial(&csr, scheme, pairs.iter().copied());
-            assert_eq!(par.num_pairs(), ser.num_pairs());
-            for (&(s, d), paths) in ser.iter() {
+            // The serial reference: one `scheme.paths` call per pair, and the
+            // per-arc path counts tallied from those paths.
+            assert_eq!(par.num_pairs(), pairs.len());
+            let mut counts = vec![0usize; csr.num_arcs()];
+            for &(s, d) in &pairs {
+                let paths = scheme.paths(&csr, s, d);
                 assert_eq!(par.paths_for(s, d), paths.as_slice(), "pair ({s}, {d})");
+                for w in paths.iter().flat_map(|p| p.windows(2)) {
+                    counts[csr.arc_index(w[0], w[1]).unwrap()] += 1;
+                }
             }
-            assert_eq!(par.ranked_link_path_counts(&csr), ser.ranked_link_path_counts(&csr));
+            counts.sort_unstable();
+            assert_eq!(par.ranked_link_path_counts(&csr), counts);
         }
     }
 

@@ -3,9 +3,8 @@
 //! and the Garg–Könemann flow solver share.
 //!
 //! All functions traverse an immutable [`CsrGraph`] snapshot; the all-pairs
-//! sweep fans the per-source searches out with rayon and is bit-identical to
-//! the serial variant (each source's result is independent and merged in
-//! source order).
+//! sweep fans 64-source batches out with rayon and concatenates them in
+//! source order, so the fan-out never changes the result.
 
 use crate::Path;
 use jellyfish_topology::bfs::{ms_bfs_into, MsBfsScratch};
@@ -82,8 +81,8 @@ const ALL_PAIRS_BLOCK: usize = 64;
 
 /// All-pairs shortest-path distances (hop counts) as a flat row-major
 /// [`DistanceMatrix`] (`row(src)[dst]`, [`UNREACHED`] when unreachable).
-/// One rayon task per 64-source batch; results are identical to
-/// [`all_pairs_distances_serial`].
+/// One rayon task per 64-source batch; the distances equal
+/// [`all_pairs_distances_reference`]'s.
 pub fn all_pairs_distances(csr: &CsrGraph) -> DistanceMatrix {
     let n = csr.num_nodes();
     let num_blocks = n.div_ceil(ALL_PAIRS_BLOCK);
@@ -103,20 +102,6 @@ pub fn all_pairs_distances(csr: &CsrGraph) -> DistanceMatrix {
     let mut data = Vec::with_capacity(n * n);
     for block in blocks {
         data.extend_from_slice(&block);
-    }
-    DistanceMatrix::from_flat(n, data)
-}
-
-/// Serial reference implementation of [`all_pairs_distances`]; used by the
-/// determinism tests and as the benchmark comparison point.
-pub fn all_pairs_distances_serial(csr: &CsrGraph) -> DistanceMatrix {
-    let n = csr.num_nodes();
-    let mut data = vec![UNREACHED; n * n];
-    let mut scratch = MsBfsScratch::new(n);
-    let sources: Vec<NodeId> = csr.nodes().collect();
-    for (b, batch) in sources.chunks(ALL_PAIRS_BLOCK).enumerate() {
-        let start = b * ALL_PAIRS_BLOCK * n;
-        ms_bfs_into(csr, batch, &mut data[start..start + batch.len() * n], &mut scratch);
     }
     DistanceMatrix::from_flat(n, data)
 }
@@ -322,7 +307,6 @@ mod tests {
         let topo = JellyfishBuilder::new(60, 10, 6).seed(11).build().unwrap();
         let csr = topo.csr();
         let parallel = all_pairs_distances(&csr);
-        assert_eq!(parallel, all_pairs_distances_serial(&csr));
         let reference = all_pairs_distances_reference(&csr);
         for (src, row) in reference.iter().enumerate() {
             for (dst, &d) in row.iter().enumerate() {

@@ -86,8 +86,9 @@ proptest! {
         prop_assert_eq!(counts.len(), 2 * topo.num_links());
     }
 
-    /// The rayon path-table build is identical to the serial build for every
-    /// scheme and workload — parallelism must never change results.
+    /// The rayon path-table build is identical to a serial per-pair
+    /// `scheme.paths` loop for every scheme and workload, down to the ranked
+    /// per-link path counts — parallelism must never change results.
     #[test]
     fn path_table_parallel_matches_serial(n in 10usize..30, seed in any::<u64>()) {
         let topo = JellyfishBuilder::new(n, 8, 5).seed(seed).build().unwrap();
@@ -95,8 +96,17 @@ proptest! {
         let pairs: Vec<_> = (0..n).map(|s| (s, (s * 7 + 3) % n)).filter(|(s, d)| s != d).collect();
         for scheme in [RoutingScheme::ecmp8(), RoutingScheme::ecmp64(), RoutingScheme::ksp8()] {
             let par = PathTable::build(&csr, scheme, pairs.iter().copied());
-            let ser = PathTable::build_serial(&csr, scheme, pairs.iter().copied());
-            prop_assert_eq!(par, ser);
+            prop_assert_eq!(par.num_pairs(), pairs.len());
+            let mut counts = vec![0usize; csr.num_arcs()];
+            for &(s, d) in &pairs {
+                let paths = scheme.paths(&csr, s, d);
+                prop_assert_eq!(par.paths_for(s, d), paths.as_slice(), "pair ({}, {})", s, d);
+                for w in paths.iter().flat_map(|p| p.windows(2)) {
+                    counts[csr.arc_index(w[0], w[1]).unwrap()] += 1;
+                }
+            }
+            counts.sort_unstable();
+            prop_assert_eq!(par.ranked_link_path_counts(&csr), counts);
         }
     }
 }

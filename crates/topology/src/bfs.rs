@@ -4,8 +4,8 @@
 //! Two kernels compute identical hop distances:
 //!
 //! * [`bfs_scalar_into`] — the classic queue-driven top-down BFS (the
-//!   pre-rewrite implementation), kept always-compiled as the equivalence
-//!   reference and benchmark baseline;
+//!   pre-rewrite implementation), kept as the equivalence reference and
+//!   benchmark baseline;
 //! * [`bfs_into`] — a direction-optimizing BFS (Beamer et al.): levels whose
 //!   frontier touches a large share of the remaining edges are expanded
 //!   *bottom-up* (every unvisited node scans its neighbors for a frontier
@@ -16,13 +16,10 @@
 //!
 //! BFS levels are a pure function of the graph, so the two kernels agree
 //! bit-for-bit on every input regardless of traversal direction — enforced
-//! by proptests across every generator in the spec registry. The bitset
-//! word operations come from [`crate::kernels`] and dispatch to chunked
-//! (autovectorizable) variants under the `simd` feature.
+//! by proptests across every generator in the spec registry.
 
 use crate::csr::CsrGraph;
 use crate::graph::NodeId;
-use crate::kernels;
 
 /// Distance value stored for unreachable nodes.
 pub const UNREACHED: u32 = u32::MAX;
@@ -150,9 +147,30 @@ fn set_bit(bits: &mut [u64], v: usize) {
     bits[v >> 6] |= 1u64 << (v & 63);
 }
 
+/// `dst[i] |= src[i]` for every word.
+#[inline]
+fn or_assign(dst: &mut [u64], src: &[u64]) {
+    assert_eq!(dst.len(), src.len());
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d |= s;
+    }
+}
+
+/// OR of `masks[i]` over the indices in `idx`: the per-node gather at the
+/// heart of the multi-source BFS, where `idx` is a CSR neighbor row and
+/// `masks` holds one source bitmask per node.
+#[inline]
+fn or_gather(masks: &[u64], idx: &[u32]) -> u64 {
+    let mut acc = 0u64;
+    for &i in idx {
+        acc |= masks[i as usize];
+    }
+    acc
+}
+
 /// Queue-driven top-down BFS writing hop distances into `dist`
 /// ([`UNREACHED`] when unreachable). This is the pre-rewrite kernel, kept as
-/// the always-compiled scalar reference and benchmark baseline.
+/// the scalar reference and benchmark baseline.
 pub fn bfs_scalar_into(csr: &CsrGraph, source: NodeId, dist: &mut [u32]) {
     let n = csr.num_nodes();
     assert_eq!(dist.len(), n);
@@ -266,7 +284,7 @@ pub fn bfs_into(csr: &CsrGraph, source: NodeId, dist: &mut [u32], scratch: &mut 
             std::mem::swap(&mut scratch.frontier, &mut scratch.next);
         }
 
-        kernels::or_assign(&mut scratch.visited[..words], &scratch.next_bits[..words]);
+        or_assign(&mut scratch.visited[..words], &scratch.next_bits[..words]);
         std::mem::swap(&mut scratch.frontier_bits, &mut scratch.next_bits);
         scratch.next_bits[..words].fill(0);
         unvisited_edges = unvisited_edges.saturating_sub(next_edges);
@@ -298,8 +316,8 @@ impl MsBfsScratch {
 /// (`sources.len() × n`, row `i` holding the distances from `sources[i]`).
 ///
 /// Every level propagates all lanes with one OR-gather per node over its CSR
-/// neighbor row ([`kernels::or_gather`]), so a whole batch costs one
-/// edge-sweep per BFS level instead of one per source — the workhorse behind
+/// neighbor row (`or_gather`), so a whole batch costs one edge-sweep per
+/// BFS level instead of one per source — the workhorse behind
 /// the all-pairs sweeps. Distances are BFS levels and therefore exactly
 /// those of [`bfs_scalar_into`] / [`bfs_into`] lane by lane.
 pub fn ms_bfs_into(
@@ -332,7 +350,7 @@ pub fn ms_bfs_into(
         // next[v] is fully overwritten each level, so it never needs
         // clearing; the frontier/next buffers just swap.
         for v in 0..n {
-            let gathered = kernels::or_gather(&scratch.frontier, csr.neighbors(v));
+            let gathered = or_gather(&scratch.frontier, csr.neighbors(v));
             let fresh = gathered & !scratch.seen[v];
             scratch.next[v] = fresh;
             if fresh != 0 {

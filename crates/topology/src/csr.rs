@@ -232,12 +232,10 @@ impl CsrGraph {
     }
 
     /// Number of undirected edges crossing the cut `(set, complement)`;
-    /// `in_set[v]` must be `true` exactly for nodes in the set. Dispatches
-    /// to the branch-free chunked scan in [`crate::kernels`] under the
-    /// `simd` feature.
+    /// `in_set[v]` must be `true` exactly for nodes in the set.
     pub fn cut_size(&self, in_set: &[bool]) -> usize {
         assert_eq!(in_set.len(), self.num_nodes());
-        crate::kernels::cut_size(&self.edges, in_set)
+        self.edges.iter().filter(|&&(a, b)| in_set[a as usize] != in_set[b as usize]).count()
     }
 }
 
@@ -360,6 +358,7 @@ mod tests {
         assert_eq!(csr.num_nodes(), 0);
         assert_eq!(csr.num_arcs(), 0);
         assert!(csr.is_connected());
+        assert_eq!(csr.cut_size(&[]), 0);
         let csr1 = CsrGraph::from_graph(&Graph::new(3));
         assert_eq!(csr1.num_nodes(), 3);
         assert_eq!(csr1.degree(1), 0);

@@ -31,10 +31,9 @@
 //! * [`failures`] — random link / switch failure injection.
 //! * [`properties`] — path-length distributions, diameter, reachability
 //!   profiles (Figure 1(c) and Figure 5 machinery).
-//! * [`bfs`] / [`kernels`] — the direction-optimizing BFS distance kernel
-//!   (with its always-compiled scalar fallback), the flat [`DistanceMatrix`]
-//!   all-pairs result, and the chunked bitset/cut-size slice kernels behind
-//!   the `simd` feature; see PERF.md at the repository root.
+//! * [`bfs`] — the direction-optimizing BFS distance kernel (with its scalar
+//!   reference) and the flat [`DistanceMatrix`] all-pairs result; see
+//!   PERF.md at the repository root.
 //!
 //! # Quick example
 //!
@@ -60,7 +59,6 @@ pub mod expansion;
 pub mod failures;
 pub mod fattree;
 pub mod graph;
-pub mod kernels;
 pub mod properties;
 pub mod rrg;
 pub mod spec;

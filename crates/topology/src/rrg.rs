@@ -382,52 +382,6 @@ pub fn build_heterogeneous(
     ))
 }
 
-/// A deliberately naive construction used only as an ablation baseline: keep
-/// retrying uniformly random port matchings until one happens to be simple
-/// and connected. Exponentially slower than the swap-completion procedure at
-/// moderate degrees; exposed so the ablation bench can quantify that.
-pub fn build_naive_retry(
-    switches: usize,
-    ports: usize,
-    network_degree: usize,
-    seed: u64,
-    max_tries: usize,
-) -> Result<Topology, TopologyError> {
-    let builder = JellyfishBuilder::new(switches, ports, network_degree);
-    builder.validate()?;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n = switches;
-    let r = network_degree;
-    for _ in 0..max_tries {
-        // Create r "stubs" per switch and shuffle-pair them (configuration model).
-        let mut stubs: Vec<usize> = (0..n).flat_map(|v| std::iter::repeat_n(v, r)).collect();
-        // Fisher-Yates shuffle.
-        for i in (1..stubs.len()).rev() {
-            let j = rng.gen_range(0..=i);
-            stubs.swap(i, j);
-        }
-        let mut graph = Graph::new(n);
-        let mut ok = true;
-        for pair in stubs.chunks(2) {
-            if pair.len() < 2 {
-                break; // odd total degree: one stub left over, allowed
-            }
-            let (u, v) = (pair[0], pair[1]);
-            if u == v || !graph.add_edge(u, v) {
-                ok = false;
-                break;
-            }
-        }
-        if ok && graph.is_connected() {
-            let topo = Topology::homogeneous(graph, ports, ports - r).with_name("jellyfish-naive");
-            return Ok(topo);
-        }
-    }
-    Err(TopologyError::ConstructionFailed(format!(
-        "naive configuration-model sampling failed within {max_tries} tries"
-    )))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -543,15 +497,6 @@ mod tests {
     fn heterogeneous_rejects_mismatched_lengths() {
         assert!(build_heterogeneous(&[8, 8], &[4], 0).is_err());
         assert!(build_heterogeneous(&[8], &[9], 0).is_err());
-    }
-
-    #[test]
-    fn naive_retry_small_instance() {
-        let topo = build_naive_retry(12, 6, 3, 11, 20_000).unwrap();
-        assert!(topo.graph().is_connected());
-        for v in topo.graph().nodes() {
-            assert_eq!(topo.graph().degree(v), 3);
-        }
     }
 
     #[test]

@@ -1,15 +1,12 @@
 //! Equivalence proptests for the hot-kernel rewrites (PERF.md): the
-//! direction-optimizing BFS, the multi-source bit-parallel BFS, and the
-//! chunked slice kernels must be bit-identical to their always-compiled
-//! scalar references across random topologies, sources, and word streams —
-//! and across **every** generator in the [`TopoSpec`] registry, so adding a
-//! generator without extending the small-spec table below fails loudly.
+//! direction-optimizing BFS and the multi-source bit-parallel BFS must be
+//! bit-identical to the scalar queue BFS across random topologies and
+//! sources — and across **every** generator in the [`TopoSpec`] registry, so
+//! adding a generator without extending the small-spec table below fails
+//! loudly — and the CSR cut count must agree with the edge-list count on
+//! [`jellyfish_topology::Graph`].
 
 use jellyfish_topology::bfs::{bfs_into, bfs_scalar_into, ms_bfs_into};
-use jellyfish_topology::kernels::{
-    count_ones_chunked, count_ones_scalar, cut_size_chunked, cut_size_scalar, or_assign_chunked,
-    or_assign_scalar, or_gather_chunked, or_gather_scalar,
-};
 use jellyfish_topology::spec::generators;
 use jellyfish_topology::{BfsScratch, JellyfishBuilder, MsBfsScratch, TopoSpec, UNREACHED};
 use proptest::prelude::*;
@@ -85,47 +82,17 @@ proptest! {
         }
     }
 
-    /// Chunked bitset kernels are exact on random word streams of awkward
-    /// lengths (remainder handling included).
+    /// The CSR cut count equals the independent edge-list count on the
+    /// builder's [`jellyfish_topology::Graph`] for a random partition of a
+    /// random topology.
     #[test]
-    fn word_kernels_chunked_match_scalar(
-        words in proptest::collection::vec(any::<u64>(), 0..80),
-        other in proptest::collection::vec(any::<u64>(), 0..80),
-    ) {
-        prop_assert_eq!(count_ones_chunked(&words), count_ones_scalar(&words));
-        let len = words.len().min(other.len());
-        let mut scalar_dst = words[..len].to_vec();
-        or_assign_scalar(&mut scalar_dst, &other[..len]);
-        let mut chunked_dst = words[..len].to_vec();
-        or_assign_chunked(&mut chunked_dst, &other[..len]);
-        prop_assert_eq!(scalar_dst, chunked_dst);
-    }
-
-    /// The OR-gather at the heart of the multi-source BFS is exact for any
-    /// index pattern (repeats included).
-    #[test]
-    fn or_gather_chunked_matches_scalar(
-        masks in proptest::collection::vec(any::<u64>(), 1..64),
-        raw_idx in proptest::collection::vec(any::<u32>(), 0..70),
-    ) {
-        let idx: Vec<u32> = raw_idx.iter().map(|&i| i % masks.len() as u32).collect();
-        prop_assert_eq!(or_gather_chunked(&masks, &idx), or_gather_scalar(&masks, &idx));
-    }
-
-    /// The branch-free cut-size scan counts exactly the crossing edges of a
-    /// random partition of a random topology.
-    #[test]
-    fn cut_size_chunked_matches_scalar(
+    fn csr_cut_size_matches_graph_cut_size(
         n in 6usize..50,
         seed in any::<u64>(),
         bits in any::<u64>(),
     ) {
         let topo = JellyfishBuilder::new(n, 8, 4).seed(seed).build().unwrap();
-        let csr = topo.csr();
         let in_set: Vec<bool> = (0..n).map(|v| (bits >> (v % 64)) & 1 == 1).collect();
-        let edges: Vec<(u32, u32)> = csr.edges().map(|(u, v)| (u as u32, v as u32)).collect();
-        let expected = cut_size_scalar(&edges, &in_set);
-        prop_assert_eq!(cut_size_chunked(&edges, &in_set), expected);
-        prop_assert_eq!(csr.cut_size(&in_set), expected);
+        prop_assert_eq!(topo.csr().cut_size(&in_set), topo.graph().cut_size(&in_set));
     }
 }
