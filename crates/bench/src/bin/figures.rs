@@ -16,7 +16,6 @@
 //!                              [--timeout-secs N] [--scale ...] [--seed N]
 //!                              [--topo <spec>] [--traffic <spec>] [--json]
 //! figures merge <file...> [--json]
-//! figures bench [--scale tiny|laptop|paper] [--seed N] [--out <file>]
 //! figures serve [--topo <spec>] [--seed N] [--traffic <spec>] [--oracle]
 //!               [--tcp ADDR]
 //! figures lint [--json] [paths...]
@@ -81,7 +80,6 @@ use jellyfish::experiment::{self, Experiment, RunCtx, Shard, ShardFragment, Timi
 use jellyfish::figures::Scale;
 use jellyfish::service::wire::{self, LineOutcome};
 use jellyfish::service::Session;
-use jellyfish_bench::bench_report;
 use jellyfish_bench::cli::CliError;
 use jellyfish_bench::launch::{self, LaunchConfig};
 use jellyfish_bench::merge::{experiment_names, merge_fragments, render_merged};
@@ -102,9 +100,6 @@ commands:
   run <experiment|all>      evaluate experiments and print their datasets
   launch <experiment|all>   spawn N shard workers, merge their fragments
   merge <file...>           merge `run --shard` fragment files
-  bench                     time the hot kernels against their scalar
-                            baselines and print a BENCH_*.json report
-                            (see PERF.md)
   serve                     hold a resident topology, apply churn events and
                             answer dist/path/throughput/bisection queries
                             over line-delimited JSON (see SERVE.md)
@@ -156,13 +151,6 @@ merge options:
 lint options:
   --json                      print one machine-readable JSON object
   --list-rules                print the rule registry and exit
-
-bench options:
-  --scale tiny|laptop|paper   instance-size preset (default: laptop; the
-                              laptop sizes are the tracked targets)
-  --seed N                    topology seed (default: 2012)
-  --out <file>                also write the report to this file (default:
-                              print it to stdout only)
 
 serve options:
   --topo <spec>               resident topology (default:
@@ -502,44 +490,6 @@ fn cmd_merge(args: &[String]) -> Result<(), CliError> {
     // launcher).
     let merged = merge_fragments(&fragments)?;
     print!("{}", render_merged(&merged, json));
-    Ok(())
-}
-
-// ----------------------------------------------------------------- bench
-
-fn cmd_bench(args: &[String]) -> Result<(), CliError> {
-    let mut scale = Scale::Laptop;
-    let mut seed = 2012u64;
-    let mut out: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                scale = flag_value(args, i, "--scale")?
-                    .parse()
-                    .map_err(|e| CliError::Invalid(format!("{e}")))?;
-                i += 2;
-            }
-            "--seed" => {
-                seed = parse_seed(flag_value(args, i, "--seed")?)?;
-                i += 2;
-            }
-            "--out" => {
-                out = Some(PathBuf::from(flag_value(args, i, "--out")?));
-                i += 2;
-            }
-            other => return Err(CliError::Usage(format!("unknown option '{other}'"))),
-        }
-    }
-    eprintln!("figures: benching hot kernels at scale {scale} (seed {seed})...");
-    let records = bench_report::run_suite(scale, seed);
-    let report = bench_report::render_report(scale, seed, &records);
-    if let Some(out) = out {
-        std::fs::write(&out, &report)
-            .map_err(|e| CliError::Invalid(format!("cannot write '{}': {e}", out.display())))?;
-        eprintln!("figures: wrote {}", out.display());
-    }
-    print!("{report}");
     Ok(())
 }
 
@@ -1028,7 +978,6 @@ fn dispatch(args: &[String]) -> Result<(), CliError> {
         }
         "launch" => cmd_launch(&args[1..]),
         "merge" => cmd_merge(&args[1..]),
-        "bench" => cmd_bench(&args[1..]),
         "serve" => cmd_serve(&args[1..]),
         "lint" => cmd_lint(&args[1..]),
         "topo" => cmd_topo(&args[1..]),

@@ -48,7 +48,7 @@ use std::sync::Arc;
 
 /// `ThroughputOptions` shared by the "do not stop at full" sweeps.
 pub(crate) fn sweep_opts() -> ThroughputOptions {
-    ThroughputOptions { stop_at_full: false, epsilon: 0.06, ..Default::default() }
+    ThroughputOptions { stop_at_full: false, epsilon: 0.06 }
 }
 
 /// The paper's random-permutation workload, built through the traffic-spec

@@ -9,7 +9,7 @@ use jellyfish::figures::Scale;
 use jellyfish_topology::clos::ClosConfig;
 use jellyfish_topology::degree_diameter::figure3_pair;
 use jellyfish_topology::fattree::{same_equipment_pair, FatTree};
-use jellyfish_topology::swdc::{figure4_swdc, Lattice, SwdcBuilder};
+use jellyfish_topology::swdc::{Lattice, SwdcBuilder};
 use jellyfish_topology::{JellyfishBuilder, TopoSpec, Topology};
 
 const SEED: u64 = 2012;
@@ -77,16 +77,11 @@ fn swdc_spec_equals_figure4_constructor() {
     for (lattice, token) in
         [(Lattice::Ring, "ring"), (Lattice::Torus2D, "torus2d"), (Lattice::HexTorus3D, "hex3d")]
     {
-        // Pin against the underlying builder, not `figure4_swdc` — the
-        // latter is itself a wrapper over the spec registry now, which would
-        // make the comparison circular. Figure 4's historical setup is
-        // degree 6 with 2 servers per switch.
+        // Figure 4's historical setup is degree 6 with 2 servers per switch.
         let legacy =
             SwdcBuilder::new(lattice, 36, 6).servers_per_switch(2).seed(SEED).build().unwrap();
         let via_spec = build(&format!("swdc:lattice={token},n=36,servers=2"), SEED);
         assert_same(token, &via_spec, &legacy);
-        // And the wrapper still reproduces the same topology.
-        assert_same(token, &figure4_swdc(lattice, 36, 2, SEED).unwrap(), &legacy);
     }
 }
 

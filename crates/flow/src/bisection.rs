@@ -131,9 +131,9 @@ pub fn min_bisection_heuristic(topo: &Topology, restarts: usize, seed: u64) -> B
 }
 
 /// [`min_bisection_heuristic`] driven by [`kl_refine_reference`] — the
-/// pre-optimization pair-scan refinement, kept as the benchmark baseline and
-/// the oracle the equivalence proptests compare against. Produces the exact
-/// same cut as [`min_bisection_heuristic`] for every input.
+/// pre-optimization pair-scan refinement, kept as the test oracle the
+/// equivalence proptests compare against. Produces the exact same cut as
+/// [`min_bisection_heuristic`] for every input.
 pub fn min_bisection_heuristic_reference(
     topo: &Topology,
     restarts: usize,
@@ -330,8 +330,8 @@ fn apply_move(csr: &CsrGraph, in_a: &mut [bool], d: &mut [isize], v: NodeId) {
 
 /// The pre-optimization [`kl_refine`]: every tentative swap scans all
 /// unlocked (A, B) pairs and every pass recomputes all D-values from
-/// scratch. Kept as the equivalence oracle and benchmark baseline; produces
-/// bit-for-bit the same partitions as [`kl_refine`].
+/// scratch. Kept as the test oracle; produces bit-for-bit the same
+/// partitions as [`kl_refine`].
 pub fn kl_refine_reference(csr: &CsrGraph, in_a: &mut [bool]) {
     let n = in_a.len();
     loop {

@@ -10,9 +10,8 @@
 //!
 //! Modules:
 //!
-//! * [`mcf`] — the max-concurrent multicommodity-flow solver, both over the
-//!   full graph (Dijkstra inner loop) and restricted to precomputed path
-//!   sets (much faster; used for large sweeps and as an ablation).
+//! * [`mcf`] — the Garg–Könemann max-concurrent multicommodity-flow solver
+//!   over the full graph (Dijkstra inner loop): "optimal routing".
 //! * [`bisection`] — Bollobás's analytic lower bound for random regular
 //!   graphs, the fat-tree's closed form, a Kernighan–Lin heuristic for
 //!   arbitrary graphs, and full-bisection design-point search.

@@ -7,27 +7,16 @@
 //! that `λ · demand_j` can be routed for every commodity simultaneously,
 //! within a multiplicative `(1 − ε)` of the true optimum.
 //!
-//! Two variants are provided:
-//!
-//! * [`max_concurrent_flow`] — the textbook algorithm, where each routing
-//!   step picks the currently-cheapest path with Dijkstra. This is the
-//!   CPLEX-equivalent "optimal routing" oracle.
-//! * [`max_concurrent_flow_on_paths`] — the same multiplicative-weights
-//!   update restricted to a precomputed path set per commodity (e.g. the 8
-//!   shortest paths). This is both much faster and exactly the quantity
-//!   "best possible load balancing over k-shortest paths", which the paper's
-//!   §5 routing study approaches from below with MPTCP.
-//!
-//! Both consume a [`CsrGraph`] snapshot, and all per-arc state (lengths,
-//! accumulated flow) lives in flat vectors indexed by the snapshot's dense
-//! arc ids — the inner Dijkstra loop never touches a hash map. See
-//! DESIGN.md, substitution 1, for the CPLEX substitution argument and the
-//! snapshot contract.
+//! [`max_concurrent_flow`] is the textbook algorithm, where each routing
+//! step picks the currently-cheapest path with Dijkstra: the
+//! CPLEX-equivalent "optimal routing" oracle. It consumes a [`CsrGraph`]
+//! snapshot, and all per-arc state (lengths, accumulated flow) lives in flat
+//! vectors indexed by the snapshot's dense arc ids — the inner Dijkstra loop
+//! never touches a hash map. See DESIGN.md, substitution 1, for the CPLEX
+//! substitution argument and the snapshot contract.
 
 use jellyfish_routing::shortest::ShortestPathSearch;
-use jellyfish_routing::Path;
 use jellyfish_topology::{ArcId, CsrGraph, NodeId};
-use std::collections::HashMap;
 
 /// One commodity: a demand from a source switch to a destination switch.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,8 +35,6 @@ pub struct McfOptions {
     /// Approximation accuracy ε: the returned λ is ≥ (1 − ε)·OPT up to
     /// floating-point noise. Smaller is slower (roughly 1/ε²).
     pub epsilon: f64,
-    /// Capacity of every directed switch-to-switch arc.
-    pub link_capacity: f64,
     /// Stop early once λ provably reaches this value (useful for "is the
     /// network at full throughput?" checks where only λ ≥ 1 matters).
     pub lambda_cap: Option<f64>,
@@ -55,7 +42,7 @@ pub struct McfOptions {
 
 impl Default for McfOptions {
     fn default() -> Self {
-        McfOptions { epsilon: 0.05, link_capacity: 1.0, lambda_cap: None }
+        McfOptions { epsilon: 0.05, lambda_cap: None }
     }
 }
 
@@ -67,28 +54,13 @@ pub struct McfSolution {
     pub lambda: f64,
     /// Scaled utilization in `[0, 1]` of every directed arc, indexed by the
     /// snapshot's dense [`ArcId`] (empty when the solve short-circuited
-    /// before touching any arc). Use [`McfSolution::link_utilization`] for
-    /// the endpoint-keyed view.
+    /// before touching any arc).
     pub arc_utilization: Vec<f64>,
     /// Number of shortest-path computations performed (profiling aid).
     pub path_computations: usize,
 }
 
 impl McfSolution {
-    /// The utilization map keyed by arc endpoints `(u, v)` — a compatibility
-    /// view materialized from [`McfSolution::arc_utilization`] on demand.
-    /// `csr` must be the snapshot the solve ran on.
-    pub fn link_utilization(&self, csr: &CsrGraph) -> HashMap<(NodeId, NodeId), f64> {
-        let mut out = HashMap::with_capacity(self.arc_utilization.len());
-        for u in csr.nodes() {
-            for arc in csr.arc_range(u) {
-                let util = self.arc_utilization.get(arc).copied().unwrap_or(0.0);
-                out.insert((u, csr.arc_target(arc)), util);
-            }
-        }
-        out
-    }
-
     /// Maximum arc utilization (1.0 means some arc is saturated).
     pub fn max_utilization(&self) -> f64 {
         self.arc_utilization.iter().fold(0.0, |acc, &u| f64::max(acc, u))
@@ -110,25 +82,24 @@ impl McfSolution {
 }
 
 /// Internal per-arc state for the multiplicative-weights algorithm: flat
-/// slices indexed by dense arc id.
+/// slices indexed by dense arc id. Every arc has unit capacity, so an arc's
+/// length is also its capacity-weighted length.
 struct ArcState {
     length: Vec<f64>,
     flow: Vec<f64>,
-    capacity: f64,
-    /// Running total of `length · capacity` over all arcs, updated
-    /// incrementally in `send_on_arcs` (the textbook loop re-sums every
-    /// iteration; the increment is exact because each update multiplies a
-    /// single arc's length).
+    /// Running total of `length` over all arcs, updated incrementally in
+    /// `send_on_arcs` (the textbook loop re-sums every iteration; the
+    /// increment is exact because each update multiplies a single arc's
+    /// length).
     total_weighted_length: f64,
 }
 
 impl ArcState {
-    fn new(csr: &CsrGraph, capacity: f64, delta: f64) -> Self {
+    fn new(csr: &CsrGraph, delta: f64) -> Self {
         let num_arcs = csr.num_arcs();
         ArcState {
-            length: vec![delta / capacity; num_arcs],
+            length: vec![delta; num_arcs],
             flow: vec![0.0; num_arcs],
-            capacity,
             total_weighted_length: delta * num_arcs as f64,
         }
     }
@@ -138,21 +109,16 @@ impl ArcState {
         self.total_weighted_length
     }
 
-    fn path_bottleneck(&self) -> f64 {
-        self.capacity
-    }
-
     fn send_on_arcs(&mut self, arcs: &[ArcId], amount: f64, epsilon: f64) {
         // The multiplicative factor is the same for every arc on the path;
         // hoisting it out leaves the per-arc work branch-free.
-        let factor = 1.0 + epsilon * amount / self.capacity;
+        let factor = 1.0 + epsilon * amount;
         gk_apply(
             &mut self.length,
             &mut self.flow,
             arcs,
             amount,
             factor,
-            self.capacity,
             &mut self.total_weighted_length,
         );
     }
@@ -166,19 +132,18 @@ impl ArcState {
 /// One Garg–Könemann multiplicative-weights update along a path.
 ///
 /// For each arc in `arcs`, in order: `flow[a] += amount`,
-/// `length[a] *= factor`, and `*total_weighted_length += Δlength · capacity`.
-/// The caller precomputes `factor = 1 + ε·amount/capacity` once per call
-/// instead of once per arc; the accumulator update order is the contract —
-/// the per-arc deltas are added to `total_weighted_length` sequentially in
-/// arc order, and λ's bits depend on that order (`tests/mcf_pins.rs` pins
-/// them).
+/// `length[a] *= factor`, and `*total_weighted_length += Δlength` (arcs have
+/// unit capacity). The caller precomputes `factor = 1 + ε·amount` once per
+/// call instead of once per arc; the accumulator update order is the
+/// contract — the per-arc deltas are added to `total_weighted_length`
+/// sequentially in arc order, and λ's bits depend on that order
+/// (`tests/mcf_pins.rs` pins them).
 fn gk_apply(
     length: &mut [f64],
     flow: &mut [f64],
     arcs: &[ArcId],
     amount: f64,
     factor: f64,
-    capacity: f64,
     total_weighted_length: &mut f64,
 ) {
     for &arc in arcs {
@@ -186,15 +151,8 @@ fn gk_apply(
         let old = length[arc];
         let new = old * factor;
         length[arc] = new;
-        *total_weighted_length += (new - old) * capacity;
+        *total_weighted_length += new - old;
     }
-}
-
-/// Maps a node path to its arc ids. Panics if the path uses a non-link.
-fn path_arcs(csr: &CsrGraph, path: &Path) -> Vec<ArcId> {
-    path.windows(2)
-        .map(|w| csr.arc_index(w[0], w[1]).expect("path traverses a link absent from the snapshot"))
-        .collect()
 }
 
 /// Validates commodities against the snapshot; zero-demand commodities and
@@ -237,7 +195,7 @@ pub fn max_concurrent_flow(
     let num_arcs = csr.num_arcs();
     // Garg–Könemann initialization.
     let delta = (1.0 + eps) / ((1.0 + eps) * num_arcs as f64).powf(1.0 / eps);
-    let mut arcs = ArcState::new(csr, opts.link_capacity, delta);
+    let mut arcs = ArcState::new(csr, delta);
     let scaling = ((1.0 + eps) / delta).ln() / (1.0 + eps).ln();
     let mut phases = 0.0f64;
     let mut path_computations = 0usize;
@@ -262,7 +220,8 @@ pub fn max_concurrent_flow(
                         path_computations,
                     };
                 }
-                let send = remaining.min(arcs.path_bottleneck());
+                // Every arc has unit capacity, so one path carries at most 1.
+                let send = remaining.min(1.0);
                 // `gk_apply` folds the total-weighted-length increments in
                 // path order, which the search gives as `src → dst`.
                 arcs.send_on_arcs(&path, send, eps);
@@ -287,99 +246,6 @@ pub fn max_concurrent_flow(
     McfSolution { lambda, arc_utilization: utilization, path_computations }
 }
 
-/// Sum of `length[a]` over the arcs of one candidate path (the score the
-/// path-restricted solver minimizes). A sequential left-to-right sum, so
-/// path selection ties break the same way on every run.
-fn path_cost(length: &[f64], arcs: &[ArcId]) -> f64 {
-    let mut total = 0.0f64;
-    for &arc in arcs {
-        total += length[arc];
-    }
-    total
-}
-
-/// Max-concurrent flow restricted to the provided paths: `paths[j]` is the
-/// admissible path set for commodity `j` (must be non-empty and connect the
-/// commodity endpoints).
-///
-/// This models "ideal load balancing over a fixed routing scheme" — e.g.
-/// handing the k shortest paths to an optimal rate controller — and is the
-/// quantity the paper's MPTCP-over-k-shortest-paths stack approximates.
-pub fn max_concurrent_flow_on_paths(
-    csr: &CsrGraph,
-    commodities: &[Commodity],
-    paths: &[Vec<Path>],
-    opts: McfOptions,
-) -> McfSolution {
-    assert_eq!(commodities.len(), paths.len(), "one path set per commodity");
-    let keep: Vec<usize> = (0..commodities.len())
-        .filter(|&j| commodities[j].src != commodities[j].dst && commodities[j].demand > 0.0)
-        .collect();
-    if keep.is_empty() || csr.num_edges() == 0 {
-        return McfSolution {
-            lambda: if keep.is_empty() { f64::INFINITY } else { 0.0 },
-            arc_utilization: Vec::new(),
-            path_computations: 0,
-        };
-    }
-    let eps = opts.epsilon.clamp(1e-3, 0.5);
-    let num_arcs = csr.num_arcs();
-    let delta = (1.0 + eps) / ((1.0 + eps) * num_arcs as f64).powf(1.0 / eps);
-    let mut arcs = ArcState::new(csr, opts.link_capacity, delta);
-    let scaling = ((1.0 + eps) / delta).ln() / (1.0 + eps).ln();
-    let mut phases = 0.0f64;
-
-    // Pre-resolve every admissible path to arc ids once; the inner loop then
-    // scores candidates by flat slice lookups only.
-    let mut arc_paths: Vec<Vec<Vec<ArcId>>> = vec![Vec::new(); commodities.len()];
-    for &j in &keep {
-        assert!(!paths[j].is_empty(), "commodity {j} has an empty path set");
-        for p in &paths[j] {
-            assert_eq!(p.first(), Some(&commodities[j].src));
-            assert_eq!(p.last(), Some(&commodities[j].dst));
-            arc_paths[j].push(path_arcs(csr, p));
-        }
-    }
-
-    'outer: while arcs.total_weighted_length() < 1.0 {
-        for &j in &keep {
-            let c = commodities[j];
-            let mut remaining = c.demand;
-            while remaining > 1e-12 {
-                if arcs.total_weighted_length() >= 1.0 {
-                    break 'outer;
-                }
-                // Cheapest admissible path under current lengths.
-                let best = arc_paths[j]
-                    .iter()
-                    .min_by(|a, b| {
-                        let ca = path_cost(&arcs.length, a);
-                        let cb = path_cost(&arcs.length, b);
-                        ca.total_cmp(&cb)
-                    })
-                    .expect("non-empty path set");
-                let send = remaining.min(arcs.path_bottleneck());
-                arcs.send_on_arcs(best, send, eps);
-                remaining -= send;
-            }
-        }
-        phases += 1.0;
-        if let Some(cap) = opts.lambda_cap {
-            if phases / scaling >= cap {
-                break;
-            }
-        }
-    }
-
-    let lambda_raw = phases / scaling;
-    let lambda = match opts.lambda_cap {
-        Some(cap) => lambda_raw.min(cap),
-        None => lambda_raw,
-    };
-    let utilization = scaled_utilization(&arcs, lambda_raw, phases);
-    McfSolution { lambda, arc_utilization: utilization, path_computations: 0 }
-}
-
 /// Converts raw accumulated flow into per-arc utilization consistent with the
 /// returned λ: the algorithm routes every demand once per phase, so the true
 /// (feasible) flow is the accumulated flow divided by the number of phases,
@@ -390,21 +256,20 @@ fn scaled_utilization(arcs: &ArcState, lambda_raw: f64, phases: f64) -> Vec<f64>
         return Vec::new();
     }
     let scale = if lambda_raw > 0.0 { 1.0 } else { 0.0 };
-    scale_clamp(&arcs.flow, phases, scale, arcs.capacity)
+    scale_clamp(&arcs.flow, phases, scale)
 }
 
 /// Elementwise accumulated-flow → utilization conversion over the whole arc
-/// array: `min((flow[a] / phases) · scale / capacity, 1.0)`. The operation
-/// order (divide by phases first, then scale, then capacity) is part of the
+/// array: `min((flow[a] / phases) · scale, 1.0)` (arcs have unit capacity).
+/// The operation order (divide by phases first, then scale) is part of the
 /// output: utilization bits depend on it.
-fn scale_clamp(flow: &[f64], phases: f64, scale: f64, capacity: f64) -> Vec<f64> {
-    flow.iter().map(|&f| (f / phases * scale / capacity).min(1.0)).collect()
+fn scale_clamp(flow: &[f64], phases: f64, scale: f64) -> Vec<f64> {
+    flow.iter().map(|&f| (f / phases * scale).min(1.0)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jellyfish_routing::yen::k_shortest_paths;
     use jellyfish_topology::{Graph, JellyfishBuilder};
 
     fn single_link() -> CsrGraph {
@@ -507,15 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn link_capacity_scales_lambda() {
-        let g = single_link();
-        let commodities = [Commodity { src: 0, dst: 1, demand: 1.0 }];
-        let opts = McfOptions { link_capacity: 4.0, ..Default::default() };
-        let sol = max_concurrent_flow(&g, &commodities, opts);
-        assert!((sol.lambda - 4.0).abs() < 0.4, "lambda = {}", sol.lambda);
-    }
-
-    #[test]
     fn epsilon_controls_accuracy() {
         let mut g = Graph::new(3);
         g.add_edge(0, 1);
@@ -534,54 +390,6 @@ mod tests {
         );
         assert!((fine.lambda - 1.0).abs() <= (coarse.lambda - 1.0).abs() + 0.05);
         assert!((fine.lambda - 1.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn path_restricted_matches_full_solver_when_paths_suffice() {
-        let topo = JellyfishBuilder::new(16, 6, 4).seed(1).build().unwrap();
-        let g = topo.csr();
-        let commodities: Vec<Commodity> =
-            (0..8).map(|i| Commodity { src: i, dst: i + 8, demand: 1.0 }).collect();
-        let paths: Vec<Vec<Path>> =
-            commodities.iter().map(|c| k_shortest_paths(&g, c.src, c.dst, 8)).collect();
-        let full = max_concurrent_flow(&g, &commodities, McfOptions::default());
-        let restricted =
-            max_concurrent_flow_on_paths(&g, &commodities, &paths, McfOptions::default());
-        // Restricting to 8 shortest paths can only lose a little capacity
-        // (allow for the ±ε noise of both approximations).
-        assert!(
-            restricted.lambda <= full.lambda * 1.1 + 0.05,
-            "restricted {} vs full {}",
-            restricted.lambda,
-            full.lambda
-        );
-        assert!(
-            restricted.lambda >= 0.75 * full.lambda,
-            "restricted {} vs full {}",
-            restricted.lambda,
-            full.lambda
-        );
-    }
-
-    #[test]
-    fn path_restricted_single_path_bottleneck() {
-        let mut g = Graph::new(3);
-        g.add_edge(0, 1);
-        g.add_edge(1, 2);
-        let g = CsrGraph::from_graph(&g);
-        let commodities =
-            [Commodity { src: 0, dst: 2, demand: 1.0 }, Commodity { src: 1, dst: 2, demand: 1.0 }];
-        let paths = vec![vec![vec![0, 1, 2]], vec![vec![1, 2]]];
-        let sol = max_concurrent_flow_on_paths(&g, &commodities, &paths, McfOptions::default());
-        assert!((sol.lambda - 0.5).abs() < 0.06, "lambda = {}", sol.lambda);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty path set")]
-    fn path_restricted_requires_paths() {
-        let g = single_link();
-        let commodities = [Commodity { src: 0, dst: 1, demand: 1.0 }];
-        max_concurrent_flow_on_paths(&g, &commodities, &[Vec::new()], McfOptions::default());
     }
 
     #[test]
@@ -604,13 +412,8 @@ mod tests {
         let commodities = [Commodity { src: 0, dst: 5, demand: 1.0 }];
         let sol = max_concurrent_flow(&g, &commodities, McfOptions::default());
         assert_eq!(sol.arc_utilization.len(), g.num_arcs());
-        let by_link = sol.link_utilization(&g);
-        assert_eq!(by_link.len(), g.num_arcs());
-        for (&(u, v), &util) in &by_link {
-            assert!(g.has_edge(u, v));
-            assert!((0.0..=1.0).contains(&util));
-            let arc = g.arc_index(u, v).unwrap();
-            assert_eq!(util.to_bits(), sol.arc_utilization[arc].to_bits());
+        for &util in &sol.arc_utilization {
+            assert!((0.0..=1.0).contains(&util), "utilization {util}");
         }
     }
 }

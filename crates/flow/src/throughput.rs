@@ -7,28 +7,15 @@
 //! simultaneously, and the per-flow normalized throughput is `min(λ, 1)`
 //! because a server can never exceed its NIC rate.
 
-use crate::mcf::{max_concurrent_flow, max_concurrent_flow_on_paths, Commodity, McfOptions};
-use jellyfish_routing::yen::k_shortest_paths;
+use crate::mcf::{max_concurrent_flow, Commodity, McfOptions};
 use jellyfish_topology::{NodeId, Topology};
-use jellyfish_traffic::{FlowStream, ServerMap, TrafficMatrix, TrafficSpec};
-use rayon::prelude::*;
-
-/// How the admissible paths are chosen for the throughput computation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoutingModel {
-    /// Optimal routing: flows may take any path (Dijkstra inner loop).
-    Optimal,
-    /// Flows restricted to the k shortest paths between their switches.
-    KShortestPaths(usize),
-}
+use jellyfish_traffic::{FlowStream, ServerMap, TrafficMatrix};
 
 /// Options for [`normalized_throughput`].
 #[derive(Debug, Clone, Copy)]
 pub struct ThroughputOptions {
     /// Approximation accuracy for the flow solver.
     pub epsilon: f64,
-    /// Routing model (optimal by default).
-    pub routing: RoutingModel,
     /// If true (default), stop as soon as full throughput (λ ≥ 1) is
     /// certified instead of computing the exact λ.
     pub stop_at_full: bool,
@@ -36,7 +23,7 @@ pub struct ThroughputOptions {
 
 impl Default for ThroughputOptions {
     fn default() -> Self {
-        ThroughputOptions { epsilon: 0.05, routing: RoutingModel::Optimal, stop_at_full: true }
+        ThroughputOptions { epsilon: 0.05, stop_at_full: true }
     }
 }
 
@@ -65,7 +52,7 @@ impl ThroughputResult {
 }
 
 /// Computes the normalized throughput of `topo` under `tm` with fluid optimal
-/// (or k-shortest-path-restricted) routing.
+/// routing.
 pub fn normalized_throughput(
     topo: &Topology,
     servers: &ServerMap,
@@ -106,62 +93,15 @@ fn throughput_from_demands(
     }
     let mcf_opts = McfOptions {
         epsilon: opts.epsilon,
-        link_capacity: 1.0,
         lambda_cap: if opts.stop_at_full { Some(1.0) } else { None },
     };
-    let csr = topo.csr();
-    let solution = match opts.routing {
-        RoutingModel::Optimal => max_concurrent_flow(&csr, &commodities, mcf_opts),
-        RoutingModel::KShortestPaths(k) => {
-            // Per-commodity path sets are independent: fan them out.
-            let paths: Vec<_> = commodities
-                .par_iter()
-                .map(|c| k_shortest_paths(&csr, c.src, c.dst, k.max(1)))
-                .collect();
-            if paths.iter().any(Vec::is_empty) {
-                return ThroughputResult {
-                    lambda: 0.0,
-                    normalized: 0.0,
-                    commodities: commodities.len(),
-                    epsilon: opts.epsilon,
-                };
-            }
-            max_concurrent_flow_on_paths(&csr, &commodities, &paths, mcf_opts)
-        }
-    };
+    let solution = max_concurrent_flow(&topo.csr(), &commodities, mcf_opts);
     ThroughputResult {
         lambda: solution.lambda,
         normalized: solution.lambda.clamp(0.0, 1.0),
         commodities: commodities.len(),
         epsilon: opts.epsilon,
     }
-}
-
-/// Averages the normalized throughput over several random-permutation
-/// matrices (the paper averages over multiple runs). Returns
-/// `(mean, min, max)` of the normalized throughput.
-pub fn permutation_throughput_stats(
-    topo: &Topology,
-    runs: usize,
-    opts: ThroughputOptions,
-    seed: u64,
-) -> (f64, f64, f64) {
-    let servers = ServerMap::new(topo);
-    let spec = TrafficSpec::permutation();
-    let mut values = Vec::with_capacity(runs.max(1));
-    for i in 0..runs.max(1) {
-        // Spec-driven but byte-identical to the eager constructor: the
-        // permutation generator delegates to it, seed for seed.
-        let tm = spec
-            .matrix(&servers, seed.wrapping_add(i as u64))
-            .expect("the permutation workload builds on any server map");
-        let result = normalized_throughput(topo, &servers, &tm, opts);
-        values.push(result.normalized);
-    }
-    let mean = values.iter().sum::<f64>() / values.len() as f64;
-    let min = values.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    (mean, min, max)
 }
 
 #[cfg(test)]
@@ -206,36 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn ksp_routing_close_to_optimal_on_jellyfish() {
-        let topo = JellyfishBuilder::new(16, 8, 5).seed(7).build().unwrap();
-        let servers = ServerMap::new(&topo);
-        let tm = TrafficMatrix::random_permutation(&servers, 8);
-        let optimal = normalized_throughput(
-            &topo,
-            &servers,
-            &tm,
-            ThroughputOptions { stop_at_full: false, ..Default::default() },
-        );
-        let ksp = normalized_throughput(
-            &topo,
-            &servers,
-            &tm,
-            ThroughputOptions {
-                stop_at_full: false,
-                routing: RoutingModel::KShortestPaths(8),
-                ..Default::default()
-            },
-        );
-        assert!(ksp.normalized <= optimal.normalized + 0.05);
-        assert!(
-            ksp.normalized >= 0.85 * optimal.normalized,
-            "ksp {} far below optimal {}",
-            ksp.normalized,
-            optimal.normalized
-        );
-    }
-
-    #[test]
     fn stream_and_matrix_paths_agree_exactly() {
         let topo = JellyfishBuilder::new(12, 8, 5).seed(2).build().unwrap();
         let servers = ServerMap::new(&topo);
@@ -255,15 +165,5 @@ mod tests {
         let r = normalized_throughput(&topo, &servers, &tm, ThroughputOptions::default());
         assert_eq!(r.normalized, 1.0);
         assert_eq!(r.commodities, 0);
-    }
-
-    #[test]
-    fn permutation_stats_bounds() {
-        let topo = JellyfishBuilder::new(12, 8, 5).seed(2).build().unwrap();
-        let (mean, min, max) =
-            permutation_throughput_stats(&topo, 3, ThroughputOptions::default(), 9);
-        assert!(min <= mean && mean <= max);
-        assert!(max <= 1.0 + 1e-9);
-        assert!(min >= 0.0);
     }
 }

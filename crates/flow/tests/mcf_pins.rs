@@ -53,7 +53,7 @@ fn instance(spec: &str) -> (jellyfish_topology::CsrGraph, Vec<Commodity>) {
 fn max_concurrent_flow_bits_are_pinned_on_every_generator() {
     for &(spec, lambda_cap, lambda_bits, path_computations) in PINS {
         let (csr, commodities) = instance(spec);
-        let opts = McfOptions { epsilon: EPSILON, link_capacity: 1.0, lambda_cap };
+        let opts = McfOptions { epsilon: EPSILON, lambda_cap };
         let sol = max_concurrent_flow(&csr, &commodities, opts);
         assert_eq!(
             (sol.lambda.to_bits(), sol.path_computations),

@@ -50,7 +50,7 @@ proptest! {
                 demand: 1.0,
             })
             .collect();
-        let opts = McfOptions { epsilon: 0.25, link_capacity: 1.0, lambda_cap: None };
+        let opts = McfOptions { epsilon: 0.25, lambda_cap: None };
         let a = max_concurrent_flow(&csr, &commodities, opts);
         let b = max_concurrent_flow(&csr, &commodities, opts);
         prop_assert_eq!(a.lambda.to_bits(), b.lambda.to_bits());

@@ -81,8 +81,9 @@ const ALL_PAIRS_BLOCK: usize = 64;
 
 /// All-pairs shortest-path distances (hop counts) as a flat row-major
 /// [`DistanceMatrix`] (`row(src)[dst]`, [`UNREACHED`] when unreachable).
-/// One rayon task per 64-source batch; the distances equal
-/// [`all_pairs_distances_reference`]'s.
+/// One rayon task per 64-source batch; every row equals a single-source
+/// [`bfs_scalar_into`](jellyfish_topology::bfs::bfs_scalar_into) from that
+/// source.
 pub fn all_pairs_distances(csr: &CsrGraph) -> DistanceMatrix {
     let n = csr.num_nodes();
     let num_blocks = n.div_ceil(ALL_PAIRS_BLOCK);
@@ -104,21 +105,6 @@ pub fn all_pairs_distances(csr: &CsrGraph) -> DistanceMatrix {
         data.extend_from_slice(&block);
     }
     DistanceMatrix::from_flat(n, data)
-}
-
-/// The pre-rewrite all-pairs sweep — one queue-driven scalar BFS per source,
-/// each allocating its own `Vec<usize>` row (`usize::MAX` when unreachable),
-/// the whole result one heap cell per source — kept as the `BENCH_*.json`
-/// baseline the `speedup_vs_scalar` trajectory is measured against.
-pub fn all_pairs_distances_reference(csr: &CsrGraph) -> Vec<Vec<usize>> {
-    let n = csr.num_nodes();
-    csr.nodes()
-        .map(|src| {
-            let mut row = vec![UNREACHED; n];
-            jellyfish_topology::bfs::bfs_scalar_into(csr, src, &mut row);
-            row.into_iter().map(|d| if d == UNREACHED { usize::MAX } else { d as usize }).collect()
-        })
-        .collect()
 }
 
 /// A reusable point-to-point Dijkstra: the one weighted shortest-path search
@@ -304,15 +290,28 @@ mod tests {
 
     #[test]
     fn parallel_all_pairs_matches_serial() {
-        let topo = JellyfishBuilder::new(60, 10, 6).seed(11).build().unwrap();
-        let csr = topo.csr();
-        let parallel = all_pairs_distances(&csr);
-        let reference = all_pairs_distances_reference(&csr);
-        for (src, row) in reference.iter().enumerate() {
-            for (dst, &d) in row.iter().enumerate() {
-                let got = parallel.get(src, dst);
-                let want = if d == usize::MAX { UNREACHED } else { d as u32 };
-                assert_eq!(got, want, "{src}->{dst}");
+        // 60 nodes fill one 64-source block; 150 nodes make three, the last
+        // partial. On the 130-node graph (a path across the first block
+        // boundary, one link across the second, every other node isolated)
+        // most pairs are unreachable.
+        let mut sparse = Graph::new(130);
+        for v in 56..72 {
+            sparse.add_edge(v, v + 1);
+        }
+        sparse.add_edge(127, 128);
+        let graphs = [
+            JellyfishBuilder::new(60, 10, 6).seed(11).build().unwrap().csr(),
+            JellyfishBuilder::new(150, 10, 6).seed(11).build().unwrap().csr(),
+            CsrGraph::from_graph(&sparse),
+        ];
+        for csr in &graphs {
+            let n = csr.num_nodes();
+            let parallel = all_pairs_distances(csr);
+            assert_eq!((parallel.num_rows(), parallel.num_cols()), (n, n));
+            let mut want = vec![UNREACHED; n];
+            for src in csr.nodes() {
+                jellyfish_topology::bfs::bfs_scalar_into(csr, src, &mut want);
+                assert_eq!(parallel.row(src), &want[..], "n = {n}, source {src}");
             }
         }
     }

@@ -16,7 +16,6 @@
 use crate::shortest::ShortestPathSearch;
 use crate::Path;
 use jellyfish_topology::{ArcId, CsrGraph, EdgeId, NodeId};
-use rayon::prelude::*;
 use std::collections::BTreeSet;
 
 /// Finds up to `k` loopless shortest paths from `src` to `dst` using unit
@@ -123,22 +122,6 @@ where
         found.push(next);
     }
     found
-}
-
-/// All-pairs k-shortest paths; `paths[s][d]` holds the path set from `s` to
-/// `d` (empty on the diagonal). Intended for the moderate sizes the paper's
-/// packet-level experiments use.
-pub fn all_pairs_k_shortest(csr: &CsrGraph, k: usize) -> Vec<Vec<Vec<Path>>> {
-    let n = csr.num_nodes();
-    csr.nodes()
-        .collect::<Vec<_>>()
-        .into_par_iter()
-        .map(|s| {
-            (0..n)
-                .map(|d| if s == d { Vec::new() } else { k_shortest_paths(csr, s, d, k) })
-                .collect()
-        })
-        .collect()
 }
 
 fn path_cost<F: Fn(NodeId, NodeId) -> f64>(path: &Path, weight: F) -> f64 {
@@ -296,23 +279,6 @@ mod tests {
             // First path is a true shortest path.
             let sp = crate::shortest::shortest_path(g, s, d).unwrap();
             assert_eq!(paths[0].len(), sp.len());
-        }
-    }
-
-    #[test]
-    fn all_pairs_table_dimensions() {
-        let topo = JellyfishBuilder::new(12, 6, 3).seed(1).build().unwrap();
-        let table = all_pairs_k_shortest(&topo.csr(), 4);
-        assert_eq!(table.len(), 12);
-        for (s, row) in table.iter().enumerate() {
-            for (d, cell) in row.iter().enumerate() {
-                if s == d {
-                    assert!(cell.is_empty());
-                } else {
-                    assert!(!cell.is_empty());
-                    assert!(cell.len() <= 4);
-                }
-            }
         }
     }
 }

@@ -4,8 +4,7 @@
 //! Two kernels compute identical hop distances:
 //!
 //! * [`bfs_scalar_into`] — the classic queue-driven top-down BFS (the
-//!   pre-rewrite implementation), kept as the equivalence reference and
-//!   benchmark baseline;
+//!   pre-rewrite implementation), kept as the test oracle;
 //! * [`bfs_into`] — a direction-optimizing BFS (Beamer et al.): levels whose
 //!   frontier touches a large share of the remaining edges are expanded
 //!   *bottom-up* (every unvisited node scans its neighbors for a frontier
@@ -170,7 +169,7 @@ fn or_gather(masks: &[u64], idx: &[u32]) -> u64 {
 
 /// Queue-driven top-down BFS writing hop distances into `dist`
 /// ([`UNREACHED`] when unreachable). This is the pre-rewrite kernel, kept as
-/// the scalar reference and benchmark baseline.
+/// the test oracle the faster BFS kernels are compared against.
 pub fn bfs_scalar_into(csr: &CsrGraph, source: NodeId, dist: &mut [u32]) {
     let n = csr.num_nodes();
     assert_eq!(dist.len(), n);

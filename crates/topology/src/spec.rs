@@ -676,15 +676,6 @@ impl TopologyGenerator for FatTreeGen {
 /// (optional explicit budget).
 struct SwdcGen;
 
-/// Spec-string token of a [`Lattice`].
-pub fn lattice_token(lattice: Lattice) -> &'static str {
-    match lattice {
-        Lattice::Ring => "ring",
-        Lattice::Torus2D => "torus2d",
-        Lattice::HexTorus3D => "hex3d",
-    }
-}
-
 /// Parses a [`Lattice`] spec token.
 pub fn parse_lattice(token: &str) -> Result<Lattice, SpecError> {
     match token {

@@ -207,28 +207,6 @@ impl SwdcBuilder {
     }
 }
 
-/// Convenience constructor matching the paper's Figure 4 setup: `nodes`
-/// switches, network degree 6, `servers_per_switch` servers each.
-///
-/// Thin wrapper over the [`crate::spec`] registry: it resolves the
-/// equivalent `swdc:lattice=...,n=...,servers=...` spec, so its output is
-/// identical to what any spec-driven experiment builds.
-pub fn figure4_swdc(
-    lattice: Lattice,
-    nodes: usize,
-    servers_per_switch: usize,
-    seed: u64,
-) -> Result<Topology, TopologyError> {
-    let spec = crate::spec::TopoSpec::new("swdc")
-        .with_param("lattice", crate::spec::lattice_token(lattice))
-        .with_param("n", nodes)
-        .with_param("servers", servers_per_switch);
-    spec.build(seed).map_err(|e| match e {
-        crate::spec::SpecError::Build(e) => e,
-        other => TopologyError::InvalidParameters(other.to_string()),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,9 +275,13 @@ mod tests {
 
     #[test]
     fn figure4_setup_484_switches() {
-        let ring = figure4_swdc(Lattice::Ring, 484, 2, 1).unwrap();
-        let torus = figure4_swdc(Lattice::Torus2D, 484, 2, 1).unwrap();
-        let hex = figure4_swdc(Lattice::HexTorus3D, 450, 2, 1).unwrap();
+        // The paper's Figure 4 setup: network degree 6, 2 servers per switch.
+        let fig4 = |lattice, n| {
+            SwdcBuilder::new(lattice, n, 6).servers_per_switch(2).seed(1).build().unwrap()
+        };
+        let ring = fig4(Lattice::Ring, 484);
+        let torus = fig4(Lattice::Torus2D, 484);
+        let hex = fig4(Lattice::HexTorus3D, 450);
         assert_eq!(ring.num_switches(), 484);
         assert_eq!(torus.num_switches(), 484);
         assert!(hex.num_switches() <= 450);
