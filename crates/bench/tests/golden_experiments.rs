@@ -3,8 +3,8 @@
 //! kernel change, seed for seed, in both the single-process and the
 //! sharded-and-merged paths. The goldens in `testdata/` were captured from
 //! the pre-rewrite binary with
-//! `figures run <experiment> --scale tiny --seed 7 [--topo <spec>]`; a diff
-//! here means a kernel changed observable results, not just speed.
+//! `figures run <experiment> --scale <scale> --seed 7 [--topo <spec>]`; a
+//! diff here means a kernel changed observable results, not just speed.
 
 use jellyfish::experiment::{self, RunCtx, Shard, ShardFragment, WorkPlan};
 use jellyfish::figures::Scale;
@@ -14,32 +14,48 @@ use jellyfish_bench::render_run;
 
 const SEED: u64 = 7;
 
-/// `(experiment, --topo override, golden bytes)`.
-const GOLDENS: &[(&str, Option<&str>, &str)] = &[
-    ("throughput_vs_size", None, include_str!("../testdata/throughput_vs_size_tiny.golden.tsv")),
-    ("bisection", None, include_str!("../testdata/bisection_tiny.golden.tsv")),
-    ("failure_sweep", None, include_str!("../testdata/failure_sweep_tiny.golden.tsv")),
+/// `(experiment, --scale, --topo override, golden bytes)`. The laptop-scale
+/// path-length goldens span several 64-source BFS blocks.
+const GOLDENS: &[(&str, Scale, Option<&str>, &str)] = &[
+    (
+        "throughput_vs_size",
+        Scale::Tiny,
+        None,
+        include_str!("../testdata/throughput_vs_size_tiny.golden.tsv"),
+    ),
+    ("bisection", Scale::Tiny, None, include_str!("../testdata/bisection_tiny.golden.tsv")),
+    ("failure_sweep", Scale::Tiny, None, include_str!("../testdata/failure_sweep_tiny.golden.tsv")),
     (
         "throughput_vs_workload",
+        Scale::Tiny,
         None,
         include_str!("../testdata/throughput_vs_workload_tiny.golden.tsv"),
     ),
     (
         "throughput_vs_loss",
+        Scale::Tiny,
         Some("jellyfish:switches=20,ports=8,degree=5+impair=loss:0.01"),
         include_str!("../testdata/throughput_vs_loss_jellyfish_impaired_tiny.golden.tsv"),
     ),
     (
         "throughput_vs_size",
+        Scale::Tiny,
         Some("leafspine:leaf=6,spine=3,servers=4"),
         include_str!("../testdata/throughput_vs_size_leafspine_tiny.golden.tsv"),
     ),
+    ("fig3", Scale::Tiny, None, include_str!("../testdata/fig3_tiny.golden.tsv")),
+    ("table1", Scale::Tiny, None, include_str!("../testdata/table1_tiny.golden.tsv")),
+    ("fig1c", Scale::Laptop, None, include_str!("../testdata/fig1c_laptop.golden.tsv")),
+    ("fig5", Scale::Laptop, None, include_str!("../testdata/fig5_laptop.golden.tsv")),
+    ("fig9", Scale::Laptop, None, include_str!("../testdata/fig9_laptop.golden.tsv")),
+    ("fig13", Scale::Laptop, None, include_str!("../testdata/fig13_laptop.golden.tsv")),
+    ("path_length", Scale::Laptop, None, include_str!("../testdata/path_length_laptop.golden.tsv")),
 ];
 
-/// The run context of a golden: tiny scale, seed 7 and its `--topo`
+/// The run context of a golden: its scale, seed 7 and its `--topo`
 /// override, plus the override as the CLI renders it in the header.
-fn golden_ctx(topo: Option<&str>) -> (RunCtx, Option<String>) {
-    let ctx = RunCtx::new(Scale::Tiny, SEED);
+fn golden_ctx(scale: Scale, topo: Option<&str>) -> (RunCtx, Option<String>) {
+    let ctx = RunCtx::new(scale, SEED);
     match topo {
         None => (ctx, None),
         Some(raw) => {
@@ -50,15 +66,15 @@ fn golden_ctx(topo: Option<&str>) -> (RunCtx, Option<String>) {
     }
 }
 
-/// `figures run <exp> --scale tiny --seed 7 [--topo <spec>]` reproduces the
-/// committed golden bytes under the current build profile.
+/// `figures run <exp> --scale <scale> --seed 7 [--topo <spec>]` reproduces
+/// the committed golden bytes under the current build profile.
 #[test]
 fn tiny_runs_match_goldens_byte_for_byte() {
-    for (name, topo, golden) in GOLDENS {
+    for (name, scale, topo, golden) in GOLDENS {
         let exp = experiment::find(name).expect("golden experiment is registered");
-        let (ctx, topo) = golden_ctx(*topo);
+        let (ctx, topo) = golden_ctx(*scale, *topo);
         let data = exp.run(&ctx);
-        let rendered = render_run(exp.name(), Scale::Tiny, SEED, topo.as_deref(), None, &data);
+        let rendered = render_run(exp.name(), *scale, SEED, topo.as_deref(), None, &data);
         assert_eq!(rendered, *golden, "{name} {topo:?}: output drifted from the golden");
     }
 }
@@ -68,9 +84,9 @@ fn tiny_runs_match_goldens_byte_for_byte() {
 /// kernels to leak nondeterminism through.
 #[test]
 fn sharded_merge_matches_goldens_byte_for_byte() {
-    for (name, topo, golden) in GOLDENS {
+    for (name, scale, topo, golden) in GOLDENS {
         let exp = experiment::find(name).expect("golden experiment is registered");
-        let (ctx, topo) = golden_ctx(*topo);
+        let (ctx, topo) = golden_ctx(*scale, *topo);
         let num_shards = 2;
         let plan = WorkPlan::plan(exp.work_items(&ctx).len(), num_shards, None);
         let fragments: Vec<ShardFragment> = (1..=num_shards)
@@ -79,7 +95,7 @@ fn sharded_merge_matches_goldens_byte_for_byte() {
                 let timed = exp.run_selected_timed(&ctx, &|i| plan.owns(shard, i));
                 ShardFragment {
                     experiment: exp.name().to_string(),
-                    scale: Scale::Tiny,
+                    scale: *scale,
                     seed: SEED,
                     topo: topo.clone(),
                     traffic: None,
