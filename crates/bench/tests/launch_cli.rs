@@ -219,6 +219,21 @@ fn merge_errors_name_the_experiment_and_the_item_label() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A fragment file holding one line of 50,000 `[` is a parse error naming
+/// `file:1`, not a stack overflow.
+#[test]
+fn merge_of_a_deeply_nested_line_exits_2_naming_the_line() {
+    let dir = scratch("merge-deep");
+    let frag = dir.join("deep.jsonl");
+    std::fs::write(&frag, "[".repeat(50_000)).unwrap();
+    let frag = frag.to_str().unwrap();
+    let out = figures(&["merge", frag]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(err.contains(&format!("{frag}:1: ")) && err.contains("nesting"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn launch_flag_validation_is_strict() {
     let no_jobs = figures(&["launch", "fig2b", "--scale", "tiny"]);

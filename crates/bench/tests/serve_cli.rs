@@ -104,6 +104,28 @@ fn tcp_session_speaks_the_same_protocol() {
     assert_eq!(transcript, GOLDEN, "TCP transcript differs from the stdio golden");
 }
 
+/// One line of 50,000 `[` is a parse error like any other: the session
+/// replies `ok: false`, answers the next request and exits 0 at EOF.
+#[test]
+fn deeply_nested_request_is_an_error_reply_not_a_crash() {
+    let mut child = Command::new(BIN)
+        .args(serve_args(&[]))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("figures serve starts");
+    let script = format!("{}\n{{\"op\":\"stats\"}}\n", "[".repeat(50_000));
+    child.stdin.take().unwrap().write_all(script.as_bytes()).expect("script written");
+    let out = child.wait_with_output().expect("figures serve exits");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let transcript = String::from_utf8(out.stdout).unwrap();
+    let replies: Vec<&str> = transcript.lines().collect();
+    assert_eq!(replies.len(), 2, "{transcript}");
+    assert!(replies[0].starts_with("{\"ok\":false"), "{}", replies[0]);
+    assert!(replies[1].starts_with("{\"ok\":true,\"op\":\"stats\""), "{}", replies[1]);
+}
+
 #[test]
 fn serve_rejects_bad_options_with_exit_2() {
     for args in [

@@ -110,14 +110,21 @@ impl Value {
     }
 }
 
+/// Deepest array/object nesting [`parse_document`] accepts. The codecs
+/// write at most 8 levels (a shard fragment); the cap keeps a hostile
+/// document from exhausting the stack of the recursive parser.
+pub(crate) const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
-        Parser { bytes: text.as_bytes(), pos: 0 }
+        Parser { bytes: text.as_bytes(), pos: 0, depth: 0 }
     }
 
     fn err(&self, msg: &str) -> String {
@@ -156,8 +163,8 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self) -> Result<Value, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => self.parse_string().map(Value::Str),
             Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
@@ -165,6 +172,17 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, failing past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_object(&mut self) -> Result<Value, String> {
@@ -293,4 +311,34 @@ pub(crate) fn parse_document(text: &str) -> Result<Value, String> {
         return Err(p.err("trailing data after JSON document"));
     }
     Ok(v)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `depth` nested arrays around an empty innermost array.
+    fn nested_arrays(depth: usize) -> String {
+        format!("{}{}", "[".repeat(depth), "]".repeat(depth))
+    }
+
+    #[test]
+    fn parse_document_rejects_hostile_nesting() {
+        // Unclosed, as one hostile line would be: the parser must stop at
+        // the cap instead of recursing until the stack overflows.
+        let err = parse_document(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128 levels"), "{err}");
+        assert!(parse_document(&nested_arrays(MAX_DEPTH + 1)).is_err());
+    }
+
+    #[test]
+    fn parse_document_accepts_nesting_at_the_cap() {
+        let mut value = parse_document(&nested_arrays(MAX_DEPTH)).unwrap();
+        for _ in 1..MAX_DEPTH {
+            value = value.as_arr().unwrap()[0].clone();
+        }
+        assert_eq!(value, Value::Arr(Vec::new()));
+        let objects = format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse_document(&objects).is_ok());
+    }
 }
