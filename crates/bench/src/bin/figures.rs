@@ -883,7 +883,7 @@ fn cmd_topo_show(args: &[String]) -> Result<(), CliError> {
 fn cmd_topo_build(args: &[String]) -> Result<(), CliError> {
     let (spec, seed) = parse_spec_arg(args)?;
     let topo = spec.build(seed).map_err(|e| CliError::Invalid(format!("{e}")))?;
-    let stats = path_length_stats(topo.graph());
+    let stats = path_length_stats(&topo.csr());
     println!("spec\t{spec}");
     println!("seed\t{seed}");
     println!("name\t{}", topo.name());

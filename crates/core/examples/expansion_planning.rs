@@ -22,7 +22,7 @@ fn main() {
             let report = add_switch(&mut topo, 12, 4, stage * 100 + i).expect("expansion succeeds");
             cable_ops += report.cable_operations();
         }
-        let stats = path_length_stats(topo.graph());
+        let stats = path_length_stats(&topo.csr());
         let servers = ServerMap::new(&topo);
         let workload: TrafficSpec = "permutation".parse().expect("registered workload spec");
         let tm = workload.matrix(&servers, stage).expect("permutation builds on any server map");

@@ -4,21 +4,22 @@
 //!
 //! Run with: `cargo run --example failure_resilience`
 
-use jellyfish::capacity::jellyfish_with_servers;
 use jellyfish::prelude::*;
 use jellyfish::topology::failures::{fail_random_links, survivability};
+use jellyfish::topology::TopoSpec;
 
 fn main() {
     let k = 8; // fat-tree port count: 80 switches, 128 servers
     let ft = FatTree::new(k).expect("even k").into_topology();
     // Jellyfish on the same switches, carrying 25% more servers.
-    let jf = jellyfish_with_servers(
-        jellyfish::topology::fattree::FatTree::switches_for_port_count(k),
-        k,
-        jellyfish::topology::fattree::FatTree::servers_for_port_count(k) * 5 / 4,
-        1,
+    let spec: TopoSpec = format!(
+        "jellyfish:switches={},ports={k},servers_total={}",
+        FatTree::switches_for_port_count(k),
+        FatTree::servers_for_port_count(k) * 5 / 4
     )
-    .expect("same-equipment Jellyfish");
+    .parse()
+    .expect("valid spec");
+    let jf = spec.build(1).expect("same-equipment Jellyfish");
 
     println!("failed-links  jellyfish-throughput  fat-tree-throughput  jellyfish-connected  fat-tree-connected");
     for percent in [0u32, 5, 10, 15, 20, 25] {

@@ -16,7 +16,7 @@ fn main() {
     println!("servers        : {}", topo.total_servers());
     println!("network links  : {}", topo.num_links());
 
-    let stats = path_length_stats(topo.graph());
+    let stats = path_length_stats(&topo.csr());
     println!("mean path len  : {:.3} switch hops", stats.mean);
     println!("diameter       : {} switch hops", stats.diameter);
 

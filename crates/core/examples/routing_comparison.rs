@@ -5,13 +5,13 @@
 //!
 //! Run with: `cargo run --release --example routing_comparison`
 
-use jellyfish::capacity::jellyfish_with_servers;
 use jellyfish::metrics::jain_fairness_index;
 use jellyfish::prelude::*;
 use jellyfish::sim::net::{LinkParams, Network};
 use jellyfish::sim::workload::build_connections;
+use jellyfish::topology::TopoSpec;
 
-fn run(topo: &Topology, path: PathPolicy, transport: TransportPolicy, seed: u64) -> (f64, f64) {
+fn run(topo: &Topology, path: RoutingScheme, transport: TransportPolicy, seed: u64) -> (f64, f64) {
     let csr = topo.csr();
     let servers = ServerMap::new(topo);
     let workload: TrafficSpec = "permutation".parse().expect("registered workload spec");
@@ -30,7 +30,9 @@ fn run(topo: &Topology, path: PathPolicy, transport: TransportPolicy, seed: u64)
 fn main() {
     // A mildly oversubscribed Jellyfish: 40 switches with 10 ports, ~4.5
     // servers each (180 servers on 40×10 ports).
-    let topo = jellyfish_with_servers(40, 10, 180, 3).expect("valid parameters");
+    let spec: TopoSpec =
+        "jellyfish:switches=40,ports=10,servers_total=180".parse().expect("valid spec");
+    let topo = spec.build(3).expect("valid parameters");
     println!(
         "topology: {} switches, {} servers, {} links",
         topo.num_switches(),
@@ -40,12 +42,12 @@ fn main() {
     println!();
     println!("{:<18} {:<22} {:>12} {:>8}", "routing", "congestion control", "throughput", "Jain");
     let cases = [
-        (PathPolicy::ecmp8(), TransportPolicy::Tcp { flows: 1 }),
-        (PathPolicy::ecmp8(), TransportPolicy::Tcp { flows: 8 }),
-        (PathPolicy::ecmp8(), TransportPolicy::Mptcp { subflows: 8 }),
-        (PathPolicy::ksp8(), TransportPolicy::Tcp { flows: 1 }),
-        (PathPolicy::ksp8(), TransportPolicy::Tcp { flows: 8 }),
-        (PathPolicy::ksp8(), TransportPolicy::Mptcp { subflows: 8 }),
+        (RoutingScheme::ecmp8(), TransportPolicy::Tcp { flows: 1 }),
+        (RoutingScheme::ecmp8(), TransportPolicy::Tcp { flows: 8 }),
+        (RoutingScheme::ecmp8(), TransportPolicy::Mptcp { subflows: 8 }),
+        (RoutingScheme::ksp8(), TransportPolicy::Tcp { flows: 1 }),
+        (RoutingScheme::ksp8(), TransportPolicy::Tcp { flows: 8 }),
+        (RoutingScheme::ksp8(), TransportPolicy::Mptcp { subflows: 8 }),
     ];
     for (path, transport) in cases {
         let (mean, jain) = run(&topo, path, transport, 11);

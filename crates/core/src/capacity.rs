@@ -8,7 +8,7 @@
 //! capacity on all of them; the final answer is verified on ten more.
 
 use jellyfish_flow::throughput::{normalized_throughput, ThroughputOptions};
-use jellyfish_topology::{SpecError, TopoSpec, Topology, TopologyError};
+use jellyfish_topology::{TopoSpec, Topology};
 use jellyfish_traffic::{ServerMap, TrafficMatrix};
 
 /// Options of the capacity search.
@@ -46,29 +46,6 @@ pub struct CapacityResult {
     pub verified: bool,
 }
 
-/// Builds a Jellyfish topology on `switches` switches with `ports` ports each
-/// and `servers` servers spread as evenly as possible, wiring all remaining
-/// ports into the random interconnect.
-///
-/// Thin wrapper over the [`jellyfish_topology::spec`] registry's
-/// `jellyfish:servers_total=...` generator, so its output is identical to
-/// what any spec-driven experiment builds.
-pub fn jellyfish_with_servers(
-    switches: usize,
-    ports: usize,
-    servers: usize,
-    seed: u64,
-) -> Result<Topology, TopologyError> {
-    let spec = TopoSpec::new("jellyfish")
-        .with_param("switches", switches)
-        .with_param("ports", ports)
-        .with_param("servers_total", servers);
-    spec.build(seed).map_err(|e| match e {
-        SpecError::Build(e) => e,
-        other => TopologyError::InvalidParameters(other.to_string()),
-    })
-}
-
 /// Checks whether a topology supports full throughput on `samples` random
 /// permutations.
 pub fn supports_full_throughput(
@@ -93,16 +70,25 @@ pub fn supports_full_throughput(
 /// throughput under random-permutation traffic.
 ///
 /// The search range is `[switches, switches × (ports − 1)]` (at least one
-/// server per switch, at least one network port per switch).
+/// server per switch, at least one network port per switch). Each probe
+/// builds `jellyfish:switches=..,ports=..,servers_total=..`, which spreads
+/// the servers as evenly as possible.
 pub fn servers_at_full_throughput(
     switches: usize,
     ports: usize,
     opts: CapacitySearchOptions,
 ) -> CapacityResult {
+    let build = |servers: usize, seed: u64| {
+        TopoSpec::new("jellyfish")
+            .with_param("switches", switches)
+            .with_param("ports", ports)
+            .with_param("servers_total", servers)
+            .build(seed)
+    };
     let mut lo = switches; // one server per switch is assumed feasible
     let mut hi = switches * (ports - 1);
     let feasible = |servers: usize, salt: u64| -> bool {
-        match jellyfish_with_servers(switches, ports, servers, opts.seed ^ salt) {
+        match build(servers, opts.seed ^ salt) {
             Ok(topo) => supports_full_throughput(
                 &topo,
                 opts.probe_samples,
@@ -124,7 +110,7 @@ pub fn servers_at_full_throughput(
         }
     }
     // Verification pass on more samples, as the paper does.
-    let verified = match jellyfish_with_servers(switches, ports, lo, opts.seed ^ 0xFACE) {
+    let verified = match build(lo, opts.seed ^ 0xFACE) {
         Ok(topo) => supports_full_throughput(
             &topo,
             opts.verify_samples,
@@ -150,16 +136,23 @@ mod tests {
         }
     }
 
+    /// `jellyfish:switches=N,ports=P,servers_total=S` for the search's probes.
+    fn jellyfish_total(switches: usize, ports: usize, servers: usize) -> TopoSpec {
+        format!("jellyfish:switches={switches},ports={ports},servers_total={servers}")
+            .parse()
+            .unwrap()
+    }
+
     #[test]
-    fn jellyfish_with_servers_spreads_evenly() {
-        let topo = jellyfish_with_servers(10, 8, 23, 1).unwrap();
+    fn servers_total_spec_spreads_evenly() {
+        let topo = jellyfish_total(10, 8, 23).build(1).unwrap();
         assert_eq!(topo.total_servers(), 23);
         for i in 0..10 {
             let s = topo.servers(i);
             assert!(s == 2 || s == 3, "switch {i} has {s} servers");
         }
         assert!(topo.graph().is_connected());
-        assert!(jellyfish_with_servers(4, 4, 100, 1).is_err());
+        assert!(jellyfish_total(4, 4, 100).build(1).is_err());
     }
 
     #[test]
@@ -180,13 +173,9 @@ mod tests {
         let result = servers_at_full_throughput(switches, ports, fast_opts());
         assert!(result.servers >= switches, "at least one server per switch");
         assert!(result.servers <= switches * (ports - 1));
-        let topo = jellyfish_with_servers(
-            switches,
-            ports,
-            result.servers,
-            fast_opts().seed ^ result.servers as u64,
-        )
-        .unwrap();
+        let topo = jellyfish_total(switches, ports, result.servers)
+            .build(fast_opts().seed ^ result.servers as u64)
+            .unwrap();
         assert!(supports_full_throughput(
             &topo,
             1,

@@ -463,14 +463,6 @@ impl RunCtx {
         }
     }
 
-    /// Returns the memoized snapshot for `key`, building it (outside the
-    /// lock) on first use. `build` must be a pure function of the context's
-    /// `(scale, seed)` — the cache only dedups work, it never changes
-    /// results, so sharded processes that rebuild get identical data.
-    pub fn snapshot(&self, key: &str, build: impl FnOnce(&RunCtx) -> Topology) -> Arc<Snapshot> {
-        self.memoized(key.to_string(), self.seed, || build(self))
-    }
-
     /// Returns the memoized snapshot of `spec` built with `seed` (which may
     /// differ from the run seed: some experiments derive per-topology
     /// seeds). Only the transform-free [`TopoSpec::base`] is cached — items
@@ -507,15 +499,6 @@ impl RunCtx {
     pub fn session(&self, spec: &TopoSpec, seed: u64) -> Result<Session, SpecError> {
         let base = self.spec_snapshot(&spec.base(), seed)?;
         Ok(Session::new(base.topology.clone(), seed).with_traffic(self.traffic.clone()))
-    }
-
-    fn memoized(&self, key: String, seed: u64, build: impl FnOnce() -> Topology) -> Arc<Snapshot> {
-        let key = (key, seed);
-        if let Some(snap) = self.lookup(&key) {
-            return snap;
-        }
-        let topology = build();
-        self.insert(key, topology)
     }
 
     /// Cache lookup with the staleness guard: a hit whose CSR snapshot no
@@ -829,19 +812,13 @@ pub trait Experiment: Sync {
 
     /// Runs every work item (in parallel) and merges: the single-process path.
     fn run(&self, ctx: &RunCtx) -> Dataset {
-        self.merge(self.run_items(ctx, None))
+        self.merge(self.run_items(ctx))
     }
 
-    /// Runs only the items a shard owns, returning mergeable results sorted
-    /// by item index.
-    fn run_shard(&self, ctx: &RunCtx, shard: Shard) -> Vec<ItemResult> {
-        self.run_items(ctx, Some(shard))
-    }
-
-    /// Shared driver for [`Experiment::run`] / [`Experiment::run_shard`]:
-    /// evaluates the (optionally shard-filtered) items in parallel.
-    fn run_items(&self, ctx: &RunCtx, shard: Option<Shard>) -> Vec<ItemResult> {
-        self.run_selected_timed(ctx, &|index| shard.is_none_or(|s| s.owns(index))).items
+    /// Evaluates every work item in parallel, returning mergeable results
+    /// sorted by item index.
+    fn run_items(&self, ctx: &RunCtx) -> Vec<ItemResult> {
+        self.run_selected_timed(ctx, &|_| true).items
     }
 
     /// The timing-aware driver everything funnels through: evaluates the
@@ -1199,7 +1176,7 @@ mod tests {
         assert!(timed.items.iter().all(|r| r.index % 2 == 0));
         assert!(timed.timings_us.iter().all(|&t| t >= 1), "timings are clamped non-zero");
         // The timed results are the same item results the untimed path gives.
-        let untimed = exp.run_items(&ctx, None);
+        let untimed = exp.run_items(&ctx);
         for item in &timed.items {
             assert_eq!(untimed[item.index], *item);
         }

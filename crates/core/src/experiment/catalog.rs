@@ -19,7 +19,6 @@
 
 use super::{Dataset, Experiment, ItemResult, RunCtx, Snapshot, WorkItem};
 use crate::cabling::two_layer_jellyfish;
-use crate::capacity::jellyfish_with_servers;
 use crate::figures::{Scale, Series};
 use crate::legup::{run_expansion_comparison, ExpansionScenario};
 use crate::metrics::jain_fairness_index;
@@ -32,13 +31,13 @@ use jellyfish_sim::engine::SimConfig;
 use jellyfish_sim::engine::Simulator;
 use jellyfish_sim::fluid::max_min_fair_allocation;
 use jellyfish_sim::net::{LinkParams, Network};
-use jellyfish_sim::routing::{PathPolicy, TransportPolicy};
+use jellyfish_sim::routing::TransportPolicy;
 use jellyfish_sim::workload::build_connections;
 use jellyfish_topology::degree_diameter::FIGURE3_CONFIGS;
 use jellyfish_topology::expansion::grow_schedule;
 use jellyfish_topology::fattree::FatTree;
 use jellyfish_topology::properties::{
-    fraction_of_server_pairs_within, path_length_stats, server_pair_histogram_csr,
+    fraction_of_server_pairs_within, path_length_stats, server_pair_histogram,
 };
 use jellyfish_topology::spec::ScenarioTransform;
 use jellyfish_topology::{TopoSpec, Topology};
@@ -71,8 +70,7 @@ pub(crate) fn jellyfish_spec(switches: usize, ports: usize, degree: usize) -> To
 }
 
 /// Spec for Jellyfish with `total` servers spread evenly over `switches`
-/// switches of `ports` ports (the same-equipment comparisons; equals the
-/// legacy `jellyfish_with_servers`).
+/// switches of `ports` ports (the same-equipment comparisons).
 pub(crate) fn jellyfish_total_spec(switches: usize, ports: usize, total: usize) -> TopoSpec {
     TopoSpec::new("jellyfish")
         .with_param("switches", switches)
@@ -125,7 +123,7 @@ impl Experiment for Fig1c {
         let label = if item.index == 0 { "Jellyfish" } else { "Fat-tree" };
         let mut ds = Dataset::new();
         let snap = resolve(ctx, item, ctx.seed, &mut ds);
-        let hist = server_pair_histogram_csr(&snap.topology, &snap.csr);
+        let hist = server_pair_histogram(&snap.topology, &snap.csr);
         let points = (2..=hist.len().max(7))
             .map(|h| (h as f64, fraction_of_server_pairs_within(&hist, h)))
             .collect();
@@ -449,7 +447,7 @@ impl Experiment for Fig5 {
         let mut ds = Dataset::new();
         if item.index < sizes.len() {
             let snap = resolve(ctx, item, seed, &mut ds);
-            let stats = path_length_stats(snap.topology.graph());
+            let stats = path_length_stats(&snap.csr);
             let x = (sizes[item.index] * servers_per) as f64;
             ds.push_point("Jellyfish; Mean", x, stats.mean);
             ds.push_point("Jellyfish; Diameter", x, stats.diameter as f64);
@@ -460,7 +458,7 @@ impl Experiment for Fig5 {
             let step = ((last - first) / (sizes.len().max(2) - 1)).max(1);
             let stages = grow_schedule(first, last, step, ports, degree, seed ^ 0xE).unwrap();
             for stage in &stages {
-                let stats = path_length_stats(stage.graph());
+                let stats = path_length_stats(&stage.csr());
                 let x = stage.total_servers() as f64;
                 ds.push_point("Expanded Jellyfish; Mean", x, stats.mean);
                 ds.push_point("Expanded Jellyfish; Diameter", x, stats.diameter as f64);
@@ -723,7 +721,7 @@ fn table1_transports() -> [TransportPolicy; 3] {
 /// topology, path policy and transport policy, from the packet-level engine.
 pub fn table1_cell(
     topo: &Topology,
-    path_policy: PathPolicy,
+    path_policy: RoutingScheme,
     transport: TransportPolicy,
     seed: u64,
     duration: f64,
@@ -770,9 +768,9 @@ impl Experiment for Table1 {
         let t = table1_transports()[item.index];
         // The three cells of one row are independent simulations.
         let cells: Vec<f64> = vec![
-            (&ft.topology, PathPolicy::ecmp8()),
-            (&jf.topology, PathPolicy::ecmp8()),
-            (&jf.topology, PathPolicy::ksp8()),
+            (&ft.topology, RoutingScheme::ecmp8()),
+            (&jf.topology, RoutingScheme::ecmp8()),
+            (&jf.topology, RoutingScheme::ksp8()),
         ]
         .into_par_iter()
         .map(|(topo, policy)| table1_cell(topo, policy, t, seed, duration))
@@ -837,7 +835,7 @@ impl Experiment for Fig10 {
             &snap.csr,
             &servers,
             &tm,
-            PathPolicy::ksp8(),
+            RoutingScheme::ksp8(),
             TransportPolicy::Mptcp { subflows: 8 },
             seed,
         );
@@ -877,7 +875,7 @@ fn fig11_port_counts(scale: Scale) -> Vec<usize> {
 
 fn fluid_throughput(
     topo: &Topology,
-    path_policy: PathPolicy,
+    path_policy: RoutingScheme,
     transport: TransportPolicy,
     seed: u64,
 ) -> f64 {
@@ -902,20 +900,20 @@ fn fig11_12_run_item(ctx: &RunCtx, item: &WorkItem) -> ItemResult {
     let ft = resolve(ctx, item, seed, &mut ds);
     let ft = &ft.topology;
     let ft_tp =
-        fluid_throughput(ft, PathPolicy::ecmp8(), TransportPolicy::Mptcp { subflows: 8 }, seed);
+        fluid_throughput(ft, RoutingScheme::ecmp8(), TransportPolicy::Mptcp { subflows: 8 }, seed);
     // Find the largest Jellyfish server count whose fluid throughput is at
-    // least the fat-tree's. `jellyfish_with_servers` is the registry's
-    // `jellyfish:servers_total=...` generator under its legacy name.
+    // least the fat-tree's.
     let switches = FatTree::switches_for_port_count(k);
     let ft_servers = FatTree::servers_for_port_count(k);
     let mut lo = ft_servers;
     let mut hi = switches * (k - 1);
     let feasible = |servers: usize| -> bool {
-        jellyfish_with_servers(switches, k, servers, seed)
+        jellyfish_total_spec(switches, k, servers)
+            .build(seed)
             .map(|jf| {
                 fluid_throughput(
                     &jf,
-                    PathPolicy::ksp8(),
+                    RoutingScheme::ksp8(),
                     TransportPolicy::Mptcp { subflows: 8 },
                     seed,
                 ) >= ft_tp - 1e-9
@@ -938,9 +936,9 @@ fn fig11_12_run_item(ctx: &RunCtx, item: &WorkItem) -> ItemResult {
             hi = mid - 1;
         }
     }
-    let jf = jellyfish_with_servers(switches, k, lo, seed).unwrap();
+    let jf = jellyfish_total_spec(switches, k, lo).build(seed).unwrap();
     let jf_tp =
-        fluid_throughput(&jf, PathPolicy::ksp8(), TransportPolicy::Mptcp { subflows: 8 }, seed);
+        fluid_throughput(&jf, RoutingScheme::ksp8(), TransportPolicy::Mptcp { subflows: 8 }, seed);
     ds.push_row(
         format!("k={k}"),
         vec![ft.total_ports() as f64, ft_servers as f64, ft_tp, lo as f64, jf_tp],
@@ -1025,9 +1023,9 @@ impl Experiment for Fig13 {
     fn run_item(&self, ctx: &RunCtx, item: &WorkItem) -> ItemResult {
         let seed = ctx.seed;
         let (label, policy) = if item.index == 0 {
-            ("Jellyfish", PathPolicy::ksp8())
+            ("Jellyfish", RoutingScheme::ksp8())
         } else {
-            ("Fat-tree", PathPolicy::ecmp8())
+            ("Fat-tree", RoutingScheme::ecmp8())
         };
         let mut ds = Dataset::new();
         let snap = resolve(ctx, item, seed, &mut ds);

@@ -135,7 +135,7 @@ impl Experiment for PathLength {
     fn run_item(&self, ctx: &RunCtx, item: &WorkItem) -> ItemResult {
         let mut ds = Dataset::new();
         let snap = resolve(ctx, item, &mut ds);
-        let stats = path_length_stats(snap.topology.graph());
+        let stats = path_length_stats(&snap.csr);
         ds.set_columns(&PATH_LENGTH_COLUMNS);
         ds.push_row(
             item.label.clone(),

@@ -32,10 +32,9 @@ use super::{Dataset, Experiment, ItemResult, RunCtx, Snapshot, WorkItem};
 use crate::figures::Scale;
 use crate::metrics::LatencyHistogram;
 use crate::service::ChurnEvent;
+use jellyfish_routing::path_table::RoutingScheme;
 use jellyfish_sim::net::{LinkParams, Network};
-use jellyfish_sim::{
-    build_connections, PathPolicy, SimConfig, SimReport, Simulator, TransportPolicy,
-};
+use jellyfish_sim::{build_connections, SimConfig, SimReport, Simulator, TransportPolicy};
 use jellyfish_topology::spec::{ImpairConfig, ScenarioTransform};
 use jellyfish_topology::{CsrGraph, TopoSpec, Topology};
 use jellyfish_traffic::{ServerMap, TrafficMatrix};
@@ -65,11 +64,11 @@ fn impair_bases(ctx: &RunCtx) -> Vec<(String, TopoSpec)> {
 
 /// Path diversity policy matching the paper's pairings: 8 shortest paths on
 /// random graphs, ECMP on Clos fabrics.
-fn policy_for(spec: &TopoSpec) -> PathPolicy {
+fn policy_for(spec: &TopoSpec) -> RoutingScheme {
     if spec.generator() == "jellyfish" {
-        PathPolicy::ksp8()
+        RoutingScheme::ksp8()
     } else {
-        PathPolicy::ecmp8()
+        RoutingScheme::ecmp8()
     }
 }
 

@@ -21,8 +21,9 @@ use super::{Dataset, Experiment, ItemResult, RunCtx, Snapshot, WorkItem};
 use crate::figures::Scale;
 use crate::metrics::jain_fairness_index;
 use jellyfish_flow::throughput::normalized_throughput_stream;
+use jellyfish_routing::path_table::RoutingScheme;
 use jellyfish_sim::fluid::max_min_fair_allocation;
-use jellyfish_sim::routing::{PathPolicy, TransportPolicy};
+use jellyfish_sim::routing::TransportPolicy;
 use jellyfish_sim::workload::build_connections_stream;
 use jellyfish_topology::TopoSpec;
 use jellyfish_traffic::{FlowStream, ServerMap, TrafficSpec};
@@ -192,7 +193,7 @@ impl Experiment for FairnessUnderSkew {
             &snap.csr,
             &servers,
             stream,
-            PathPolicy::ksp8(),
+            RoutingScheme::ksp8(),
             TransportPolicy::Mptcp { subflows: 8 },
             ctx.seed ^ item.index as u64,
         );

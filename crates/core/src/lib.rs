@@ -19,8 +19,8 @@
 //!   single-process run.
 //! * [`figures`] — the shared experiment vocabulary ([`figures::Scale`],
 //!   [`figures::Series`], [`figures::ParseScaleError`]); the
-//!   `jellyfish-bench` crate turns the registry into CLI output
-//!   (`figures list|run|merge|serve`) and Criterion benchmarks.
+//!   `jellyfish-bench` crate turns the registry into the `figures` CLI
+//!   (`list`, `run`, `launch`, `merge`, `serve`, `lint`, `topo`, `traffic`).
 //! * [`service`] — the live-topology session: a resident
 //!   [`Topology`](jellyfish_topology::Topology) + CSR snapshot that absorbs
 //!   typed [`service::ChurnEvent`] deltas with incremental routing repair
@@ -64,8 +64,9 @@ pub mod prelude {
     pub use crate::metrics::jain_fairness_index;
     pub use jellyfish_flow::throughput::{normalized_throughput, ThroughputOptions};
     pub use jellyfish_flow::{Commodity, McfOptions};
+    pub use jellyfish_routing::path_table::RoutingScheme;
     pub use jellyfish_routing::yen::k_shortest_paths;
-    pub use jellyfish_sim::{PathPolicy, SimConfig, Simulator, TransportPolicy};
+    pub use jellyfish_sim::{SimConfig, Simulator, TransportPolicy};
     pub use jellyfish_topology::fattree::FatTree;
     pub use jellyfish_topology::{JellyfishBuilder, Topology};
     pub use jellyfish_traffic::{FlowStream, ServerMap, TrafficMatrix, TrafficSpec};

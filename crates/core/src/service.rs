@@ -23,9 +23,10 @@
 //!   history-dependent (swap-remove), and seeded samplers shuffle
 //!   `edges()`, so only the clone keeps later events bit-reproducible.
 //! * Hop distances are canonical, so any correct row repair is
-//!   byte-identical to a full rebuild; ECMP enumeration is a pure function
-//!   of the pair's distance rows and the sorted CSR snapshot, making the
-//!   DAG predicate an *exact* invalidation test. Yen's k-shortest-paths
+//!   byte-identical to a full rebuild. ECMP enumeration reads the
+//!   destination's row of the resident, repaired matrix and the sorted CSR
+//!   snapshot, so it is a pure function of the pair's distance rows, making
+//!   the DAG predicate an *exact* invalidation test. Yen's k-shortest-paths
 //!   has no sound incremental subset (its output depends on global
 //!   tie-breaking), so KSP cache entries are all dropped on every
 //!   effective delta and recomputed lazily.
@@ -41,11 +42,13 @@ use std::collections::BTreeMap;
 
 use jellyfish_flow::bisection::{min_bisection_heuristic, BisectionCut};
 use jellyfish_flow::throughput::{normalized_throughput, ThroughputOptions, ThroughputResult};
+use jellyfish_routing::ecmp::all_shortest_paths;
 use jellyfish_routing::incremental::{
     affected_sources, edge_on_shortest_path, repair_all_pairs, EdgeDelta,
 };
 use jellyfish_routing::path_table::RoutingScheme;
 use jellyfish_routing::shortest::all_pairs_distances;
+use jellyfish_routing::yen::k_shortest_paths;
 use jellyfish_routing::Path;
 use jellyfish_topology::bfs::{DistanceMatrix, UNREACHED};
 use jellyfish_topology::graph::Edge;
@@ -550,12 +553,15 @@ impl Session {
             self.stats.path_cache_hits += 1;
             return hit.clone();
         }
-        if matches!(scheme, RoutingScheme::Ecmp { .. }) {
-            // ECMP enumeration reads the pair's distance rows; materialize
-            // them so later deltas can repair instead of rebuild.
-            self.distances();
-        }
-        let paths = scheme.paths(&self.csr, src, dst);
+        let paths = match scheme {
+            RoutingScheme::Ecmp { way } => {
+                // ECMP enumeration reads the destination's row of the
+                // resident matrix, which later deltas repair in place.
+                let dist = self.dist.get_or_insert_with(|| all_pairs_distances(&self.csr));
+                all_shortest_paths(&self.csr, dist.row(dst), src, dst, way)
+            }
+            RoutingScheme::KShortestPaths { k } => k_shortest_paths(&self.csr, src, dst, k),
+        };
         self.paths.insert(key, paths.clone());
         paths
     }

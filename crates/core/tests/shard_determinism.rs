@@ -74,7 +74,7 @@ fn baselines() -> &'static [Baseline] {
             .into_iter()
             .map(|(name, topo, traffic)| {
                 let exp = find(name);
-                let items = exp.run_items(&ctx_for(topo, traffic), None);
+                let items = exp.run_items(&ctx_for(topo, traffic));
                 let dataset = exp.merge(items.clone());
                 Baseline { name, topo, traffic, items, dataset }
             })
@@ -90,7 +90,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Partitioning the item results of any experiment across N shards (the
-    /// exact ownership rule `run_shard` uses) and merging — with the shards
+    /// striping rule of `Shard::owns`) and merging — with the shards
     /// fed to `merge` in arbitrary rotated order — equals the unsharded
     /// dataset, value- and byte-exactly.
     #[test]
@@ -125,7 +125,7 @@ proptest! {
     }
 }
 
-/// The full process-boundary path: `run_shard` recomputes each half of every
+/// The full process-boundary path: each shard recomputes its half of every
 /// experiment (including the `--topo` overridden ones) from scratch, the
 /// fragments round-trip through their JSON wire format, and the merge of the
 /// parsed fragments is byte-identical to the unsharded run.

@@ -4,40 +4,49 @@
 //! ECMP spreads flows across *shortest* paths only. On a fat-tree that is
 //! plenty (all core paths have equal length); on Jellyfish it leaves most of
 //! the capacity unused because many useful paths are one hop longer than the
-//! shortest. This module enumerates equal-cost shortest paths, truncates them
-//! to an ECMP path budget the way a switch's hash table would, and hashes
-//! flows onto them.
+//! shortest. This module enumerates equal-cost shortest paths and truncates
+//! them to an ECMP path budget the way a switch's hash table would; the
+//! width is [`RoutingScheme::Ecmp`](crate::path_table::RoutingScheme::Ecmp)'s
+//! `way`.
 
-use crate::{shortest::bfs, Path};
+use crate::Path;
+use jellyfish_topology::bfs::UNREACHED;
 use jellyfish_topology::{CsrGraph, NodeId};
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 
 /// Enumerates *all* shortest paths from `src` to `dst`, up to `limit` paths
 /// (the enumeration is depth-first over the shortest-path DAG and stops once
 /// `limit` paths have been produced).
-pub fn all_shortest_paths(csr: &CsrGraph, src: NodeId, dst: NodeId, limit: usize) -> Vec<Path> {
+///
+/// `to_dst` holds every node's hop distance to `dst` ([`UNREACHED`] when
+/// none): row `dst` of an all-pairs
+/// [`DistanceMatrix`](jellyfish_topology::DistanceMatrix), since hop
+/// distances are symmetric on the undirected snapshot.
+pub fn all_shortest_paths(
+    csr: &CsrGraph,
+    to_dst: &[u32],
+    src: NodeId,
+    dst: NodeId,
+    limit: usize,
+) -> Vec<Path> {
     if limit == 0 {
         return Vec::new();
     }
     if src == dst {
         return vec![vec![src]];
     }
-    // Distances *to dst* let us walk the DAG forward from src.
-    let to_dst = bfs(csr, dst).dist;
-    if to_dst[src] == usize::MAX {
+    if to_dst[src] == UNREACHED {
         return Vec::new();
     }
     let mut paths = Vec::new();
     let mut stack: Path = vec![src];
-    dfs_shortest(csr, dst, &to_dst, &mut stack, &mut paths, limit);
+    dfs_shortest(csr, dst, to_dst, &mut stack, &mut paths, limit);
     paths
 }
 
 fn dfs_shortest(
     csr: &CsrGraph,
     dst: NodeId,
-    to_dst: &[usize],
+    to_dst: &[u32],
     stack: &mut Path,
     out: &mut Vec<Path>,
     limit: usize,
@@ -53,7 +62,7 @@ fn dfs_shortest(
     // CSR rows are sorted, so the enumeration order is deterministic.
     for &v in csr.neighbors(u) {
         let v = v as NodeId;
-        if to_dst[v] == usize::MAX || to_dst[v] + 1 != to_dst[u] {
+        if to_dst[v] == UNREACHED || to_dst[v] + 1 != to_dst[u] {
             continue;
         }
         stack.push(v);
@@ -65,58 +74,17 @@ fn dfs_shortest(
     }
 }
 
-/// An ECMP routing configuration: for every source–destination pair, the set
-/// of equal-cost shortest paths a switch fabric with an `way`-wide ECMP group
-/// would install.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EcmpConfig {
-    /// Maximum number of equal-cost paths installed per destination
-    /// (8 and 64 are the widths the paper evaluates).
-    pub way: usize,
-}
-
-impl EcmpConfig {
-    /// Standard 8-way ECMP.
-    pub fn eight_way() -> Self {
-        EcmpConfig { way: 8 }
-    }
-
-    /// 64-way ECMP ("does not perform much better", per the paper).
-    pub fn sixty_four_way() -> Self {
-        EcmpConfig { way: 64 }
-    }
-
-    /// The ECMP path set for one pair: all shortest paths, truncated to the
-    /// ECMP width in deterministic (enumeration) order.
-    pub fn paths(&self, csr: &CsrGraph, src: NodeId, dst: NodeId) -> Vec<Path> {
-        all_shortest_paths(csr, src, dst, self.way)
-    }
-
-    /// Deterministically hashes a flow identifier onto one of the installed
-    /// paths, mimicking per-flow ECMP hashing in hardware.
-    pub fn pick_path<'a>(&self, paths: &'a [Path], flow_id: u64) -> Option<&'a Path> {
-        if paths.is_empty() {
-            return None;
-        }
-        let mut hasher = DefaultHasher::new();
-        flow_id.hash(&mut hasher);
-        let idx = (hasher.finish() as usize) % paths.len();
-        Some(&paths[idx])
-    }
-}
-
-/// Convenience: hash a 5-tuple-ish flow description to a stable flow id.
-pub fn flow_id(src_server: usize, dst_server: usize, subflow: usize) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    (src_server, dst_server, subflow).hash(&mut hasher);
-    hasher.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shortest::all_pairs_distances;
     use jellyfish_topology::fattree::FatTree;
     use jellyfish_topology::JellyfishBuilder;
+
+    /// ECMP paths from `src` to `dst`, reading `dst`'s all-pairs row.
+    fn ecmp(csr: &CsrGraph, src: NodeId, dst: NodeId, limit: usize) -> Vec<Path> {
+        all_shortest_paths(csr, all_pairs_distances(csr).row(dst), src, dst, limit)
+    }
 
     #[test]
     fn all_shortest_paths_in_cycle() {
@@ -126,10 +94,10 @@ mod tests {
         }
         let g = CsrGraph::from_graph(&g);
         // Opposite nodes have exactly 2 shortest paths.
-        let paths = all_shortest_paths(&g, 0, 3, 16);
+        let paths = ecmp(&g, 0, 3, 16);
         assert_eq!(paths.len(), 2);
         // Adjacent nodes have exactly 1.
-        assert_eq!(all_shortest_paths(&g, 0, 1, 16).len(), 1);
+        assert_eq!(ecmp(&g, 0, 1, 16).len(), 1);
     }
 
     #[test]
@@ -137,9 +105,9 @@ mod tests {
         let ft = FatTree::new(4).unwrap();
         let g = &ft.topology().csr();
         // Two edge switches in different pods have (k/2)^2 = 4 shortest paths.
-        let full = all_shortest_paths(g, 0, 2, 64);
+        let full = ecmp(g, 0, 2, 64);
         assert_eq!(full.len(), 4);
-        let limited = all_shortest_paths(g, 0, 2, 2);
+        let limited = ecmp(g, 0, 2, 2);
         assert_eq!(limited.len(), 2);
     }
 
@@ -147,11 +115,11 @@ mod tests {
     fn paths_are_shortest_and_valid() {
         let topo = JellyfishBuilder::new(40, 10, 6).seed(3).build().unwrap();
         let g = &topo.csr();
-        let sp = crate::shortest::shortest_path(g, 1, 30).unwrap();
-        let paths = all_shortest_paths(g, 1, 30, 64);
+        let hops = all_pairs_distances(g).get(1, 30) as usize;
+        let paths = ecmp(g, 1, 30, 64);
         assert!(!paths.is_empty());
         for p in &paths {
-            assert_eq!(p.len(), sp.len(), "not a shortest path: {p:?}");
+            assert_eq!(p.len(), hops + 1, "not a shortest path: {p:?}");
             assert!(crate::is_valid_simple_path(g, p));
         }
         // Distinct.
@@ -164,9 +132,9 @@ mod tests {
         let mut g = jellyfish_topology::Graph::new(3);
         g.add_edge(0, 1);
         let g = CsrGraph::from_graph(&g);
-        assert_eq!(all_shortest_paths(&g, 2, 2, 8), vec![vec![2]]);
-        assert!(all_shortest_paths(&g, 0, 2, 8).is_empty());
-        assert!(all_shortest_paths(&g, 0, 1, 0).is_empty());
+        assert_eq!(ecmp(&g, 2, 2, 8), vec![vec![2]]);
+        assert!(ecmp(&g, 0, 2, 8).is_empty());
+        assert!(ecmp(&g, 0, 1, 0).is_empty());
     }
 
     #[test]
@@ -174,42 +142,9 @@ mod tests {
         let ft = FatTree::new(6).unwrap();
         let g = &ft.topology().csr();
         // Cross-pod edge switches in a k=6 fat-tree have 9 shortest paths.
-        let full = all_shortest_paths(g, 0, 4, 1024);
+        let full = ecmp(g, 0, 4, 1024);
         assert_eq!(full.len(), 9);
-        let eight = EcmpConfig::eight_way().paths(g, 0, 4);
-        assert_eq!(eight.len(), 8);
-        let sixty_four = EcmpConfig::sixty_four_way().paths(g, 0, 4);
-        assert_eq!(sixty_four.len(), 9);
-    }
-
-    #[test]
-    fn flow_hashing_is_deterministic_and_spreads() {
-        let ft = FatTree::new(4).unwrap();
-        let g = &ft.topology().csr();
-        let cfg = EcmpConfig::eight_way();
-        let paths = cfg.paths(g, 0, 2);
-        assert_eq!(paths.len(), 4);
-        let p1 = cfg.pick_path(&paths, 42).unwrap().clone();
-        let p2 = cfg.pick_path(&paths, 42).unwrap().clone();
-        assert_eq!(p1, p2, "same flow id must map to the same path");
-        // Over many flow ids every path should be picked at least once.
-        let mut used = std::collections::HashSet::new();
-        for f in 0..200u64 {
-            used.insert(cfg.pick_path(&paths, f).unwrap().clone());
-        }
-        assert_eq!(used.len(), paths.len());
-    }
-
-    #[test]
-    fn pick_path_empty_set() {
-        let cfg = EcmpConfig::eight_way();
-        assert!(cfg.pick_path(&[], 1).is_none());
-    }
-
-    #[test]
-    fn flow_id_is_stable_and_distinguishes_subflows() {
-        assert_eq!(flow_id(1, 2, 0), flow_id(1, 2, 0));
-        assert_ne!(flow_id(1, 2, 0), flow_id(1, 2, 1));
-        assert_ne!(flow_id(1, 2, 0), flow_id(2, 1, 0));
+        assert_eq!(ecmp(g, 0, 4, 8).len(), 8);
+        assert_eq!(ecmp(g, 0, 4, 64).len(), 9);
     }
 }

@@ -4,12 +4,13 @@
 //! diversity on a random graph — `k`-shortest-path routing (Yen's algorithm)
 //! is needed to use Jellyfish's capacity. This crate provides:
 //!
-//! * [`shortest`] — BFS shortest paths, rayon-parallel all-pairs distances,
-//!   and one reusable, target-terminated weighted Dijkstra;
+//! * [`shortest`] — all-pairs hop distances (from the one BFS kernel in
+//!   `jellyfish_topology::bfs`) and one reusable, target-terminated weighted
+//!   Dijkstra;
 //! * [`yen`] — Yen's loopless k-shortest-paths algorithm (hand-rolled, no
 //!   external graph crate);
-//! * [`ecmp`] — enumeration of equal-cost shortest paths with an ECMP-style
-//!   bounded next-hop fan-out and flow hashing;
+//! * [`ecmp`] — enumeration of equal-cost shortest paths over the
+//!   destination's distance row, truncated to the ECMP width;
 //! * [`path_table`] — per source–destination path sets (the routing state a
 //!   switch would hold), built in parallel, and the link path-count
 //!   statistics behind Figure 9;

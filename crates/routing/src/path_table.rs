@@ -11,7 +11,8 @@
 //! serial per-pair loop would build. Link counts are accumulated in a flat
 //! per-arc array indexed by the snapshot's dense arc ids.
 
-use crate::ecmp::EcmpConfig;
+use crate::ecmp::all_shortest_paths;
+use crate::shortest::all_pairs_distances;
 use crate::yen::k_shortest_paths;
 use crate::Path;
 use jellyfish_topology::{CsrGraph, NodeId};
@@ -49,14 +50,6 @@ impl RoutingScheme {
         RoutingScheme::KShortestPaths { k: 8 }
     }
 
-    /// Computes the path set for one switch pair under this scheme.
-    pub fn paths(&self, csr: &CsrGraph, src: NodeId, dst: NodeId) -> Vec<Path> {
-        match *self {
-            RoutingScheme::Ecmp { way } => EcmpConfig { way }.paths(csr, src, dst),
-            RoutingScheme::KShortestPaths { k } => k_shortest_paths(csr, src, dst, k),
-        }
-    }
-
     /// Human-readable label used in reports and figures.
     pub fn label(&self) -> String {
         match *self {
@@ -76,8 +69,10 @@ pub struct PathTable {
 impl PathTable {
     /// Builds the table for the given switch pairs under `scheme`, computing
     /// the per-pair path sets in parallel. Self-pairs are dropped and a
-    /// repeated pair is computed once; each entry is exactly
-    /// `scheme.paths(csr, src, dst)`.
+    /// repeated pair is computed once. An ECMP entry is
+    /// [`all_shortest_paths`] over the destination's row of one
+    /// [`all_pairs_distances`] matrix, built per call; a KSP entry is
+    /// [`k_shortest_paths`], and KSP builds no matrix.
     pub fn build(
         csr: &CsrGraph,
         scheme: RoutingScheme,
@@ -86,7 +81,18 @@ impl PathTable {
         let mut seen = std::collections::HashSet::new();
         let work: Vec<(NodeId, NodeId)> =
             pairs.into_iter().filter(|&(s, d)| s != d && seen.insert((s, d))).collect();
-        let paths = work.into_par_iter().map(|(s, d)| ((s, d), scheme.paths(csr, s, d))).collect();
+        let paths = match scheme {
+            RoutingScheme::Ecmp { way } => {
+                let dist = all_pairs_distances(csr);
+                work.into_par_iter()
+                    .map(|(s, d)| ((s, d), all_shortest_paths(csr, dist.row(d), s, d, way)))
+                    .collect()
+            }
+            RoutingScheme::KShortestPaths { k } => work
+                .into_par_iter()
+                .map(|(s, d)| ((s, d), k_shortest_paths(csr, s, d, k)))
+                .collect(),
+        };
         PathTable { paths }
     }
 
@@ -174,6 +180,7 @@ impl PathTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jellyfish_topology::bfs::bfs_scalar_into;
     use jellyfish_topology::JellyfishBuilder;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
@@ -189,6 +196,19 @@ mod tests {
             }
         }
         (0..n).map(|s| (s, dsts[s])).collect()
+    }
+
+    /// One pair's path set computed on its own: ECMP over a scalar BFS row
+    /// from the destination, KSP by Yen.
+    fn pair_paths(csr: &CsrGraph, scheme: RoutingScheme, src: NodeId, dst: NodeId) -> Vec<Path> {
+        match scheme {
+            RoutingScheme::Ecmp { way } => {
+                let mut to_dst = vec![0; csr.num_nodes()];
+                bfs_scalar_into(csr, dst, &mut to_dst);
+                all_shortest_paths(csr, &to_dst, src, dst, way)
+            }
+            RoutingScheme::KShortestPaths { k } => k_shortest_paths(csr, src, dst, k),
+        }
     }
 
     #[test]
@@ -218,12 +238,12 @@ mod tests {
         let pairs = permutation_pairs(30, 13);
         for scheme in [RoutingScheme::ecmp8(), RoutingScheme::ksp8()] {
             let par = PathTable::build(&csr, scheme, pairs.iter().copied());
-            // The serial reference: one `scheme.paths` call per pair, and the
+            // The serial reference: one `pair_paths` call per pair, and the
             // per-arc path counts tallied from those paths.
             assert_eq!(par.num_pairs(), pairs.len());
             let mut counts = vec![0usize; csr.num_arcs()];
             for &(s, d) in &pairs {
-                let paths = scheme.paths(&csr, s, d);
+                let paths = pair_paths(&csr, scheme, s, d);
                 assert_eq!(par.paths_for(s, d), paths.as_slice(), "pair ({s}, {d})");
                 for w in paths.iter().flat_map(|p| p.windows(2)) {
                     counts[csr.arc_index(w[0], w[1]).unwrap()] += 1;

@@ -1,111 +1,16 @@
-//! Shortest-path primitives: BFS (unit weights), all-pairs distances, and
+//! Shortest-path primitives: all-pairs hop distances (re-exported from
+//! [`jellyfish_topology::bfs`], where the one BFS kernel lives) and
 //! [`ShortestPathSearch`], the one weighted Dijkstra, which Yen's algorithm
 //! and the Garg–Könemann flow solver share.
 //!
-//! All functions traverse an immutable [`CsrGraph`] snapshot; the all-pairs
-//! sweep fans 64-source batches out with rayon and concatenates them in
-//! source order, so the fan-out never changes the result.
+//! All functions traverse an immutable [`CsrGraph`] snapshot.
 
 use crate::Path;
-use jellyfish_topology::bfs::{ms_bfs_into, MsBfsScratch};
 use jellyfish_topology::{ArcId, CsrGraph, NodeId};
-use rayon::prelude::*;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
-pub use jellyfish_topology::bfs::{DistanceMatrix, UNREACHED};
-
-/// Result of a single-source BFS: distances and parent pointers.
-#[derive(Debug, Clone)]
-pub struct BfsTree {
-    /// Distance (in hops) from the source; `usize::MAX` when unreachable.
-    pub dist: Vec<usize>,
-    /// Parent of each node in the BFS tree; `usize::MAX` for the source and
-    /// unreachable nodes.
-    pub parent: Vec<usize>,
-    /// The source node.
-    pub source: NodeId,
-}
-
-impl BfsTree {
-    /// Extracts the (unique, per this tree) shortest path to `dst`, or `None`
-    /// if unreachable.
-    pub fn path_to(&self, dst: NodeId) -> Option<Path> {
-        if self.dist[dst] == usize::MAX {
-            return None;
-        }
-        let mut path = vec![dst];
-        let mut cur = dst;
-        while cur != self.source {
-            cur = self.parent[cur];
-            path.push(cur);
-        }
-        path.reverse();
-        Some(path)
-    }
-}
-
-/// Breadth-first search from `source`.
-pub fn bfs(csr: &CsrGraph, source: NodeId) -> BfsTree {
-    let n = csr.num_nodes();
-    let mut dist = vec![usize::MAX; n];
-    let mut parent = vec![usize::MAX; n];
-    let mut queue = VecDeque::new();
-    dist[source] = 0;
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u];
-        for &v in csr.neighbors(u) {
-            let v = v as usize;
-            if dist[v] == usize::MAX {
-                dist[v] = du + 1;
-                parent[v] = u;
-                queue.push_back(v);
-            }
-        }
-    }
-    BfsTree { dist, parent, source }
-}
-
-/// One shortest path from `src` to `dst` (hop count metric), or `None` if
-/// unreachable.
-pub fn shortest_path(csr: &CsrGraph, src: NodeId, dst: NodeId) -> Option<Path> {
-    bfs(csr, src).path_to(dst)
-}
-
-/// Sources per parallel task in [`all_pairs_distances`]: one multi-source
-/// bit-parallel BFS batch (64 `u64` lanes), so a task sweeps the edge list
-/// once per BFS level for its whole block. Blocks are concatenated in source
-/// order, so the fan-out never changes the result.
-const ALL_PAIRS_BLOCK: usize = 64;
-
-/// All-pairs shortest-path distances (hop counts) as a flat row-major
-/// [`DistanceMatrix`] (`row(src)[dst]`, [`UNREACHED`] when unreachable).
-/// One rayon task per 64-source batch; every row equals a single-source
-/// [`bfs_scalar_into`](jellyfish_topology::bfs::bfs_scalar_into) from that
-/// source.
-pub fn all_pairs_distances(csr: &CsrGraph) -> DistanceMatrix {
-    let n = csr.num_nodes();
-    let num_blocks = n.div_ceil(ALL_PAIRS_BLOCK);
-    let blocks: Vec<Vec<u32>> = (0..num_blocks)
-        .collect::<Vec<_>>()
-        .into_par_iter()
-        .map(|b| {
-            let start = b * ALL_PAIRS_BLOCK;
-            let end = (start + ALL_PAIRS_BLOCK).min(n);
-            let sources: Vec<NodeId> = (start..end).collect();
-            let mut data = vec![UNREACHED; (end - start) * n];
-            let mut scratch = MsBfsScratch::new(n);
-            ms_bfs_into(csr, &sources, &mut data, &mut scratch);
-            data
-        })
-        .collect();
-    let mut data = Vec::with_capacity(n * n);
-    for block in blocks {
-        data.extend_from_slice(&block);
-    }
-    DistanceMatrix::from_flat(n, data)
-}
+pub use jellyfish_topology::bfs::{all_pairs_distances, DistanceMatrix, UNREACHED};
 
 /// A reusable point-to-point Dijkstra: the one weighted shortest-path search
 /// in the workspace, shared by Yen's spur searches and the Garg–Könemann
@@ -246,33 +151,35 @@ mod tests {
 
     #[test]
     fn bfs_distances_on_grid() {
-        let g = grid3x3();
-        let t = bfs(&g, 0);
-        assert_eq!(t.dist[0], 0);
-        assert_eq!(t.dist[8], 4);
-        assert_eq!(t.dist[4], 2);
+        let d = all_pairs_distances(&grid3x3());
+        assert_eq!(d.get(0, 0), 0);
+        assert_eq!(d.get(0, 8), 4);
+        assert_eq!(d.get(0, 4), 2);
     }
 
     #[test]
     fn bfs_path_reconstruction() {
+        // One shortest path is the first ECMP path over the destination's
+        // distance row.
         let g = grid3x3();
-        let t = bfs(&g, 0);
-        let p = t.path_to(8).unwrap();
+        let d = all_pairs_distances(&g);
+        let paths = crate::ecmp::all_shortest_paths(&g, d.row(8), 0, 8, 1);
+        let p = &paths[0];
         assert_eq!(p.first(), Some(&0));
         assert_eq!(p.last(), Some(&8));
         assert_eq!(p.len(), 5);
-        assert!(crate::is_valid_simple_path(&g, &p));
-        assert_eq!(t.path_to(0).unwrap(), vec![0]);
+        assert!(crate::is_valid_simple_path(&g, p));
+        assert_eq!(crate::ecmp::all_shortest_paths(&g, d.row(0), 0, 0, 1), vec![vec![0]]);
     }
 
     #[test]
     fn bfs_unreachable() {
         let mut g = Graph::new(3);
         g.add_edge(0, 1);
-        let csr = CsrGraph::from_graph(&g);
-        let t = bfs(&csr, 0);
-        assert!(t.path_to(2).is_none());
-        assert_eq!(t.dist[2], usize::MAX);
+        let d = all_pairs_distances(&CsrGraph::from_graph(&g));
+        assert_eq!(d.get(0, 1), 1);
+        assert_eq!(d.get(0, 2), UNREACHED);
+        assert_eq!(d.get(2, 0), UNREACHED);
     }
 
     #[test]
@@ -291,9 +198,10 @@ mod tests {
     #[test]
     fn parallel_all_pairs_matches_serial() {
         // 60 nodes fill one 64-source block; 150 nodes make three, the last
-        // partial. On the 130-node graph (a path across the first block
-        // boundary, one link across the second, every other node isolated)
-        // most pairs are unreachable.
+        // partial; 300 nodes cross the serial threshold, so their five blocks
+        // fan out to worker threads. On the 130-node graph (a path across the
+        // first block boundary, one link across the second, every other node
+        // isolated) most pairs are unreachable.
         let mut sparse = Graph::new(130);
         for v in 56..72 {
             sparse.add_edge(v, v + 1);
@@ -302,6 +210,7 @@ mod tests {
         let graphs = [
             JellyfishBuilder::new(60, 10, 6).seed(11).build().unwrap().csr(),
             JellyfishBuilder::new(150, 10, 6).seed(11).build().unwrap().csr(),
+            JellyfishBuilder::new(300, 10, 6).seed(11).build().unwrap().csr(),
             CsrGraph::from_graph(&sparse),
         ];
         for csr in &graphs {
@@ -320,13 +229,14 @@ mod tests {
     fn dijkstra_unit_weights_matches_bfs() {
         let topo = JellyfishBuilder::new(40, 8, 5).seed(2).build().unwrap();
         let g = topo.csr();
-        let b = bfs(&g, 0);
+        let all = all_pairs_distances(&g);
+        let hops = all.row(0);
         let mut search = ShortestPathSearch::new();
         let mut arcs = Vec::new();
         for v in g.nodes() {
             let d = search.find_path(&g, 0, v, |_, _| 1.0, &mut arcs).unwrap();
-            assert_eq!(d, b.dist[v] as f64, "node {v}");
-            assert_eq!(arcs.len(), b.dist[v], "node {v}");
+            assert_eq!(d, f64::from(hops[v]), "node {v}");
+            assert_eq!(arcs.len(), hops[v] as usize, "node {v}");
         }
     }
 

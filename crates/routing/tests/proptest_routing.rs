@@ -2,12 +2,25 @@
 //! enumeration and path tables, exercised over random Jellyfish topologies.
 
 use jellyfish_routing::ecmp::all_shortest_paths;
-use jellyfish_routing::is_valid_simple_path;
 use jellyfish_routing::path_table::{PathTable, RoutingScheme};
-use jellyfish_routing::shortest::{bfs, shortest_path};
+use jellyfish_routing::shortest::all_pairs_distances;
 use jellyfish_routing::yen::k_shortest_paths;
-use jellyfish_topology::JellyfishBuilder;
+use jellyfish_routing::{is_valid_simple_path, Path};
+use jellyfish_topology::bfs::bfs_scalar_into;
+use jellyfish_topology::{CsrGraph, JellyfishBuilder, NodeId};
 use proptest::prelude::*;
+
+/// One pair's path set computed on its own.
+fn pair_paths(csr: &CsrGraph, scheme: RoutingScheme, src: NodeId, dst: NodeId) -> Vec<Path> {
+    match scheme {
+        RoutingScheme::Ecmp { way } => {
+            let mut to_dst = vec![0; csr.num_nodes()];
+            bfs_scalar_into(csr, dst, &mut to_dst);
+            all_shortest_paths(csr, &to_dst, src, dst, way)
+        }
+        RoutingScheme::KShortestPaths { k } => k_shortest_paths(csr, src, dst, k),
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -27,8 +40,8 @@ proptest! {
         let paths = k_shortest_paths(g, src, dst, k);
         prop_assert!(!paths.is_empty());
         prop_assert!(paths.len() <= k);
-        let sp = shortest_path(g, src, dst).unwrap();
-        prop_assert_eq!(paths[0].len(), sp.len());
+        let hops = all_pairs_distances(g).get(src, dst) as usize;
+        prop_assert_eq!(paths[0].len(), hops + 1);
         for w in paths.windows(2) {
             prop_assert!(w[0].len() <= w[1].len(), "paths not sorted by length");
         }
@@ -46,13 +59,13 @@ proptest! {
     fn ecmp_paths_are_shortest(n in 10usize..40, seed in any::<u64>()) {
         let topo = JellyfishBuilder::new(n, 8, 5).seed(seed).build().unwrap();
         let g = &topo.csr();
-        let dist = bfs(g, 1).dist;
+        let dist = all_pairs_distances(g);
         for dst in [n - 1, n / 2, 2] {
             if dst == 1 { continue; }
-            let paths = all_shortest_paths(g, 1, dst, 32);
+            let paths = all_shortest_paths(g, dist.row(dst), 1, dst, 32);
             prop_assert!(!paths.is_empty());
             for p in &paths {
-                prop_assert_eq!(p.len() - 1, dist[dst]);
+                prop_assert_eq!(p.len() - 1, dist.get(1, dst) as usize);
                 prop_assert!(is_valid_simple_path(g, p));
             }
         }
@@ -66,7 +79,7 @@ proptest! {
     fn ksp_at_least_as_many_paths_as_ecmp(n in 12usize..40, seed in any::<u64>()) {
         let topo = JellyfishBuilder::new(n, 8, 5).seed(seed).build().unwrap();
         let g = &topo.csr();
-        let ecmp = all_shortest_paths(g, 0, n - 1, 8);
+        let ecmp = all_shortest_paths(g, all_pairs_distances(g).row(n - 1), 0, n - 1, 8);
         let ksp = k_shortest_paths(g, 0, n - 1, 8);
         prop_assert!(ksp.len() >= ecmp.len());
     }
@@ -86,9 +99,10 @@ proptest! {
         prop_assert_eq!(counts.len(), 2 * topo.num_links());
     }
 
-    /// The rayon path-table build is identical to a serial per-pair
-    /// `scheme.paths` loop for every scheme and workload, down to the ranked
-    /// per-link path counts — parallelism must never change results.
+    /// The rayon path-table build is identical to a serial per-pair loop
+    /// (ECMP over a scalar BFS row from the destination, KSP by Yen) for
+    /// every scheme and workload, down to the ranked per-link path counts —
+    /// parallelism and the shared distance matrix must never change results.
     #[test]
     fn path_table_parallel_matches_serial(n in 10usize..30, seed in any::<u64>()) {
         let topo = JellyfishBuilder::new(n, 8, 5).seed(seed).build().unwrap();
@@ -99,7 +113,7 @@ proptest! {
             prop_assert_eq!(par.num_pairs(), pairs.len());
             let mut counts = vec![0usize; csr.num_arcs()];
             for &(s, d) in &pairs {
-                let paths = scheme.paths(&csr, s, d);
+                let paths = pair_paths(&csr, scheme, s, d);
                 prop_assert_eq!(par.paths_for(s, d), paths.as_slice(), "pair ({}, {})", s, d);
                 for w in paths.iter().flat_map(|p| p.windows(2)) {
                     counts[csr.arc_index(w[0], w[1]).unwrap()] += 1;

@@ -489,8 +489,9 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routing::{PathPolicy, TransportPolicy};
+    use crate::routing::TransportPolicy;
     use crate::workload::build_connections;
+    use jellyfish_routing::path_table::RoutingScheme;
     use jellyfish_topology::JellyfishBuilder;
     use jellyfish_traffic::{ServerMap, TrafficMatrix};
 
@@ -501,7 +502,7 @@ mod tests {
         switches: usize,
         ports: usize,
         degree: usize,
-        path_policy: PathPolicy,
+        path_policy: RoutingScheme,
         transport: TransportPolicy,
         seed: u64,
     ) -> SimReport {
@@ -531,7 +532,7 @@ mod tests {
             &csr,
             &servers,
             &tm,
-            PathPolicy::ksp8(),
+            RoutingScheme::ksp8(),
             TransportPolicy::Tcp { flows: 1 },
             3,
         );
@@ -569,7 +570,7 @@ mod tests {
             &csr,
             &servers,
             &tm,
-            PathPolicy::ecmp8(),
+            RoutingScheme::ecmp8(),
             TransportPolicy::Tcp { flows: 1 },
             1,
         );
@@ -598,10 +599,10 @@ mod tests {
         // where ECMP's shortest-path diversity genuinely runs out — see
         // EXPERIMENTS.md and the `figures run table1` command.)
         let ecmp =
-            small_sim(12, 9, 6, PathPolicy::ecmp8(), TransportPolicy::Mptcp { subflows: 8 }, 5);
+            small_sim(12, 9, 6, RoutingScheme::ecmp8(), TransportPolicy::Mptcp { subflows: 8 }, 5);
         let ksp =
-            small_sim(12, 9, 6, PathPolicy::ksp8(), TransportPolicy::Mptcp { subflows: 8 }, 5);
-        let tcp8 = small_sim(12, 9, 6, PathPolicy::ksp8(), TransportPolicy::Tcp { flows: 8 }, 5);
+            small_sim(12, 9, 6, RoutingScheme::ksp8(), TransportPolicy::Mptcp { subflows: 8 }, 5);
+        let tcp8 = small_sim(12, 9, 6, RoutingScheme::ksp8(), TransportPolicy::Tcp { flows: 8 }, 5);
         for (label, report) in [("ecmp/mptcp", &ecmp), ("ksp/mptcp", &ksp), ("ksp/tcp8", &tcp8)] {
             let m = report.mean_throughput();
             assert!(m > 0.3 && m <= 1.0, "{label}: implausible mean throughput {m}");
@@ -611,7 +612,7 @@ mod tests {
         assert!(ksp.mean_throughput() >= 0.8 * ecmp.mean_throughput());
         // Determinism: identical seed, identical result.
         let ksp_again =
-            small_sim(12, 9, 6, PathPolicy::ksp8(), TransportPolicy::Mptcp { subflows: 8 }, 5);
+            small_sim(12, 9, 6, RoutingScheme::ksp8(), TransportPolicy::Mptcp { subflows: 8 }, 5);
         assert_eq!(ksp.mean_throughput(), ksp_again.mean_throughput());
     }
 
@@ -662,7 +663,8 @@ mod tests {
 
     #[test]
     fn runs_collect_post_warmup_rtt_samples() {
-        let report = small_sim(12, 9, 6, PathPolicy::ksp8(), TransportPolicy::Tcp { flows: 1 }, 5);
+        let report =
+            small_sim(12, 9, 6, RoutingScheme::ksp8(), TransportPolicy::Tcp { flows: 1 }, 5);
         assert!(!report.rtt_samples.is_empty(), "a busy run must observe RTTs");
         // Every sample is at least one uncongested round trip.
         let params = LinkParams::default();
@@ -682,7 +684,7 @@ mod tests {
                 &csr,
                 &servers,
                 &tm,
-                PathPolicy::ksp8(),
+                RoutingScheme::ksp8(),
                 TransportPolicy::Mptcp { subflows: 8 },
                 5,
             );

@@ -133,8 +133,9 @@ pub fn max_min_fair_allocation(connections: &[Connection]) -> FluidReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routing::{PathPolicy, TransportPolicy};
+    use crate::routing::TransportPolicy;
     use crate::workload::build_connections;
+    use jellyfish_routing::path_table::RoutingScheme;
     use jellyfish_topology::{Graph, JellyfishBuilder, Topology};
     use jellyfish_traffic::{Flow, ServerMap, TrafficMatrix};
 
@@ -157,7 +158,7 @@ mod tests {
             &topo.csr(),
             &servers,
             &tm,
-            PathPolicy::ecmp8(),
+            RoutingScheme::ecmp8(),
             TransportPolicy::Tcp { flows: 1 },
             1,
         );
@@ -179,7 +180,7 @@ mod tests {
             &topo.csr(),
             &servers,
             &tm,
-            PathPolicy::ecmp8(),
+            RoutingScheme::ecmp8(),
             TransportPolicy::Tcp { flows: 1 },
             1,
         );
@@ -205,7 +206,7 @@ mod tests {
             &topo.csr(),
             &servers,
             &tm,
-            PathPolicy::ksp8(),
+            RoutingScheme::ksp8(),
             TransportPolicy::Mptcp { subflows: 8 },
             1,
         );
@@ -228,7 +229,7 @@ mod tests {
             &csr,
             &servers,
             &tm,
-            PathPolicy::ecmp8(),
+            RoutingScheme::ecmp8(),
             TransportPolicy::Tcp { flows: 1 },
             2,
         );
@@ -236,7 +237,7 @@ mod tests {
             &csr,
             &servers,
             &tm,
-            PathPolicy::ksp8(),
+            RoutingScheme::ksp8(),
             TransportPolicy::Mptcp { subflows: 8 },
             2,
         );
@@ -275,7 +276,7 @@ mod tests {
             &topo.csr(),
             &servers,
             &tm,
-            PathPolicy::ksp8(),
+            RoutingScheme::ksp8(),
             TransportPolicy::Tcp { flows: 8 },
             4,
         );

@@ -15,7 +15,7 @@
 //!   congestion windows of a connection's subflows.
 //! * [`engine`] — the discrete-event loop tying it together and reporting
 //!   per-connection goodput.
-//! * [`routing`] — path assignment policies: ECMP hashing over shortest
+//! * [`routing`] — subflow path assignment: ECMP hashing over shortest
 //!   paths, or spreading subflows over Yen's k shortest paths.
 //! * [`workload`] — building simulated connections from a
 //!   [`jellyfish_traffic::TrafficMatrix`].
@@ -43,5 +43,10 @@ pub mod tcp;
 pub mod workload;
 
 pub use engine::{SimConfig, SimReport, Simulator};
-pub use routing::{PathPolicy, TransportPolicy};
+/// [`RoutingScheme`](jellyfish_routing::path_table::RoutingScheme) under
+/// its former name here. The perfbench harness, which changes only with the
+/// benchmark, calls `jellyfish::sim::PathPolicy::ksp8()`; drop this alias
+/// together with that call.
+pub use jellyfish_routing::path_table::RoutingScheme as PathPolicy;
+pub use routing::TransportPolicy;
 pub use workload::build_connections;

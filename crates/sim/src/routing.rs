@@ -1,61 +1,17 @@
-//! Path-assignment policies for simulated connections.
+//! Subflow path assignment for simulated connections.
 //!
 //! The paper's §5 combinations are ECMP (8-way or 64-way, shortest paths
 //! only) versus Yen's 8-shortest-path routing, crossed with TCP (1 or 8
-//! flows per server pair) and MPTCP (8 subflows). Here a *policy* turns a
-//! switch pair into the candidate path set, and the transport policy decides
-//! how many subflows a connection opens and how they are distributed over
-//! those paths.
+//! flows per server pair) and MPTCP (8 subflows). A [`RoutingScheme`] turns a
+//! switch pair into its candidate path set (one
+//! [`PathTable`](jellyfish_routing::path_table::PathTable) entry), and the
+//! transport policy decides how many subflows a connection opens and how
+//! they are distributed over those paths.
 
-use jellyfish_routing::ecmp::EcmpConfig;
-use jellyfish_routing::yen::k_shortest_paths;
+use jellyfish_routing::path_table::RoutingScheme;
 use jellyfish_routing::Path;
-use jellyfish_topology::{CsrGraph, NodeId};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-
-/// How candidate switch-level paths are computed for a server pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PathPolicy {
-    /// Equal-cost multipath over shortest paths with the given width.
-    Ecmp {
-        /// ECMP group width (8 or 64 in the paper).
-        way: usize,
-    },
-    /// Yen's k-shortest-path routing.
-    KShortest {
-        /// Number of paths per switch pair (8 in the paper).
-        k: usize,
-    },
-}
-
-impl PathPolicy {
-    /// The paper's default ECMP (8-way).
-    pub fn ecmp8() -> Self {
-        PathPolicy::Ecmp { way: 8 }
-    }
-
-    /// The paper's k-shortest-path routing (k = 8).
-    pub fn ksp8() -> Self {
-        PathPolicy::KShortest { k: 8 }
-    }
-
-    /// Candidate switch-level paths between two switches.
-    pub fn candidate_paths(&self, csr: &CsrGraph, src: NodeId, dst: NodeId) -> Vec<Path> {
-        match *self {
-            PathPolicy::Ecmp { way } => EcmpConfig { way }.paths(csr, src, dst),
-            PathPolicy::KShortest { k } => k_shortest_paths(csr, src, dst, k),
-        }
-    }
-
-    /// Label for reports.
-    pub fn label(&self) -> String {
-        match *self {
-            PathPolicy::Ecmp { way } => format!("ECMP-{way}"),
-            PathPolicy::KShortest { k } => format!("{k}-shortest-paths"),
-        }
-    }
-}
 
 /// Transport configuration of a server pair's traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,7 +53,8 @@ impl TransportPolicy {
     }
 }
 
-/// Assigns a switch-level path to each subflow of a connection.
+/// Assigns one of a switch pair's `candidates` (its path-table entry under
+/// `scheme`) to each subflow of a connection.
 ///
 /// * Under ECMP, every subflow is hashed independently onto one of the
 ///   equal-cost shortest paths (distinct subflows may collide on the same
@@ -105,22 +62,19 @@ impl TransportPolicy {
 /// * Under k-shortest-path routing, MPTCP-style spreading places subflow `i`
 ///   on path `i mod |paths|`, while independent TCP flows are hashed.
 pub fn assign_subflow_paths(
-    csr: &CsrGraph,
-    src_switch: NodeId,
-    dst_switch: NodeId,
-    path_policy: PathPolicy,
+    candidates: &[Path],
+    scheme: RoutingScheme,
     transport: TransportPolicy,
     pair_seed: u64,
 ) -> Vec<Path> {
-    let candidates = path_policy.candidate_paths(csr, src_switch, dst_switch);
     if candidates.is_empty() {
         return Vec::new();
     }
     let n = transport.subflow_count();
     (0..n)
         .map(|i| {
-            let idx = match (path_policy, transport) {
-                (PathPolicy::KShortest { .. }, TransportPolicy::Mptcp { .. }) => {
+            let idx = match (scheme, transport) {
+                (RoutingScheme::KShortestPaths { .. }, TransportPolicy::Mptcp { .. }) => {
                     i % candidates.len()
                 }
                 _ => {
@@ -137,16 +91,21 @@ pub fn assign_subflow_paths(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jellyfish_topology::JellyfishBuilder;
+    use jellyfish_routing::path_table::PathTable;
+    use jellyfish_routing::shortest::all_pairs_distances;
+    use jellyfish_topology::{CsrGraph, JellyfishBuilder, NodeId};
 
     fn snapshot() -> CsrGraph {
         JellyfishBuilder::new(30, 10, 6).seed(4).build().unwrap().csr()
     }
 
+    /// The pair's path-table entry under `scheme`.
+    fn candidates(csr: &CsrGraph, scheme: RoutingScheme, src: NodeId, dst: NodeId) -> Vec<Path> {
+        PathTable::build(csr, scheme, [(src, dst)]).paths_for(src, dst).to_vec()
+    }
+
     #[test]
     fn labels() {
-        assert_eq!(PathPolicy::ecmp8().label(), "ECMP-8");
-        assert_eq!(PathPolicy::ksp8().label(), "8-shortest-paths");
         assert_eq!(TransportPolicy::Tcp { flows: 1 }.label(), "TCP 1 flow");
         assert_eq!(TransportPolicy::Tcp { flows: 8 }.label(), "TCP 8 flows");
         assert_eq!(TransportPolicy::Mptcp { subflows: 8 }.label(), "MPTCP 8 subflows");
@@ -164,43 +123,40 @@ mod tests {
     #[test]
     fn mptcp_over_ksp_spreads_across_distinct_paths() {
         let csr = snapshot();
+        let ksp = candidates(&csr, RoutingScheme::ksp8(), 0, 15);
         let paths = assign_subflow_paths(
-            &csr,
-            0,
-            15,
-            PathPolicy::ksp8(),
+            &ksp,
+            RoutingScheme::ksp8(),
             TransportPolicy::Mptcp { subflows: 8 },
             7,
         );
         assert_eq!(paths.len(), 8);
         let distinct: std::collections::HashSet<_> = paths.iter().collect();
         // With 8 candidate paths available, every subflow gets its own path.
-        let candidates = PathPolicy::ksp8().candidate_paths(&csr, 0, 15);
-        assert_eq!(distinct.len(), candidates.len().min(8));
+        assert_eq!(distinct.len(), ksp.len().min(8));
     }
 
     #[test]
     fn ecmp_uses_only_shortest_paths() {
         let g = &snapshot();
-        let sp_len = jellyfish_routing::shortest::shortest_path(g, 0, 15).unwrap().len();
+        let hops = all_pairs_distances(g).get(0, 15) as usize;
+        let ecmp = candidates(g, RoutingScheme::ecmp8(), 0, 15);
         let paths = assign_subflow_paths(
-            g,
-            0,
-            15,
-            PathPolicy::ecmp8(),
+            &ecmp,
+            RoutingScheme::ecmp8(),
             TransportPolicy::Tcp { flows: 8 },
             3,
         );
         assert_eq!(paths.len(), 8);
         for p in &paths {
-            assert_eq!(p.len(), sp_len, "ECMP must not use longer paths");
+            assert_eq!(p.len(), hops + 1, "ECMP must not use longer paths");
         }
     }
 
     #[test]
     fn ksp_can_use_longer_paths() {
         let g = &snapshot();
-        let candidates = PathPolicy::ksp8().candidate_paths(g, 0, 15);
+        let candidates = candidates(g, RoutingScheme::ksp8(), 0, 15);
         let sp_len = candidates[0].len();
         assert!(
             candidates.iter().any(|p| p.len() > sp_len),
@@ -211,23 +167,16 @@ mod tests {
     #[test]
     fn assignment_is_deterministic_per_seed() {
         let csr = snapshot();
-        let a = assign_subflow_paths(
-            &csr,
-            2,
-            20,
-            PathPolicy::ecmp8(),
-            TransportPolicy::Tcp { flows: 4 },
-            9,
-        );
-        let b = assign_subflow_paths(
-            &csr,
-            2,
-            20,
-            PathPolicy::ecmp8(),
-            TransportPolicy::Tcp { flows: 4 },
-            9,
-        );
-        assert_eq!(a, b);
+        let ecmp = candidates(&csr, RoutingScheme::ecmp8(), 2, 20);
+        let assign = || {
+            assign_subflow_paths(
+                &ecmp,
+                RoutingScheme::ecmp8(),
+                TransportPolicy::Tcp { flows: 4 },
+                9,
+            )
+        };
+        assert_eq!(assign(), assign());
     }
 
     #[test]
@@ -235,11 +184,11 @@ mod tests {
         let mut g = jellyfish_topology::Graph::new(3);
         g.add_edge(0, 1);
         let csr = CsrGraph::from_graph(&g);
+        let ecmp = candidates(&csr, RoutingScheme::ecmp8(), 0, 2);
+        assert!(ecmp.is_empty());
         let paths = assign_subflow_paths(
-            &csr,
-            0,
-            2,
-            PathPolicy::ecmp8(),
+            &ecmp,
+            RoutingScheme::ecmp8(),
             TransportPolicy::Tcp { flows: 1 },
             0,
         );

@@ -5,15 +5,16 @@
 //! host), and the transport policy says whether the subflows are independent
 //! TCP flows or LIA-coupled MPTCP subflows.
 //!
-//! Per-flow path assignment is independent (each flow derives its own seed
-//! from its index), so [`build_connections`] fans the per-flow path
-//! computations out with rayon while producing exactly the serial order.
+//! [`build_connections`] computes candidate paths once per distinct
+//! inter-rack switch pair, as one [`PathTable`] built in parallel, and then
+//! assigns each flow's subflows from its pair's entry with a seed derived
+//! from the flow's index.
 
 use crate::net::SimNode;
-use crate::routing::{assign_subflow_paths, PathPolicy, TransportPolicy};
+use crate::routing::{assign_subflow_paths, TransportPolicy};
+use jellyfish_routing::path_table::{PathTable, RoutingScheme};
 use jellyfish_topology::CsrGraph;
-use jellyfish_traffic::{FlowStream, ServerMap, TrafficMatrix};
-use rayon::prelude::*;
+use jellyfish_traffic::{Flow, FlowStream, ServerMap, TrafficMatrix};
 
 /// One simulated connection (one traffic-matrix entry).
 #[derive(Debug, Clone)]
@@ -36,19 +37,19 @@ impl Connection {
     }
 }
 
-/// Builds the connections for a traffic matrix under the given routing and
-/// transport policies. Connections whose endpoints are disconnected in the
-/// switch graph are skipped (they would get zero throughput; the paper's
-/// topologies are always connected).
+/// Builds the connections for a traffic matrix under the given routing
+/// scheme and transport policy. Connections whose endpoints are disconnected
+/// in the switch graph are skipped (they would get zero throughput; the
+/// paper's topologies are always connected).
 pub fn build_connections(
     csr: &CsrGraph,
     servers: &ServerMap,
     tm: &TrafficMatrix,
-    path_policy: PathPolicy,
+    scheme: RoutingScheme,
     transport: TransportPolicy,
     seed: u64,
 ) -> Vec<Connection> {
-    build_connections_stream(csr, servers, tm.stream(), path_policy, transport, seed)
+    build_connections_stream(csr, servers, tm.stream(), scheme, transport, seed)
 }
 
 /// Stream-accepting variant of [`build_connections`]: the flows are drawn
@@ -62,27 +63,28 @@ pub fn build_connections_stream(
     csr: &CsrGraph,
     servers: &ServerMap,
     flows: FlowStream,
-    path_policy: PathPolicy,
+    scheme: RoutingScheme,
     transport: TransportPolicy,
     seed: u64,
 ) -> Vec<Connection> {
     let num_switches = csr.num_nodes();
     let host_node = |server: usize| num_switches + server;
-    let flows: Vec<(usize, jellyfish_traffic::Flow)> = flows.enumerate().collect();
+    let flows: Vec<Flow> = flows.collect();
+    let switches = |flow: &Flow| (servers.switch_of(flow.src), servers.switch_of(flow.dst));
+    // The table drops intra-rack (self) pairs and computes each pair once.
+    let table = PathTable::build(csr, scheme, flows.iter().map(switches));
     flows
-        .into_par_iter()
-        .map(|(idx, flow)| {
-            let src_switch = servers.switch_of(flow.src);
-            let dst_switch = servers.switch_of(flow.dst);
+        .iter()
+        .enumerate()
+        .filter_map(|(idx, flow)| {
+            let (src_switch, dst_switch) = switches(flow);
             let switch_paths: Vec<Vec<usize>> = if src_switch == dst_switch {
                 // Intra-rack traffic: every subflow just hops through the ToR.
                 vec![vec![src_switch]; transport.subflow_count()]
             } else {
                 assign_subflow_paths(
-                    csr,
-                    src_switch,
-                    dst_switch,
-                    path_policy,
+                    table.paths_for(src_switch, dst_switch),
+                    scheme,
                     transport,
                     seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
                 )
@@ -107,9 +109,6 @@ pub fn build_connections_stream(
                 coupled: transport.coupled(),
             })
         })
-        .collect::<Vec<Option<Connection>>>()
-        .into_iter()
-        .flatten()
         .collect()
 }
 
@@ -132,7 +131,7 @@ mod tests {
             &topo.csr(),
             &servers,
             &tm,
-            PathPolicy::ksp8(),
+            RoutingScheme::ksp8(),
             TransportPolicy::Mptcp { subflows: 8 },
             1,
         );
@@ -151,7 +150,7 @@ mod tests {
             &csr,
             &servers,
             &tm,
-            PathPolicy::ecmp8(),
+            RoutingScheme::ecmp8(),
             TransportPolicy::Tcp { flows: 1 },
             5,
         );
@@ -191,7 +190,7 @@ mod tests {
             &topo.csr(),
             &servers,
             &tm,
-            PathPolicy::ksp8(),
+            RoutingScheme::ksp8(),
             TransportPolicy::Tcp { flows: 2 },
             1,
         );
@@ -211,7 +210,7 @@ mod tests {
                 &csr,
                 &servers,
                 &tm,
-                PathPolicy::ecmp8(),
+                RoutingScheme::ecmp8(),
                 TransportPolicy::Tcp { flows },
                 2,
             );

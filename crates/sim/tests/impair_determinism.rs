@@ -5,10 +5,11 @@
 //! `figures run --shard K/N` and `figures launch` reproduce an impaired
 //! single-process run bit for bit.
 
+use jellyfish_routing::path_table::RoutingScheme;
 use jellyfish_sim::engine::{SimConfig, Simulator};
 use jellyfish_sim::impair::stream_seed;
 use jellyfish_sim::net::{LinkParams, Network};
-use jellyfish_sim::routing::{PathPolicy, TransportPolicy};
+use jellyfish_sim::routing::TransportPolicy;
 use jellyfish_sim::workload::build_connections;
 use jellyfish_topology::spec::{ImpairConfig, JitterDist};
 use jellyfish_topology::JellyfishBuilder;
@@ -144,7 +145,7 @@ proptest! {
                 &csr,
                 &servers,
                 &tm,
-                PathPolicy::ksp8(),
+                RoutingScheme::ksp8(),
                 TransportPolicy::Mptcp { subflows: 8 },
                 seed,
             );

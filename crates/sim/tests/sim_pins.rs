@@ -9,17 +9,20 @@
 //! against the value the simulator produced before its event queue, hop
 //! resolution, send-time table and LIA buffers were rewritten. The report's
 //! work counters (events handled, wire losses, transmit attempts on missing
-//! links) entered it with that rewrite and are pinned from it.
+//! links) entered it with that rewrite and are pinned from it. The pins also
+//! held when connection building moved from a per-flow path computation to
+//! one path table per distinct switch pair.
 //!
-//! The runs cross {ECMP-8, 8-shortest-paths} × {TCP 1, TCP 8, MPTCP 8} ×
+//! The runs cross {8-way ECMP, 8 Shortest Paths} × {TCP 1, TCP 8, MPTCP 8} ×
 //! {ideal fabric, impaired fabric with every knob on} on a tiny Jellyfish,
 //! plus one run whose connections are routed on the intact fabric and
 //! simulated on a fabric with a fifth of its links failed, so packets hit
 //! links that no longer exist.
 
+use jellyfish_routing::path_table::RoutingScheme;
 use jellyfish_sim::engine::{SimConfig, SimReport, Simulator};
 use jellyfish_sim::net::{LinkParams, Network};
-use jellyfish_sim::routing::{PathPolicy, TransportPolicy};
+use jellyfish_sim::routing::TransportPolicy;
 use jellyfish_sim::workload::build_connections;
 use jellyfish_topology::failures::fail_random_links;
 use jellyfish_topology::spec::{ImpairConfig, JitterDist};
@@ -52,7 +55,7 @@ fn fabric() -> Topology {
 fn run(
     routed: &Topology,
     simulated: &Topology,
-    path: PathPolicy,
+    path: RoutingScheme,
     transport: TransportPolicy,
     impair: Option<ImpairConfig>,
 ) -> SimReport {
@@ -123,7 +126,7 @@ impl Pin {
 /// `(label, pin)` for every run, in [`runs`] order.
 const PINS: &[(&str, Pin)] = &[
     (
-        "ECMP-8 TCP 1 flow ideal",
+        "8-way ECMP TCP 1 flow ideal",
         Pin {
             digest: 8946314133819752653,
             transmitted: 13229,
@@ -135,7 +138,7 @@ const PINS: &[(&str, Pin)] = &[
         },
     ),
     (
-        "ECMP-8 TCP 1 flow impaired",
+        "8-way ECMP TCP 1 flow impaired",
         Pin {
             digest: 3912066571024933132,
             transmitted: 3741,
@@ -147,7 +150,7 @@ const PINS: &[(&str, Pin)] = &[
         },
     ),
     (
-        "ECMP-8 TCP 8 flows ideal",
+        "8-way ECMP TCP 8 flows ideal",
         Pin {
             digest: 5602273603722163976,
             transmitted: 17117,
@@ -159,7 +162,7 @@ const PINS: &[(&str, Pin)] = &[
         },
     ),
     (
-        "ECMP-8 TCP 8 flows impaired",
+        "8-way ECMP TCP 8 flows impaired",
         Pin {
             digest: 17678169945312676541,
             transmitted: 11528,
@@ -171,7 +174,7 @@ const PINS: &[(&str, Pin)] = &[
         },
     ),
     (
-        "ECMP-8 MPTCP 8 subflows ideal",
+        "8-way ECMP MPTCP 8 subflows ideal",
         Pin {
             digest: 18144242000635997002,
             transmitted: 17118,
@@ -183,7 +186,7 @@ const PINS: &[(&str, Pin)] = &[
         },
     ),
     (
-        "ECMP-8 MPTCP 8 subflows impaired",
+        "8-way ECMP MPTCP 8 subflows impaired",
         Pin {
             digest: 7167467760955910004,
             transmitted: 9801,
@@ -195,7 +198,7 @@ const PINS: &[(&str, Pin)] = &[
         },
     ),
     (
-        "8-shortest-paths TCP 1 flow ideal",
+        "8 Shortest Paths TCP 1 flow ideal",
         Pin {
             digest: 5048185639462773083,
             transmitted: 12756,
@@ -207,7 +210,7 @@ const PINS: &[(&str, Pin)] = &[
         },
     ),
     (
-        "8-shortest-paths TCP 1 flow impaired",
+        "8 Shortest Paths TCP 1 flow impaired",
         Pin {
             digest: 3124391107820923485,
             transmitted: 4326,
@@ -219,7 +222,7 @@ const PINS: &[(&str, Pin)] = &[
         },
     ),
     (
-        "8-shortest-paths TCP 8 flows ideal",
+        "8 Shortest Paths TCP 8 flows ideal",
         Pin {
             digest: 17001902821020318787,
             transmitted: 20302,
@@ -231,7 +234,7 @@ const PINS: &[(&str, Pin)] = &[
         },
     ),
     (
-        "8-shortest-paths TCP 8 flows impaired",
+        "8 Shortest Paths TCP 8 flows impaired",
         Pin {
             digest: 6376799764480140313,
             transmitted: 12141,
@@ -243,7 +246,7 @@ const PINS: &[(&str, Pin)] = &[
         },
     ),
     (
-        "8-shortest-paths MPTCP 8 subflows ideal",
+        "8 Shortest Paths MPTCP 8 subflows ideal",
         Pin {
             digest: 2200817073400319115,
             transmitted: 22068,
@@ -255,7 +258,7 @@ const PINS: &[(&str, Pin)] = &[
         },
     ),
     (
-        "8-shortest-paths MPTCP 8 subflows impaired",
+        "8 Shortest Paths MPTCP 8 subflows impaired",
         Pin {
             digest: 6161718552843799198,
             transmitted: 11302,
@@ -267,7 +270,7 @@ const PINS: &[(&str, Pin)] = &[
         },
     ),
     (
-        "8-shortest-paths MPTCP 8 subflows impaired, routed before fail_links",
+        "8 Shortest Paths MPTCP 8 subflows impaired, routed before fail_links",
         Pin {
             digest: 16625640367877963573,
             transmitted: 7639,
@@ -284,7 +287,7 @@ const PINS: &[(&str, Pin)] = &[
 fn runs() -> Vec<(String, SimReport)> {
     let topo = fabric();
     let mut out = Vec::new();
-    for path in [PathPolicy::ecmp8(), PathPolicy::ksp8()] {
+    for path in [RoutingScheme::ecmp8(), RoutingScheme::ksp8()] {
         for transport in [
             TransportPolicy::Tcp { flows: 1 },
             TransportPolicy::Tcp { flows: 8 },
@@ -298,7 +301,7 @@ fn runs() -> Vec<(String, SimReport)> {
     }
     let mut failed = topo.clone();
     fail_random_links(&mut failed, 0.2, SEED);
-    let (path, transport) = (PathPolicy::ksp8(), TransportPolicy::Mptcp { subflows: 8 });
+    let (path, transport) = (RoutingScheme::ksp8(), TransportPolicy::Mptcp { subflows: 8 });
     let label =
         format!("{} {} impaired, routed before fail_links", path.label(), transport.label());
     out.push((label, run(&topo, &failed, path, transport, Some(every_knob()))));

@@ -1,35 +1,27 @@
-//! The breadth-first-search distance kernel behind every all-pairs sweep in
-//! the workspace, plus the flat [`DistanceMatrix`] those sweeps fill.
+//! The one breadth-first-search distance kernel of the workspace, the block
+//! driver every hop-distance sweep runs through, and the flat
+//! [`DistanceMatrix`] the all-pairs sweep fills.
 //!
-//! Two kernels compute identical hop distances:
+//! * [`ms_bfs_into`] — the multi-source bit-parallel BFS (MS-BFS, Then et
+//!   al., PVLDB 2014): up to 64 sources at once, one `u64` lane each, so a
+//!   block of sources costs one edge sweep per BFS level;
+//! * [`map_source_blocks`] — runs [`ms_bfs_into`] over any list of sources,
+//!   64 per block, and hands each block's rows to a fold. All-pairs
+//!   distances ([`all_pairs_distances`]), incremental row repair and the
+//!   path-length statistics of [`crate::properties`] all go through it;
+//! * [`bfs_scalar_into`] — the classic queue-driven BFS, kept as the test
+//!   oracle.
 //!
-//! * [`bfs_scalar_into`] — the classic queue-driven top-down BFS (the
-//!   pre-rewrite implementation), kept as the test oracle;
-//! * [`bfs_into`] — a direction-optimizing BFS (Beamer et al.): levels whose
-//!   frontier touches a large share of the remaining edges are expanded
-//!   *bottom-up* (every unvisited node scans its neighbors for a frontier
-//!   member, over `u64` bitset words) instead of top-down. On the
-//!   low-diameter expanders this repository studies, one or two middle
-//!   levels contain nearly every node, which is exactly the regime where
-//!   bottom-up wins.
-//!
-//! BFS levels are a pure function of the graph, so the two kernels agree
-//! bit-for-bit on every input regardless of traversal direction — enforced
-//! by proptests across every generator in the spec registry.
+//! BFS levels are a pure function of the graph, so every lane of the
+//! multi-source kernel equals the scalar BFS from its source — enforced by
+//! proptests across every generator in the spec registry.
 
 use crate::csr::CsrGraph;
 use crate::graph::NodeId;
+use rayon::prelude::*;
 
 /// Distance value stored for unreachable nodes.
 pub const UNREACHED: u32 = u32::MAX;
-
-/// Switch to bottom-up when the frontier's out-edges exceed `1/ALPHA` of the
-/// edges still incident to unvisited nodes (Beamer's α).
-const ALPHA: usize = 14;
-
-/// Switch back to top-down when the frontier shrinks below `n / BETA`
-/// nodes (Beamer's β).
-const BETA: usize = 24;
 
 /// Flat row-major all-pairs distance matrix: `row(src)[dst]` is the hop
 /// distance from `src` to `dst`, [`UNREACHED`] when no path exists.
@@ -97,62 +89,6 @@ impl DistanceMatrix {
     pub fn row_mut(&mut self, src: NodeId) -> &mut [u32] {
         &mut self.data[src * self.cols..(src + 1) * self.cols]
     }
-
-    /// Consumes the matrix and returns its flat row-major data, for repairs
-    /// that change the node count (and therefore the row stride).
-    #[inline]
-    pub fn into_flat(self) -> Vec<u32> {
-        self.data
-    }
-}
-
-/// Reusable per-thread buffers for [`bfs_into`], so an all-pairs sweep
-/// allocates once per worker instead of once per source.
-#[derive(Debug, Clone)]
-pub struct BfsScratch {
-    /// Current-level node queue (top-down).
-    frontier: Vec<u32>,
-    /// Next-level node queue (top-down).
-    next: Vec<u32>,
-    /// Bitset of the current frontier.
-    frontier_bits: Vec<u64>,
-    /// Bitset of the next frontier.
-    next_bits: Vec<u64>,
-    /// Bitset of all visited nodes.
-    visited: Vec<u64>,
-}
-
-impl BfsScratch {
-    /// Scratch sized for an `n`-node graph.
-    pub fn new(n: usize) -> Self {
-        let words = n.div_ceil(64);
-        BfsScratch {
-            frontier: Vec::with_capacity(n),
-            next: Vec::with_capacity(n),
-            frontier_bits: vec![0; words],
-            next_bits: vec![0; words],
-            visited: vec![0; words],
-        }
-    }
-}
-
-#[inline]
-fn test_bit(bits: &[u64], v: usize) -> bool {
-    bits[v >> 6] & (1u64 << (v & 63)) != 0
-}
-
-#[inline]
-fn set_bit(bits: &mut [u64], v: usize) {
-    bits[v >> 6] |= 1u64 << (v & 63);
-}
-
-/// `dst[i] |= src[i]` for every word.
-#[inline]
-fn or_assign(dst: &mut [u64], src: &[u64]) {
-    assert_eq!(dst.len(), src.len());
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d |= s;
-    }
 }
 
 /// OR of `masks[i]` over the indices in `idx`: the per-node gather at the
@@ -169,7 +105,7 @@ fn or_gather(masks: &[u64], idx: &[u32]) -> u64 {
 
 /// Queue-driven top-down BFS writing hop distances into `dist`
 /// ([`UNREACHED`] when unreachable). This is the pre-rewrite kernel, kept as
-/// the test oracle the faster BFS kernels are compared against.
+/// the test oracle [`ms_bfs_into`] is compared against.
 pub fn bfs_scalar_into(csr: &CsrGraph, source: NodeId, dist: &mut [u32]) {
     let n = csr.num_nodes();
     assert_eq!(dist.len(), n);
@@ -186,109 +122,6 @@ pub fn bfs_scalar_into(csr: &CsrGraph, source: NodeId, dist: &mut [u32]) {
                 queue.push_back(v);
             }
         }
-    }
-}
-
-/// Direction-optimizing BFS writing hop distances into `dist`. Produces
-/// exactly the distances of [`bfs_scalar_into`]; `scratch` is reset on entry
-/// and can be reused across calls for the same graph size.
-pub fn bfs_into(csr: &CsrGraph, source: NodeId, dist: &mut [u32], scratch: &mut BfsScratch) {
-    let n = csr.num_nodes();
-    assert_eq!(dist.len(), n);
-    dist.fill(UNREACHED);
-    if n == 0 {
-        return;
-    }
-    dist[source] = 0;
-
-    let words = n.div_ceil(64);
-    scratch.frontier_bits[..words].fill(0);
-    scratch.next_bits[..words].fill(0);
-    scratch.visited[..words].fill(0);
-    scratch.frontier.clear();
-    scratch.next.clear();
-
-    scratch.frontier.push(source as u32);
-    set_bit(&mut scratch.frontier_bits, source);
-    set_bit(&mut scratch.visited, source);
-
-    // Out-edges of the current frontier (Beamer's m_f) and edges still
-    // incident to unvisited nodes (m_u).
-    let mut frontier_edges = csr.degree(source);
-    let mut unvisited_edges = csr.num_arcs().saturating_sub(frontier_edges);
-    // The frontier queue is only maintained while running top-down; after a
-    // bottom-up level it is rebuilt from the bitset on demand.
-    let mut queue_is_current = true;
-    let mut frontier_len = 1usize;
-    let mut level = 0u32;
-
-    while frontier_len > 0 {
-        level += 1;
-        let bottom_up = frontier_edges > unvisited_edges / ALPHA && frontier_len >= n / BETA.max(1);
-        let mut next_edges = 0usize;
-        let mut next_len = 0usize;
-
-        if bottom_up {
-            // Every unvisited node scans its row for a frontier member; the
-            // candidate scan walks whole `u64` words of unvisited bits.
-            for w in 0..words {
-                let mut rem = !scratch.visited[w];
-                if w == words - 1 && n & 63 != 0 {
-                    rem &= (1u64 << (n & 63)) - 1;
-                }
-                while rem != 0 {
-                    let v = (w << 6) + rem.trailing_zeros() as usize;
-                    rem &= rem - 1;
-                    for &u in csr.neighbors(v) {
-                        if test_bit(&scratch.frontier_bits, u as usize) {
-                            dist[v] = level;
-                            set_bit(&mut scratch.next_bits, v);
-                            next_len += 1;
-                            next_edges += csr.degree(v);
-                            break;
-                        }
-                    }
-                }
-            }
-            queue_is_current = false;
-        } else {
-            if !queue_is_current {
-                // Rebuild the queue from the frontier bitset (ascending node
-                // order, matching what a top-down expansion would have left).
-                scratch.frontier.clear();
-                for w in 0..words {
-                    let mut rem = scratch.frontier_bits[w];
-                    while rem != 0 {
-                        let v = (w << 6) + rem.trailing_zeros() as usize;
-                        rem &= rem - 1;
-                        scratch.frontier.push(v as u32);
-                    }
-                }
-                queue_is_current = true;
-            }
-            scratch.next.clear();
-            for i in 0..scratch.frontier.len() {
-                let u = scratch.frontier[i] as usize;
-                for &v in csr.neighbors(u) {
-                    let v = v as usize;
-                    if dist[v] == UNREACHED {
-                        dist[v] = level;
-                        set_bit(&mut scratch.next_bits, v);
-                        scratch.next.push(v as u32);
-                        next_len += 1;
-                        next_edges += csr.degree(v);
-                    }
-                }
-            }
-            std::mem::swap(&mut scratch.frontier, &mut scratch.next);
-        }
-
-        or_assign(&mut scratch.visited[..words], &scratch.next_bits[..words]);
-        std::mem::swap(&mut scratch.frontier_bits, &mut scratch.next_bits);
-        scratch.next_bits[..words].fill(0);
-        unvisited_edges = unvisited_edges.saturating_sub(next_edges);
-        frontier_edges = next_edges;
-        frontier_len = next_len;
     }
 }
 
@@ -316,9 +149,8 @@ impl MsBfsScratch {
 ///
 /// Every level propagates all lanes with one OR-gather per node over its CSR
 /// neighbor row (`or_gather`), so a whole batch costs one edge-sweep per
-/// BFS level instead of one per source — the workhorse behind
-/// the all-pairs sweeps. Distances are BFS levels and therefore exactly
-/// those of [`bfs_scalar_into`] / [`bfs_into`] lane by lane.
+/// BFS level instead of one per source. Distances are BFS levels and
+/// therefore exactly those of [`bfs_scalar_into`] lane by lane.
 pub fn ms_bfs_into(
     csr: &CsrGraph,
     sources: &[NodeId],
@@ -367,13 +199,55 @@ pub fn ms_bfs_into(
     }
 }
 
-/// One-shot convenience wrapper around [`bfs_into`] allocating its own row
-/// and scratch.
-pub fn bfs_distances_u32(csr: &CsrGraph, source: NodeId) -> Vec<u32> {
-    let mut dist = vec![UNREACHED; csr.num_nodes()];
-    let mut scratch = BfsScratch::new(csr.num_nodes());
-    bfs_into(csr, source, &mut dist, &mut scratch);
-    dist
+/// Sources per [`ms_bfs_into`] block: one `u64` lane each.
+const BLOCK: usize = 64;
+
+/// Below this node count a whole sweep costs less than fanning its blocks
+/// out to worker threads, so [`map_source_blocks`] stays serial. The
+/// degree-diameter annealer sweeps graphs of at most 212 nodes thousands of
+/// times per build.
+const PARALLEL_MIN_NODES: usize = 256;
+
+/// The block driver behind every hop-distance sweep: runs [`ms_bfs_into`]
+/// over `sources`, 64 per block, and maps each block through `fold`, which
+/// receives the block's sources and their distance rows
+/// (`block.len() × n`, row `i` from `block[i]`). Returns the folds' results
+/// in source order.
+///
+/// Graphs below 256 nodes run serially with one reused row buffer and
+/// scratch; larger ones fan the blocks out with rayon. Each block is folded
+/// on its own, so both paths return the same values.
+pub fn map_source_blocks<T, F>(csr: &CsrGraph, sources: &[NodeId], fold: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(&[NodeId], &[u32]) -> T + Sync + Send,
+{
+    let n = csr.num_nodes();
+    let run = |block: &[NodeId], rows: &mut Vec<u32>, scratch: &mut MsBfsScratch| {
+        rows.resize(block.len() * n, UNREACHED);
+        ms_bfs_into(csr, block, rows, scratch);
+        fold(block, rows)
+    };
+    if n < PARALLEL_MIN_NODES {
+        let (mut rows, mut scratch) = (Vec::new(), MsBfsScratch::new(n));
+        sources.chunks(BLOCK).map(|block| run(block, &mut rows, &mut scratch)).collect()
+    } else {
+        let blocks: Vec<&[NodeId]> = sources.chunks(BLOCK).collect();
+        blocks
+            .into_par_iter()
+            .map(|block| run(block, &mut Vec::new(), &mut MsBfsScratch::new(n)))
+            .collect()
+    }
+}
+
+/// All-pairs shortest-path distances (hop counts) as a flat row-major
+/// [`DistanceMatrix`] (`row(src)[dst]`, [`UNREACHED`] when unreachable):
+/// every source through [`map_source_blocks`], rows concatenated in source
+/// order.
+pub fn all_pairs_distances(csr: &CsrGraph) -> DistanceMatrix {
+    let sources: Vec<NodeId> = csr.nodes().collect();
+    let data = map_source_blocks(csr, &sources, |_, rows| rows.to_vec()).concat();
+    DistanceMatrix::from_flat(csr.num_nodes(), data)
 }
 
 #[cfg(test)]
@@ -382,15 +256,20 @@ mod tests {
     use crate::graph::Graph;
     use crate::rrg::JellyfishBuilder;
 
+    /// Every row [`map_source_blocks`] hands its fold, with the sources in
+    /// reverse order, and every row of [`all_pairs_distances`] equals the
+    /// scalar BFS from that row's source.
     fn assert_kernels_agree(csr: &CsrGraph) {
         let n = csr.num_nodes();
-        let mut scratch = BfsScratch::new(n);
-        let mut fast = vec![0u32; n];
+        let sources: Vec<NodeId> = csr.nodes().rev().collect();
+        let rows = map_source_blocks(csr, &sources, |_, rows| rows.to_vec()).concat();
+        assert_eq!(rows.len(), n * n);
+        let all = all_pairs_distances(csr);
         let mut reference = vec![0u32; n];
-        for s in csr.nodes() {
-            bfs_into(csr, s, &mut fast, &mut scratch);
+        for (&s, row) in sources.iter().zip(rows.chunks_exact(n)) {
             bfs_scalar_into(csr, s, &mut reference);
-            assert_eq!(fast, reference, "source {s}");
+            assert_eq!(row, &reference[..], "source {s}");
+            assert_eq!(all.row(s), &reference[..], "all-pairs row {s}");
         }
     }
 
@@ -405,9 +284,9 @@ mod tests {
 
     #[test]
     fn matches_scalar_on_jellyfish() {
-        // Dense expander: exercises the bottom-up path (middle levels hold
-        // most nodes).
-        let topo = JellyfishBuilder::new(80, 10, 8).seed(3).build().unwrap();
+        // 300 nodes: above the serial threshold, so the five blocks fan out
+        // to worker threads.
+        let topo = JellyfishBuilder::new(300, 10, 8).seed(3).build().unwrap();
         assert_kernels_agree(&topo.csr());
     }
 
@@ -424,11 +303,10 @@ mod tests {
     #[test]
     fn empty_and_single_node() {
         let csr = CsrGraph::from_graph(&Graph::new(1));
-        assert_eq!(bfs_distances_u32(&csr, 0), vec![0]);
+        assert_eq!(all_pairs_distances(&csr).as_flat(), &[0]);
         let csr0 = CsrGraph::from_graph(&Graph::new(0));
-        let mut scratch = BfsScratch::new(0);
-        let mut dist: Vec<u32> = Vec::new();
-        bfs_into(&csr0, 0, &mut dist, &mut scratch);
+        assert_eq!(all_pairs_distances(&csr0).num_rows(), 0);
+        assert!(map_source_blocks(&csr0, &[], |_, _| ()).is_empty());
     }
 
     fn assert_ms_bfs_agrees(csr: &CsrGraph) {

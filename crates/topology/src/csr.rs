@@ -207,30 +207,6 @@ impl CsrGraph {
         self.edges.iter().map(|&(a, b)| (a as NodeId, b as NodeId))
     }
 
-    /// Single-source BFS hop distances; `usize::MAX` when unreachable.
-    ///
-    /// Convenience wrapper over the direction-optimizing kernel in
-    /// [`crate::bfs`] — the one BFS implementation in the workspace. Hot
-    /// all-pairs sweeps should call [`crate::bfs::bfs_into`] directly with a
-    /// reused row buffer and [`crate::bfs::BfsScratch`] instead of paying
-    /// this allocation per source.
-    pub fn bfs_distances(&self, source: NodeId) -> Vec<usize> {
-        crate::bfs::bfs_distances_u32(self, source)
-            .into_iter()
-            .map(|d| if d == crate::bfs::UNREACHED { usize::MAX } else { d as usize })
-            .collect()
-    }
-
-    /// Whether every node can reach every other node (empty and single-node
-    /// graphs count as connected).
-    pub fn is_connected(&self) -> bool {
-        let n = self.num_nodes();
-        if n <= 1 {
-            return true;
-        }
-        self.bfs_distances(0).iter().all(|&d| d != usize::MAX)
-    }
-
     /// Number of undirected edges crossing the cut `(set, complement)`;
     /// `in_set[v]` must be `true` exactly for nodes in the set.
     pub fn cut_size(&self, in_set: &[bool]) -> usize {
@@ -330,20 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn bfs_and_connectivity() {
-        let csr = CsrGraph::from_graph(&ring(6));
-        let d = csr.bfs_distances(0);
-        assert_eq!(d, vec![0, 1, 2, 3, 2, 1]);
-        assert!(csr.is_connected());
-        let mut split = Graph::new(4);
-        split.add_edge(0, 1);
-        split.add_edge(2, 3);
-        let csr2 = CsrGraph::from_graph(&split);
-        assert!(!csr2.is_connected());
-        assert_eq!(csr2.bfs_distances(0)[2], usize::MAX);
-    }
-
-    #[test]
     fn cut_size_matches_graph() {
         let g = ring(6);
         let csr = CsrGraph::from_graph(&g);
@@ -357,12 +319,10 @@ mod tests {
         let csr = CsrGraph::from_graph(&Graph::new(0));
         assert_eq!(csr.num_nodes(), 0);
         assert_eq!(csr.num_arcs(), 0);
-        assert!(csr.is_connected());
         assert_eq!(csr.cut_size(&[]), 0);
         let csr1 = CsrGraph::from_graph(&Graph::new(3));
         assert_eq!(csr1.num_nodes(), 3);
         assert_eq!(csr1.degree(1), 0);
         assert_eq!(csr1.max_degree(), 0);
-        assert!(!csr1.is_connected());
     }
 }

@@ -16,6 +16,7 @@
 //! The result is a graph that is meaningfully better-optimized than a random
 //! one — exactly the role the degree-diameter graphs play in Figure 3.
 
+use crate::csr::CsrGraph;
 use crate::graph::Graph;
 use crate::properties::path_length_stats;
 use crate::rrg::JellyfishBuilder;
@@ -75,7 +76,8 @@ pub fn optimized_graph(
     let start = JellyfishBuilder::new(n, ports, degree).seed(seed).build()?;
     let mut graph = start.graph().clone();
     let mut rng = StdRng::seed_from_u64(seed ^ 0xA11E);
-    let mut current = path_length_stats(&graph).mean;
+    let mean_path_length = |g: &Graph| path_length_stats(&CsrGraph::from_graph(g)).mean;
+    let mut current = mean_path_length(&graph);
     let mut best_graph = graph.clone();
     let mut best = current;
     let mut temperature = params.initial_temperature;
@@ -101,8 +103,7 @@ pub fn optimized_graph(
         graph.remove_edge(c, d);
         graph.add_edge(a, c);
         graph.add_edge(b, d);
-        let candidate =
-            if graph.is_connected() { path_length_stats(&graph).mean } else { f64::INFINITY };
+        let candidate = if graph.is_connected() { mean_path_length(&graph) } else { f64::INFINITY };
         let delta = candidate - current;
         let accept = delta < 0.0
             || (temperature > 0.0
@@ -211,7 +212,7 @@ mod tests {
         for v in g.nodes() {
             assert_eq!(g.degree(v), 3);
         }
-        let stats = path_length_stats(&g);
+        let stats = path_length_stats(&CsrGraph::from_graph(&g));
         assert_eq!(stats.diameter, 2);
         // ASPL of the Petersen graph is (3*1 + 6*2)/9 = 5/3.
         assert!((stats.mean - 5.0 / 3.0).abs() < 1e-12);
@@ -221,9 +222,9 @@ mod tests {
     fn complete_and_cycle_classical_cases() {
         let k5 = classical_graph(5, 4).unwrap();
         assert_eq!(k5.num_edges(), 10);
-        assert_eq!(path_length_stats(&k5).diameter, 1);
+        assert_eq!(path_length_stats(&CsrGraph::from_graph(&k5)).diameter, 1);
         let c8 = classical_graph(8, 2).unwrap();
-        assert_eq!(path_length_stats(&c8).diameter, 4);
+        assert_eq!(path_length_stats(&CsrGraph::from_graph(&c8)).diameter, 4);
         assert!(classical_graph(20, 7).is_none());
     }
 
@@ -232,10 +233,10 @@ mod tests {
         let n = 40;
         let degree = 4;
         let random = JellyfishBuilder::new(n, 6, degree).seed(8).build().unwrap();
-        let random_aspl = path_length_stats(random.graph()).mean;
+        let random_aspl = path_length_stats(&random.csr()).mean;
         let params = AnnealParams { iterations: 1500, ..AnnealParams::default() };
         let optimized = optimized_graph(n, 6, degree, params, 8).unwrap();
-        let optimized_aspl = path_length_stats(optimized.graph()).mean;
+        let optimized_aspl = path_length_stats(&optimized.csr()).mean;
         assert!(
             optimized_aspl <= random_aspl + 1e-9,
             "annealing made the graph worse: {optimized_aspl} vs {random_aspl}"
@@ -251,7 +252,7 @@ mod tests {
     fn optimized_graph_uses_classical_construction_when_available() {
         let topo = optimized_graph(10, 5, 3, AnnealParams::default(), 0).unwrap();
         assert!(topo.name().contains("classical"));
-        assert_eq!(path_length_stats(topo.graph()).diameter, 2);
+        assert_eq!(path_length_stats(&topo.csr()).diameter, 2);
         assert_eq!(topo.total_servers(), 10 * 2);
     }
 

@@ -257,7 +257,7 @@ mod tests {
         // Switch-level diameter of a 3-level fat-tree is 4 (edge-agg-core-agg-edge),
         // i.e. 6 server-to-server as the paper counts server links.
         let ft = FatTree::new(4).unwrap();
-        let stats = crate::properties::path_length_stats(ft.topology().graph());
+        let stats = crate::properties::path_length_stats(&ft.topology().csr());
         assert_eq!(stats.diameter, 4);
     }
 

@@ -29,11 +29,12 @@
 //!   (`jellyfish:switches=245,ports=14,degree=11+fail_links=0.08`) with
 //!   composable scenario transforms; see TOPOLOGIES.md.
 //! * [`failures`] — random link / switch failure injection.
-//! * [`properties`] — path-length distributions, diameter, reachability
-//!   profiles (Figure 1(c) and Figure 5 machinery).
-//! * [`bfs`] — the direction-optimizing BFS distance kernel (with its scalar
-//!   reference) and the flat [`DistanceMatrix`] all-pairs result; see
-//!   PERF.md at the repository root.
+//! * [`properties`] — switch- and server-pair path-length distributions and
+//!   diameter (Figure 1(c) and Figure 5 machinery).
+//! * [`bfs`] — the multi-source BFS distance kernel (with its scalar test
+//!   oracle), the block driver every hop-distance sweep runs through, and
+//!   the flat [`DistanceMatrix`] all-pairs result; see PERF.md at the
+//!   repository root.
 //!
 //! # Quick example
 //!
@@ -44,7 +45,7 @@
 //! let topo = JellyfishBuilder::new(20, 12, 8).seed(7).build().unwrap();
 //! assert_eq!(topo.num_switches(), 20);
 //! assert_eq!(topo.total_servers(), 20 * 4);
-//! let stats = properties::path_length_stats(topo.graph());
+//! let stats = properties::path_length_stats(&topo.csr());
 //! assert!(stats.mean > 1.0 && stats.diameter <= 4);
 //! ```
 
@@ -65,7 +66,7 @@ pub mod spec;
 pub mod swdc;
 pub mod topology;
 
-pub use bfs::{BfsScratch, DistanceMatrix, MsBfsScratch, UNREACHED};
+pub use bfs::{DistanceMatrix, MsBfsScratch, UNREACHED};
 pub use csr::{ArcId, CsrGraph, EdgeId};
 pub use graph::{Graph, NodeId};
 pub use rrg::JellyfishBuilder;

@@ -1,19 +1,19 @@
 //! Structural properties of switch-level topologies: path-length
-//! distributions, diameter, reachability profiles.
+//! distributions and diameter.
 //!
 //! These drive Figure 1(c) (fraction of server pairs within h hops) and
 //! Figure 5 (mean path length and diameter versus network size).
 //!
-//! The all-pairs sweeps ([`path_length_stats`], [`server_pair_histogram`])
-//! run one BFS per source over a [`CsrGraph`] snapshot, parallelized across
-//! sources with rayon. All accumulation is per-source and merged in source
-//! order, so results are bit-identical to a serial sweep.
+//! Both sweeps ([`path_length_stats`], [`server_pair_histogram`]) read the
+//! distance rows of [`map_source_blocks`], 64 sources per multi-source BFS
+//! block, and fold each block into integer histogram partials. The partials
+//! are summed in source order, and integer sums do not depend on that order,
+//! so the result is the same whether the blocks ran serially or in parallel.
 
-use crate::bfs::{bfs_into, BfsScratch, UNREACHED};
+use crate::bfs::{map_source_blocks, UNREACHED};
 use crate::csr::CsrGraph;
-use crate::graph::{Graph, NodeId};
+use crate::graph::NodeId;
 use crate::topology::Topology;
-use rayon::prelude::*;
 
 /// Summary statistics of the all-pairs shortest-path-length distribution
 /// between switches.
@@ -59,111 +59,52 @@ impl PathLengthStats {
     }
 }
 
-/// Breadth-first distances from `source` to every node (usize::MAX when
-/// unreachable).
-///
-/// Thin wrapper: snapshots the graph and runs the one BFS kernel of the
-/// workspace ([`CsrGraph::bfs_distances`], backed by [`crate::bfs`]). Tight
-/// loops should snapshot once and call the kernel directly.
-pub fn bfs_distances(graph: &Graph, source: NodeId) -> Vec<usize> {
-    CsrGraph::from_graph(graph).bfs_distances(source)
-}
-
-/// Computes the switch-to-switch path-length statistics via repeated BFS.
-///
-/// Convenience wrapper that snapshots the graph; use [`path_length_stats_csr`]
-/// when a [`CsrGraph`] is already at hand.
-pub fn path_length_stats(graph: &Graph) -> PathLengthStats {
-    path_length_stats_csr(&CsrGraph::from_graph(graph))
-}
-
-/// Per-source partial of the all-pairs sweep; merged in source order.
-struct SourcePartial {
-    histogram: Vec<usize>,
-    sum: u64,
-    count: u64,
-    diameter: usize,
-    unreachable: usize,
-}
-
-fn source_partial(
-    csr: &CsrGraph,
-    src: NodeId,
-    row: &mut [u32],
-    scratch: &mut BfsScratch,
-) -> SourcePartial {
-    let mut partial =
-        SourcePartial { histogram: Vec::new(), sum: 0, count: 0, diameter: 0, unreachable: 0 };
-    bfs_into(csr, src, row, scratch);
-    for (dst, &d) in row.iter().enumerate() {
-        if dst == src {
-            continue;
-        }
-        if d == UNREACHED {
-            partial.unreachable += 1;
-            continue;
-        }
-        let d = d as usize;
-        if d >= partial.histogram.len() {
-            partial.histogram.resize(d + 1, 0);
-        }
-        partial.histogram[d] += 1;
-        partial.sum += d as u64;
-        partial.count += 1;
-        partial.diameter = partial.diameter.max(d);
+/// Adds `count` to `hist[i]`, growing `hist` to cover `i`.
+fn bump(hist: &mut Vec<u64>, i: usize, count: u64) {
+    if i >= hist.len() {
+        hist.resize(i + 1, 0);
     }
-    partial
+    hist[i] += count;
 }
 
-/// Below this node count the whole sweep is microseconds, so the parallel
-/// fan-out's thread spawns would dominate; tight callers (the
-/// degree-diameter annealer calls this once per candidate swap) stay serial.
-const PARALLEL_SWEEP_MIN_NODES: usize = 128;
-
-/// [`path_length_stats`] over an existing CSR snapshot: one rayon task per
-/// BFS source, with deterministic (source-ordered) merging. Small graphs run
-/// serially — the merge order makes both paths bit-identical.
-pub fn path_length_stats_csr(csr: &CsrGraph) -> PathLengthStats {
-    let n = csr.num_nodes();
-    let partials: Vec<SourcePartial> = if n < PARALLEL_SWEEP_MIN_NODES {
-        // Serial sweep: one distance row and one scratch reused across all
-        // sources — the per-source allocations of the old kernel are gone.
-        let mut row = vec![UNREACHED; n];
-        let mut scratch = BfsScratch::new(n);
-        csr.nodes().map(|src| source_partial(csr, src, &mut row, &mut scratch)).collect()
-    } else {
-        csr.nodes()
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map(|src| {
-                let mut row = vec![UNREACHED; n];
-                let mut scratch = BfsScratch::new(n);
-                source_partial(csr, src, &mut row, &mut scratch)
-            })
-            .collect()
-    };
-    let mut histogram: Vec<usize> = Vec::new();
-    let mut sum = 0u64;
-    let mut count = 0u64;
-    let mut diameter = 0usize;
-    let mut unreachable = 0usize;
-    for p in partials {
-        if p.histogram.len() > histogram.len() {
-            histogram.resize(p.histogram.len(), 0);
+/// Sums per-block histograms entry by entry. The result is as long as the
+/// longest partial.
+fn sum_histograms(partials: impl IntoIterator<Item = Vec<u64>>) -> Vec<u64> {
+    let mut total = Vec::new();
+    for partial in partials {
+        for (i, count) in partial.into_iter().enumerate() {
+            bump(&mut total, i, count);
         }
-        for (d, c) in p.histogram.into_iter().enumerate() {
-            histogram[d] += c;
-        }
-        sum += p.sum;
-        count += p.count;
-        diameter = diameter.max(p.diameter);
-        unreachable += p.unreachable;
     }
+    total
+}
+
+/// Switch-to-switch path-length statistics over every ordered pair of the
+/// snapshot.
+pub fn path_length_stats(csr: &CsrGraph) -> PathLengthStats {
+    let sources: Vec<NodeId> = csr.nodes().collect();
+    // Per block: pairs at each distance d >= 1 (a source's own 0 is not a
+    // pair), and unreachable pairs.
+    let partials = map_source_blocks(csr, &sources, |_, rows| {
+        let (mut hist, mut unreachable) = (Vec::new(), 0usize);
+        for &d in rows {
+            match d {
+                0 => {}
+                UNREACHED => unreachable += 1,
+                d => bump(&mut hist, d as usize, 1),
+            }
+        }
+        (hist, unreachable)
+    });
+    let unreachable_pairs = partials.iter().map(|(_, u)| u).sum();
+    let histogram = sum_histograms(partials.into_iter().map(|(hist, _)| hist));
+    let count: u64 = histogram.iter().sum();
+    let sum: u64 = histogram.iter().enumerate().map(|(d, &c)| d as u64 * c).sum();
     PathLengthStats {
         mean: if count == 0 { 0.0 } else { sum as f64 / count as f64 },
-        diameter,
-        histogram,
-        unreachable_pairs: unreachable,
+        diameter: histogram.len().saturating_sub(1),
+        histogram: histogram.into_iter().map(|c| c as usize).collect(),
+        unreachable_pairs,
     }
 }
 
@@ -172,54 +113,31 @@ pub fn path_length_stats_csr(csr: &CsrGraph) -> PathLengthStats {
 /// links (servers on the same switch are 2 hops apart).
 ///
 /// Returns `histogram[h]` = number of ordered server pairs at exactly `h`
-/// hops, which is what Figure 1(c) plots (as fractions).
-pub fn server_pair_histogram(topo: &Topology) -> Vec<u64> {
-    server_pair_histogram_csr(topo, &topo.csr())
-}
-
-/// [`server_pair_histogram`] over an existing CSR snapshot: one rayon task
-/// per source switch, merged deterministically.
-pub fn server_pair_histogram_csr(topo: &Topology, csr: &CsrGraph) -> Vec<u64> {
-    let bump = |h: usize, pairs: u64, hist: &mut Vec<u64>| {
-        if pairs == 0 {
-            return;
-        }
-        if h >= hist.len() {
-            hist.resize(h + 1, 0);
-        }
-        hist[h] += pairs;
-    };
-    let n = csr.num_nodes();
+/// hops, which is what Figure 1(c) plots (as fractions). Only switches that
+/// host servers are BFS sources; `csr` is the snapshot of `topo`.
+pub fn server_pair_histogram(topo: &Topology, csr: &CsrGraph) -> Vec<u64> {
     let sources: Vec<NodeId> = csr.nodes().filter(|&v| topo.servers(v) > 0).collect();
-    let partials: Vec<Vec<u64>> = sources
-        .into_par_iter()
-        .map(|src| {
+    let n = csr.num_nodes();
+    let partials = map_source_blocks(csr, &sources, |block, rows| {
+        let mut hist = Vec::new();
+        for (&src, row) in block.iter().zip(rows.chunks_exact(n)) {
             let s_src = topo.servers(src) as u64;
-            let mut hist: Vec<u64> = Vec::new();
-            // Same-switch pairs: distance 2, ordered pairs s*(s-1).
-            bump(2, s_src * (s_src.saturating_sub(1)), &mut hist);
-            let mut row = vec![UNREACHED; n];
-            let mut scratch = BfsScratch::new(n);
-            bfs_into(csr, src, &mut row, &mut scratch);
             for (dst, &d) in row.iter().enumerate() {
-                if dst == src || d == UNREACHED {
-                    continue;
+                // The source's own row entry (d = 0) stands for its
+                // same-switch pairs: s·(s−1) ordered pairs at 2 hops.
+                let pairs = if dst == src {
+                    s_src * s_src.saturating_sub(1)
+                } else {
+                    s_src * topo.servers(dst) as u64
+                };
+                if d != UNREACHED && pairs > 0 {
+                    bump(&mut hist, d as usize + 2, pairs);
                 }
-                bump(d as usize + 2, s_src * topo.servers(dst) as u64, &mut hist);
             }
-            hist
-        })
-        .collect();
-    let mut histogram: Vec<u64> = Vec::new();
-    for p in partials {
-        if p.len() > histogram.len() {
-            histogram.resize(p.len(), 0);
         }
-        for (h, c) in p.into_iter().enumerate() {
-            histogram[h] += c;
-        }
-    }
-    histogram
+        hist
+    });
+    sum_histograms(partials)
 }
 
 /// Fraction of ordered server pairs within `h` hops, from a histogram
@@ -231,16 +149,6 @@ pub fn fraction_of_server_pairs_within(histogram: &[u64], h: usize) -> f64 {
     }
     let within: u64 = histogram.iter().take(h + 1).sum();
     within as f64 / total as f64
-}
-
-/// Number of switches reachable from `source` within `h` hops (excluding the
-/// source itself). Used for the "concentric rings" intuition of Figure 1.
-pub fn reachable_within(graph: &Graph, source: NodeId, h: usize) -> usize {
-    bfs_distances(graph, source)
-        .iter()
-        .enumerate()
-        .filter(|&(v, &d)| v != source && d != usize::MAX && d <= h)
-        .count()
 }
 
 /// Theoretical diameter upper bound for random regular graphs
@@ -261,39 +169,115 @@ pub fn rrg_diameter_upper_bound(n: usize, r: usize, eps: f64) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bfs::bfs_scalar_into;
     use crate::fattree::FatTree;
+    use crate::graph::Graph;
     use crate::rrg::JellyfishBuilder;
 
-    fn cycle(n: usize) -> Graph {
+    fn cycle(n: usize) -> CsrGraph {
         let mut g = Graph::new(n);
         for i in 0..n {
             g.add_edge(i, (i + 1) % n);
         }
-        g
+        CsrGraph::from_graph(&g)
+    }
+
+    /// The sweeps' tallies built pair by pair from one scalar BFS per
+    /// source: the switch histogram (pairs at each distance d >= 1), the
+    /// unreachable switch pairs, and the server-pair histogram.
+    fn scalar_tallies(topo: &Topology, csr: &CsrGraph) -> (Vec<usize>, usize, Vec<u64>) {
+        let n = csr.num_nodes();
+        let (mut switch_hist, mut unreachable, mut server_hist) = (Vec::new(), 0, Vec::new());
+        let mut row = vec![0u32; n];
+        for src in csr.nodes() {
+            bfs_scalar_into(csr, src, &mut row);
+            let s_src = topo.servers(src) as u64;
+            for dst in csr.nodes() {
+                let d = row[dst];
+                if d == UNREACHED {
+                    unreachable += 1;
+                    continue;
+                }
+                let d = d as usize;
+                if dst != src {
+                    if d >= switch_hist.len() {
+                        switch_hist.resize(d + 1, 0);
+                    }
+                    switch_hist[d] += 1;
+                }
+                let pairs = s_src
+                    * if dst == src { s_src.saturating_sub(1) } else { topo.servers(dst) as u64 };
+                if pairs > 0 {
+                    if d + 2 >= server_hist.len() {
+                        server_hist.resize(d + 3, 0);
+                    }
+                    server_hist[d + 2] += pairs;
+                }
+            }
+        }
+        (switch_hist, unreachable, server_hist)
     }
 
     #[test]
     fn bfs_on_path_graph() {
+        // 0-1-2-3: ordered pairs at 1, 2 and 3 hops are 6, 4 and 2.
         let mut g = Graph::new(4);
         g.add_edge(0, 1);
         g.add_edge(1, 2);
         g.add_edge(2, 3);
-        assert_eq!(bfs_distances(&g, 0), vec![0, 1, 2, 3]);
-        assert_eq!(bfs_distances(&g, 2), vec![2, 1, 0, 1]);
+        let stats = path_length_stats(&CsrGraph::from_graph(&g));
+        assert_eq!(stats.histogram, vec![0, 6, 4, 2]);
+        assert_eq!(stats.diameter, 3);
+        assert!((stats.mean - 20.0 / 12.0).abs() < 1e-12);
     }
 
     #[test]
     fn bfs_unreachable_nodes() {
         let mut g = Graph::new(3);
         g.add_edge(0, 1);
-        let d = bfs_distances(&g, 0);
-        assert_eq!(d[2], usize::MAX);
+        let stats = path_length_stats(&CsrGraph::from_graph(&g));
+        assert_eq!(stats.histogram, vec![0, 2]);
+        assert_eq!(stats.unreachable_pairs, 4);
+    }
+
+    #[test]
+    fn block_fold_matches_scalar_tallies() {
+        // A k=18 fat-tree (405 switches, above the serial threshold) and a
+        // 200-switch Jellyfish (serial): both sweeps span at least three
+        // 64-source blocks. Fat-tree core and aggregation switches host no
+        // servers, nor does every fifth Jellyfish switch. Isolating two
+        // server-hosting switches leaves pairs unreachable.
+        let mut fat_tree = FatTree::new(18).unwrap().topology().clone();
+        let mut jellyfish = JellyfishBuilder::new(200, 10, 6).seed(9).build().unwrap();
+        for v in (0..200).step_by(5) {
+            jellyfish.set_servers(v, 0).unwrap();
+        }
+        for topo in [&mut fat_tree, &mut jellyfish] {
+            let hosts: Vec<NodeId> =
+                (0..topo.num_switches()).filter(|&v| topo.servers(v) > 0).collect();
+            assert!(hosts.len() > 128, "server sweep spans fewer than three blocks");
+            for &v in &hosts[..2] {
+                topo.graph_mut().isolate_node(v);
+            }
+        }
+        for topo in [&fat_tree, &jellyfish] {
+            let csr = topo.csr();
+            let (switch_hist, unreachable, server_hist) = scalar_tallies(topo, &csr);
+            assert!(unreachable > 0);
+            let stats = path_length_stats(&csr);
+            assert_eq!(stats.histogram, switch_hist);
+            assert_eq!(stats.unreachable_pairs, unreachable);
+            assert_eq!(stats.diameter, switch_hist.len() - 1);
+            let count: usize = switch_hist.iter().sum();
+            let sum: usize = switch_hist.iter().enumerate().map(|(d, &c)| d * c).sum();
+            assert_eq!(stats.mean.to_bits(), (sum as f64 / count as f64).to_bits());
+            assert_eq!(server_pair_histogram(topo, &csr), server_hist);
+        }
     }
 
     #[test]
     fn cycle_statistics() {
-        let g = cycle(6);
-        let stats = path_length_stats(&g);
+        let stats = path_length_stats(&cycle(6));
         assert_eq!(stats.diameter, 3);
         // Distances from any node: 1,1,2,2,3 -> mean 1.8.
         assert!((stats.mean - 1.8).abs() < 1e-12);
@@ -311,7 +295,7 @@ mod tests {
         let mut g = Graph::new(4);
         g.add_edge(0, 1);
         g.add_edge(2, 3);
-        let stats = path_length_stats(&g);
+        let stats = path_length_stats(&CsrGraph::from_graph(&g));
         assert_eq!(stats.unreachable_pairs, 8);
         assert_eq!(stats.diameter, 1);
     }
@@ -321,8 +305,8 @@ mod tests {
         // The headline observation behind Figure 1(c): with the same
         // equipment, the RRG has a lower mean inter-switch path length.
         let (ft, jf) = crate::fattree::same_equipment_pair(6, 54, 2).unwrap();
-        let ft_stats = path_length_stats(ft.topology().graph());
-        let jf_stats = path_length_stats(jf.graph());
+        let ft_stats = path_length_stats(&ft.topology().csr());
+        let jf_stats = path_length_stats(&jf.csr());
         assert!(
             jf_stats.mean < ft_stats.mean,
             "jellyfish mean {} not below fat-tree mean {}",
@@ -336,7 +320,7 @@ mod tests {
     fn server_pair_histogram_single_switch() {
         let g = Graph::new(1);
         let topo = Topology::homogeneous(g, 4, 3);
-        let hist = server_pair_histogram(&topo);
+        let hist = server_pair_histogram(&topo, &topo.csr());
         // 3 servers on one switch: 6 ordered pairs, all at 2 hops.
         assert_eq!(hist.len(), 3);
         assert_eq!(hist[2], 6);
@@ -349,7 +333,7 @@ mod tests {
         let mut g = Graph::new(2);
         g.add_edge(0, 1);
         let topo = Topology::homogeneous(g, 4, 2);
-        let hist = server_pair_histogram(&topo);
+        let hist = server_pair_histogram(&topo, &topo.csr());
         // Same-switch: 2 switches × 2 ordered pairs = 4 at distance 2.
         // Cross-switch: 2×2 ordered pairs × 2 directions = 8 at distance 3.
         assert_eq!(hist[2], 4);
@@ -366,20 +350,12 @@ mod tests {
         // integration tests / figures binary.)
         let ft = FatTree::new(8).unwrap(); // 80 switches, 128 servers
         let jf = JellyfishBuilder::new(80, 8, 6).seed(4).build().unwrap();
-        let ft_hist = server_pair_histogram(ft.topology());
-        let jf_hist = server_pair_histogram(&jf);
+        let ft_hist = server_pair_histogram(ft.topology(), &ft.topology().csr());
+        let jf_hist = server_pair_histogram(&jf, &jf.csr());
         let ft_frac5 = fraction_of_server_pairs_within(&ft_hist, 5);
         let jf_frac5 = fraction_of_server_pairs_within(&jf_hist, 5);
         assert!(jf_frac5 > ft_frac5, "jellyfish {jf_frac5} <= fat-tree {ft_frac5}");
         assert!(jf_frac5 > 0.9);
-    }
-
-    #[test]
-    fn reachable_within_counts_rings() {
-        let g = cycle(8);
-        assert_eq!(reachable_within(&g, 0, 1), 2);
-        assert_eq!(reachable_within(&g, 0, 2), 4);
-        assert_eq!(reachable_within(&g, 0, 4), 7);
     }
 
     #[test]
@@ -396,7 +372,7 @@ mod tests {
     #[test]
     fn measured_diameter_within_theoretical_bound() {
         let topo = JellyfishBuilder::new(200, 12, 9).seed(5).build().unwrap();
-        let stats = path_length_stats(topo.graph());
+        let stats = path_length_stats(&topo.csr());
         let bound = rrg_diameter_upper_bound(200, 9, 0.1).unwrap();
         assert!(stats.diameter <= bound, "diameter {} exceeds bound {}", stats.diameter, bound);
     }

@@ -607,7 +607,7 @@ impl TopologyGenerator for JellyfishGen {
                     )));
                 }
                 // Even spread; every switch's remaining ports go to the
-                // network (identical to the legacy jellyfish_with_servers).
+                // network.
                 let base = total / switches;
                 let extra = total % switches;
                 let per: Vec<usize> =

@@ -296,7 +296,7 @@ mod tests {
         // A plain 100-node ring has diameter 50; with shortcuts to degree 6
         // the small-world effect brings it down by an order of magnitude.
         let topo = SwdcBuilder::new(Lattice::Ring, 100, 6).seed(7).build().unwrap();
-        let stats = path_length_stats(topo.graph());
+        let stats = path_length_stats(&topo.csr());
         assert!(stats.diameter <= 8, "diameter {} too large", stats.diameter);
     }
 

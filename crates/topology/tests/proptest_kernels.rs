@@ -1,19 +1,19 @@
-//! Equivalence proptests for the hot-kernel rewrites (PERF.md): the
-//! direction-optimizing BFS and the multi-source bit-parallel BFS must be
-//! bit-identical to the scalar queue BFS across random topologies and
-//! sources — and across **every** generator in the [`TopoSpec`] registry, so
-//! adding a generator without extending the small-spec table below fails
-//! loudly — and the CSR cut count must agree with the edge-list count on
-//! [`jellyfish_topology::Graph`].
+//! Equivalence proptests for the hot kernels (PERF.md): the multi-source
+//! bit-parallel BFS, alone and through the block driver behind every
+//! hop-distance sweep, must be bit-identical to the scalar queue BFS across
+//! random topologies and sources — and across **every** generator in the
+//! [`TopoSpec`] registry, so adding a generator without extending the
+//! small-spec table below fails loudly — and the CSR cut count must agree
+//! with the edge-list count on [`jellyfish_topology::Graph`].
 
-use jellyfish_topology::bfs::{bfs_into, bfs_scalar_into, ms_bfs_into};
+use jellyfish_topology::bfs::{all_pairs_distances, bfs_scalar_into, ms_bfs_into};
 use jellyfish_topology::spec::generators;
-use jellyfish_topology::{BfsScratch, JellyfishBuilder, MsBfsScratch, TopoSpec, UNREACHED};
+use jellyfish_topology::{JellyfishBuilder, MsBfsScratch, TopoSpec, UNREACHED};
 use proptest::prelude::*;
 
 /// One deliberately small instance per registered generator. The coverage
-/// assertion in `direction_optimizing_bfs_matches_scalar_on_every_generator`
-/// keeps this table in sync with the registry.
+/// assertion in `block_driver_matches_scalar_on_every_generator` keeps this
+/// table in sync with the registry.
 const SMALL_SPECS: &[(&str, &str)] = &[
     ("jellyfish", "jellyfish:switches=26,ports=8,degree=5"),
     ("fattree", "fattree:k=4"),
@@ -25,10 +25,11 @@ const SMALL_SPECS: &[(&str, &str)] = &[
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The direction-optimizing BFS returns exactly the scalar queue BFS's
-    /// levels on every generator in the registry, from every source.
+    /// Every row of the all-pairs sweep (the block driver over
+    /// [`ms_bfs_into`]) equals the scalar queue BFS's levels on every
+    /// generator in the registry, from every source.
     #[test]
-    fn direction_optimizing_bfs_matches_scalar_on_every_generator(seed in any::<u64>()) {
+    fn block_driver_matches_scalar_on_every_generator(seed in any::<u64>()) {
         for gen in generators() {
             let (_, spec_str) = SMALL_SPECS
                 .iter()
@@ -41,15 +42,12 @@ proptest! {
             let spec: TopoSpec = spec_str.parse().expect("small spec parses");
             let topo = spec.build(seed).expect("small spec builds");
             let csr = topo.csr();
-            let n = csr.num_nodes();
-            let mut scratch = BfsScratch::new(n);
-            let mut fast = vec![0u32; n];
-            let mut reference = vec![0u32; n];
-            for source in 0..n {
-                bfs_into(&csr, source, &mut fast, &mut scratch);
+            let all = all_pairs_distances(&csr);
+            let mut reference = vec![0u32; csr.num_nodes()];
+            for source in csr.nodes() {
                 bfs_scalar_into(&csr, source, &mut reference);
                 prop_assert_eq!(
-                    &fast, &reference,
+                    all.row(source), reference.as_slice(),
                     "generator {} source {} (seed {})", gen.name(), source, seed
                 );
             }

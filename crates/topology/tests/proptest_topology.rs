@@ -4,10 +4,11 @@
 //! across randomized parameter ranges: degree bounds, connectivity, port
 //! accounting, and expansion behaviour.
 
+use jellyfish_topology::bfs::{all_pairs_distances, UNREACHED};
 use jellyfish_topology::expansion::{add_switch, grow_schedule};
 use jellyfish_topology::failures::{fail_random_links, survivability};
 use jellyfish_topology::fattree::FatTree;
-use jellyfish_topology::properties::{bfs_distances, path_length_stats};
+use jellyfish_topology::properties::path_length_stats;
 use jellyfish_topology::rrg::build_heterogeneous;
 use jellyfish_topology::{Graph, JellyfishBuilder};
 use proptest::prelude::*;
@@ -58,8 +59,8 @@ proptest! {
     }
 
     /// The immutable CSR snapshot is equivalent to the mutable graph it was
-    /// taken from: same degrees, same (sorted) neighbor sets, same BFS
-    /// distances from every source, and consistent arc/edge-id mappings.
+    /// taken from: same degrees, same (sorted) neighbor sets, and consistent
+    /// arc/edge-id mappings.
     #[test]
     fn csr_snapshot_equivalent_to_graph(
         n in 6usize..60,
@@ -78,7 +79,6 @@ proptest! {
             let mut expected: Vec<u32> = g.neighbors(u).iter().map(|&v| v as u32).collect();
             expected.sort_unstable();
             prop_assert_eq!(csr.neighbors(u), expected.as_slice());
-            prop_assert_eq!(csr.bfs_distances(u), bfs_distances(g, u));
         }
         for e in g.edges() {
             let (lo, hi) = (e.a.min(e.b), e.a.max(e.b));
@@ -93,11 +93,11 @@ proptest! {
     fn bfs_distances_are_consistent(n in 5usize..60, seed in any::<u64>()) {
         prop_assume!(n > 4);
         let topo = JellyfishBuilder::new(n, 8, 4).seed(seed).build().unwrap();
-        let g = topo.graph();
-        let dist = bfs_distances(g, 0);
-        for e in g.edges() {
+        let all = all_pairs_distances(&topo.csr());
+        let dist = all.row(0);
+        for e in topo.graph().edges() {
             let (da, db) = (dist[e.a], dist[e.b]);
-            prop_assert!(da != usize::MAX && db != usize::MAX);
+            prop_assert!(da != UNREACHED && db != UNREACHED);
             prop_assert!(da.abs_diff(db) <= 1, "edge {e} violates BFS consistency");
         }
     }
@@ -108,7 +108,7 @@ proptest! {
     fn path_length_stats_consistency(n in 4usize..40, seed in any::<u64>()) {
         prop_assume!(n > 4);
         let topo = JellyfishBuilder::new(n, 8, 4).seed(seed).build().unwrap();
-        let stats = path_length_stats(topo.graph());
+        let stats = path_length_stats(&topo.csr());
         let pairs: usize = stats.histogram.iter().sum();
         prop_assert_eq!(pairs + stats.unreachable_pairs, n * (n - 1));
         let weighted: usize = stats.histogram.iter().enumerate().map(|(d, &c)| d * c).sum();
