@@ -220,15 +220,14 @@ pub fn measured_local_fraction(topo: &Topology, per_container: usize) -> f64 {
 mod tests {
     use super::*;
     use jellyfish_topology::fattree::FatTree;
-    use jellyfish_topology::{JellyfishBuilder, TopoSpec};
+    use jellyfish_topology::JellyfishBuilder;
 
     #[test]
     fn jellyfish_uses_fewer_cables_than_fat_tree_for_same_servers() {
         // §6.2: for the same server pool Jellyfish needs 15-20% fewer
         // network cables because it needs fewer switches.
         let ft = FatTree::new(8).unwrap(); // 128 servers, 80 switches
-        let spec: TopoSpec = "jellyfish:switches=64,ports=8,servers_total=128".parse().unwrap();
-        let jf = spec.build(1).unwrap();
+        let jf = crate::experiment::catalog::jellyfish_total_spec(64, 8, 128).build(1).unwrap();
         let ft_report = cable_report(ft.topology(), FloorPlan::default());
         let jf_report = cable_report(&jf, FloorPlan::default());
         assert!(jf_report.switch_cables < ft_report.switch_cables);

@@ -7,8 +7,9 @@
 //! each probe samples three random permutation matrices and requires full
 //! capacity on all of them; the final answer is verified on ten more.
 
+use crate::experiment::catalog::jellyfish_total_spec;
 use jellyfish_flow::throughput::{normalized_throughput, ThroughputOptions};
-use jellyfish_topology::{TopoSpec, Topology};
+use jellyfish_topology::Topology;
 use jellyfish_traffic::{ServerMap, TrafficMatrix};
 
 /// Options of the capacity search.
@@ -78,17 +79,10 @@ pub fn servers_at_full_throughput(
     ports: usize,
     opts: CapacitySearchOptions,
 ) -> CapacityResult {
-    let build = |servers: usize, seed: u64| {
-        TopoSpec::new("jellyfish")
-            .with_param("switches", switches)
-            .with_param("ports", ports)
-            .with_param("servers_total", servers)
-            .build(seed)
-    };
     let mut lo = switches; // one server per switch is assumed feasible
     let mut hi = switches * (ports - 1);
     let feasible = |servers: usize, salt: u64| -> bool {
-        match build(servers, opts.seed ^ salt) {
+        match jellyfish_total_spec(switches, ports, servers).build(opts.seed ^ salt) {
             Ok(topo) => supports_full_throughput(
                 &topo,
                 opts.probe_samples,
@@ -110,7 +104,7 @@ pub fn servers_at_full_throughput(
         }
     }
     // Verification pass on more samples, as the paper does.
-    let verified = match build(lo, opts.seed ^ 0xFACE) {
+    let verified = match jellyfish_total_spec(switches, ports, lo).build(opts.seed ^ 0xFACE) {
         Ok(topo) => supports_full_throughput(
             &topo,
             opts.verify_samples,
@@ -136,23 +130,16 @@ mod tests {
         }
     }
 
-    /// `jellyfish:switches=N,ports=P,servers_total=S` for the search's probes.
-    fn jellyfish_total(switches: usize, ports: usize, servers: usize) -> TopoSpec {
-        format!("jellyfish:switches={switches},ports={ports},servers_total={servers}")
-            .parse()
-            .unwrap()
-    }
-
     #[test]
     fn servers_total_spec_spreads_evenly() {
-        let topo = jellyfish_total(10, 8, 23).build(1).unwrap();
+        let topo = jellyfish_total_spec(10, 8, 23).build(1).unwrap();
         assert_eq!(topo.total_servers(), 23);
         for i in 0..10 {
             let s = topo.servers(i);
             assert!(s == 2 || s == 3, "switch {i} has {s} servers");
         }
         assert!(topo.graph().is_connected());
-        assert!(jellyfish_total(4, 4, 100).build(1).is_err());
+        assert!(jellyfish_total_spec(4, 4, 100).build(1).is_err());
     }
 
     #[test]
@@ -173,7 +160,7 @@ mod tests {
         let result = servers_at_full_throughput(switches, ports, fast_opts());
         assert!(result.servers >= switches, "at least one server per switch");
         assert!(result.servers <= switches * (ports - 1));
-        let topo = jellyfish_total(switches, ports, result.servers)
+        let topo = jellyfish_total_spec(switches, ports, result.servers)
             .build(fast_opts().seed ^ result.servers as u64)
             .unwrap();
         assert!(supports_full_throughput(

@@ -718,10 +718,11 @@ fn table1_transports() -> [TransportPolicy; 3] {
 }
 
 /// One cell of Table 1: mean normalized per-server throughput for a
-/// topology, path policy and transport policy, from the packet-level engine.
+/// topology, routing scheme and transport policy, from the packet-level
+/// engine.
 pub fn table1_cell(
     topo: &Topology,
-    path_policy: RoutingScheme,
+    scheme: RoutingScheme,
     transport: TransportPolicy,
     seed: u64,
     duration: f64,
@@ -729,7 +730,7 @@ pub fn table1_cell(
     let servers = ServerMap::new(topo);
     let csr = topo.csr();
     let tm = permutation_matrix(&servers, seed);
-    let conns = build_connections(&csr, &servers, &tm, path_policy, transport, seed);
+    let conns = build_connections(&csr, &servers, &tm, scheme, transport, seed);
     let net = Network::build(&csr, &servers, LinkParams::default());
     let config = SimConfig { duration, warmup: duration * 0.25, seed, ..Default::default() };
     Simulator::new(net, conns, config).run().mean_throughput()
@@ -875,13 +876,13 @@ fn fig11_port_counts(scale: Scale) -> Vec<usize> {
 
 fn fluid_throughput(
     topo: &Topology,
-    path_policy: RoutingScheme,
+    scheme: RoutingScheme,
     transport: TransportPolicy,
     seed: u64,
 ) -> f64 {
     let servers = ServerMap::new(topo);
     let tm = permutation_matrix(&servers, seed ^ 0x11);
-    let conns = build_connections(&topo.csr(), &servers, &tm, path_policy, transport, seed);
+    let conns = build_connections(&topo.csr(), &servers, &tm, scheme, transport, seed);
     max_min_fair_allocation(&conns).mean_throughput()
 }
 

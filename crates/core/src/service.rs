@@ -601,3 +601,25 @@ impl Session {
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use jellyfish_topology::JellyfishBuilder;
+
+    /// KSP path queries never build the distance matrix, so the deltas of a
+    /// session that answered only KSP queries report no repaired rows; the
+    /// first ECMP query materializes the matrix.
+    #[test]
+    fn ksp_queries_leave_the_distance_matrix_unbuilt() {
+        let topo = JellyfishBuilder::new(16, 8, 5).seed(7).build().unwrap();
+        let mut session = Session::new(topo, 7);
+        let path = |scheme| Query::Path { src: 0, dst: 9, scheme };
+        session.query(&path(RoutingScheme::ksp8())).unwrap();
+        let delta = session.apply(&ChurnEvent::FailLinks { fraction: 0.1 }).unwrap();
+        assert_eq!((delta.repaired_rows, delta.total_rows), (None, None));
+        session.query(&path(RoutingScheme::ecmp8())).unwrap();
+        let delta = session.apply(&ChurnEvent::Restore).unwrap();
+        assert_eq!(delta.total_rows, Some(16));
+    }
+}

@@ -502,7 +502,7 @@ mod tests {
         switches: usize,
         ports: usize,
         degree: usize,
-        path_policy: RoutingScheme,
+        scheme: RoutingScheme,
         transport: TransportPolicy,
         seed: u64,
     ) -> SimReport {
@@ -510,7 +510,7 @@ mod tests {
         let servers = ServerMap::new(&topo);
         let csr = topo.csr();
         let tm = TrafficMatrix::random_permutation(&servers, seed ^ 0xABCD);
-        let conns = build_connections(&csr, &servers, &tm, path_policy, transport, seed);
+        let conns = build_connections(&csr, &servers, &tm, scheme, transport, seed);
         let net = Network::build(&csr, &servers, LinkParams::default());
         let config = SimConfig { duration: 6.0, warmup: 1.5, seed, ..Default::default() };
         Simulator::new(net, conns, config).run()

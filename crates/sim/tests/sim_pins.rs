@@ -9,9 +9,7 @@
 //! against the value the simulator produced before its event queue, hop
 //! resolution, send-time table and LIA buffers were rewritten. The report's
 //! work counters (events handled, wire losses, transmit attempts on missing
-//! links) entered it with that rewrite and are pinned from it. The pins also
-//! held when connection building moved from a per-flow path computation to
-//! one path table per distinct switch pair.
+//! links) entered it with that rewrite and are pinned from it.
 //!
 //! The runs cross {8-way ECMP, 8 Shortest Paths} × {TCP 1, TCP 8, MPTCP 8} ×
 //! {ideal fabric, impaired fabric with every knob on} on a tiny Jellyfish,

@@ -220,7 +220,7 @@ const PARALLEL_MIN_NODES: usize = 256;
 pub fn map_source_blocks<T, F>(csr: &CsrGraph, sources: &[NodeId], fold: F) -> Vec<T>
 where
     T: Send,
-    F: Fn(&[NodeId], &[u32]) -> T + Sync + Send,
+    F: Fn(&[NodeId], &[u32]) -> T + Sync,
 {
     let n = csr.num_nodes();
     let run = |block: &[NodeId], rows: &mut Vec<u32>, scratch: &mut MsBfsScratch| {

@@ -326,6 +326,14 @@ mod tests {
         assert_eq!(hist[2], 6);
         assert!((fraction_of_server_pairs_within(&hist, 2) - 1.0).abs() < 1e-12);
         assert_eq!(fraction_of_server_pairs_within(&hist, 1), 0.0);
+        // Switches without servers behind it add no pairs, so the histogram
+        // (whose length sets fig1c's point count) does not grow.
+        let mut chain = Graph::new(3);
+        chain.add_edge(0, 1);
+        chain.add_edge(1, 2);
+        let mut topo = Topology::homogeneous(chain, 4, 0);
+        topo.set_servers(0, 3).unwrap();
+        assert_eq!(server_pair_histogram(&topo, &topo.csr()), vec![0, 0, 6]);
     }
 
     #[test]
