@@ -3,31 +3,44 @@
 //! kernel change, seed for seed, in both the single-process and the
 //! sharded-and-merged paths. The goldens in `testdata/` were captured from
 //! the pre-rewrite binary with
-//! `figures run <experiment> --scale <scale> --seed 7 [--topo <spec>]`; a
-//! diff here means a kernel changed observable results, not just speed.
+//! `figures run <experiment> --scale <scale> --seed 7 [--topo <spec>]
+//! [--traffic <spec>]`; a diff here means a kernel changed observable
+//! results, not just speed.
 
 use jellyfish::experiment::{self, RunCtx, Shard, ShardFragment, WorkPlan};
 use jellyfish::figures::Scale;
 use jellyfish::topology::TopoSpec;
+use jellyfish::traffic::TrafficSpec;
 use jellyfish_bench::merge::{merge_fragments, render_merged};
 use jellyfish_bench::render_run;
 
 const SEED: u64 = 7;
 
-/// `(experiment, --scale, --topo override, golden bytes)`. The laptop-scale
-/// path-length goldens span several 64-source BFS blocks.
-const GOLDENS: &[(&str, Scale, Option<&str>, &str)] = &[
+/// `(experiment, --scale, --topo override, --traffic override, golden
+/// bytes)`. The laptop-scale path-length goldens span several 64-source BFS
+/// blocks.
+type Golden = (&'static str, Scale, Option<&'static str>, Option<&'static str>, &'static str);
+
+const GOLDENS: &[Golden] = &[
     (
         "throughput_vs_size",
         Scale::Tiny,
         None,
+        None,
         include_str!("../testdata/throughput_vs_size_tiny.golden.tsv"),
     ),
-    ("bisection", Scale::Tiny, None, include_str!("../testdata/bisection_tiny.golden.tsv")),
-    ("failure_sweep", Scale::Tiny, None, include_str!("../testdata/failure_sweep_tiny.golden.tsv")),
+    ("bisection", Scale::Tiny, None, None, include_str!("../testdata/bisection_tiny.golden.tsv")),
+    (
+        "failure_sweep",
+        Scale::Tiny,
+        None,
+        None,
+        include_str!("../testdata/failure_sweep_tiny.golden.tsv"),
+    ),
     (
         "throughput_vs_workload",
         Scale::Tiny,
+        None,
         None,
         include_str!("../testdata/throughput_vs_workload_tiny.golden.tsv"),
     ),
@@ -35,47 +48,114 @@ const GOLDENS: &[(&str, Scale, Option<&str>, &str)] = &[
         "throughput_vs_loss",
         Scale::Tiny,
         Some("jellyfish:switches=20,ports=8,degree=5+impair=loss:0.01"),
+        None,
         include_str!("../testdata/throughput_vs_loss_jellyfish_impaired_tiny.golden.tsv"),
     ),
     (
         "throughput_vs_size",
         Scale::Tiny,
         Some("leafspine:leaf=6,spine=3,servers=4"),
+        None,
         include_str!("../testdata/throughput_vs_size_leafspine_tiny.golden.tsv"),
     ),
-    ("fig3", Scale::Tiny, None, include_str!("../testdata/fig3_tiny.golden.tsv")),
-    ("table1", Scale::Tiny, None, include_str!("../testdata/table1_tiny.golden.tsv")),
-    ("fig1c", Scale::Laptop, None, include_str!("../testdata/fig1c_laptop.golden.tsv")),
-    ("fig5", Scale::Laptop, None, include_str!("../testdata/fig5_laptop.golden.tsv")),
-    ("fig9", Scale::Laptop, None, include_str!("../testdata/fig9_laptop.golden.tsv")),
-    ("fig13", Scale::Laptop, None, include_str!("../testdata/fig13_laptop.golden.tsv")),
-    ("path_length", Scale::Laptop, None, include_str!("../testdata/path_length_laptop.golden.tsv")),
+    ("fig3", Scale::Tiny, None, None, include_str!("../testdata/fig3_tiny.golden.tsv")),
+    ("table1", Scale::Tiny, None, None, include_str!("../testdata/table1_tiny.golden.tsv")),
+    ("fig1c", Scale::Laptop, None, None, include_str!("../testdata/fig1c_laptop.golden.tsv")),
+    ("fig5", Scale::Laptop, None, None, include_str!("../testdata/fig5_laptop.golden.tsv")),
+    ("fig9", Scale::Laptop, None, None, include_str!("../testdata/fig9_laptop.golden.tsv")),
+    ("fig13", Scale::Laptop, None, None, include_str!("../testdata/fig13_laptop.golden.tsv")),
+    (
+        "path_length",
+        Scale::Laptop,
+        None,
+        None,
+        include_str!("../testdata/path_length_laptop.golden.tsv"),
+    ),
+    ("fig7", Scale::Tiny, None, None, include_str!("../testdata/fig7_tiny.golden.tsv")),
+    ("fig10", Scale::Tiny, None, None, include_str!("../testdata/fig10_tiny.golden.tsv")),
+    ("fig11", Scale::Tiny, None, None, include_str!("../testdata/fig11_tiny.golden.tsv")),
+    (
+        "impaired_failure_sweep",
+        Scale::Tiny,
+        None,
+        None,
+        include_str!("../testdata/impaired_failure_sweep_tiny.golden.tsv"),
+    ),
+    (
+        "latency_histogram",
+        Scale::Tiny,
+        None,
+        None,
+        include_str!("../testdata/latency_histogram_tiny.golden.tsv"),
+    ),
+    (
+        "fairness_under_skew",
+        Scale::Tiny,
+        None,
+        None,
+        include_str!("../testdata/fairness_under_skew_tiny.golden.tsv"),
+    ),
+    (
+        "incast_degradation",
+        Scale::Tiny,
+        None,
+        None,
+        include_str!("../testdata/incast_degradation_tiny.golden.tsv"),
+    ),
+    (
+        "failure_sweep",
+        Scale::Tiny,
+        None,
+        Some("mix:permutation=2,zipf=1,diurnal=3+epochs=2+scale_demand=0.5"),
+        include_str!("../testdata/failure_sweep_mix_tiny.golden.tsv"),
+    ),
+    (
+        "throughput_vs_size",
+        Scale::Tiny,
+        None,
+        Some("zipf:s=1.2,hot_racks=4"),
+        include_str!("../testdata/throughput_vs_size_zipf_tiny.golden.tsv"),
+    ),
 ];
 
-/// The run context of a golden: its scale, seed 7 and its `--topo`
-/// override, plus the override as the CLI renders it in the header.
-fn golden_ctx(scale: Scale, topo: Option<&str>) -> (RunCtx, Option<String>) {
-    let ctx = RunCtx::new(scale, SEED);
-    match topo {
-        None => (ctx, None),
-        Some(raw) => {
-            let spec: TopoSpec = raw.parse().expect("golden --topo spec parses");
-            let rendered = spec.to_string();
-            (ctx.with_topo(spec), Some(rendered))
-        }
+/// The run context of a golden: its scale, seed 7 and its `--topo` and
+/// `--traffic` overrides, plus each override as the CLI renders it in the
+/// header.
+fn golden_ctx(
+    scale: Scale,
+    topo: Option<&str>,
+    traffic: Option<&str>,
+) -> (RunCtx, Option<String>, Option<String>) {
+    let mut ctx = RunCtx::new(scale, SEED);
+    let mut rendered = (None, None);
+    if let Some(raw) = topo {
+        let spec: TopoSpec = raw.parse().expect("golden --topo spec parses");
+        rendered.0 = Some(spec.to_string());
+        ctx = ctx.with_topo(spec);
     }
+    if let Some(raw) = traffic {
+        let spec: TrafficSpec = raw.parse().expect("golden --traffic spec parses");
+        rendered.1 = Some(spec.to_string());
+        ctx = ctx.with_traffic(spec);
+    }
+    (ctx, rendered.0, rendered.1)
 }
 
-/// `figures run <exp> --scale <scale> --seed 7 [--topo <spec>]` reproduces
-/// the committed golden bytes under the current build profile.
+/// `figures run <exp> --scale <scale> --seed 7 [--topo <spec>] [--traffic
+/// <spec>]` reproduces the committed golden bytes under the current build
+/// profile.
 #[test]
 fn tiny_runs_match_goldens_byte_for_byte() {
-    for (name, scale, topo, golden) in GOLDENS {
+    for (name, scale, topo, traffic, golden) in GOLDENS {
         let exp = experiment::find(name).expect("golden experiment is registered");
-        let (ctx, topo) = golden_ctx(*scale, *topo);
+        let (ctx, topo, traffic) = golden_ctx(*scale, *topo, *traffic);
         let data = exp.run(&ctx);
-        let rendered = render_run(exp.name(), *scale, SEED, topo.as_deref(), None, &data);
-        assert_eq!(rendered, *golden, "{name} {topo:?}: output drifted from the golden");
+        let rendered =
+            render_run(exp.name(), *scale, SEED, topo.as_deref(), traffic.as_deref(), &data);
+        assert_eq!(
+            rendered, *golden,
+            "{name} {topo:?} {traffic:?}: output drifted from the golden"
+        );
     }
 }
 
@@ -84,9 +164,9 @@ fn tiny_runs_match_goldens_byte_for_byte() {
 /// kernels to leak nondeterminism through.
 #[test]
 fn sharded_merge_matches_goldens_byte_for_byte() {
-    for (name, scale, topo, golden) in GOLDENS {
+    for (name, scale, topo, traffic, golden) in GOLDENS {
         let exp = experiment::find(name).expect("golden experiment is registered");
-        let (ctx, topo) = golden_ctx(*scale, *topo);
+        let (ctx, topo, traffic) = golden_ctx(*scale, *topo, *traffic);
         let num_shards = 2;
         let plan = WorkPlan::plan(exp.work_items(&ctx).len(), num_shards, None);
         let fragments: Vec<ShardFragment> = (1..=num_shards)
@@ -98,7 +178,7 @@ fn sharded_merge_matches_goldens_byte_for_byte() {
                     scale: *scale,
                     seed: SEED,
                     topo: topo.clone(),
-                    traffic: None,
+                    traffic: traffic.clone(),
                     shard,
                     timings_us: timed.timings_us,
                     items: timed.items,
@@ -107,6 +187,6 @@ fn sharded_merge_matches_goldens_byte_for_byte() {
             .collect();
         let merged = merge_fragments(&fragments).expect("complete shard set merges");
         let rendered = render_merged(&merged, false);
-        assert_eq!(rendered, *golden, "{name} {topo:?}: sharded+merged output drifted");
+        assert_eq!(rendered, *golden, "{name} {topo:?} {traffic:?}: sharded+merged output drifted");
     }
 }
