@@ -25,8 +25,8 @@ fn main() {
         let stats = path_length_stats(&topo.csr());
         let servers = ServerMap::new(&topo);
         let workload: TrafficSpec = "permutation".parse().expect("registered workload spec");
-        let tm = workload.matrix(&servers, stage).expect("permutation builds on any server map");
-        let tput = normalized_throughput(&topo, &servers, &tm, ThroughputOptions::default());
+        let flows = workload.stream(&servers, stage).expect("permutation builds on any server map");
+        let tput = normalized_throughput(&topo, &servers, flows, ThroughputOptions::default());
         println!(
             "{:>5}  {:>5}  {:>7}  {:>12}  {:>9.3}  {:>8}  {:>6.3}",
             stage,

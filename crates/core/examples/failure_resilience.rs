@@ -31,9 +31,9 @@ fn main() {
             fail_random_links(&mut failed, frac, 90 + percent as u64);
             let servers = ServerMap::new(&failed);
             let workload: TrafficSpec = "permutation".parse().expect("registered workload spec");
-            let tm = workload.matrix(&servers, 7).expect("permutation builds on any server map");
+            let flows = workload.stream(&servers, 7).expect("permutation builds on any server map");
             let opts = ThroughputOptions { stop_at_full: false, ..Default::default() };
-            let tput = normalized_throughput(&failed, &servers, &tm, opts);
+            let tput = normalized_throughput(&failed, &servers, flows, opts);
             row.push(format!("{:>20.3}", tput.normalized));
             connectivity.push(format!("{:>18.2}", survivability(&failed).server_fraction));
         }

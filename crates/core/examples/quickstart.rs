@@ -26,8 +26,8 @@ fn main() {
     // Workloads are spec strings resolved by the traffic registry (see
     // TRAFFIC.md); "permutation" reproduces the eager constructor exactly.
     let workload: TrafficSpec = "permutation".parse().expect("registered workload spec");
-    let tm = workload.matrix(&servers, 7).expect("permutation builds on any server map");
-    let result = normalized_throughput(&topo, &servers, &tm, ThroughputOptions::default());
+    let flows = workload.stream(&servers, 7).expect("permutation builds on any server map");
+    let result = normalized_throughput(&topo, &servers, flows, ThroughputOptions::default());
     println!(
         "permutation throughput: {:.3} of NIC rate ({} switch-level commodities)",
         result.normalized, result.commodities

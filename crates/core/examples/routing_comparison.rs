@@ -15,8 +15,8 @@ fn run(topo: &Topology, path: RoutingScheme, transport: TransportPolicy, seed: u
     let csr = topo.csr();
     let servers = ServerMap::new(topo);
     let workload: TrafficSpec = "permutation".parse().expect("registered workload spec");
-    let tm = workload.matrix(&servers, seed).expect("permutation builds on any server map");
-    let conns = build_connections(&csr, &servers, &tm, path, transport, seed);
+    let flows = workload.stream(&servers, seed).expect("permutation builds on any server map");
+    let conns = build_connections(&csr, &servers, flows, path, transport, seed);
     let net = Network::build(&csr, &servers, LinkParams::default());
     let config = SimConfig { duration: 8.0, warmup: 2.0, seed, ..Default::default() };
     let report = Simulator::new(net, conns, config).run();

@@ -7,10 +7,10 @@
 //! each probe samples three random permutation matrices and requires full
 //! capacity on all of them; the final answer is verified on ten more.
 
-use crate::experiment::catalog::jellyfish_total_spec;
+use crate::experiment::catalog::{jellyfish_total_spec, permutation};
 use jellyfish_flow::throughput::{normalized_throughput, ThroughputOptions};
 use jellyfish_topology::Topology;
-use jellyfish_traffic::{ServerMap, TrafficMatrix};
+use jellyfish_traffic::ServerMap;
 
 /// Options of the capacity search.
 #[derive(Debug, Clone, Copy)]
@@ -57,8 +57,8 @@ pub fn supports_full_throughput(
 ) -> bool {
     let servers = ServerMap::new(topo);
     for i in 0..samples.max(1) {
-        let tm = TrafficMatrix::random_permutation(&servers, seed.wrapping_add(i as u64));
-        let result = normalized_throughput(topo, &servers, &tm, opts);
+        let workload = permutation(&servers, seed.wrapping_add(i as u64));
+        let result = normalized_throughput(topo, &servers, workload, opts);
         if !result.at_full_throughput() {
             return false;
         }

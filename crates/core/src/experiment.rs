@@ -58,7 +58,7 @@
 use crate::figures::{Scale, Series};
 use crate::service::Session;
 use jellyfish_topology::{CsrGraph, SpecError, TopoSpec, Topology};
-use jellyfish_traffic::{ServerMap, TrafficMatrix, TrafficSpec};
+use jellyfish_traffic::{FlowStream, ServerMap, TrafficSpec};
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::fmt;
@@ -449,18 +449,15 @@ impl RunCtx {
         self.traffic.as_ref()
     }
 
-    /// The traffic matrix a traffic-capable experiment should evaluate:
-    /// the `--traffic` override when one is set, the paper's
-    /// random-permutation workload otherwise. `seed` is the experiment's
-    /// item-derived matrix seed, applied identically to both paths so an
-    /// explicit `--traffic permutation` is byte-identical to no override.
-    pub fn traffic_matrix(&self, servers: &ServerMap, seed: u64) -> TrafficMatrix {
-        match &self.traffic {
-            Some(spec) => spec.matrix(servers, seed).unwrap_or_else(|e| {
-                panic!("--traffic '{spec}' does not build for this topology: {e}")
-            }),
-            None => TrafficMatrix::random_permutation(servers, seed),
-        }
+    /// The workload a traffic-capable experiment should evaluate: the
+    /// `--traffic` override when one is set, the paper's random-permutation
+    /// workload otherwise. `seed` is the experiment's item-derived workload
+    /// seed; both come from the same spec build, so an explicit
+    /// `--traffic permutation` is byte-identical to no override.
+    pub fn workload(&self, servers: &ServerMap, seed: u64) -> FlowStream {
+        let spec = self.traffic.clone().unwrap_or_else(TrafficSpec::permutation);
+        spec.stream(servers, seed)
+            .unwrap_or_else(|e| panic!("--traffic '{spec}' does not build for this topology: {e}"))
     }
 
     /// Returns the memoized snapshot of `spec` built with `seed` (which may

@@ -41,7 +41,7 @@ use jellyfish_topology::properties::{
 };
 use jellyfish_topology::spec::ScenarioTransform;
 use jellyfish_topology::{TopoSpec, Topology};
-use jellyfish_traffic::{ServerMap, TrafficMatrix, TrafficSpec};
+use jellyfish_traffic::{switch_demands, FlowStream, ServerMap, TrafficSpec};
 use rayon::prelude::*;
 use std::sync::Arc;
 
@@ -51,13 +51,13 @@ pub(crate) fn sweep_opts() -> ThroughputOptions {
 }
 
 /// The paper's random-permutation workload, built through the traffic-spec
-/// registry. The `permutation` generator delegates to the eager constructor,
-/// so this is byte-identical to `TrafficMatrix::random_permutation` — the
-/// registry is the single construction path (`crates/bench/tests/`
-/// `golden_experiments.rs` enforces the bytes).
-pub(crate) fn permutation_matrix(servers: &ServerMap, seed: u64) -> TrafficMatrix {
+/// registry, the single construction path. The `permutation` generator runs
+/// `TrafficMatrix::random_permutation`, so the flows are those of the eager
+/// constructor (`crates/bench/tests/golden_experiments.rs` enforces the
+/// bytes).
+pub(crate) fn permutation(servers: &ServerMap, seed: u64) -> FlowStream {
     TrafficSpec::permutation()
-        .matrix(servers, seed)
+        .stream(servers, seed)
         .expect("the permutation workload builds on any server map")
 }
 
@@ -337,8 +337,8 @@ impl Experiment for Fig3 {
                 .unwrap_or_else(|e| panic!("fig3: cannot build '{spec}': {e}"));
             ds.push_meta(format!("topo:{label} #{i}"), spec.to_string());
             let servers = ServerMap::new(&snap.topology);
-            let tm = permutation_matrix(&servers, seed ^ i as u64);
-            let r = normalized_throughput(&snap.topology, &servers, &tm, opts);
+            let workload = permutation(&servers, seed ^ i as u64);
+            let r = normalized_throughput(&snap.topology, &servers, workload, opts);
             ds.push_point(label, i as f64, r.normalized);
         }
         ItemResult::new(i, ds)
@@ -390,8 +390,8 @@ impl Experiment for Fig4 {
         let mut ds = Dataset::new();
         let snap = resolve(ctx, item, seed, &mut ds);
         let servers = ServerMap::new(&snap.topology);
-        let tm = permutation_matrix(&servers, seed ^ 0xF4);
-        let r = normalized_throughput(&snap.topology, &servers, &tm, sweep_opts());
+        let workload = permutation(&servers, seed ^ 0xF4);
+        let r = normalized_throughput(&snap.topology, &servers, workload, sweep_opts());
         ds.push_cell(&item.label, r.normalized);
         ItemResult::new(item.index, ds)
     }
@@ -506,16 +506,16 @@ impl Experiment for Fig6 {
         let stage = &stages[item.index];
         let opts = sweep_opts();
         let servers = ServerMap::new(stage);
-        let tm = permutation_matrix(&servers, seed ^ stage.num_switches() as u64);
-        let r = normalized_throughput(stage, &servers, &tm, opts);
+        let workload = permutation(&servers, seed ^ stage.num_switches() as u64);
+        let r = normalized_throughput(stage, &servers, workload, opts);
 
         let fresh_spec = jellyfish_spec(stage.num_switches(), 12, 8);
         let fresh = fresh_spec
             .build(seed ^ 0xABC ^ stage.num_switches() as u64)
             .expect("fresh jellyfish spec builds");
         let servers_f = ServerMap::new(&fresh);
-        let tm_f = permutation_matrix(&servers_f, seed ^ stage.num_switches() as u64);
-        let rf = normalized_throughput(&fresh, &servers_f, &tm_f, opts);
+        let workload_f = permutation(&servers_f, seed ^ stage.num_switches() as u64);
+        let rf = normalized_throughput(&fresh, &servers_f, workload_f, opts);
         let mut ds = Dataset::new();
         ds.push_meta(format!("topo:from-scratch stage {}", item.index), fresh_spec.to_string());
         ds.push_point("Jellyfish (Incremental)", stage.total_servers() as f64, r.normalized);
@@ -648,8 +648,8 @@ impl Experiment for Fig8 {
             format!("Fat-tree ({} Servers)", snap.topology.total_servers())
         };
         let servers = ServerMap::new(&snap.topology);
-        let tm = permutation_matrix(&servers, seed ^ 0x8);
-        let r = normalized_throughput(&snap.topology, &servers, &tm, sweep_opts());
+        let workload = permutation(&servers, seed ^ 0x8);
+        let r = normalized_throughput(&snap.topology, &servers, workload, sweep_opts());
         ds.push_point(&label, f, r.normalized);
         ItemResult::new(item.index, ds)
     }
@@ -686,9 +686,8 @@ impl Experiment for Fig9 {
         let mut ds = Dataset::new();
         let snap = resolve(ctx, item, seed, &mut ds);
         let servers = ServerMap::new(&snap.topology);
-        let tm = permutation_matrix(&servers, seed ^ 0x9);
-        let pairs: Vec<(usize, usize)> =
-            tm.switch_demands(&servers).into_iter().map(|(s, d, _)| (s, d)).collect();
+        let demands = switch_demands(permutation(&servers, seed ^ 0x9), &servers);
+        let pairs: Vec<(usize, usize)> = demands.into_iter().map(|(s, d, _)| (s, d)).collect();
         let scheme = match item.index {
             0 => RoutingScheme::ksp8(),
             1 => RoutingScheme::ecmp64(),
@@ -729,8 +728,8 @@ pub fn table1_cell(
 ) -> f64 {
     let servers = ServerMap::new(topo);
     let csr = topo.csr();
-    let tm = permutation_matrix(&servers, seed);
-    let conns = build_connections(&csr, &servers, &tm, scheme, transport, seed);
+    let workload = permutation(&servers, seed);
+    let conns = build_connections(&csr, &servers, workload, scheme, transport, seed);
     let net = Network::build(&csr, &servers, LinkParams::default());
     let config = SimConfig { duration, warmup: duration * 0.25, seed, ..Default::default() };
     Simulator::new(net, conns, config).run().mean_throughput()
@@ -830,12 +829,15 @@ impl Experiment for Fig10 {
         let snap = resolve(ctx, item, seed ^ i as u64, &mut ds);
         let topo = &snap.topology;
         let servers = ServerMap::new(topo);
-        let tm = permutation_matrix(&servers, seed ^ (i as u64) << 4);
-        let optimal = normalized_throughput(topo, &servers, &tm, sweep_opts()).normalized;
+        // The solver and the simulator see the same permutation, built once
+        // for each from the same seed.
+        let traffic_seed = seed ^ (i as u64) << 4;
+        let workload = permutation(&servers, traffic_seed);
+        let optimal = normalized_throughput(topo, &servers, workload, sweep_opts()).normalized;
         let conns = build_connections(
             &snap.csr,
             &servers,
-            &tm,
+            permutation(&servers, traffic_seed),
             RoutingScheme::ksp8(),
             TransportPolicy::Mptcp { subflows: 8 },
             seed,
@@ -881,8 +883,8 @@ fn fluid_throughput(
     seed: u64,
 ) -> f64 {
     let servers = ServerMap::new(topo);
-    let tm = permutation_matrix(&servers, seed ^ 0x11);
-    let conns = build_connections(&topo.csr(), &servers, &tm, scheme, transport, seed);
+    let workload = permutation(&servers, seed ^ 0x11);
+    let conns = build_connections(&topo.csr(), &servers, workload, scheme, transport, seed);
     max_min_fair_allocation(&conns).mean_throughput()
 }
 
@@ -1031,11 +1033,10 @@ impl Experiment for Fig13 {
         let mut ds = Dataset::new();
         let snap = resolve(ctx, item, seed, &mut ds);
         let servers = ServerMap::new(&snap.topology);
-        let tm = permutation_matrix(&servers, seed ^ 0x13);
         let conns = build_connections(
             &snap.csr,
             &servers,
-            &tm,
+            permutation(&servers, seed ^ 0x13),
             policy,
             TransportPolicy::Mptcp { subflows: 8 },
             seed,
@@ -1095,8 +1096,8 @@ impl Experiment for Fig14 {
         let base = resolve(ctx, item, seed, &mut ds);
         let base = &base.topology;
         let base_servers = ServerMap::new(base);
-        let base_tm = permutation_matrix(&base_servers, seed ^ 0x14);
-        let base_tp = normalized_throughput(base, &base_servers, &base_tm, opts).normalized;
+        let base_workload = permutation(&base_servers, seed ^ 0x14);
+        let base_tp = normalized_throughput(base, &base_servers, base_workload, opts).normalized;
         let points = fractions
             .par_iter()
             .map(|&f| {
@@ -1110,8 +1111,8 @@ impl Experiment for Fig14 {
                 )
                 .expect("two-layer construction succeeds");
                 let servers = ServerMap::new(&topo);
-                let tm = permutation_matrix(&servers, seed ^ 0x14);
-                let tp = normalized_throughput(&topo, &servers, &tm, opts).normalized;
+                let workload = permutation(&servers, seed ^ 0x14);
+                let tp = normalized_throughput(&topo, &servers, workload, opts).normalized;
                 (f, if base_tp > 0.0 { tp / base_tp } else { 0.0 })
             })
             .collect();

@@ -99,8 +99,8 @@ impl Experiment for ThroughputVsSize {
         let snap = resolve(ctx, item, &mut ds);
         record_traffic_meta(ctx, &mut ds);
         let servers = ServerMap::new(&snap.topology);
-        let tm = ctx.traffic_matrix(&servers, ctx.seed ^ item.index as u64);
-        let r = normalized_throughput(&snap.topology, &servers, &tm, sweep_opts());
+        let workload = ctx.workload(&servers, ctx.seed ^ item.index as u64);
+        let r = normalized_throughput(&snap.topology, &servers, workload, sweep_opts());
         ds.push_point("Normalized throughput", snap.topology.total_servers() as f64, r.normalized);
         ItemResult::new(item.index, ds)
     }

@@ -27,7 +27,7 @@
 //! axis (e.g. `throughput_vs_loss` keeps the override's jitter while
 //! sweeping its `loss` field).
 
-use super::catalog::jellyfish_spec;
+use super::catalog::{jellyfish_spec, permutation};
 use super::{Dataset, Experiment, ItemResult, RunCtx, Snapshot, WorkItem};
 use crate::figures::Scale;
 use crate::metrics::LatencyHistogram;
@@ -37,7 +37,7 @@ use jellyfish_sim::net::{LinkParams, Network};
 use jellyfish_sim::{build_connections, SimConfig, SimReport, Simulator, TransportPolicy};
 use jellyfish_topology::spec::{ImpairConfig, ScenarioTransform};
 use jellyfish_topology::{CsrGraph, TopoSpec, Topology};
-use jellyfish_traffic::{ServerMap, TrafficMatrix};
+use jellyfish_traffic::ServerMap;
 use std::sync::Arc;
 
 /// Same-server-count leaf-spine counterpart of the scale's default
@@ -96,8 +96,9 @@ fn simulate(
     duration: f64,
 ) -> SimReport {
     let servers = ServerMap::new(topo);
-    let tm = TrafficMatrix::random_permutation(&servers, traffic_seed);
-    let conns = build_connections(csr, &servers, &tm, policy_for(spec), transport, traffic_seed);
+    let workload = permutation(&servers, traffic_seed);
+    let conns =
+        build_connections(csr, &servers, workload, policy_for(spec), transport, traffic_seed);
     let mut net = Network::build(csr, &servers, LinkParams::default());
     if let Some(cfg) = spec.impairment() {
         net = net.with_impairment(cfg, ScenarioTransform::Impair(cfg).derived_seed(base_seed));

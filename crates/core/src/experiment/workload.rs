@@ -12,19 +12,19 @@
 //! spec-driven topology items carry their [`TopoSpec`], and every dataset
 //! records both specs in its provenance metadata.
 //!
-//! Workloads are evaluated through the lazy [`FlowStream`] path
-//! (`jellyfish_traffic::stream`): flows are aggregated or turned into
-//! connections as they are generated, never materialized as a whole.
+//! Workloads are evaluated as lazy [`FlowStream`]s
+//! (`jellyfish_traffic::stream`): the solver aggregates flows as they are
+//! generated, and only the simulator's connection builder holds them all.
 
 use super::catalog::{jellyfish_spec, sweep_opts};
 use super::{Dataset, Experiment, ItemResult, RunCtx, Snapshot, WorkItem};
 use crate::figures::Scale;
 use crate::metrics::jain_fairness_index;
-use jellyfish_flow::throughput::normalized_throughput_stream;
+use jellyfish_flow::throughput::normalized_throughput;
 use jellyfish_routing::path_table::RoutingScheme;
 use jellyfish_sim::fluid::max_min_fair_allocation;
 use jellyfish_sim::routing::TransportPolicy;
-use jellyfish_sim::workload::build_connections_stream;
+use jellyfish_sim::workload::build_connections;
 use jellyfish_topology::TopoSpec;
 use jellyfish_traffic::{FlowStream, ServerMap, TrafficSpec};
 use std::sync::Arc;
@@ -99,8 +99,8 @@ pub(crate) const WORKLOAD_THROUGHPUT_COLUMNS: [&str; 4] =
 fn throughput_row(ctx: &RunCtx, item: &WorkItem) -> ItemResult {
     let mut ds = Dataset::new();
     let (snap, servers, stream) = resolve(ctx, item, &mut ds);
-    let flows = stream.exact_len().expect("registered workload streams know their size") as f64;
-    let r = normalized_throughput_stream(&snap.topology, &servers, stream, sweep_opts());
+    let flows = stream.len() as f64;
+    let r = normalized_throughput(&snap.topology, &servers, stream, sweep_opts());
     ds.set_columns(&WORKLOAD_THROUGHPUT_COLUMNS);
     ds.push_row(item.label.clone(), vec![flows, r.commodities as f64, r.normalized]);
     ItemResult::new(item.index, ds)
@@ -189,7 +189,7 @@ impl Experiment for FairnessUnderSkew {
     fn run_item(&self, ctx: &RunCtx, item: &WorkItem) -> ItemResult {
         let mut ds = Dataset::new();
         let (snap, servers, stream) = resolve(ctx, item, &mut ds);
-        let conns = build_connections_stream(
+        let conns = build_connections(
             &snap.csr,
             &servers,
             stream,

@@ -35,8 +35,8 @@
 //! // Build RRG(20, 8, 5): 20 ToR switches, 8 ports each, 5 towards the network.
 //! let topo = JellyfishBuilder::new(20, 8, 5).seed(42).build().unwrap();
 //! let servers = ServerMap::new(&topo);
-//! let tm = TrafficMatrix::random_permutation(&servers, 7);
-//! let result = normalized_throughput(&topo, &servers, &tm, ThroughputOptions::default());
+//! let workload = TrafficSpec::permutation().stream(&servers, 7).unwrap();
+//! let result = normalized_throughput(&topo, &servers, workload, ThroughputOptions::default());
 //! assert!(result.normalized > 0.5);
 //! ```
 

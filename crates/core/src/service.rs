@@ -54,7 +54,7 @@ use jellyfish_topology::bfs::{DistanceMatrix, UNREACHED};
 use jellyfish_topology::graph::Edge;
 use jellyfish_topology::spec::ScenarioTransform;
 use jellyfish_topology::{CsrGraph, NodeId, Topology};
-use jellyfish_traffic::{ServerMap, TrafficMatrix, TrafficSpec};
+use jellyfish_traffic::{ServerMap, TrafficSpec};
 
 pub mod wire;
 
@@ -518,13 +518,10 @@ impl Session {
             Query::Throughput { tseed } => {
                 let servers = ServerMap::new(&self.topo);
                 let seed = tseed.unwrap_or(self.seed ^ TRAFFIC_SEED_XOR);
-                let tm = match &self.traffic {
-                    Some(spec) => spec
-                        .matrix(&servers, seed)
-                        .map_err(|e| ServiceError::Spec(e.to_string()))?,
-                    None => TrafficMatrix::random_permutation(&servers, seed),
-                };
-                let result = normalized_throughput(&self.topo, &servers, &tm, self.throughput);
+                let spec = self.traffic.clone().unwrap_or_else(TrafficSpec::permutation);
+                let workload =
+                    spec.stream(&servers, seed).map_err(|e| ServiceError::Spec(e.to_string()))?;
+                let result = normalized_throughput(&self.topo, &servers, workload, self.throughput);
                 Reply::Throughput { result }
             }
             Query::Bisection { restarts } => {

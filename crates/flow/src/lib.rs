@@ -15,9 +15,10 @@
 //! * [`bisection`] — Bollobás's analytic lower bound for random regular
 //!   graphs, the fat-tree's closed form, a Kernighan–Lin heuristic for
 //!   arbitrary graphs, and full-bisection design-point search.
-//! * [`throughput`] — glue that turns a [`jellyfish_traffic::TrafficMatrix`]
-//!   plus a [`jellyfish_topology::Topology`] into a normalized throughput
-//!   number in `[0, 1]`, the unit used throughout the paper's evaluation.
+//! * [`throughput`] — glue that turns any workload (an iterator of
+//!   [`jellyfish_traffic::Flow`]s) plus a [`jellyfish_topology::Topology`]
+//!   into a normalized throughput number in `[0, 1]`, the unit used
+//!   throughout the paper's evaluation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

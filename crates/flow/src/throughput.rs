@@ -1,15 +1,16 @@
-//! Normalized throughput of a topology under a traffic matrix, with "ideal"
+//! Normalized throughput of a topology under a workload, with "ideal"
 //! (fluid, splittable) routing — the paper's §4 capacity metric.
 //!
-//! The server-level traffic matrix is aggregated to switch-level commodities
-//! (intra-switch flows never touch the interconnect), the max-concurrent-flow
+//! The server-level flows are aggregated to switch-level commodities as they
+//! are consumed (intra-switch flows never touch the interconnect), so a lazy
+//! spec-built stream is never materialized; the max-concurrent-flow
 //! solver computes the fraction λ of every demand that can be routed
 //! simultaneously, and the per-flow normalized throughput is `min(λ, 1)`
 //! because a server can never exceed its NIC rate.
 
 use crate::mcf::{max_concurrent_flow, Commodity, McfOptions};
-use jellyfish_topology::{NodeId, Topology};
-use jellyfish_traffic::{FlowStream, ServerMap, TrafficMatrix};
+use jellyfish_topology::Topology;
+use jellyfish_traffic::{switch_demands, Flow, ServerMap};
 
 /// Options for [`normalized_throughput`].
 #[derive(Debug, Clone, Copy)]
@@ -51,38 +52,19 @@ impl ThroughputResult {
     }
 }
 
-/// Computes the normalized throughput of `topo` under `tm` with fluid optimal
-/// routing.
+/// Computes the normalized throughput of `topo` under `flows` (a spec-built
+/// stream or a resident `&TrafficMatrix`) with fluid optimal routing. Peak
+/// memory is the switch-pair aggregation state, never the flow count.
 pub fn normalized_throughput(
     topo: &Topology,
     servers: &ServerMap,
-    tm: &TrafficMatrix,
+    flows: impl IntoIterator<Item = Flow>,
     opts: ThroughputOptions,
 ) -> ThroughputResult {
-    throughput_from_demands(topo, tm.switch_demands(servers), opts)
-}
-
-/// Computes the normalized throughput of `topo` under a lazy workload
-/// stream. The stream is aggregated to switch demands as it is consumed, so
-/// peak memory is the switch-pair aggregation state, never the flow count —
-/// this is the streaming entry point for spec-built workloads.
-pub fn normalized_throughput_stream(
-    topo: &Topology,
-    servers: &ServerMap,
-    stream: FlowStream,
-    opts: ThroughputOptions,
-) -> ThroughputResult {
-    throughput_from_demands(topo, stream.switch_demands(servers), opts)
-}
-
-/// The shared solver core: switch-level demands in, throughput result out.
-fn throughput_from_demands(
-    topo: &Topology,
-    demands: Vec<(NodeId, NodeId, f64)>,
-    opts: ThroughputOptions,
-) -> ThroughputResult {
-    let commodities: Vec<Commodity> =
-        demands.iter().map(|&(s, d, demand)| Commodity { src: s, dst: d, demand }).collect();
+    let commodities: Vec<Commodity> = switch_demands(flows, servers)
+        .into_iter()
+        .map(|(src, dst, demand)| Commodity { src, dst, demand })
+        .collect();
     if commodities.is_empty() {
         return ThroughputResult {
             lambda: f64::INFINITY,
@@ -109,6 +91,7 @@ mod tests {
     use super::*;
     use jellyfish_topology::fattree::FatTree;
     use jellyfish_topology::JellyfishBuilder;
+    use jellyfish_traffic::{TrafficMatrix, TrafficSpec};
 
     #[test]
     fn undersubscribed_jellyfish_reaches_full_throughput() {
@@ -150,9 +133,10 @@ mod tests {
         let topo = JellyfishBuilder::new(12, 8, 5).seed(2).build().unwrap();
         let servers = ServerMap::new(&topo);
         let tm = TrafficMatrix::random_permutation(&servers, 9);
+        let stream = TrafficSpec::permutation().stream(&servers, 9).unwrap();
         let opts = ThroughputOptions { stop_at_full: false, ..Default::default() };
         let eager = normalized_throughput(&topo, &servers, &tm, opts);
-        let streamed = normalized_throughput_stream(&topo, &servers, tm.into_stream(), opts);
+        let streamed = normalized_throughput(&topo, &servers, stream, opts);
         assert_eq!(eager.lambda.to_bits(), streamed.lambda.to_bits());
         assert_eq!(eager.commodities, streamed.commodities);
     }
@@ -161,8 +145,7 @@ mod tests {
     fn empty_traffic_is_trivially_satisfied() {
         let topo = JellyfishBuilder::new(6, 6, 3).seed(1).build().unwrap();
         let servers = ServerMap::new(&topo);
-        let tm = TrafficMatrix::from_flows(Vec::new(), servers.num_servers(), "empty");
-        let r = normalized_throughput(&topo, &servers, &tm, ThroughputOptions::default());
+        let r = normalized_throughput(&topo, &servers, Vec::new(), ThroughputOptions::default());
         assert_eq!(r.normalized, 1.0);
         assert_eq!(r.commodities, 0);
     }

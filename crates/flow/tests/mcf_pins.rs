@@ -7,7 +7,7 @@
 
 use jellyfish_flow::mcf::{max_concurrent_flow, Commodity, McfOptions};
 use jellyfish_topology::TopoSpec;
-use jellyfish_traffic::{ServerMap, TrafficMatrix};
+use jellyfish_traffic::{switch_demands, ServerMap, TrafficMatrix};
 
 /// Build and traffic seed shared by every instance.
 const SEED: u64 = 7;
@@ -41,8 +41,7 @@ const PINS: &[(&str, Option<f64>, u64, usize)] = &[
 fn instance(spec: &str) -> (jellyfish_topology::CsrGraph, Vec<Commodity>) {
     let topo = spec.parse::<TopoSpec>().unwrap().build(SEED).unwrap();
     let servers = ServerMap::new(&topo);
-    let commodities = TrafficMatrix::random_permutation(&servers, SEED)
-        .switch_demands(&servers)
+    let commodities = switch_demands(&TrafficMatrix::random_permutation(&servers, SEED), &servers)
         .into_iter()
         .map(|(src, dst, demand)| Commodity { src, dst, demand })
         .collect();

@@ -522,16 +522,12 @@ mod tests {
         // NIC rate once the window has grown.
         let topo = JellyfishBuilder::new(4, 6, 3).seed(1).build().unwrap();
         let servers = ServerMap::new(&topo);
-        let tm = TrafficMatrix::from_flows(
-            vec![jellyfish_traffic::Flow { src: 0, dst: 11, demand: 1.0 }],
-            servers.num_servers(),
-            "single",
-        );
+        let flows = vec![jellyfish_traffic::Flow { src: 0, dst: 11, demand: 1.0 }];
         let csr = topo.csr();
         let conns = build_connections(
             &csr,
             &servers,
-            &tm,
+            flows,
             RoutingScheme::ksp8(),
             TransportPolicy::Tcp { flows: 1 },
             3,
@@ -557,19 +553,15 @@ mod tests {
         g.add_edge(0, 1);
         let topo = jellyfish_topology::Topology::homogeneous(g, 4, 2);
         let servers = ServerMap::new(&topo);
-        let tm = TrafficMatrix::from_flows(
-            vec![
-                jellyfish_traffic::Flow { src: 0, dst: 2, demand: 1.0 },
-                jellyfish_traffic::Flow { src: 1, dst: 3, demand: 1.0 },
-            ],
-            servers.num_servers(),
-            "bottleneck",
-        );
+        let flows = vec![
+            jellyfish_traffic::Flow { src: 0, dst: 2, demand: 1.0 },
+            jellyfish_traffic::Flow { src: 1, dst: 3, demand: 1.0 },
+        ];
         let csr = topo.csr();
         let conns = build_connections(
             &csr,
             &servers,
-            &tm,
+            flows,
             RoutingScheme::ecmp8(),
             TransportPolicy::Tcp { flows: 1 },
             1,

@@ -149,15 +149,11 @@ mod tests {
     fn single_flow_gets_full_nic() {
         let topo = two_switch_topo();
         let servers = ServerMap::new(&topo);
-        let tm = TrafficMatrix::from_flows(
-            vec![Flow { src: 0, dst: 2, demand: 1.0 }],
-            servers.num_servers(),
-            "one",
-        );
+        let flows = vec![Flow { src: 0, dst: 2, demand: 1.0 }];
         let conns = build_connections(
             &topo.csr(),
             &servers,
-            &tm,
+            flows,
             RoutingScheme::ecmp8(),
             TransportPolicy::Tcp { flows: 1 },
             1,
@@ -171,15 +167,12 @@ mod tests {
     fn two_flows_share_bottleneck_equally() {
         let topo = two_switch_topo();
         let servers = ServerMap::new(&topo);
-        let tm = TrafficMatrix::from_flows(
-            vec![Flow { src: 0, dst: 2, demand: 1.0 }, Flow { src: 1, dst: 3, demand: 1.0 }],
-            servers.num_servers(),
-            "two",
-        );
+        let flows =
+            vec![Flow { src: 0, dst: 2, demand: 1.0 }, Flow { src: 1, dst: 3, demand: 1.0 }];
         let conns = build_connections(
             &topo.csr(),
             &servers,
-            &tm,
+            flows,
             RoutingScheme::ecmp8(),
             TransportPolicy::Tcp { flows: 1 },
             1,
@@ -197,15 +190,11 @@ mod tests {
     fn multiple_subflows_cannot_exceed_the_nic() {
         let topo = two_switch_topo();
         let servers = ServerMap::new(&topo);
-        let tm = TrafficMatrix::from_flows(
-            vec![Flow { src: 0, dst: 2, demand: 1.0 }],
-            servers.num_servers(),
-            "multi",
-        );
+        let flows = vec![Flow { src: 0, dst: 2, demand: 1.0 }];
         let conns = build_connections(
             &topo.csr(),
             &servers,
-            &tm,
+            flows,
             RoutingScheme::ksp8(),
             TransportPolicy::Mptcp { subflows: 8 },
             1,

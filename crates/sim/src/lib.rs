@@ -17,8 +17,8 @@
 //!   per-connection goodput.
 //! * [`routing`] — subflow path assignment: ECMP hashing over shortest
 //!   paths, or spreading subflows over Yen's k shortest paths.
-//! * [`workload`] — building simulated connections from a
-//!   [`jellyfish_traffic::TrafficMatrix`].
+//! * [`workload`] — building simulated connections from a workload: any
+//!   iterator of [`jellyfish_traffic::Flow`]s.
 //! * [`fluid`] — a fast fluid (max-min fair) engine used to cross-check the
 //!   packet engine and to run sweeps at sizes where packet-level simulation
 //!   is unnecessary.

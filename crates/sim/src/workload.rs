@@ -1,11 +1,12 @@
-//! Building simulated connections from a traffic matrix.
+//! Building simulated connections from a workload.
 //!
-//! A [`Connection`] is one entry of the (server-level) traffic matrix: its
-//! subflows carry host-level source routes (src host → ToR switches → dst
-//! host), and the transport policy says whether the subflows are independent
-//! TCP flows or LIA-coupled MPTCP subflows.
+//! A [`Connection`] is one server-level flow of the workload: its subflows
+//! carry host-level source routes (src host → ToR switches → dst host), and
+//! the transport policy says whether the subflows are independent TCP flows
+//! or LIA-coupled MPTCP subflows.
 //!
-//! [`build_connections`] computes candidate paths once per distinct
+//! [`build_connections`] takes any flow iterator (a spec-built stream or a
+//! resident `&TrafficMatrix`), computes candidate paths once per distinct
 //! inter-rack switch pair, as one [`PathTable`] built in parallel, and then
 //! assigns each flow's subflows from its pair's entry with a seed derived
 //! from the flow's index.
@@ -14,9 +15,9 @@ use crate::net::SimNode;
 use crate::routing::{assign_subflow_paths, TransportPolicy};
 use jellyfish_routing::path_table::{PathTable, RoutingScheme};
 use jellyfish_topology::CsrGraph;
-use jellyfish_traffic::{Flow, FlowStream, ServerMap, TrafficMatrix};
+use jellyfish_traffic::{Flow, ServerMap};
 
-/// One simulated connection (one traffic-matrix entry).
+/// One simulated connection (one flow of the workload).
 #[derive(Debug, Clone)]
 pub struct Connection {
     /// Sending server (global id).
@@ -37,39 +38,25 @@ impl Connection {
     }
 }
 
-/// Builds the connections for a traffic matrix under the given routing
-/// scheme and transport policy. Connections whose endpoints are disconnected
-/// in the switch graph are skipped (they would get zero throughput; the
-/// paper's topologies are always connected).
+/// Builds the connections for `flows` under the given routing scheme and
+/// transport policy. Each flow's subflow seed is derived from its position
+/// in `flows`, so the same flows in the same order give the same
+/// connections whatever container they came in. Connections whose endpoints
+/// are disconnected in the switch graph are skipped (they would get zero
+/// throughput; the paper's topologies are always connected). Connections
+/// are materialized (the simulator needs them all), so this is inherently
+/// O(flows).
 pub fn build_connections(
     csr: &CsrGraph,
     servers: &ServerMap,
-    tm: &TrafficMatrix,
-    scheme: RoutingScheme,
-    transport: TransportPolicy,
-    seed: u64,
-) -> Vec<Connection> {
-    build_connections_stream(csr, servers, tm.stream(), scheme, transport, seed)
-}
-
-/// Stream-accepting variant of [`build_connections`]: the flows are drawn
-/// from a lazy [`FlowStream`] (spec-built workloads) instead of an eager
-/// matrix. Per-flow seeds are derived from the flow's position in the
-/// stream, so an eager matrix and its stream produce identical connections.
-/// Connections are materialized (the simulator needs them all), so this is
-/// inherently O(flows) — the streaming win is not copying the flow list
-/// twice.
-pub fn build_connections_stream(
-    csr: &CsrGraph,
-    servers: &ServerMap,
-    flows: FlowStream,
+    flows: impl IntoIterator<Item = Flow>,
     scheme: RoutingScheme,
     transport: TransportPolicy,
     seed: u64,
 ) -> Vec<Connection> {
     let num_switches = csr.num_nodes();
     let host_node = |server: usize| num_switches + server;
-    let flows: Vec<Flow> = flows.collect();
+    let flows: Vec<Flow> = flows.into_iter().collect();
     let switches = |flow: &Flow| (servers.switch_of(flow.src), servers.switch_of(flow.dst));
     // The table drops intra-rack (self) pairs and computes each pair once.
     let table = PathTable::build(csr, scheme, flows.iter().map(switches));
@@ -116,6 +103,7 @@ pub fn build_connections_stream(
 mod tests {
     use super::*;
     use jellyfish_topology::{JellyfishBuilder, Topology};
+    use jellyfish_traffic::TrafficMatrix;
 
     fn setup() -> (Topology, ServerMap, TrafficMatrix) {
         let topo = JellyfishBuilder::new(12, 8, 5).seed(2).build().unwrap();
@@ -181,15 +169,10 @@ mod tests {
         let topo = JellyfishBuilder::new(4, 8, 3).seed(1).build().unwrap();
         let servers = ServerMap::new(&topo);
         // Servers 0 and 1 are both on switch 0.
-        let tm = TrafficMatrix::from_flows(
-            vec![jellyfish_traffic::Flow { src: 0, dst: 1, demand: 1.0 }],
-            servers.num_servers(),
-            "intra",
-        );
         let conns = build_connections(
             &topo.csr(),
             &servers,
-            &tm,
+            [Flow { src: 0, dst: 1, demand: 1.0 }],
             RoutingScheme::ksp8(),
             TransportPolicy::Tcp { flows: 2 },
             1,

@@ -1,11 +1,18 @@
-//! Traffic-matrix generation for the Jellyfish (NSDI 2012) reproduction.
+//! Workload generation for the Jellyfish (NSDI 2012) reproduction.
 //!
 //! The paper's primary workload is **random permutation traffic**: each
 //! server sends at its full line rate to exactly one other server and
 //! receives from exactly one other server, with the permutation drawn
 //! uniformly at random (§4, evaluation methodology). This crate generates
 //! that workload — plus a few others useful for extensions — at the server
-//! level and maps it onto switch-level demands.
+//! level and maps it onto switch-level demands ([`switch_demands`]).
+//!
+//! Every workload is built by a [`TrafficSpec`] as a lazy [`FlowStream`],
+//! and every consumer (the flow solver's throughput entry point, the
+//! simulator's connection builder, [`switch_demands`]) takes any
+//! `IntoIterator<Item = Flow>`. A [`TrafficMatrix`] is a resident flow list:
+//! the body of the `permutation` and `hotspot` generators, and — through
+//! `&TrafficMatrix`'s `IntoIterator` impl — a valid consumer input as well.
 //!
 //! Servers are numbered globally: server `j` of switch `i` gets the id
 //! obtained by counting servers switch by switch in node order (see
@@ -13,12 +20,12 @@
 //!
 //! ```
 //! use jellyfish_topology::JellyfishBuilder;
-//! use jellyfish_traffic::{ServerMap, TrafficMatrix};
+//! use jellyfish_traffic::{ServerMap, TrafficSpec};
 //!
 //! let topo = JellyfishBuilder::new(10, 6, 3).seed(1).build().unwrap();
 //! let servers = ServerMap::new(&topo);
-//! let tm = TrafficMatrix::random_permutation(&servers, 7);
-//! assert_eq!(tm.flows().len(), servers.num_servers());
+//! let workload = TrafficSpec::permutation().stream(&servers, 7).unwrap();
+//! assert_eq!(workload.len(), servers.num_servers());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -114,23 +121,22 @@ pub struct Flow {
     pub demand: f64,
 }
 
-/// A server-level traffic matrix: a list of flows plus the server map used
-/// to interpret them.
+/// A resident server-level flow list: the body of the eager generators
+/// (`permutation`, `hotspot`) and a reference for the lazy ones in tests.
 #[derive(Debug, Clone)]
 pub struct TrafficMatrix {
     flows: Vec<Flow>,
-    num_servers: usize,
-    name: String,
 }
 
 impl TrafficMatrix {
-    /// Creates a traffic matrix from explicit flows.
-    pub fn from_flows(flows: Vec<Flow>, num_servers: usize, name: impl Into<String>) -> Self {
+    /// Creates a traffic matrix from explicit flows between `num_servers`
+    /// servers; panics on an out-of-range endpoint or a negative demand.
+    pub fn from_flows(flows: Vec<Flow>, num_servers: usize) -> Self {
         for f in &flows {
             assert!(f.src < num_servers && f.dst < num_servers, "flow endpoints out of range");
             assert!(f.demand >= 0.0, "negative demand");
         }
-        TrafficMatrix { flows, num_servers, name: name.into() }
+        TrafficMatrix { flows }
     }
 
     /// Random permutation traffic (the paper's workload): a uniform random
@@ -156,7 +162,7 @@ impl TrafficMatrix {
         } else {
             Vec::new()
         };
-        TrafficMatrix { flows, num_servers: n, name: format!("random-permutation(seed={seed})") }
+        TrafficMatrix { flows }
     }
 
     /// All-to-all traffic: every ordered server pair exchanges `1/(n-1)` of
@@ -175,7 +181,7 @@ impl TrafficMatrix {
                 }
             }
         }
-        TrafficMatrix { flows, num_servers: n, name: "all-to-all".to_string() }
+        TrafficMatrix { flows }
     }
 
     /// Hotspot traffic: a `fraction` of servers (at least one) are chosen as
@@ -197,7 +203,7 @@ impl TrafficMatrix {
             let d = candidates[rng.gen_range(0..candidates.len())];
             flows.push(Flow { src: s, dst: d, demand: 1.0 });
         }
-        TrafficMatrix { flows, num_servers: n, name: format!("hotspot(fraction={fraction})") }
+        TrafficMatrix { flows }
     }
 
     /// Stride traffic: server `s` sends to server `(s + stride) mod n` at
@@ -210,7 +216,7 @@ impl TrafficMatrix {
         } else {
             Vec::new()
         };
-        TrafficMatrix { flows, num_servers: n, name: format!("stride({stride})") }
+        TrafficMatrix { flows }
     }
 
     /// The flows of this matrix.
@@ -218,70 +224,32 @@ impl TrafficMatrix {
         &self.flows
     }
 
-    /// Number of servers the matrix was generated for.
-    pub fn num_servers(&self) -> usize {
-        self.num_servers
-    }
-
-    /// Matrix name (for reports).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Total offered demand (in server line rates).
-    pub fn total_demand(&self) -> f64 {
-        self.flows.iter().map(|f| f.demand).sum()
-    }
-
-    /// Aggregates the server-level flows into switch-level demands using a
-    /// server map: returns a list of `(src_switch, dst_switch, demand)` with
-    /// one entry per switch pair that has non-zero demand. Flows between
-    /// servers on the same switch are excluded (they never cross the
-    /// interconnect).
-    pub fn switch_demands(&self, servers: &ServerMap) -> Vec<(NodeId, NodeId, f64)> {
-        aggregate_switch_demands(self.flows.iter().copied(), servers)
-    }
-
-    /// A borrowing stream over this matrix's flows (the flows are cloned
-    /// lazily as the stream is consumed). Lets stream-based consumers accept
-    /// an eager matrix without taking ownership.
-    pub fn stream(&self) -> FlowStream {
-        FlowStream::from_flows(self.name.clone(), self.num_servers, self.flows.clone())
-    }
-
     /// Converts this matrix into a stream over its flows without copying.
     pub fn into_stream(self) -> FlowStream {
-        FlowStream::from_flows(self.name, self.num_servers, self.flows)
+        FlowStream::from_flows(self.flows)
     }
+}
 
-    /// Per-server egress load (sum of demands sent by each server).
-    pub fn egress_load(&self) -> Vec<f64> {
-        let mut load = vec![0.0; self.num_servers];
-        for f in &self.flows {
-            load[f.src] += f.demand;
-        }
-        load
-    }
+/// A resident matrix is a consumer input like any stream: its flows are
+/// copied out one at a time. The perfbench harness passes `&TrafficMatrix`
+/// to `normalized_throughput` and `build_connections` through this impl.
+impl<'a> IntoIterator for &'a TrafficMatrix {
+    type Item = Flow;
+    type IntoIter = std::iter::Copied<std::slice::Iter<'a, Flow>>;
 
-    /// Per-server ingress load (sum of demands received by each server).
-    pub fn ingress_load(&self) -> Vec<f64> {
-        let mut load = vec![0.0; self.num_servers];
-        for f in &self.flows {
-            load[f.dst] += f.demand;
-        }
-        load
+    fn into_iter(self) -> Self::IntoIter {
+        self.flows.iter().copied()
     }
 }
 
 /// Aggregates server-level flows into switch-level demands: one
 /// `(src_switch, dst_switch, demand)` entry per switch pair with non-zero
 /// demand, ascending by `(src, dst)`. Flows between servers on the same
-/// switch are excluded (they never cross the interconnect). Shared by the
-/// eager [`TrafficMatrix::switch_demands`] and the lazy
-/// [`FlowStream::switch_demands`], so peak memory is the map of switch
-/// pairs, not the flow count.
-pub(crate) fn aggregate_switch_demands(
-    flows: impl Iterator<Item = Flow>,
+/// switch are excluded (they never cross the interconnect). Peak memory is
+/// the map of switch pairs, not the flow count, so a lazy stream is never
+/// materialized.
+pub fn switch_demands(
+    flows: impl IntoIterator<Item = Flow>,
     servers: &ServerMap,
 ) -> Vec<(NodeId, NodeId, f64)> {
     use std::collections::BTreeMap;
@@ -340,7 +308,6 @@ mod tests {
         }
         assert!(sends.iter().all(|&c| c == 1));
         assert!(recvs.iter().all(|&c| c == 1));
-        assert_eq!(tm.total_demand(), n as f64);
     }
 
     #[test]
@@ -361,10 +328,12 @@ mod tests {
         let tm = TrafficMatrix::all_to_all(&m);
         let n = m.num_servers();
         assert_eq!(tm.flows().len(), n * (n - 1));
-        for load in tm.egress_load() {
-            assert!((load - 1.0).abs() < 1e-9);
+        let (mut egress, mut ingress) = (vec![0.0; n], vec![0.0; n]);
+        for f in &tm {
+            egress[f.src] += f.demand;
+            ingress[f.dst] += f.demand;
         }
-        for load in tm.ingress_load() {
+        for load in egress.into_iter().chain(ingress) {
             assert!((load - 1.0).abs() < 1e-9);
         }
     }
@@ -406,16 +375,12 @@ mod tests {
         let m = ServerMap::new(&t);
         // Handcrafted: server 0 -> 1 (same switch 0), server 0 -> 5 (switch 1),
         // server 3 -> 8 (switch 1 -> switch 2).
-        let tm = TrafficMatrix::from_flows(
-            vec![
-                Flow { src: 0, dst: 1, demand: 1.0 },
-                Flow { src: 0, dst: 5, demand: 0.5 },
-                Flow { src: 3, dst: 8, demand: 0.25 },
-            ],
-            m.num_servers(),
-            "handmade",
-        );
-        let demands = tm.switch_demands(&m);
+        let flows = vec![
+            Flow { src: 0, dst: 1, demand: 1.0 },
+            Flow { src: 0, dst: 5, demand: 0.5 },
+            Flow { src: 3, dst: 8, demand: 0.25 },
+        ];
+        let demands = switch_demands(flows, &m);
         assert_eq!(demands.len(), 2);
         assert_eq!(demands[0], (0, 1, 0.5));
         assert_eq!(demands[1], (1, 2, 0.25));
@@ -425,19 +390,16 @@ mod tests {
     fn from_flows_validates_ranges() {
         let t = JellyfishBuilder::new(4, 6, 3).seed(1).build().unwrap();
         let m = ServerMap::new(&t);
-        let tm = TrafficMatrix::from_flows(
-            vec![Flow { src: 0, dst: 2, demand: 0.5 }],
-            m.num_servers(),
-            "ok",
-        );
-        assert_eq!(tm.total_demand(), 0.5);
-        assert_eq!(tm.name(), "ok");
+        let flows = vec![Flow { src: 0, dst: 2, demand: 0.5 }];
+        let tm = TrafficMatrix::from_flows(flows.clone(), m.num_servers());
+        assert_eq!(tm.flows(), flows.as_slice());
+        assert_eq!((&tm).into_iter().collect::<Vec<_>>(), flows);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn from_flows_panics_on_bad_endpoint() {
-        TrafficMatrix::from_flows(vec![Flow { src: 0, dst: 99, demand: 1.0 }], 4, "bad");
+        TrafficMatrix::from_flows(vec![Flow { src: 0, dst: 99, demand: 1.0 }], 4);
     }
 
     #[test]

@@ -9,11 +9,12 @@
 //! zipf:s=1.2,hot_racks=4+scale_demand=0.5+epochs=4
 //! ```
 //!
-//! `Display` and `FromStr` are exact inverses. Generators build lazy
-//! [`FlowStream`]s; the legacy eager patterns (`permutation`, `all2all`,
-//! `stride`, `hotspot`) reproduce the historical `TrafficMatrix`
-//! constructors flow-for-flow at the same seed, so porting a call site to a
-//! spec is byte-invisible. Every generator derives its randomness only from
+//! `Display` and `FromStr` are exact inverses. [`TrafficSpec::stream`] is
+//! the one way a workload is built: generators build lazy [`FlowStream`]s
+//! that know their flow count. `permutation` and `hotspot` run the resident
+//! [`TrafficMatrix`] constructors as their bodies, and the lazy `all2all`
+//! and `stride` reproduce the eager constructors flow-for-flow at the same
+//! seed. Every generator derives its randomness only from
 //! `(params, seed, epoch)` — never from global state — which keeps spec
 //! builds deterministic across shards and hosts.
 
@@ -217,9 +218,9 @@ pub trait TrafficGenerator: Sync {
 // ------------------------------------------------------------ generators
 
 /// `permutation`: every server sends unit demand to a distinct server, no
-/// fixed points — the paper's workload. Reproduces
-/// [`TrafficMatrix::random_permutation`] flow-for-flow (the permutation
-/// itself is O(servers) generator state, which is the pattern's floor).
+/// fixed points — the paper's workload. Runs
+/// [`TrafficMatrix::random_permutation`] (the permutation itself is
+/// O(servers) generator state, which is the pattern's floor).
 struct Permutation;
 
 impl TrafficGenerator for Permutation {
@@ -313,7 +314,7 @@ impl TrafficGenerator for All2All {
         let n = servers.num_servers();
         let (len, demand) = if n > 1 { (n * (n - 1), 1.0 / (n - 1) as f64) } else { (0, 0.0) };
         let iter = All2AllIter { n: if n > 1 { n } else { 0 }, src: 0, dst: 0, demand };
-        Ok(FlowStream::new("all-to-all", n, Some(len), iter))
+        Ok(FlowStream::new(len, iter))
     }
 }
 
@@ -358,13 +359,12 @@ impl TrafficGenerator for StrideGen {
         // multiple of n maps every server to itself.
         let len = if n <= 1 || k % n == 0 { 0 } else { n };
         let iter = (0..len).map(move |s| Flow { src: s, dst: (s + k) % n, demand: 1.0 });
-        Ok(FlowStream::new(format!("stride({k})"), n, Some(len), iter))
+        Ok(FlowStream::new(len, iter))
     }
 }
 
 /// `hotspot:fraction=0.1`: every server sends unit demand to a uniformly
-/// chosen member of a hot server subset. Reproduces
-/// [`TrafficMatrix::hotspot`] flow-for-flow.
+/// chosen member of a hot server subset. Runs [`TrafficMatrix::hotspot`].
 struct HotspotGen;
 
 impl TrafficGenerator for HotspotGen {
@@ -449,12 +449,8 @@ impl TrafficGenerator for ZipfGen {
         let s = params.f64("s")?;
         let hot_racks = params.usize_opt("hot_racks")?;
         let n = servers.num_servers();
-        let name = match hot_racks {
-            Some(h) => format!("zipf(s={s},hot_racks={h})"),
-            None => format!("zipf(s={s})"),
-        };
         if n < 2 {
-            return Ok(FlowStream::new(name, n, Some(0), std::iter::empty()));
+            return Ok(FlowStream::new(0, std::iter::empty()));
         }
         // Rank the racks that actually hold servers by a seed-derived
         // shuffle, then keep the `hot_racks` most popular.
@@ -489,7 +485,7 @@ impl TrafficGenerator for ZipfGen {
             }
             Flow { src, dst, demand: 1.0 }
         });
-        Ok(FlowStream::new(name, n, Some(n), iter))
+        Ok(FlowStream::new(n, iter))
     }
 }
 
@@ -559,12 +555,7 @@ impl TrafficGenerator for IncastGen {
             let target = j * spacing;
             (0..fanin).map(move |i| Flow { src: (target + 1 + i) % n, dst: target, demand: 1.0 })
         });
-        Ok(FlowStream::new(
-            format!("incast(fanin={fanin},targets={targets})"),
-            n,
-            Some(targets * fanin),
-            iter,
-        ))
+        Ok(FlowStream::new(targets * fanin, iter))
     }
 }
 
@@ -634,12 +625,7 @@ impl TrafficGenerator for OutcastGen {
             let src = i * spacing;
             (0..fanout).map(move |j| Flow { src, dst: (src + 1 + j) % n, demand })
         });
-        Ok(FlowStream::new(
-            format!("outcast(fanout={fanout},sources={sources})"),
-            n,
-            Some(sources * fanout),
-            iter,
-        ))
+        Ok(FlowStream::new(sources * fanout, iter))
     }
 }
 
@@ -766,12 +752,7 @@ impl TrafficGenerator for MixGen {
             let part = generator.build(&sub_params, servers, sub_seed, Epoch::SINGLE)?;
             parts.push(part.scaled(weights[ci] / total));
         }
-        let labels: Vec<String> = components
-            .iter()
-            .enumerate()
-            .map(|(ci, &(name, _, _))| format!("{name}={}", weights[ci] / total))
-            .collect();
-        Ok(FlowStream::concat(format!("mix({})", labels.join(",")), servers.num_servers(), parts))
+        Ok(FlowStream::concat(parts))
     }
 }
 
@@ -966,8 +947,8 @@ impl TrafficSpec {
     /// Builds the lazy flow stream for this spec over `servers`.
     ///
     /// With one epoch and no demand scaling the generator's stream is
-    /// returned untouched, so legacy-pattern specs stay flow-for-flow
-    /// identical to the historical eager constructors. With E epochs the
+    /// returned untouched, so `permutation` yields exactly the flows of
+    /// [`TrafficMatrix::random_permutation`] at the same seed. With E epochs the
     /// stream is the concatenation of E phases, phase `i` built with the
     /// derived seed `mix64(seed, 0xE70C ^ i)` at 1/E of the demand.
     pub fn stream(&self, servers: &ServerMap, seed: u64) -> Result<FlowStream, TrafficSpecError> {
@@ -984,23 +965,13 @@ impl TrafficSpec {
         let mut stream = if parts.len() == 1 {
             parts.pop().expect("one part")
         } else {
-            FlowStream::concat(self.to_string(), servers.num_servers(), parts)
+            FlowStream::concat(parts)
         };
         let scale = self.demand_scale();
         if scale != 1.0 {
             stream = stream.scaled(scale);
         }
         Ok(stream)
-    }
-
-    /// Builds and collects the spec into an eager [`TrafficMatrix`] (the
-    /// compat wrapper for consumers that need every flow resident).
-    pub fn matrix(
-        &self,
-        servers: &ServerMap,
-        seed: u64,
-    ) -> Result<TrafficMatrix, TrafficSpecError> {
-        Ok(self.stream(servers, seed)?.collect_matrix())
     }
 }
 
@@ -1068,6 +1039,17 @@ mod tests {
         ServerMap::uniform(8, 4)
     }
 
+    /// The flows `raw` builds over [`servers`] at `seed`.
+    fn flows(raw: &str, seed: u64) -> Vec<Flow> {
+        let spec: TrafficSpec = raw.parse().unwrap();
+        spec.stream(&servers(), seed).unwrap().collect()
+    }
+
+    /// The summed demand of a flow list.
+    fn total(flows: &[Flow]) -> f64 {
+        flows.iter().map(|f| f.demand).sum()
+    }
+
     #[test]
     fn parse_display_round_trips_examples() {
         for g in generators() {
@@ -1092,11 +1074,9 @@ mod tests {
             let stream = spec
                 .stream(&map, 7)
                 .unwrap_or_else(|e| panic!("example '{}' does not build: {e}", g.example()));
-            let expected = stream.exact_len();
+            let expected = stream.len();
             let flows: Vec<Flow> = stream.collect();
-            if let Some(len) = expected {
-                assert_eq!(flows.len(), len, "{}: exact_len lied", g.name());
-            }
+            assert_eq!(flows.len(), expected, "{}: len lied", g.name());
             for f in &flows {
                 assert!(f.src < map.num_servers() && f.dst < map.num_servers());
                 assert!(f.demand >= 0.0);
@@ -1142,37 +1122,25 @@ mod tests {
     fn legacy_patterns_match_the_eager_constructors_flow_for_flow() {
         let map = servers();
         for seed in [0u64, 7, 99] {
-            let perm = TrafficSpec::permutation().matrix(&map, seed).unwrap();
             let legacy = TrafficMatrix::random_permutation(&map, seed);
-            assert_eq!(perm.flows(), legacy.flows(), "permutation diverged at seed {seed}");
-            assert_eq!(perm.name(), legacy.name());
+            assert_eq!(flows("permutation", seed), legacy.flows(), "diverged at seed {seed}");
         }
-        let a2a: TrafficSpec = "all2all".parse().unwrap();
-        assert_eq!(a2a.matrix(&map, 1).unwrap().flows(), TrafficMatrix::all_to_all(&map).flows());
-        let stride: TrafficSpec = "stride:k=4".parse().unwrap();
-        assert_eq!(stride.matrix(&map, 1).unwrap().flows(), TrafficMatrix::stride(&map, 4).flows());
-        let hot: TrafficSpec = "hotspot:fraction=0.25".parse().unwrap();
+        assert_eq!(flows("all2all", 1), TrafficMatrix::all_to_all(&map).flows());
+        assert_eq!(flows("stride:k=4", 1), TrafficMatrix::stride(&map, 4).flows());
         assert_eq!(
-            hot.matrix(&map, 13).unwrap().flows(),
+            flows("hotspot:fraction=0.25", 13),
             TrafficMatrix::hotspot(&map, 0.25, 13).flows()
         );
     }
 
     #[test]
     fn builds_are_deterministic_and_seeds_spread() {
-        let map = servers();
         for raw in
             ["permutation", "zipf:s=1.2,hot_racks=4", "mix:permutation=2,zipf=1,diurnal=3+epochs=4"]
         {
-            let spec: TrafficSpec = raw.parse().unwrap();
-            let a = spec.matrix(&map, 42).unwrap();
-            let b = spec.matrix(&map, 42).unwrap();
-            assert_eq!(a.flows(), b.flows(), "{raw}: same seed, different flows");
+            assert_eq!(flows(raw, 42), flows(raw, 42), "{raw}: same seed, different flows");
         }
-        let spec = TrafficSpec::permutation();
-        let a = spec.matrix(&map, 1).unwrap();
-        let b = spec.matrix(&map, 2).unwrap();
-        assert_ne!(a.flows(), b.flows(), "different seeds should spread");
+        assert_ne!(flows("permutation", 1), flows("permutation", 2), "seeds should spread");
     }
 
     #[test]
@@ -1180,7 +1148,7 @@ mod tests {
         let map = servers();
         let spec: TrafficSpec = "permutation+epochs=2".parse().unwrap();
         let stream = spec.stream(&map, 7).unwrap();
-        assert_eq!(stream.exact_len(), Some(2 * map.num_servers()));
+        assert_eq!(stream.len(), 2 * map.num_servers());
         let flows: Vec<Flow> = stream.collect();
         let total: f64 = flows.iter().map(|f| f.demand).sum();
         // Two phases at half demand each: total demand equals one phase's.
@@ -1192,63 +1160,57 @@ mod tests {
 
     #[test]
     fn scale_demand_multiplies_everything() {
-        let map = servers();
-        let spec: TrafficSpec = "all2all+scale_demand=3".parse().unwrap();
-        let scaled = spec.matrix(&map, 7).unwrap();
-        let base = TrafficMatrix::all_to_all(&map);
-        assert!((scaled.total_demand() - 3.0 * base.total_demand()).abs() < 1e-9);
+        let base = TrafficMatrix::all_to_all(&servers());
+        assert!(
+            (total(&flows("all2all+scale_demand=3", 7)) - 3.0 * total(base.flows())).abs() < 1e-9
+        );
     }
 
     #[test]
     fn zipf_respects_hot_racks_and_hits_valid_servers() {
         let map = servers();
-        let spec: TrafficSpec = "zipf:s=1.5,hot_racks=2".parse().unwrap();
-        let tm = spec.matrix(&map, 7).unwrap();
-        assert_eq!(tm.flows().len(), map.num_servers());
+        let zipf = flows("zipf:s=1.5,hot_racks=2", 7);
+        assert_eq!(zipf.len(), map.num_servers());
         // At most 2 hot racks, plus at most one spill rack per hot rack
         // when a draw lands on the source itself (dst moves to src+1).
-        let mut dst_racks: Vec<usize> = tm.flows().iter().map(|f| map.switch_of(f.dst)).collect();
+        let mut dst_racks: Vec<usize> = zipf.iter().map(|f| map.switch_of(f.dst)).collect();
         dst_racks.sort_unstable();
         dst_racks.dedup();
         assert!(dst_racks.len() <= 4, "hot_racks=2 produced {} racks", dst_racks.len());
-        for f in tm.flows() {
+        for f in &zipf {
             assert_ne!(f.src, f.dst, "zipf must not emit self-flows");
         }
     }
 
     #[test]
     fn incast_concentrates_on_targets() {
-        let map = servers();
-        let spec: TrafficSpec = "incast:fanin=8,targets=2".parse().unwrap();
-        let tm = spec.matrix(&map, 7).unwrap();
-        assert_eq!(tm.flows().len(), 16);
-        let mut dsts: Vec<usize> = tm.flows().iter().map(|f| f.dst).collect();
+        let incast = flows("incast:fanin=8,targets=2", 7);
+        assert_eq!(incast.len(), 16);
+        let mut dsts: Vec<usize> = incast.iter().map(|f| f.dst).collect();
         dsts.sort_unstable();
         dsts.dedup();
         assert_eq!(dsts, vec![0, 16], "targets spread evenly across 32 servers");
-        assert!((tm.ingress_load()[0] - 8.0).abs() < 1e-12);
+        let into_zero: Vec<Flow> = incast.into_iter().filter(|f| f.dst == 0).collect();
+        assert!((total(&into_zero) - 8.0).abs() < 1e-12);
     }
 
     #[test]
     fn outcast_spreads_each_source_egress_to_one() {
-        let map = servers();
-        let spec: TrafficSpec = "outcast:fanout=8,sources=2".parse().unwrap();
-        let tm = spec.matrix(&map, 7).unwrap();
-        assert_eq!(tm.flows().len(), 16);
-        let egress = tm.egress_load();
-        assert!((egress[0] - 1.0).abs() < 1e-12);
-        assert!((egress[16] - 1.0).abs() < 1e-12);
+        let outcast = flows("outcast:fanout=8,sources=2", 7);
+        assert_eq!(outcast.len(), 16);
+        for src in [0, 16] {
+            let from_src: Vec<Flow> = outcast.iter().copied().filter(|f| f.src == src).collect();
+            assert!((total(&from_src) - 1.0).abs() < 1e-12);
+        }
     }
 
     #[test]
     fn mix_weights_blend_and_diurnal_modulates_epochs() {
         let map = servers();
-        let spec: TrafficSpec = "mix:permutation=3,all2all=1".parse().unwrap();
-        let tm = spec.matrix(&map, 7).unwrap();
         let n = map.num_servers() as f64;
         // permutation contributes n flows at 3/4 demand, all2all n(n-1)
         // flows summing to n at 1/4 demand: total = 3n/4 + n/4 = n.
-        assert!((tm.total_demand() - n).abs() < 1e-9);
+        assert!((total(&flows("mix:permutation=3,all2all=1", 7)) - n).abs() < 1e-9);
         // Diurnal alternation: with epochs, phase weights differ between
         // even and odd epochs, so the phase demand splits differ.
         let spec: TrafficSpec = "mix:permutation=1,zipf=1,diurnal=9+epochs=2".parse().unwrap();

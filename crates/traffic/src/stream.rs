@@ -2,111 +2,59 @@
 //!
 //! A [`FlowStream`] yields [`Flow`]s one at a time, so workloads whose flow
 //! count is quadratic in the server count (all-to-all at a million servers)
-//! never materialize a flow `Vec`: consumers that only need aggregates
-//! ([`FlowStream::switch_demands`]) run in memory bounded by the aggregation
-//! state, not the flow count. Collecting a stream back into the eager
-//! [`TrafficMatrix`] representation ([`FlowStream::collect_matrix`]) is the
-//! compat path for consumers that genuinely need every flow resident.
+//! never materialize a flow `Vec`: every consumer takes any
+//! `IntoIterator<Item = Flow>`, and the ones that only need aggregates
+//! ([`crate::switch_demands`], and through it the flow solver) run in memory
+//! bounded by the aggregation state, not the flow count. There is no
+//! conversion back to a resident matrix; a consumer that needs every flow
+//! resident (the simulator's connection builder) collects them itself.
 //!
 //! Streams are deterministic: a stream is a pure function of the spec that
 //! built it plus its seed, and iterating it twice (by rebuilding) yields the
 //! identical flow sequence in the identical order — which is what keeps the
-//! float accumulation order in [`FlowStream::switch_demands`] byte-stable
-//! across shards (see LINTS.md, rule D01).
+//! float accumulation order in [`crate::switch_demands`] byte-stable across
+//! shards (see LINTS.md, rule D01).
 
-use crate::{aggregate_switch_demands, Flow, ServerMap, TrafficMatrix};
-use jellyfish_topology::NodeId;
+use crate::Flow;
 use std::fmt;
 
 /// A lazy, epoch-aware iterator over the flows of one workload instance.
 ///
-/// Created by the generators in [`crate::spec`]; also obtainable from an
-/// eager matrix via [`TrafficMatrix::stream`]. The stream knows its exact
-/// flow count whenever the generator can state it without enumerating
-/// ([`FlowStream::exact_len`]).
+/// Created by the generators in [`crate::spec`]. Every generator knows its
+/// flow count up front, so the stream is an [`ExactSizeIterator`].
 pub struct FlowStream {
     inner: Box<dyn Iterator<Item = Flow> + Send>,
-    num_servers: usize,
-    exact_len: Option<usize>,
-    name: String,
+    len: usize,
 }
 
 impl fmt::Debug for FlowStream {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FlowStream")
-            .field("name", &self.name)
-            .field("num_servers", &self.num_servers)
-            .field("exact_len", &self.exact_len)
-            .finish_non_exhaustive()
+        f.debug_struct("FlowStream").field("len", &self.len).finish_non_exhaustive()
     }
 }
 
 impl FlowStream {
-    /// Wraps an iterator as a stream. `exact_len` is the exact number of
-    /// flows the iterator will yield, when the producer knows it.
-    pub fn new(
-        name: impl Into<String>,
-        num_servers: usize,
-        exact_len: Option<usize>,
-        inner: impl Iterator<Item = Flow> + Send + 'static,
-    ) -> Self {
-        FlowStream { inner: Box::new(inner), num_servers, exact_len, name: name.into() }
+    /// Wraps an iterator that yields exactly `len` flows as a stream.
+    pub fn new(len: usize, inner: impl Iterator<Item = Flow> + Send + 'static) -> Self {
+        FlowStream { inner: Box::new(inner), len }
     }
 
-    /// A stream over an already-materialized flow list (the compat
-    /// direction; the flows are moved, not copied).
-    pub fn from_flows(name: impl Into<String>, num_servers: usize, flows: Vec<Flow>) -> Self {
-        let len = flows.len();
-        FlowStream::new(name, num_servers, Some(len), flows.into_iter())
+    /// A stream over an already-materialized flow list (the flows are
+    /// moved, not copied).
+    pub fn from_flows(flows: Vec<Flow>) -> Self {
+        FlowStream::new(flows.len(), flows.into_iter())
     }
 
     /// Concatenates `parts` into one stream (epoch phases, mix components).
-    /// The exact length is known iff every part's is.
-    pub fn concat(name: impl Into<String>, num_servers: usize, parts: Vec<FlowStream>) -> Self {
-        let exact_len = parts.iter().try_fold(0usize, |acc, p| p.exact_len().map(|l| acc + l));
-        FlowStream::new(name, num_servers, exact_len, parts.into_iter().flatten())
-    }
-
-    /// Number of servers the flow endpoints index into.
-    pub fn num_servers(&self) -> usize {
-        self.num_servers
-    }
-
-    /// Exact number of flows this stream will yield, if known up front.
-    pub fn exact_len(&self) -> Option<usize> {
-        self.exact_len
-    }
-
-    /// Human-readable workload name (carried into the collected matrix).
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn concat(parts: Vec<FlowStream>) -> Self {
+        let len = parts.iter().map(ExactSizeIterator::len).sum();
+        FlowStream::new(len, parts.into_iter().flatten())
     }
 
     /// Scales every demand by `factor` (epoch weighting, `+scale_demand=`).
     pub fn scaled(self, factor: f64) -> FlowStream {
-        let FlowStream { inner, num_servers, exact_len, name } = self;
-        FlowStream {
-            inner: Box::new(inner.map(move |f| Flow { demand: f.demand * factor, ..f })),
-            num_servers,
-            exact_len,
-            name,
-        }
-    }
-
-    /// Drains the stream into an eager [`TrafficMatrix`] (the thin collected
-    /// compat wrapper). Only use this when a consumer needs every flow
-    /// resident; aggregating consumers should stay on the stream.
-    pub fn collect_matrix(self) -> TrafficMatrix {
-        let FlowStream { inner, num_servers, name, .. } = self;
-        TrafficMatrix::from_flows(inner.collect(), num_servers, name)
-    }
-
-    /// Aggregates the stream to switch-level demands without materializing
-    /// the flows: peak memory is one `BTreeMap` entry per (src switch, dst
-    /// switch) pair with traffic, regardless of the flow count. Intra-switch
-    /// flows are excluded, exactly as [`TrafficMatrix::switch_demands`] does.
-    pub fn switch_demands(self, servers: &ServerMap) -> Vec<(NodeId, NodeId, f64)> {
-        aggregate_switch_demands(self.inner, servers)
+        let FlowStream { inner, len } = self;
+        FlowStream::new(len, inner.map(move |f| Flow { demand: f.demand * factor, ..f }))
     }
 }
 
@@ -116,20 +64,17 @@ impl Iterator for FlowStream {
     fn next(&mut self) -> Option<Flow> {
         let next = self.inner.next();
         if next.is_some() {
-            if let Some(len) = self.exact_len.as_mut() {
-                *len = len.saturating_sub(1);
-            }
+            self.len = self.len.saturating_sub(1);
         }
         next
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        match self.exact_len {
-            Some(len) => (len, Some(len)),
-            None => self.inner.size_hint(),
-        }
+        (self.len, Some(self.len))
     }
 }
+
+impl ExactSizeIterator for FlowStream {}
 
 #[cfg(test)]
 mod tests {
@@ -141,18 +86,16 @@ mod tests {
 
     #[test]
     fn from_flows_round_trips_through_collect() {
-        let fs = FlowStream::from_flows("ring", 4, flows(4));
-        assert_eq!(fs.exact_len(), Some(4));
-        assert_eq!(fs.num_servers(), 4);
-        let tm = fs.collect_matrix();
-        assert_eq!(tm.flows(), flows(4).as_slice());
-        assert_eq!(tm.name(), "ring");
+        let fs = FlowStream::from_flows(flows(4));
+        assert_eq!(fs.len(), 4);
+        let collected: Vec<Flow> = fs.collect();
+        assert_eq!(collected, flows(4));
     }
 
     #[test]
     fn scaled_multiplies_demands_and_keeps_len() {
-        let fs = FlowStream::from_flows("ring", 4, flows(4)).scaled(0.25);
-        assert_eq!(fs.exact_len(), Some(4));
+        let fs = FlowStream::from_flows(flows(4)).scaled(0.25);
+        assert_eq!(fs.len(), 4);
         for f in fs {
             assert!((f.demand - 0.25).abs() < 1e-12);
         }
@@ -160,10 +103,10 @@ mod tests {
 
     #[test]
     fn concat_chains_parts_in_order() {
-        let a = FlowStream::from_flows("a", 4, flows(2));
-        let b = FlowStream::from_flows("b", 4, flows(3));
-        let c = FlowStream::concat("ab", 4, vec![a, b]);
-        assert_eq!(c.exact_len(), Some(5));
+        let a = FlowStream::from_flows(flows(2));
+        let b = FlowStream::from_flows(flows(3));
+        let c = FlowStream::concat(vec![a, b]);
+        assert_eq!(c.len(), 5);
         let got: Vec<Flow> = c.collect();
         let mut want = flows(2);
         want.extend(flows(3));
@@ -172,7 +115,7 @@ mod tests {
 
     #[test]
     fn size_hint_tracks_consumption() {
-        let mut fs = FlowStream::from_flows("ring", 4, flows(4));
+        let mut fs = FlowStream::from_flows(flows(4));
         assert_eq!(fs.size_hint(), (4, Some(4)));
         fs.next();
         assert_eq!(fs.size_hint(), (3, Some(3)));
