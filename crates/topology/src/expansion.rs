@@ -10,7 +10,7 @@
 //! cables than the ports being added (the paper's rewiring bound), and keep
 //! the port-budget invariants intact.
 
-use crate::graph::NodeId;
+use crate::graph::{Edge, Graph, NodeId};
 use crate::topology::{SwitchKind, Topology, TopologyError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -64,7 +64,7 @@ pub fn add_switch(
     // While at least two network ports remain free on u, splice into a random
     // existing link whose endpoints are both new neighbors for u.
     while topo.free_ports(u) >= 2 {
-        let Some((v, w)) = pick_splice_link(topo, u, &mut rng) else {
+        let Some((v, w)) = pick_splice_link(topo.graph(), u, &mut rng) else {
             break;
         };
         topo.disconnect(v, w);
@@ -149,7 +149,7 @@ pub fn convert_server_ports_to_network(
     topo.set_servers(switch, topo.servers(switch) - count)?;
     let mut added = Vec::new();
     while topo.free_ports(switch) >= 2 {
-        let Some((v, w)) = pick_splice_link(topo, switch, &mut rng) else {
+        let Some((v, w)) = pick_splice_link(topo.graph(), switch, &mut rng) else {
             break;
         };
         topo.disconnect(v, w);
@@ -162,24 +162,24 @@ pub fn convert_server_ports_to_network(
     Ok(added)
 }
 
-/// Picks a uniform-random existing link `(v, w)` such that `u` is adjacent to
-/// neither `v` nor `w` and neither endpoint is `u` itself.
-fn pick_splice_link(topo: &Topology, u: NodeId, rng: &mut StdRng) -> Option<(NodeId, NodeId)> {
-    let g = topo.graph();
+/// Picks a uniform-random existing link `(v, w)` of `g` such that `u` is
+/// adjacent to neither `v` nor `w` and neither endpoint is `u` itself: 64
+/// rejection samples, then a uniform pick from a scan. The one link sampler
+/// of both incremental expansion and the Jellyfish wiring loop's swap
+/// completion.
+pub(crate) fn pick_splice_link(g: &Graph, u: NodeId, rng: &mut StdRng) -> Option<(NodeId, NodeId)> {
     let m = g.num_edges();
     if m == 0 {
         return None;
     }
+    let usable = |e: &Edge| e.a != u && e.b != u && !g.has_edge(u, e.a) && !g.has_edge(u, e.b);
     for _ in 0..64 {
         let e = g.edge_at(rng.gen_range(0..m));
-        if e.a != u && e.b != u && !g.has_edge(u, e.a) && !g.has_edge(u, e.b) {
+        if usable(&e) {
             return Some((e.a, e.b));
         }
     }
-    let candidates: Vec<_> = g
-        .edges()
-        .filter(|e| e.a != u && e.b != u && !g.has_edge(u, e.a) && !g.has_edge(u, e.b))
-        .collect();
+    let candidates: Vec<Edge> = g.edges().filter(usable).collect();
     if candidates.is_empty() {
         return None;
     }

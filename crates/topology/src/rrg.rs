@@ -8,11 +8,21 @@
 //! those ports by removing a uniform-random existing link `(x, y)` and adding
 //! `(p, x)` and `(p, y)`. At most one port in the whole network may remain
 //! unmatched.
+//!
+//! One private wiring loop runs the procedure over a slice of per-switch
+//! network-degree targets: [`JellyfishBuilder::build`] passes one uniform
+//! target `r` for every switch, [`build_heterogeneous`] a target per switch.
+//! The link splice is the one sampler incremental expansion uses as well.
 
+use crate::expansion::pick_splice_link;
 use crate::graph::Graph;
 use crate::topology::{SwitchKind, Topology, TopologyError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Full restarts allowed before giving up (rarely needed; the
+/// swap-completion step almost always succeeds first try).
+const ATTEMPTS: u64 = 50;
 
 /// Builder for Jellyfish random-regular-graph topologies `RRG(N, k, r)`.
 ///
@@ -35,25 +45,17 @@ pub struct JellyfishBuilder {
     ports: usize,
     network_degree: usize,
     seed: u64,
-    max_attempts: usize,
 }
 
 impl JellyfishBuilder {
     /// Creates a builder for `RRG(switches, ports, network_degree)`.
     pub fn new(switches: usize, ports: usize, network_degree: usize) -> Self {
-        JellyfishBuilder { switches, ports, network_degree, seed: 0xD1CE, max_attempts: 50 }
+        JellyfishBuilder { switches, ports, network_degree, seed: 0xD1CE }
     }
 
     /// Sets the RNG seed (construction is deterministic given the seed).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets how many full restarts are allowed before giving up (rarely
-    /// needed; the swap-completion step almost always succeeds first try).
-    pub fn max_attempts(mut self, attempts: usize) -> Self {
-        self.max_attempts = attempts.max(1);
         self
     }
 
@@ -92,194 +94,20 @@ impl JellyfishBuilder {
     /// describes).
     pub fn build(&self) -> Result<Topology, TopologyError> {
         self.validate()?;
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        for attempt in 0..self.max_attempts {
-            let graph = self.try_build(&mut rng);
-            match graph {
-                Some(g) if g.is_connected() || self.switches == 1 => {
-                    let servers = self.ports - self.network_degree;
-                    let topo = Topology::homogeneous(g, self.ports, servers).with_name(format!(
-                        "jellyfish(N={},k={},r={})",
-                        self.switches, self.ports, self.network_degree
-                    ));
-                    debug_assert!(topo.check_invariants().is_ok());
-                    return Ok(topo);
-                }
-                _ => {
-                    // Disconnected or stuck: reseed from the attempt counter and retry.
-                    rng = StdRng::seed_from_u64(self.seed.wrapping_add(attempt as u64 + 1));
-                }
-            }
-        }
-        Err(TopologyError::ConstructionFailed(format!(
-            "could not build a connected RRG(N={}, k={}, r={}) in {} attempts",
-            self.switches, self.ports, self.network_degree, self.max_attempts
-        )))
-    }
-
-    /// One construction attempt: random pairing followed by swap completion.
-    fn try_build(&self, rng: &mut StdRng) -> Option<Graph> {
-        let n = self.switches;
-        let r = self.network_degree;
-        let mut graph = Graph::new(n);
-        if n == 1 || r == 0 {
-            return Some(graph);
-        }
-
-        // Phase 1: random pairing. Keep a pool of switches with free ports and
-        // repeatedly try to connect two distinct, non-adjacent members.
-        let mut free: Vec<usize> = (0..n).collect();
-        let has_free = |g: &Graph, v: usize| g.degree(v) < r;
-        let mut stall = 0usize;
-        // The pairing phase is done when fewer than two switches have free
-        // ports, or when all remaining free-port switches form a clique among
-        // themselves (no further simple edge can be added).
-        while free.len() >= 2 {
-            let i = rng.gen_range(0..free.len());
-            let mut j = rng.gen_range(0..free.len() - 1);
-            if j >= i {
-                j += 1;
-            }
-            let (u, v) = (free[i], free[j]);
-            if !graph.has_edge(u, v) {
-                graph.add_edge(u, v);
-                stall = 0;
-                free.retain(|&x| has_free(&graph, x));
-            } else {
-                stall += 1;
-                // If we keep hitting already-connected pairs, check whether the
-                // free pool is saturated (every pair already adjacent).
-                if stall > 8 * free.len() * free.len() + 64 {
-                    if Self::pool_saturated(&graph, &free) {
-                        break;
-                    }
-                    stall = 0;
-                }
-            }
-        }
-
-        // Phase 2: swap completion. Any switch with >= 2 free ports steals a
-        // random existing link (x, y) that touches neither of its neighbors.
-        let mut progress = true;
-        while progress {
-            progress = false;
-            for p in 0..n {
-                while r - graph.degree(p) >= 2 {
-                    if !Self::splice_into_random_edge(&mut graph, p, rng) {
-                        break;
-                    }
-                    progress = true;
-                }
-            }
-        }
-        // Phase 3: pair up switches left with exactly one free port each
-        // (possible when the pairing phase saturates with mutually adjacent
-        // leftovers). After this at most one port remains unmatched.
-        let targets = vec![r; n];
-        Self::finish_single_ports(&mut graph, &targets, rng);
-        Some(graph)
-    }
-
-    /// Resolves switches that each have exactly one free port left. Two such
-    /// switches are either connected directly (if not yet adjacent) or, when
-    /// all leftovers are pairwise adjacent, incorporated by a double swap:
-    /// remove an existing link (x, y) and add (u, x) and (v, y).
-    fn finish_single_ports(graph: &mut Graph, targets: &[usize], rng: &mut StdRng) {
-        loop {
-            let singles: Vec<usize> =
-                (0..graph.num_nodes()).filter(|&v| targets[v] > graph.degree(v)).collect();
-            if singles.len() < 2 {
-                return;
-            }
-            // Try a direct connection between any two deficient switches.
-            let mut connected = false;
-            'search: for (i, &u) in singles.iter().enumerate() {
-                for &v in &singles[i + 1..] {
-                    if !graph.has_edge(u, v) {
-                        graph.add_edge(u, v);
-                        connected = true;
-                        break 'search;
-                    }
-                }
-            }
-            if connected {
-                continue;
-            }
-            // All deficient switches are pairwise adjacent: double swap.
-            let (u, v) = (singles[0], singles[1]);
-            let m = graph.num_edges();
-            let mut swapped = false;
-            let start = if m == 0 { 0 } else { rng.gen_range(0..m) };
-            for off in 0..m {
-                let e = graph.edge_at((start + off) % m);
-                let (x, y) = (e.a, e.b);
-                if x == u || x == v || y == u || y == v {
-                    continue;
-                }
-                // Orient the swap so both new links are simple.
-                let (xu, yv) = if !graph.has_edge(u, x) && !graph.has_edge(v, y) {
-                    (x, y)
-                } else if !graph.has_edge(u, y) && !graph.has_edge(v, x) {
-                    (y, x)
-                } else {
-                    continue;
-                };
-                graph.remove_edge(x, y);
-                graph.add_edge(u, xu);
-                graph.add_edge(v, yv);
-                swapped = true;
-                break;
-            }
-            if !swapped {
-                return; // nothing more can be done; leave the deficit
-            }
-        }
-    }
-
-    /// Returns true when every pair of switches in `pool` is already adjacent.
-    fn pool_saturated(graph: &Graph, pool: &[usize]) -> bool {
-        for (idx, &u) in pool.iter().enumerate() {
-            for &v in &pool[idx + 1..] {
-                if !graph.has_edge(u, v) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Removes a uniform-random link `(x, y)` with `x, y` both different from
-    /// `p` and not already adjacent to `p`, then adds `(p, x)` and `(p, y)`.
-    /// Returns `false` if no such link exists.
-    fn splice_into_random_edge(graph: &mut Graph, p: usize, rng: &mut StdRng) -> bool {
-        let m = graph.num_edges();
-        if m == 0 {
-            return false;
-        }
-        // Rejection-sample a usable edge; fall back to a scan if unlucky.
-        for _ in 0..64 {
-            let e = graph.edge_at(rng.gen_range(0..m));
-            if Self::splice_ok(graph, p, e.a, e.b) {
-                graph.remove_edge(e.a, e.b);
-                graph.add_edge(p, e.a);
-                graph.add_edge(p, e.b);
-                return true;
-            }
-        }
-        let candidates: Vec<_> =
-            graph.edges().filter(|e| Self::splice_ok(graph, p, e.a, e.b)).collect();
-        if candidates.is_empty() {
-            return false;
-        }
-        let e = candidates[rng.gen_range(0..candidates.len())];
-        graph.remove_edge(e.a, e.b);
-        graph.add_edge(p, e.a);
-        graph.add_edge(p, e.b);
-        true
-    }
-
-    fn splice_ok(graph: &Graph, p: usize, x: usize, y: usize) -> bool {
-        x != p && y != p && !graph.has_edge(p, x) && !graph.has_edge(p, y)
+        let graph =
+            wire(&vec![self.network_degree; self.switches], self.seed).ok_or_else(|| {
+                TopologyError::ConstructionFailed(format!(
+                    "could not build a connected RRG(N={}, k={}, r={}) in {ATTEMPTS} attempts",
+                    self.switches, self.ports, self.network_degree
+                ))
+            })?;
+        let servers = self.ports - self.network_degree;
+        let topo = Topology::homogeneous(graph, self.ports, servers).with_name(format!(
+            "jellyfish(N={},k={},r={})",
+            self.switches, self.ports, self.network_degree
+        ));
+        debug_assert!(topo.check_invariants().is_ok());
+        Ok(topo)
     }
 }
 
@@ -288,8 +116,8 @@ impl JellyfishBuilder {
 ///
 /// This supports the paper's heterogeneous-expansion discussion (§4.2): newer
 /// switches with higher port counts can be mixed freely into the random
-/// graph. The construction is the same random pairing + swap completion, with
-/// per-switch degree targets.
+/// graph. The construction is the same wiring loop as
+/// [`JellyfishBuilder::build`], with per-switch degree targets.
 pub fn build_heterogeneous(
     ports: &[usize],
     network_degree: &[usize],
@@ -318,68 +146,158 @@ pub fn build_heterogeneous(
             )));
         }
     }
+    let graph = wire(network_degree, seed).ok_or_else(|| {
+        TopologyError::ConstructionFailed(
+            "could not build a connected heterogeneous Jellyfish topology".into(),
+        )
+    })?;
+    let servers: Vec<usize> = (0..n).map(|i| ports[i] - network_degree[i]).collect();
+    let topo = Topology::from_parts(
+        graph,
+        ports.to_vec(),
+        servers,
+        vec![SwitchKind::TopOfRack; n],
+        "jellyfish-heterogeneous",
+    );
+    debug_assert!(topo.check_invariants().is_ok());
+    Ok(topo)
+}
 
+/// Wires switch `v` up to `targets[v]` network links, restarting with a
+/// seed derived from the attempt counter until the graph is connected.
+/// Returns `None` after [`ATTEMPTS`] disconnected attempts.
+fn wire(targets: &[usize], seed: u64) -> Option<Graph> {
     let mut rng = StdRng::seed_from_u64(seed);
-    for attempt in 0..50u64 {
-        let mut graph = Graph::new(n);
-        let mut free: Vec<usize> = (0..n).filter(|&i| network_degree[i] > 0).collect();
-        let mut stall = 0usize;
-        while free.len() >= 2 {
-            let i = rng.gen_range(0..free.len());
-            let mut j = rng.gen_range(0..free.len() - 1);
-            if j >= i {
-                j += 1;
-            }
-            let (u, v) = (free[i], free[j]);
-            if !graph.has_edge(u, v) {
-                graph.add_edge(u, v);
-                stall = 0;
-                free.retain(|&x| graph.degree(x) < network_degree[x]);
-            } else {
-                stall += 1;
-                if stall > 8 * free.len() * free.len() + 64 {
-                    let saturated = free
-                        .iter()
-                        .enumerate()
-                        .all(|(idx, &u)| free[idx + 1..].iter().all(|&v| graph.has_edge(u, v)));
-                    if saturated {
-                        break;
-                    }
-                    stall = 0;
-                }
-            }
-        }
-        // Swap completion with per-switch targets.
-        let mut progress = true;
-        while progress {
-            progress = false;
-            for (p, &target) in network_degree.iter().enumerate().take(n) {
-                while target.saturating_sub(graph.degree(p)) >= 2 {
-                    if !JellyfishBuilder::splice_into_random_edge(&mut graph, p, &mut rng) {
-                        break;
-                    }
-                    progress = true;
-                }
-            }
-        }
-        JellyfishBuilder::finish_single_ports(&mut graph, network_degree, &mut rng);
-        if graph.is_connected() || n == 1 {
-            let servers: Vec<usize> = (0..n).map(|i| ports[i] - network_degree[i]).collect();
-            let topo = Topology::from_parts(
-                graph,
-                ports.to_vec(),
-                servers,
-                vec![SwitchKind::TopOfRack; n],
-                "jellyfish-heterogeneous",
-            );
-            debug_assert!(topo.check_invariants().is_ok());
-            return Ok(topo);
+    for attempt in 0..ATTEMPTS {
+        let graph = try_wire(targets, &mut rng);
+        if graph.is_connected() || targets.len() == 1 {
+            return Some(graph);
         }
         rng = StdRng::seed_from_u64(seed.wrapping_add(attempt + 1));
     }
-    Err(TopologyError::ConstructionFailed(
-        "could not build a connected heterogeneous Jellyfish topology".into(),
-    ))
+    None
+}
+
+/// One construction attempt: random pairing, swap completion, then
+/// single-port matching.
+fn try_wire(targets: &[usize], rng: &mut StdRng) -> Graph {
+    let n = targets.len();
+    let mut graph = Graph::new(n);
+
+    // Phase 1: random pairing. Keep a pool of switches with free ports and
+    // repeatedly try to connect two distinct, non-adjacent members.
+    let mut free: Vec<usize> = (0..n).filter(|&v| targets[v] > 0).collect();
+    let mut stall = 0usize;
+    // The pairing phase is done when fewer than two switches have free
+    // ports, or when all remaining free-port switches form a clique among
+    // themselves (no further simple edge can be added).
+    while free.len() >= 2 {
+        let i = rng.gen_range(0..free.len());
+        let mut j = rng.gen_range(0..free.len() - 1);
+        if j >= i {
+            j += 1;
+        }
+        let (u, v) = (free[i], free[j]);
+        if !graph.has_edge(u, v) {
+            graph.add_edge(u, v);
+            stall = 0;
+            free.retain(|&x| graph.degree(x) < targets[x]);
+        } else {
+            stall += 1;
+            // If we keep hitting already-connected pairs, check whether the
+            // free pool is saturated (every pair already adjacent).
+            if stall > 8 * free.len() * free.len() + 64 {
+                if pool_saturated(&graph, &free) {
+                    break;
+                }
+                stall = 0;
+            }
+        }
+    }
+
+    // Phase 2: swap completion. Any switch with >= 2 free ports steals a
+    // random existing link (x, y) that touches neither of its neighbors.
+    let mut progress = true;
+    while progress {
+        progress = false;
+        for (p, &target) in targets.iter().enumerate() {
+            while target.saturating_sub(graph.degree(p)) >= 2 {
+                let Some((x, y)) = pick_splice_link(&graph, p, rng) else {
+                    break;
+                };
+                graph.remove_edge(x, y);
+                graph.add_edge(p, x);
+                graph.add_edge(p, y);
+                progress = true;
+            }
+        }
+    }
+    // Phase 3: pair up switches left with exactly one free port each
+    // (possible when the pairing phase saturates with mutually adjacent
+    // leftovers). After this at most one port remains unmatched.
+    finish_single_ports(&mut graph, targets, rng);
+    graph
+}
+
+/// Resolves switches that each have exactly one free port left. Two such
+/// switches are either connected directly (if not yet adjacent) or, when
+/// all leftovers are pairwise adjacent, incorporated by a double swap:
+/// remove an existing link (x, y) and add (u, x) and (v, y).
+fn finish_single_ports(graph: &mut Graph, targets: &[usize], rng: &mut StdRng) {
+    loop {
+        let singles: Vec<usize> =
+            (0..graph.num_nodes()).filter(|&v| targets[v] > graph.degree(v)).collect();
+        if singles.len() < 2 {
+            return;
+        }
+        // Try a direct connection between any two deficient switches.
+        let mut connected = false;
+        'search: for (i, &u) in singles.iter().enumerate() {
+            for &v in &singles[i + 1..] {
+                if !graph.has_edge(u, v) {
+                    graph.add_edge(u, v);
+                    connected = true;
+                    break 'search;
+                }
+            }
+        }
+        if connected {
+            continue;
+        }
+        // All deficient switches are pairwise adjacent: double swap.
+        let (u, v) = (singles[0], singles[1]);
+        let m = graph.num_edges();
+        let mut swapped = false;
+        let start = if m == 0 { 0 } else { rng.gen_range(0..m) };
+        for off in 0..m {
+            let e = graph.edge_at((start + off) % m);
+            let (x, y) = (e.a, e.b);
+            if x == u || x == v || y == u || y == v {
+                continue;
+            }
+            // Orient the swap so both new links are simple.
+            let (xu, yv) = if !graph.has_edge(u, x) && !graph.has_edge(v, y) {
+                (x, y)
+            } else if !graph.has_edge(u, y) && !graph.has_edge(v, x) {
+                (y, x)
+            } else {
+                continue;
+            };
+            graph.remove_edge(x, y);
+            graph.add_edge(u, xu);
+            graph.add_edge(v, yv);
+            swapped = true;
+            break;
+        }
+        if !swapped {
+            return; // nothing more can be done; leave the deficit
+        }
+    }
+}
+
+/// Returns true when every pair of switches in `pool` is already adjacent.
+fn pool_saturated(graph: &Graph, pool: &[usize]) -> bool {
+    pool.iter().enumerate().all(|(idx, &u)| pool[idx + 1..].iter().all(|&v| graph.has_edge(u, v)))
 }
 
 #[cfg(test)]
@@ -491,6 +409,19 @@ mod tests {
             assert_eq!(topo.servers(i), 48 - 14);
         }
         assert!(topo.check_invariants().is_ok());
+    }
+
+    #[test]
+    fn uniform_targets_wire_the_same_graph_through_both_entry_points() {
+        for (n, k, r) in [(20, 8, 5), (60, 12, 8), (33, 7, 4)] {
+            for seed in 0..5 {
+                let uniform = JellyfishBuilder::new(n, k, r).seed(seed).build().unwrap();
+                let per_switch = build_heterogeneous(&vec![k; n], &vec![r; n], seed).unwrap();
+                let a: Vec<_> = uniform.graph().edges().collect();
+                let b: Vec<_> = per_switch.graph().edges().collect();
+                assert_eq!(a, b, "RRG({n}, {k}, {r}) seed {seed}");
+            }
+        }
     }
 
     #[test]
