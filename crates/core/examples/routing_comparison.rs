@@ -18,7 +18,7 @@ fn run(topo: &Topology, path: RoutingScheme, transport: TransportPolicy, seed: u
     let flows = workload.stream(&servers, seed).expect("permutation builds on any server map");
     let conns = build_connections(&csr, &servers, flows, path, transport, seed);
     let net = Network::build(&csr, &servers, LinkParams::default());
-    let config = SimConfig { duration: 8.0, warmup: 2.0, seed, ..Default::default() };
+    let config = SimConfig { duration: 8.0, warmup: 2.0, seed };
     let report = Simulator::new(net, conns, config).run();
     let mut throughputs: Vec<f64> =
         report.connections.iter().map(|c| c.normalized_throughput).collect();

@@ -731,7 +731,7 @@ pub fn table1_cell(
     let workload = permutation(&servers, seed);
     let conns = build_connections(&csr, &servers, workload, scheme, transport, seed);
     let net = Network::build(&csr, &servers, LinkParams::default());
-    let config = SimConfig { duration, warmup: duration * 0.25, seed, ..Default::default() };
+    let config = SimConfig { duration, warmup: duration * 0.25, seed };
     Simulator::new(net, conns, config).run().mean_throughput()
 }
 
@@ -845,7 +845,7 @@ impl Experiment for Fig10 {
         // The fluid engine is the packet proxy beyond the packet engine's reach.
         let packet_proxy = if n <= 60 {
             let net = Network::build(&snap.csr, &servers, LinkParams::default());
-            let cfg = SimConfig { duration: 6.0, warmup: 1.5, seed, ..Default::default() };
+            let cfg = SimConfig { duration: 6.0, warmup: 1.5, seed };
             Simulator::new(net, conns, cfg).run().mean_throughput()
         } else {
             max_min_fair_allocation(&conns).mean_throughput()

@@ -103,8 +103,7 @@ fn simulate(
     if let Some(cfg) = spec.impairment() {
         net = net.with_impairment(cfg, ScenarioTransform::Impair(cfg).derived_seed(base_seed));
     }
-    let config =
-        SimConfig { duration, warmup: duration * 0.25, seed: traffic_seed, ..Default::default() };
+    let config = SimConfig { duration, warmup: duration * 0.25, seed: traffic_seed };
     Simulator::new(net, conns, config).run()
 }
 

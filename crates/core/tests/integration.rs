@@ -147,7 +147,7 @@ fn packet_and_fluid_engines_agree_roughly() {
     );
     let fluid = max_min_fair_allocation(&conns).mean_throughput();
     let net = Network::build(&csr, &servers, LinkParams::default());
-    let cfg = SimConfig { duration: 8.0, warmup: 2.0, seed: SEED, ..Default::default() };
+    let cfg = SimConfig { duration: 8.0, warmup: 2.0, seed: SEED };
     let packet = Simulator::new(net, conns, cfg).run().mean_throughput();
     assert!(packet > 0.0 && fluid > 0.0);
     assert!(

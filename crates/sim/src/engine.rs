@@ -16,7 +16,7 @@
 //! ids once, when the simulator is built.
 
 use crate::mptcp::lia_increase_per_ack;
-use crate::net::{LinkId, LinkParams, Network, Packet, TransmitOutcome};
+use crate::net::{LinkId, Network, Packet, TransmitOutcome};
 use crate::tcp::{AckAction, TcpReceiver, TcpSender};
 use crate::workload::Connection;
 use rand::rngs::StdRng;
@@ -27,33 +27,27 @@ use std::collections::BinaryHeap;
 /// Relative size of an acknowledgement compared to a full data segment.
 const ACK_SIZE: f64 = 0.05;
 
-/// Simulation configuration.
+/// Initial congestion window of every subflow (segments).
+const INITIAL_CWND: f64 = 2.0;
+
+/// Initial retransmission timeout of every subflow, before any RTT sample.
+const INITIAL_RTO: f64 = 0.5;
+
+/// Simulation configuration. The link parameters are the [`Network`]'s:
+/// goodput is normalized by the rate the network moves packets at.
 #[derive(Debug, Clone, Copy)]
 pub struct SimConfig {
-    /// Parameters of every link (rate, delay, buffer).
-    pub link: LinkParams,
     /// Total simulated time.
     pub duration: f64,
     /// Warmup time excluded from throughput measurement.
     pub warmup: f64,
-    /// Initial congestion window (segments).
-    pub initial_cwnd: f64,
-    /// Initial retransmission timeout before any RTT sample.
-    pub initial_rto: f64,
     /// RNG seed for start-time jitter.
     pub seed: u64,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
-        SimConfig {
-            link: LinkParams::default(),
-            duration: 10.0,
-            warmup: 2.0,
-            initial_cwnd: 2.0,
-            initial_rto: 0.5,
-            seed: 1,
-        }
+        SimConfig { duration: 10.0, warmup: 2.0, seed: 1 }
     }
 }
 
@@ -192,7 +186,7 @@ impl Simulator {
                     .subflow_paths
                     .iter()
                     .map(|path| Subflow {
-                        sender: TcpSender::new(config.initial_cwnd, config.initial_rto),
+                        sender: TcpSender::new(INITIAL_CWND, INITIAL_RTO),
                         receiver: TcpReceiver::new(),
                         forward: path.windows(2).map(|h| network.link_id(h[0], h[1])).collect(),
                         reverse: path
@@ -293,7 +287,7 @@ impl Simulator {
         }
 
         let window = self.config.duration - self.config.warmup;
-        let nic_segments = self.config.link.rate * window;
+        let nic_segments = self.network.rate() * window;
         let connections = self
             .connections
             .iter()
@@ -437,8 +431,7 @@ impl Simulator {
         self.lia_cwnds.clear();
         self.lia_cwnds.extend(c.subflows.iter().map(|s| s.sender.cwnd));
         self.lia_rtts.clear();
-        let initial_rto = self.config.initial_rto;
-        self.lia_rtts.extend(c.subflows.iter().map(|s| s.sender.srtt.unwrap_or(initial_rto)));
+        self.lia_rtts.extend(c.subflows.iter().map(|s| s.sender.srtt.unwrap_or(INITIAL_RTO)));
         lia_increase_per_ack(&self.lia_cwnds, &self.lia_rtts, sub)
     }
 
@@ -489,6 +482,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::LinkParams;
     use crate::routing::TransportPolicy;
     use crate::workload::build_connections;
     use jellyfish_routing::path_table::RoutingScheme;
@@ -512,7 +506,7 @@ mod tests {
         let tm = TrafficMatrix::random_permutation(&servers, seed ^ 0xABCD);
         let conns = build_connections(&csr, &servers, &tm, scheme, transport, seed);
         let net = Network::build(&csr, &servers, LinkParams::default());
-        let config = SimConfig { duration: 6.0, warmup: 1.5, seed, ..Default::default() };
+        let config = SimConfig { duration: 6.0, warmup: 1.5, seed };
         Simulator::new(net, conns, config).run()
     }
 
@@ -684,7 +678,7 @@ mod tests {
             if let Some(cfg) = cfg {
                 net = net.with_impairment(cfg, 17);
             }
-            let config = SimConfig { duration: 6.0, warmup: 1.5, seed: 5, ..Default::default() };
+            let config = SimConfig { duration: 6.0, warmup: 1.5, seed: 5 };
             Simulator::new(net, conns, config).run()
         };
         let ideal = run(None);
@@ -704,5 +698,31 @@ mod tests {
         let lossy_again = run(Some(ImpairConfig { loss: 0.03, ..Default::default() }));
         assert_eq!(lossy.mean_throughput(), lossy_again.mean_throughput());
         assert_eq!(lossy.drops, lossy_again.drops);
+    }
+
+    #[test]
+    fn goodput_is_normalized_by_the_networks_link_rate() {
+        // One uncontended TCP flow reaches about the same fraction of its
+        // NIC rate whatever that rate is, because goodput is divided by the
+        // rate its packets moved at: the rate the network was built with.
+        let topo = JellyfishBuilder::new(6, 4, 3).seed(1).build().unwrap();
+        let servers = ServerMap::new(&topo);
+        let csr = topo.csr();
+        let run = |rate: f64| {
+            let flow = jellyfish_traffic::Flow { src: 0, dst: 5, demand: 1.0 };
+            let transport = TransportPolicy::Tcp { flows: 1 };
+            let conns =
+                build_connections(&csr, &servers, [flow], RoutingScheme::ksp8(), transport, 1);
+            let net = Network::build(&csr, &servers, LinkParams { rate, ..Default::default() });
+            let config = SimConfig { duration: 8.0, warmup: 2.0, ..Default::default() };
+            Simulator::new(net, conns, config).run().connections[0].normalized_throughput
+        };
+        let default = run(LinkParams::default().rate);
+        let fast = run(200.0);
+        assert!(default > 0.5, "uncontended flow got {default}");
+        assert!(
+            (fast - default).abs() <= 0.05 * default,
+            "rate 200: {fast}, default rate: {default}"
+        );
     }
 }

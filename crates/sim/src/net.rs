@@ -273,6 +273,11 @@ impl Network {
         self.wire_lost
     }
 
+    /// Rate of every link and NIC, in packets per unit time.
+    pub fn rate(&self) -> f64 {
+        self.params.rate
+    }
+
     /// Transmit attempts on directed links that do not exist (only possible
     /// when routing state outlives a failure scenario).
     pub fn no_link_drops(&self) -> u64 {

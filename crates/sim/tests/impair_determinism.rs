@@ -151,7 +151,7 @@ proptest! {
             );
             let net = Network::build(&csr, &servers, LinkParams::default())
                 .with_impairment(cfg, seed ^ 0x1417);
-            let config = SimConfig { duration: 3.0, warmup: 0.75, seed, ..Default::default() };
+            let config = SimConfig { duration: 3.0, warmup: 0.75, seed };
             Simulator::new(net, conns, config).run()
         };
         prop_assert_eq!(format!("{:?}", run()), format!("{:?}", run()));

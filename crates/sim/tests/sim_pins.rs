@@ -64,7 +64,7 @@ fn run(
     if let Some(cfg) = impair {
         net = net.with_impairment(cfg, SEED ^ 0x1417);
     }
-    let config = SimConfig { duration: 2.0, warmup: 0.5, seed: SEED, ..Default::default() };
+    let config = SimConfig { duration: 2.0, warmup: 0.5, seed: SEED };
     Simulator::new(net, conns, config).run()
 }
 
