@@ -329,42 +329,58 @@ fn cmd_list(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The names of the experiments that take `--traffic`, for error messages.
-fn traffic_capable_names() -> String {
-    let names: Vec<&str> = experiment::registry()
-        .iter()
-        .filter(|e| e.supports_traffic_override())
-        .map(|e| e.name())
-        .collect();
-    names.join(", ")
+/// Rejects `flag` unless every selected experiment takes it (`supports`),
+/// naming the experiments that do.
+fn check_override_support(
+    experiments: &[&'static dyn Experiment],
+    flag: &str,
+    supports: fn(&dyn Experiment) -> bool,
+    why: &str,
+) -> Result<(), CliError> {
+    let Some(fixed) = experiments.iter().find(|e| !supports(**e)) else { return Ok(()) };
+    let capable: Vec<&str> =
+        experiment::registry().iter().filter(|e| supports(**e)).map(|e| e.name()).collect();
+    Err(CliError::Invalid(format!(
+        "'{}' does not take {flag} ({why}); {flag} works with {}",
+        fixed.name(),
+        capable.join(", ")
+    )))
 }
 
-/// Checks a `--traffic` override against the selected experiments: every one
-/// must take the override, and the spec must actually generate on the first
-/// work item's topology (a parse-clean spec can still fail on a given server
-/// count — incast fanin bounds, zipf needing two racks). Probing here turns
-/// worker panics into a clean exit-2 error, matching the `--topo` probe.
-fn check_traffic_override(
-    tspec: &TrafficSpec,
+/// Checks the `--topo` and `--traffic` overrides before any work item runs:
+/// every selected experiment must take them, the topology spec must build,
+/// and the workload must generate on the first work item's topology. A spec
+/// can parse yet not build (odd fat-tree k, an infeasible degree, incast
+/// fanin above the server count), so probing here turns a worker panic into
+/// a clean exit-2 error.
+fn check_overrides(
     experiments: &[&'static dyn Experiment],
     opts: &RunOptions,
 ) -> Result<(), CliError> {
-    if let Some(fixed) = experiments.iter().find(|e| !e.supports_traffic_override()) {
-        return Err(CliError::Invalid(format!(
-            "'{}' does not take --traffic (its workload is the experiment); \
-             --traffic works with {}",
-            fixed.name(),
-            traffic_capable_names()
-        )));
+    if let Some(spec) = &opts.topo {
+        check_override_support(
+            experiments,
+            "--topo",
+            |e| e.supports_topo_override(),
+            "its topology pairing is the experiment",
+        )?;
+        spec.build(opts.seed)
+            .map_err(|e| CliError::Invalid(format!("--topo '{spec}' does not build: {e}")))?;
     }
-    let ctx = opts.ctx();
-    if let Some(exp) = experiments.first() {
-        if let Some(item) = exp.work_items(&ctx).first() {
+    if let Some(tspec) = &opts.traffic {
+        check_override_support(
+            experiments,
+            "--traffic",
+            |e| e.supports_traffic_override(),
+            "its workload is the experiment",
+        )?;
+        let ctx = opts.ctx();
+        let items = experiments.first().map(|exp| exp.work_items(&ctx)).unwrap_or_default();
+        if let Some(item) = items.first() {
             let snap = ctx
                 .spec_snapshot(item.spec(), opts.seed)
                 .map_err(|e| CliError::Invalid(format!("cannot build '{}': {e}", item.spec())))?;
-            let servers = ServerMap::new(&snap.topology);
-            tspec.stream(&servers, opts.seed).map_err(|e| {
+            tspec.stream(&ServerMap::new(&snap.topology), opts.seed).map_err(|e| {
                 CliError::Invalid(format!("--traffic '{tspec}' does not build: {e}"))
             })?;
         }
@@ -380,31 +396,7 @@ fn cmd_run(name: &str, args: &[String]) -> Result<(), CliError> {
         ));
     }
     let experiments = resolve_experiments(name)?;
-    if opts.topo.is_some() {
-        if let Some(fixed) = experiments.iter().find(|e| !e.supports_topo_override()) {
-            let generic: Vec<&str> = experiment::registry()
-                .iter()
-                .filter(|e| e.supports_topo_override())
-                .map(|e| e.name())
-                .collect();
-            return Err(CliError::Invalid(format!(
-                "'{}' does not take --topo (its topology pairing is the experiment); \
-                 --topo works with {}",
-                fixed.name(),
-                generic.join(", ")
-            )));
-        }
-    }
-    // A spec can parse but still be unbuildable (odd fat-tree k, infeasible
-    // degree, config index out of range). Probe-build it once here so the
-    // user gets a clean exit-2 error instead of a panic from a worker.
-    if let Some(spec) = &opts.topo {
-        spec.build(opts.seed)
-            .map_err(|e| CliError::Invalid(format!("--topo '{spec}' does not build: {e}")))?;
-    }
-    if let Some(tspec) = &opts.traffic {
-        check_traffic_override(tspec, &experiments, &opts)?;
-    }
+    check_overrides(&experiments, &opts)?;
     let plan = load_plan(&opts)?;
     for exp in experiments {
         let ctx = opts.ctx();
@@ -689,21 +681,7 @@ fn cmd_launch(args: &[String]) -> Result<(), CliError> {
     };
     let experiments = resolve_experiments(name)?;
     let (jobs, opts, hosts_file, run_dir, timeout) = parse_launch_options(&args[1..])?;
-    if opts.topo.is_some() {
-        if let Some(fixed) = experiments.iter().find(|e| !e.supports_topo_override()) {
-            return Err(CliError::Invalid(format!(
-                "'{}' does not take --topo (its topology pairing is the experiment)",
-                fixed.name()
-            )));
-        }
-    }
-    if let Some(spec) = &opts.topo {
-        spec.build(opts.seed)
-            .map_err(|e| CliError::Invalid(format!("--topo '{spec}' does not build: {e}")))?;
-    }
-    if let Some(tspec) = &opts.traffic {
-        check_traffic_override(tspec, &experiments, &opts)?;
-    }
+    check_overrides(&experiments, &opts)?;
     // Surface an unreadable/unparsable --plan here, before any worker spawns
     // (the workers re-validate it themselves).
     load_plan(&opts)?;

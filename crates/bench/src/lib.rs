@@ -17,6 +17,7 @@ pub mod merge;
 
 use jellyfish::experiment::Dataset;
 use jellyfish::figures::Scale;
+use jellyfish::json::opt_str_into;
 
 /// Renders one experiment result exactly as `figures run` prints it: a
 /// header naming the experiment, scale, seed and (when overridden) the
@@ -51,38 +52,12 @@ pub fn render_run_json(
     traffic: Option<&str>,
     data: &Dataset,
 ) -> String {
-    let topo = match topo {
-        Some(spec) => escape_json(spec),
-        None => "null".to_string(),
-    };
-    let traffic = match traffic {
-        Some(spec) => escape_json(spec),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"experiment\":\"{name}\",\"scale\":\"{scale}\",\"seed\":{seed},\"topo\":{topo},\"traffic\":{traffic},\"data\":{}}}\n",
-        data.to_json()
-    )
-}
-
-/// Renders a string as a quoted JSON literal (the same escape set the
-/// dataset writer in `jellyfish::experiment` uses: quotes, backslashes, and
-/// all control characters).
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    let mut out =
+        format!("{{\"experiment\":\"{name}\",\"scale\":\"{scale}\",\"seed\":{seed},\"topo\":");
+    opt_str_into(&mut out, topo);
+    out.push_str(",\"traffic\":");
+    opt_str_into(&mut out, traffic);
+    out.push_str(&format!(",\"data\":{}}}\n", data.to_json()));
     out
 }
 

@@ -190,3 +190,26 @@ fn sharded_merge_matches_goldens_byte_for_byte() {
         assert_eq!(rendered, *golden, "{name} {topo:?} {traffic:?}: sharded+merged output drifted");
     }
 }
+
+/// Every `testdata/*.golden.tsv` is a `GOLDENS` row: its header (the
+/// invocation CI rebuilds the `figures run` command from) names a row, and
+/// its bytes are that row's. A new golden file cannot go unpinned here.
+#[test]
+fn every_golden_file_is_a_goldens_row() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("testdata");
+    let mut files = 0;
+    for entry in std::fs::read_dir(&dir).expect("testdata is readable") {
+        let path = entry.expect("testdata entry").path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+        if !name.ends_with(".golden.tsv") {
+            continue;
+        }
+        files += 1;
+        let text = std::fs::read_to_string(&path).expect("golden is UTF-8");
+        let header = text.lines().next().unwrap_or_default();
+        let row = GOLDENS.iter().find(|g| g.4.lines().next() == Some(header));
+        let row = row.unwrap_or_else(|| panic!("{name}: header '{header}' matches no GOLDENS row"));
+        assert_eq!(row.4, text, "{name}: bytes differ from its GOLDENS row");
+    }
+    assert_eq!(files, GOLDENS.len(), "one golden file per GOLDENS row");
+}

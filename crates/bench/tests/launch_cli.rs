@@ -256,3 +256,26 @@ fn launch_flag_validation_is_strict() {
     assert_eq!(unreadable.status.code(), Some(2));
     assert!(stderr(&unreadable).contains("cannot read --plan"), "{}", stderr(&unreadable));
 }
+
+#[test]
+fn run_and_launch_reject_an_unsupported_override_with_one_message() {
+    let dir = scratch("override");
+    let run_dir = dir.join("run");
+    let run = figures(&["run", "fig3", "--topo", "fattree:k=4"]);
+    let launched = figures(&[
+        "launch",
+        "fig3",
+        "--jobs",
+        "2",
+        "--topo",
+        "fattree:k=4",
+        "--run-dir",
+        run_dir.to_str().unwrap(),
+    ]);
+    assert_eq!(run.status.code(), Some(2), "{}", stderr(&run));
+    assert_eq!(launched.status.code(), Some(2), "{}", stderr(&launched));
+    assert!(stderr(&run).contains("--topo works with throughput_vs_size"), "{}", stderr(&run));
+    assert_eq!(stderr(&launched), stderr(&run), "launch and run must share the override check");
+    assert!(!run_dir.exists(), "the rejected launch must spawn no worker");
+    let _ = std::fs::remove_dir_all(&dir);
+}

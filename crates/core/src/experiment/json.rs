@@ -9,7 +9,7 @@
 
 use super::{Dataset, ItemResult, Row, Series, Shard, ShardFragment, TimingFile};
 use crate::figures::Scale;
-use crate::json::{escape_into, num_into, parse_document, Value};
+use crate::json::{escape_into, num_into, opt_str_into, parse_document, Value};
 
 // ---------------------------------------------------------------- encoding
 
@@ -95,15 +95,9 @@ pub(super) fn fragment_to_json(frag: &ShardFragment) -> String {
     out.push_str("{\"experiment\":");
     escape_into(&mut out, &frag.experiment);
     out.push_str(&format!(",\"scale\":\"{}\",\"seed\":{},\"topo\":", frag.scale, frag.seed));
-    match &frag.topo {
-        Some(spec) => escape_into(&mut out, spec),
-        None => out.push_str("null"),
-    }
+    opt_str_into(&mut out, frag.topo.as_deref());
     out.push_str(",\"traffic\":");
-    match &frag.traffic {
-        Some(spec) => escape_into(&mut out, spec),
-        None => out.push_str("null"),
-    }
+    opt_str_into(&mut out, frag.traffic.as_deref());
     out.push_str(&format!(
         ",\"shard\":[{},{}],\"timings_us\":[",
         frag.shard.index, frag.shard.count
@@ -131,15 +125,9 @@ pub(super) fn fragment_to_json(frag: &ShardFragment) -> String {
 pub(super) fn timing_file_to_json(tf: &TimingFile) -> String {
     let mut out = String::new();
     out.push_str(&format!("{{\"scale\":\"{}\",\"seed\":{},\"topo\":", tf.scale, tf.seed));
-    match &tf.topo {
-        Some(spec) => escape_into(&mut out, spec),
-        None => out.push_str("null"),
-    }
+    opt_str_into(&mut out, tf.topo.as_deref());
     out.push_str(",\"traffic\":");
-    match &tf.traffic {
-        Some(spec) => escape_into(&mut out, spec),
-        None => out.push_str("null"),
-    }
+    opt_str_into(&mut out, tf.traffic.as_deref());
     out.push_str(",\"experiments\":[");
     for (i, (name, timings)) in tf.experiments.iter().enumerate() {
         if i > 0 {

@@ -1,7 +1,8 @@
 //! Dependency-free JSON primitives shared by the experiment fragment codec
-//! ([`crate::experiment`]) and the live-service wire protocol
-//! ([`crate::service`]). The build environment has no serde (DESIGN.md), so
-//! both layers hand-roll encoding over these helpers.
+//! ([`crate::experiment`]), the live-service wire protocol
+//! ([`crate::service`]) and the `figures` CLI's `--json` output. The build
+//! environment has no serde (DESIGN.md), so every layer hand-rolls encoding
+//! over these helpers.
 //!
 //! Numbers are written with Rust's shortest round-trip `Display` formatting
 //! and parsed keeping their raw token, so every finite `f64` — and every
@@ -11,8 +12,9 @@
 
 // ---------------------------------------------------------------- encoding
 
-/// Appends `s` as a JSON string literal (quoted, escaped).
-pub(crate) fn escape_into(out: &mut String, s: &str) {
+/// Appends `s` as a JSON string literal: quoted, with quotes, backslashes
+/// and every control character escaped.
+pub fn escape_into(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -26,6 +28,14 @@ pub(crate) fn escape_into(out: &mut String, s: &str) {
         }
     }
     out.push('"');
+}
+
+/// Appends `s` as a JSON string literal, or `null` when it is absent.
+pub fn opt_str_into(out: &mut String, s: Option<&str>) {
+    match s {
+        Some(s) => escape_into(out, s),
+        None => out.push_str("null"),
+    }
 }
 
 /// Appends `v` with shortest round-trip formatting (`null` for non-finite

@@ -47,7 +47,7 @@ pub mod cabling;
 pub mod capacity;
 pub mod experiment;
 pub mod figures;
-mod json;
+pub mod json;
 pub mod legup;
 pub mod metrics;
 pub mod service;

@@ -67,6 +67,13 @@ pub fn optimized_graph(
     params: AnnealParams,
     seed: u64,
 ) -> Result<Topology, TopologyError> {
+    // The classical short-cut below computes `ports - degree` before
+    // anything else checks the degree.
+    if degree > ports {
+        return Err(TopologyError::InvalidParameters(format!(
+            "network degree {degree} exceeds port count {ports}"
+        )));
+    }
     // Special-case exact classical optima at small sizes.
     if let Some(g) = classical_graph(n, degree) {
         let topo = Topology::homogeneous(g, ports, ports - degree)

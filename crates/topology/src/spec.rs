@@ -35,6 +35,10 @@
 //!
 //! Parse and display round-trip exactly: `parse(display(spec)) == spec` for
 //! every representable spec (property-tested in `tests/spec_roundtrip.rs`).
+//!
+//! The grammar itself — [`split_spec`], [`write_spec`], [`Params`] and
+//! [`SpecError`] — is shared with the traffic crate's workload specs, which
+//! differ from topology specs only in their registry and transforms.
 
 use crate::clos::ClosConfig;
 use crate::degree_diameter::{optimized_graph, AnnealParams, FIGURE3_CONFIGS};
@@ -47,44 +51,49 @@ use crate::topology::{Topology, TopologyError};
 use std::fmt;
 use std::str::FromStr;
 
-// ------------------------------------------------------------------ errors
+// ----------------------------------------------------------------- grammar
 
-/// Errors from parsing or resolving a [`TopoSpec`].
-#[derive(Debug, Clone, PartialEq)]
+/// Errors from parsing or resolving a spec string.
+///
+/// Topology specs and the traffic crate's workload specs share this grammar
+/// and this error. Each kind fills the unknown-name variants from its own
+/// registry, so every message lists that kind's valid choices.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpecError {
     /// The spec string does not match the grammar.
     Syntax(String),
     /// The generator name is not registered.
-    UnknownGenerator(String),
-    /// A transform name or value is not recognized.
-    UnknownTransform(String),
+    UnknownGenerator {
+        /// The generator the spec names.
+        name: String,
+        /// The registered generator names, comma-separated.
+        registered: String,
+    },
+    /// The transform name is not registered.
+    UnknownTransform {
+        /// The transform the spec names.
+        name: String,
+        /// The grammar of the registered transforms.
+        registered: &'static str,
+    },
     /// A parameter is missing, duplicated, unknown, or has a bad value.
     Param(String),
-    /// The underlying generator or transform failed to build the topology.
-    Build(TopologyError),
+    /// The generator or a transform failed to build; the cause as text.
+    Build(String),
 }
 
 impl fmt::Display for SpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SpecError::Syntax(m) => write!(f, "bad spec syntax: {m}"),
-            SpecError::UnknownGenerator(name) => {
-                let known: Vec<&str> = generators().iter().map(|g| g.name()).collect();
-                write!(
-                    f,
-                    "unknown generator '{name}': registered generators are {}",
-                    known.join(", ")
-                )
+            SpecError::UnknownGenerator { name, registered } => {
+                write!(f, "unknown generator '{name}': registered generators are {registered}")
             }
-            SpecError::UnknownTransform(m) => {
-                write!(
-                    f,
-                    "unknown transform {m}: registered transforms are {}",
-                    transform_grammar()
-                )
+            SpecError::UnknownTransform { name, registered } => {
+                write!(f, "unknown transform '{name}': registered transforms are {registered}")
             }
             SpecError::Param(m) => write!(f, "bad parameter: {m}"),
-            SpecError::Build(e) => write!(f, "cannot build topology: {e}"),
+            SpecError::Build(m) => write!(f, "cannot build: {m}"),
         }
     }
 }
@@ -93,17 +102,15 @@ impl std::error::Error for SpecError {}
 
 impl From<TopologyError> for SpecError {
     fn from(e: TopologyError) -> Self {
-        SpecError::Build(e)
+        SpecError::Build(e.to_string())
     }
 }
 
-// ------------------------------------------------------------------ params
-
 /// Ordered `key=value` parameters of a spec's generator segment.
 ///
-/// Order is preserved from the parsed string (and from
-/// [`TopoSpec::with_param`] calls), which is what makes display a faithful
-/// inverse of parse.
+/// Order is preserved from the parsed string (and from `with_param` calls),
+/// which is what makes display a faithful inverse of parse. `Display`
+/// prints the `:k=v,k=v` suffix, or nothing when there are no parameters.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Params {
     pairs: Vec<(String, String)>,
@@ -136,7 +143,7 @@ impl Params {
             if !allowed.contains(&k.as_str()) {
                 return Err(SpecError::Param(format!(
                     "{generator} does not take '{k}': known keys are {}",
-                    allowed.join(", ")
+                    if allowed.is_empty() { "(none)".to_string() } else { allowed.join(", ") }
                 )));
             }
             if self.pairs[..i].iter().any(|(prev, _)| prev == k) {
@@ -159,9 +166,100 @@ impl Params {
 
     /// Parses the required `key` as `usize`.
     pub fn usize(&self, key: &str) -> Result<usize, SpecError> {
-        self.usize_opt(key)?
-            .ok_or_else(|| SpecError::Param(format!("missing required key '{key}'")))
+        self.usize_opt(key)?.ok_or_else(|| missing(key))
     }
+
+    /// Parses `key` as a finite `f64`, if present.
+    pub fn f64_opt(&self, key: &str) -> Result<Option<f64>, SpecError> {
+        match self.get(key) {
+            None => Ok(None),
+            Some(raw) => match raw.parse::<f64>() {
+                Ok(v) if v.is_finite() => Ok(Some(v)),
+                _ => Err(SpecError::Param(format!("'{key}={raw}' is not a finite number"))),
+            },
+        }
+    }
+
+    /// Parses the required `key` as a finite `f64`.
+    pub fn f64(&self, key: &str) -> Result<f64, SpecError> {
+        self.f64_opt(key)?.ok_or_else(|| missing(key))
+    }
+}
+
+fn missing(key: &str) -> SpecError {
+    SpecError::Param(format!("missing required key '{key}'"))
+}
+
+impl fmt::Display for Params {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, (k, v)) in self.pairs.iter().enumerate() {
+            write!(f, "{}{k}={v}", if i == 0 { ':' } else { ',' })?;
+        }
+        Ok(())
+    }
+}
+
+/// Splits a spec string into its generator name, its parameters and its
+/// transform segments (each still `name=value`), checking the syntax of
+/// the grammar in the module docs. Resolving the names is the caller's
+/// registry's job.
+pub fn split_spec(s: &str) -> Result<(&str, Params, Vec<&str>), SpecError> {
+    let s = s.trim();
+    if s.is_empty() {
+        return Err(SpecError::Syntax("empty spec".into()));
+    }
+    let mut segments = s.split('+');
+    let head = segments.next().expect("split yields at least one segment");
+    let (generator, raw_params) = match head.split_once(':') {
+        Some((g, p)) => (g, Some(p)),
+        None => (head, None),
+    };
+    if generator.is_empty() {
+        return Err(SpecError::Syntax(format!("'{s}' has no generator name")));
+    }
+    let mut params = Params::new();
+    if let Some(raw) = raw_params {
+        if raw.is_empty() {
+            return Err(SpecError::Syntax(format!("'{head}' has ':' but no parameters")));
+        }
+        for pair in raw.split(',') {
+            let (k, v) = pair
+                .split_once('=')
+                .ok_or_else(|| SpecError::Syntax(format!("'{pair}' is not key=value")))?;
+            if k.is_empty() || v.is_empty() {
+                return Err(SpecError::Syntax(format!("'{pair}' has an empty key or value")));
+            }
+            params.push(k, v);
+        }
+    }
+    Ok((generator, params, segments.collect()))
+}
+
+/// Splits one transform segment into its name and value.
+pub fn split_transform(segment: &str) -> Result<(&str, &str), SpecError> {
+    segment
+        .split_once('=')
+        .ok_or_else(|| SpecError::Syntax(format!("transform '{segment}' is not name=value")))
+}
+
+/// Writes `generator[:k=v,...](+transform)*`, the inverse of [`split_spec`].
+pub fn write_spec<T: fmt::Display>(
+    f: &mut fmt::Formatter<'_>,
+    generator: &str,
+    params: &Params,
+    transforms: &[T],
+) -> fmt::Result {
+    write!(f, "{generator}{params}")?;
+    for t in transforms {
+        write!(f, "+{t}")?;
+    }
+    Ok(())
+}
+
+/// Folds `v` into the seed `h`: how spec layers derive per-transform and
+/// per-component seeds from one build seed.
+pub fn mix64(h: u64, v: u64) -> u64 {
+    (h ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 // -------------------------------------------------------------- impairment
@@ -230,10 +328,6 @@ pub struct ImpairConfig {
     /// Drop-tail queue capacity override (packets); `None` keeps the link's
     /// configured buffer.
     pub queue: Option<usize>,
-}
-
-fn mix64(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 impl ImpairConfig {
@@ -453,9 +547,7 @@ impl ScenarioTransform {
 
     /// Parses one `name=value` transform segment.
     pub fn parse(segment: &str) -> Result<Self, SpecError> {
-        let (name, raw) = segment.split_once('=').ok_or_else(|| {
-            SpecError::UnknownTransform(format!("'{segment}' (expected name=value)"))
-        })?;
+        let (name, raw) = split_transform(segment)?;
         let fraction = |raw: &str| -> Result<f64, SpecError> {
             let v: f64 = raw
                 .parse()
@@ -476,7 +568,10 @@ impl ScenarioTransform {
                 Ok(ScenarioTransform::Expand(racks))
             }
             "impair" => Ok(ScenarioTransform::Impair(ImpairConfig::parse(raw)?)),
-            other => Err(SpecError::UnknownTransform(format!("'{other}'"))),
+            other => Err(SpecError::UnknownTransform {
+                name: other.to_string(),
+                registered: transform_grammar(),
+            }),
         }
     }
 
@@ -917,8 +1012,10 @@ impl TopoSpec {
 
     /// Resolves the generator from the registry.
     pub fn resolve(&self) -> Result<&'static dyn TopologyGenerator, SpecError> {
-        find_generator(&self.generator)
-            .ok_or_else(|| SpecError::UnknownGenerator(self.generator.clone()))
+        find_generator(&self.generator).ok_or_else(|| SpecError::UnknownGenerator {
+            name: self.generator.clone(),
+            registered: generators().iter().map(|g| g.name()).collect::<Vec<_>>().join(", "),
+        })
     }
 
     /// Builds the base topology (no transforms). Pure in `(self, seed)`.
@@ -944,15 +1041,7 @@ impl TopoSpec {
 
 impl fmt::Display for TopoSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.generator)?;
-        for (i, (k, v)) in self.params.pairs().iter().enumerate() {
-            f.write_str(if i == 0 { ":" } else { "," })?;
-            write!(f, "{k}={v}")?;
-        }
-        for t in &self.transforms {
-            write!(f, "+{t}")?;
-        }
-        Ok(())
+        write_spec(f, &self.generator, &self.params, &self.transforms)
     }
 }
 
@@ -960,39 +1049,13 @@ impl FromStr for TopoSpec {
     type Err = SpecError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let s = s.trim();
-        if s.is_empty() {
-            return Err(SpecError::Syntax("empty spec".into()));
-        }
-        let mut segments = s.split('+');
-        let head = segments.next().expect("split yields at least one segment");
-        let (generator, raw_params) = match head.split_once(':') {
-            Some((g, p)) => (g, Some(p)),
-            None => (head, None),
-        };
-        if generator.is_empty() {
-            return Err(SpecError::Syntax(format!("'{s}' has no generator name")));
-        }
-        if find_generator(generator).is_none() {
-            return Err(SpecError::UnknownGenerator(generator.to_string()));
-        }
-        let mut params = Params::new();
-        if let Some(raw) = raw_params {
-            if raw.is_empty() {
-                return Err(SpecError::Syntax(format!("'{head}' has ':' but no parameters")));
-            }
-            for pair in raw.split(',') {
-                let (k, v) = pair
-                    .split_once('=')
-                    .ok_or_else(|| SpecError::Syntax(format!("'{pair}' is not key=value")))?;
-                if k.is_empty() || v.is_empty() {
-                    return Err(SpecError::Syntax(format!("'{pair}' has an empty key or value")));
-                }
-                params.push(k, v);
-            }
-        }
-        let transforms = segments.map(ScenarioTransform::parse).collect::<Result<Vec<_>, _>>()?;
-        Ok(TopoSpec { generator: generator.to_string(), params, transforms })
+        let (generator, params, segments) = split_spec(s)?;
+        let mut spec = TopoSpec::new(generator);
+        spec.params = params;
+        spec.resolve()?;
+        spec.transforms =
+            segments.into_iter().map(ScenarioTransform::parse).collect::<Result<_, _>>()?;
+        Ok(spec)
     }
 }
 
@@ -1050,6 +1113,7 @@ mod tests {
             ("jellyfish:switches=10,ports=4", "one of degree, servers, or servers_total"),
             ("jellyfish:switches=10,ports=4,degree=2,servers_total=9", "exclusive"),
             ("dd:config=99", "out of range"),
+            ("dd:n=5,ports=3,degree=4", "exceeds port count"),
             ("swdc:lattice=moebius,n=100", "unknown lattice"),
         ] {
             let parsed: TopoSpec = spec.parse().unwrap_or_else(|e| panic!("'{spec}': {e}"));

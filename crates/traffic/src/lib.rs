@@ -36,7 +36,7 @@ pub mod stream;
 
 pub use spec::{
     find_generator, generators, transform_grammar, Epoch, TrafficGenerator, TrafficSpec,
-    TrafficSpecError, TrafficTransform,
+    TrafficTransform,
 };
 pub use stream::FlowStream;
 

@@ -1,6 +1,6 @@
 //! `TrafficSpec`: round-trippable workload spec strings resolved through a
-//! registry of [`TrafficGenerator`]s — the traffic mirror of the topology
-//! crate's `TopoSpec` (see TRAFFIC.md for the user-facing grammar).
+//! registry of [`TrafficGenerator`]s (see TRAFFIC.md for the generators and
+//! transforms).
 //!
 //! A spec names a generator, an ordered parameter list, and a chain of
 //! workload transforms:
@@ -8,6 +8,11 @@
 //! ```text
 //! zipf:s=1.2,hot_racks=4+scale_demand=0.5+epochs=4
 //! ```
+//!
+//! The grammar is the topology crate's (`jellyfish_topology::spec`): its
+//! parser, printer, `Params` and `SpecError`, so both kinds of spec report
+//! malformed input in the same words. This module adds only the workload
+//! registry and transforms.
 //!
 //! `Display` and `FromStr` are exact inverses. [`TrafficSpec::stream`] is
 //! the one way a workload is built: generators build lazy [`FlowStream`]s
@@ -20,137 +25,12 @@
 
 use crate::stream::FlowStream;
 use crate::{Flow, ServerMap, TrafficMatrix};
+use jellyfish_topology::spec::{mix64, split_spec, split_transform, write_spec, Params, SpecError};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::fmt;
 use std::str::FromStr;
-
-/// Errors produced while parsing, validating or building a traffic spec.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TrafficSpecError {
-    /// The spec string does not follow the grammar.
-    Syntax(String),
-    /// The generator name is not registered.
-    UnknownGenerator(String),
-    /// A `+transform` segment names no known workload transform.
-    UnknownTransform(String),
-    /// A parameter is missing, duplicated, unknown or out of range.
-    Param(String),
-    /// The generator could not build a stream for this server population.
-    Build(String),
-}
-
-impl fmt::Display for TrafficSpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TrafficSpecError::Syntax(msg) => write!(f, "syntax error: {msg}"),
-            TrafficSpecError::UnknownGenerator(name) => {
-                let names: Vec<&str> = generators().iter().map(|g| g.name()).collect();
-                write!(
-                    f,
-                    "unknown traffic generator '{name}': registered generators are {}",
-                    names.join(", ")
-                )
-            }
-            TrafficSpecError::UnknownTransform(name) => {
-                write!(
-                    f,
-                    "unknown workload transform '{name}': known transforms are {}",
-                    transform_grammar()
-                )
-            }
-            TrafficSpecError::Param(msg) => write!(f, "parameter error: {msg}"),
-            TrafficSpecError::Build(msg) => write!(f, "build error: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for TrafficSpecError {}
-
-/// Ordered `key=value` parameters of a spec. Order is preserved so
-/// `Display` round-trips the exact string the user wrote.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Params {
-    pairs: Vec<(String, String)>,
-}
-
-impl Params {
-    /// Creates an empty parameter list.
-    pub fn new() -> Self {
-        Params::default()
-    }
-
-    /// The `(key, value)` pairs in spec order.
-    pub fn pairs(&self) -> &[(String, String)] {
-        &self.pairs
-    }
-
-    /// Appends a `key=value` pair.
-    pub fn push(&mut self, key: impl Into<String>, value: impl Into<String>) {
-        self.pairs.push((key.into(), value.into()));
-    }
-
-    /// Looks a key up (first occurrence).
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
-    }
-
-    /// Rejects duplicated keys and keys outside `known`.
-    pub fn check_keys(&self, generator: &str, known: &[&str]) -> Result<(), TrafficSpecError> {
-        for (i, (k, _)) in self.pairs.iter().enumerate() {
-            if !known.contains(&k.as_str()) {
-                return Err(TrafficSpecError::Param(format!(
-                    "'{generator}' does not take '{k}': known keys are {}",
-                    if known.is_empty() { "(none)".to_string() } else { known.join(", ") }
-                )));
-            }
-            if self.pairs[..i].iter().any(|(prev, _)| prev == k) {
-                return Err(TrafficSpecError::Param(format!("duplicate key '{k}'")));
-            }
-        }
-        Ok(())
-    }
-
-    /// Parses an optional `usize` parameter.
-    pub fn usize_opt(&self, key: &str) -> Result<Option<usize>, TrafficSpecError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(raw) => raw.parse::<usize>().map(Some).map_err(|_| {
-                TrafficSpecError::Param(format!("'{key}={raw}' is not an unsigned integer"))
-            }),
-        }
-    }
-
-    /// Parses a required `usize` parameter.
-    pub fn usize(&self, key: &str) -> Result<usize, TrafficSpecError> {
-        self.usize_opt(key)?
-            .ok_or_else(|| TrafficSpecError::Param(format!("missing required key '{key}'")))
-    }
-
-    /// Parses an optional finite `f64` parameter.
-    pub fn f64_opt(&self, key: &str) -> Result<Option<f64>, TrafficSpecError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(raw) => match raw.parse::<f64>() {
-                Ok(v) if v.is_finite() => Ok(Some(v)),
-                _ => Err(TrafficSpecError::Param(format!("'{key}={raw}' is not a finite number"))),
-            },
-        }
-    }
-
-    /// Parses a required finite `f64` parameter.
-    pub fn f64(&self, key: &str) -> Result<f64, TrafficSpecError> {
-        self.f64_opt(key)?
-            .ok_or_else(|| TrafficSpecError::Param(format!("missing required key '{key}'")))
-    }
-}
-
-/// Folds a value into a seed (the same multiplier the topology spec layer
-/// uses for its per-transform seed derivation).
-pub(crate) fn mix64(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
 
 /// SplitMix64 finalizer: a stateless position-addressable random stream, so
 /// lazy generators can draw the i-th flow's randomness without generating
@@ -203,7 +83,7 @@ pub trait TrafficGenerator: Sync {
     /// Server-count-independent parameter validation — what the CLI can
     /// check before any topology exists. Build-time checks that need the
     /// server population (`incast` fanin vs servers) live in [`Self::build`].
-    fn validate(&self, params: &Params) -> Result<(), TrafficSpecError>;
+    fn validate(&self, params: &Params) -> Result<(), SpecError>;
 
     /// Builds the lazy flow stream for one epoch.
     fn build(
@@ -212,7 +92,7 @@ pub trait TrafficGenerator: Sync {
         servers: &ServerMap,
         seed: u64,
         epoch: Epoch,
-    ) -> Result<FlowStream, TrafficSpecError>;
+    ) -> Result<FlowStream, SpecError>;
 }
 
 // ------------------------------------------------------------ generators
@@ -236,7 +116,7 @@ impl TrafficGenerator for Permutation {
         "permutation"
     }
 
-    fn validate(&self, params: &Params) -> Result<(), TrafficSpecError> {
+    fn validate(&self, params: &Params) -> Result<(), SpecError> {
         params.check_keys(self.name(), &[])
     }
 
@@ -246,7 +126,7 @@ impl TrafficGenerator for Permutation {
         servers: &ServerMap,
         seed: u64,
         _epoch: Epoch,
-    ) -> Result<FlowStream, TrafficSpecError> {
+    ) -> Result<FlowStream, SpecError> {
         self.validate(params)?;
         Ok(TrafficMatrix::random_permutation(servers, seed).into_stream())
     }
@@ -298,7 +178,7 @@ impl TrafficGenerator for All2All {
         "all2all"
     }
 
-    fn validate(&self, params: &Params) -> Result<(), TrafficSpecError> {
+    fn validate(&self, params: &Params) -> Result<(), SpecError> {
         params.check_keys(self.name(), &[])
     }
 
@@ -308,7 +188,7 @@ impl TrafficGenerator for All2All {
         servers: &ServerMap,
         seed: u64,
         _epoch: Epoch,
-    ) -> Result<FlowStream, TrafficSpecError> {
+    ) -> Result<FlowStream, SpecError> {
         self.validate(params)?;
         let _ = seed; // the pattern is deterministic regardless of seed
         let n = servers.num_servers();
@@ -335,11 +215,11 @@ impl TrafficGenerator for StrideGen {
         "stride:k=4"
     }
 
-    fn validate(&self, params: &Params) -> Result<(), TrafficSpecError> {
+    fn validate(&self, params: &Params) -> Result<(), SpecError> {
         params.check_keys(self.name(), &["k"])?;
         let k = params.usize("k")?;
         if k == 0 {
-            return Err(TrafficSpecError::Param("'k' must be at least 1".to_string()));
+            return Err(SpecError::Param("'k' must be at least 1".to_string()));
         }
         Ok(())
     }
@@ -350,7 +230,7 @@ impl TrafficGenerator for StrideGen {
         servers: &ServerMap,
         seed: u64,
         _epoch: Epoch,
-    ) -> Result<FlowStream, TrafficSpecError> {
+    ) -> Result<FlowStream, SpecError> {
         self.validate(params)?;
         let _ = seed;
         let k = params.usize("k")?;
@@ -380,13 +260,11 @@ impl TrafficGenerator for HotspotGen {
         "hotspot:fraction=0.1"
     }
 
-    fn validate(&self, params: &Params) -> Result<(), TrafficSpecError> {
+    fn validate(&self, params: &Params) -> Result<(), SpecError> {
         params.check_keys(self.name(), &["fraction"])?;
         let fraction = params.f64("fraction")?;
         if !(fraction > 0.0 && fraction <= 1.0) {
-            return Err(TrafficSpecError::Param(format!(
-                "'fraction={fraction}' must be in (0, 1]"
-            )));
+            return Err(SpecError::Param(format!("'fraction={fraction}' must be in (0, 1]")));
         }
         Ok(())
     }
@@ -397,7 +275,7 @@ impl TrafficGenerator for HotspotGen {
         servers: &ServerMap,
         seed: u64,
         _epoch: Epoch,
-    ) -> Result<FlowStream, TrafficSpecError> {
+    ) -> Result<FlowStream, SpecError> {
         self.validate(params)?;
         let fraction = params.f64("fraction")?;
         Ok(TrafficMatrix::hotspot(servers, fraction, seed).into_stream())
@@ -424,15 +302,15 @@ impl TrafficGenerator for ZipfGen {
         "zipf:s=1.2,hot_racks=4"
     }
 
-    fn validate(&self, params: &Params) -> Result<(), TrafficSpecError> {
+    fn validate(&self, params: &Params) -> Result<(), SpecError> {
         params.check_keys(self.name(), &["s", "hot_racks"])?;
         let s = params.f64("s")?;
         if s <= 0.0 {
-            return Err(TrafficSpecError::Param(format!("'s={s}' must be positive")));
+            return Err(SpecError::Param(format!("'s={s}' must be positive")));
         }
         if let Some(h) = params.usize_opt("hot_racks")? {
             if h == 0 {
-                return Err(TrafficSpecError::Param("'hot_racks' must be at least 1".to_string()));
+                return Err(SpecError::Param("'hot_racks' must be at least 1".to_string()));
             }
         }
         Ok(())
@@ -444,7 +322,7 @@ impl TrafficGenerator for ZipfGen {
         servers: &ServerMap,
         seed: u64,
         _epoch: Epoch,
-    ) -> Result<FlowStream, TrafficSpecError> {
+    ) -> Result<FlowStream, SpecError> {
         self.validate(params)?;
         let s = params.f64("s")?;
         let hot_racks = params.usize_opt("hot_racks")?;
@@ -508,15 +386,15 @@ impl TrafficGenerator for IncastGen {
         "incast:fanin=8,targets=2"
     }
 
-    fn validate(&self, params: &Params) -> Result<(), TrafficSpecError> {
+    fn validate(&self, params: &Params) -> Result<(), SpecError> {
         params.check_keys(self.name(), &["fanin", "targets"])?;
         let fanin = params.usize("fanin")?;
         if fanin == 0 {
-            return Err(TrafficSpecError::Param("'fanin' must be at least 1".to_string()));
+            return Err(SpecError::Param("'fanin' must be at least 1".to_string()));
         }
         if let Some(t) = params.usize_opt("targets")? {
             if t == 0 {
-                return Err(TrafficSpecError::Param("'targets' must be at least 1".to_string()));
+                return Err(SpecError::Param("'targets' must be at least 1".to_string()));
             }
         }
         Ok(())
@@ -528,27 +406,25 @@ impl TrafficGenerator for IncastGen {
         servers: &ServerMap,
         seed: u64,
         _epoch: Epoch,
-    ) -> Result<FlowStream, TrafficSpecError> {
+    ) -> Result<FlowStream, SpecError> {
         self.validate(params)?;
         let _ = seed;
         let fanin = params.usize("fanin")?;
         let targets = params.usize_opt("targets")?.unwrap_or(1);
         let n = servers.num_servers();
         if n < 2 {
-            return Err(TrafficSpecError::Build(format!(
+            return Err(SpecError::Build(format!(
                 "incast needs at least 2 servers, topology has {n}"
             )));
         }
         if fanin > n - 1 {
-            return Err(TrafficSpecError::Build(format!(
+            return Err(SpecError::Build(format!(
                 "incast fanin={fanin} exceeds the {} possible senders per target ({n} servers)",
                 n - 1
             )));
         }
         if targets > n {
-            return Err(TrafficSpecError::Build(format!(
-                "incast targets={targets} exceeds {n} servers"
-            )));
+            return Err(SpecError::Build(format!("incast targets={targets} exceeds {n} servers")));
         }
         let spacing = n / targets;
         let iter = (0..targets).flat_map(move |j| {
@@ -577,15 +453,15 @@ impl TrafficGenerator for OutcastGen {
         "outcast:fanout=8"
     }
 
-    fn validate(&self, params: &Params) -> Result<(), TrafficSpecError> {
+    fn validate(&self, params: &Params) -> Result<(), SpecError> {
         params.check_keys(self.name(), &["fanout", "sources"])?;
         let fanout = params.usize("fanout")?;
         if fanout == 0 {
-            return Err(TrafficSpecError::Param("'fanout' must be at least 1".to_string()));
+            return Err(SpecError::Param("'fanout' must be at least 1".to_string()));
         }
         if let Some(s) = params.usize_opt("sources")? {
             if s == 0 {
-                return Err(TrafficSpecError::Param("'sources' must be at least 1".to_string()));
+                return Err(SpecError::Param("'sources' must be at least 1".to_string()));
             }
         }
         Ok(())
@@ -597,27 +473,25 @@ impl TrafficGenerator for OutcastGen {
         servers: &ServerMap,
         seed: u64,
         _epoch: Epoch,
-    ) -> Result<FlowStream, TrafficSpecError> {
+    ) -> Result<FlowStream, SpecError> {
         self.validate(params)?;
         let _ = seed;
         let fanout = params.usize("fanout")?;
         let sources = params.usize_opt("sources")?.unwrap_or(1);
         let n = servers.num_servers();
         if n < 2 {
-            return Err(TrafficSpecError::Build(format!(
+            return Err(SpecError::Build(format!(
                 "outcast needs at least 2 servers, topology has {n}"
             )));
         }
         if fanout > n - 1 {
-            return Err(TrafficSpecError::Build(format!(
+            return Err(SpecError::Build(format!(
                 "outcast fanout={fanout} exceeds the {} possible receivers per source ({n} servers)",
                 n - 1
             )));
         }
         if sources > n {
-            return Err(TrafficSpecError::Build(format!(
-                "outcast sources={sources} exceeds {n} servers"
-            )));
+            return Err(SpecError::Build(format!("outcast sources={sources} exceeds {n} servers")));
         }
         let spacing = n / sources;
         let demand = 1.0 / fanout as f64;
@@ -670,44 +544,25 @@ impl TrafficGenerator for MixGen {
         "mix:permutation=2,zipf=1,diurnal=3"
     }
 
-    fn validate(&self, params: &Params) -> Result<(), TrafficSpecError> {
+    fn validate(&self, params: &Params) -> Result<(), SpecError> {
+        let mut keys: Vec<&str> = MIX_COMPONENTS.iter().map(|(name, _)| *name).collect();
+        keys.push("diurnal");
+        params.check_keys(self.name(), &keys)?;
         let mut components = 0usize;
-        for (i, (key, raw)) in params.pairs().iter().enumerate() {
-            if params.pairs()[..i].iter().any(|(prev, _)| prev == key) {
-                return Err(TrafficSpecError::Param(format!("duplicate key '{key}'")));
-            }
-            let value = match raw.parse::<f64>() {
-                Ok(v) if v.is_finite() => v,
-                _ => {
-                    return Err(TrafficSpecError::Param(format!(
-                        "'{key}={raw}' is not a finite number"
-                    )))
-                }
-            };
+        for (key, raw) in params.pairs() {
+            let value = params.f64(key)?;
             if key == "diurnal" {
                 if value < 1.0 {
-                    return Err(TrafficSpecError::Param(format!(
-                        "'diurnal={raw}' must be at least 1"
-                    )));
+                    return Err(SpecError::Param(format!("'diurnal={raw}' must be at least 1")));
                 }
-                continue;
+            } else if value <= 0.0 {
+                return Err(SpecError::Param(format!("'{key}={raw}' must be a positive weight")));
+            } else {
+                components += 1;
             }
-            if Self::component(key).is_none() {
-                let names: Vec<&str> = MIX_COMPONENTS.iter().map(|(n, _)| *n).collect();
-                return Err(TrafficSpecError::Param(format!(
-                    "'mix' does not take '{key}': known keys are {}, diurnal",
-                    names.join(", ")
-                )));
-            }
-            if value <= 0.0 {
-                return Err(TrafficSpecError::Param(format!(
-                    "'{key}={raw}' must be a positive weight"
-                )));
-            }
-            components += 1;
         }
         if components == 0 {
-            return Err(TrafficSpecError::Param(
+            return Err(SpecError::Param(
                 "'mix' needs at least one weighted component".to_string(),
             ));
         }
@@ -720,7 +575,7 @@ impl TrafficGenerator for MixGen {
         servers: &ServerMap,
         seed: u64,
         epoch: Epoch,
-    ) -> Result<FlowStream, TrafficSpecError> {
+    ) -> Result<FlowStream, SpecError> {
         self.validate(params)?;
         let diurnal = params.f64_opt("diurnal")?;
         type Component = (&'static str, &'static [(&'static str, &'static str)], f64);
@@ -801,39 +656,38 @@ impl TrafficTransform {
     }
 
     /// Parses one `+` segment (without the `+`).
-    pub fn parse(segment: &str) -> Result<Self, TrafficSpecError> {
-        let (name, raw) = segment.split_once('=').ok_or_else(|| {
-            TrafficSpecError::Syntax(format!("transform '{segment}' is missing '=value'"))
-        })?;
+    pub fn parse(segment: &str) -> Result<Self, SpecError> {
+        let (name, raw) = split_transform(segment)?;
         match name {
             "scale_demand" => match raw.parse::<f64>() {
                 Ok(v) if v.is_finite() && v > 0.0 => Ok(TrafficTransform::ScaleDemand(v)),
-                _ => Err(TrafficSpecError::Param(format!(
+                _ => Err(SpecError::Param(format!(
                     "'scale_demand={raw}' must be a positive finite number"
                 ))),
             },
             "epochs" => match raw.parse::<usize>() {
                 Ok(v) if v >= 1 => Ok(TrafficTransform::Epochs(v)),
-                _ => Err(TrafficSpecError::Param(format!(
+                _ => Err(SpecError::Param(format!(
                     "'epochs={raw}' must be an integer of at least 1"
                 ))),
             },
-            other => Err(TrafficSpecError::UnknownTransform(other.to_string())),
+            other => Err(SpecError::UnknownTransform {
+                name: other.to_string(),
+                registered: transform_grammar(),
+            }),
         }
     }
 
     /// Server-count-independent re-validation (for programmatically built
     /// transforms that never went through [`TrafficTransform::parse`]).
-    fn validate(&self) -> Result<(), TrafficSpecError> {
+    fn validate(&self) -> Result<(), SpecError> {
         match *self {
-            TrafficTransform::ScaleDemand(v) if !(v.is_finite() && v > 0.0) => {
-                Err(TrafficSpecError::Param(format!(
-                    "'scale_demand={v}' must be a positive finite number"
-                )))
+            TrafficTransform::ScaleDemand(v) if !(v.is_finite() && v > 0.0) => Err(
+                SpecError::Param(format!("'scale_demand={v}' must be a positive finite number")),
+            ),
+            TrafficTransform::Epochs(0) => {
+                Err(SpecError::Param("'epochs=0' must be an integer of at least 1".to_string()))
             }
-            TrafficTransform::Epochs(0) => Err(TrafficSpecError::Param(
-                "'epochs=0' must be an integer of at least 1".to_string(),
-            )),
             _ => Ok(()),
         }
     }
@@ -875,7 +729,7 @@ impl TrafficSpec {
     }
 
     /// Appends a `key=value` parameter (builder style).
-    pub fn with_param(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
+    pub fn with_param(mut self, key: &str, value: impl ToString) -> Self {
         self.params.push(key, value);
         self
     }
@@ -901,9 +755,11 @@ impl TrafficSpec {
         &self.transforms
     }
 
-    fn resolve(&self) -> Result<&'static dyn TrafficGenerator, TrafficSpecError> {
-        find_generator(&self.generator)
-            .ok_or_else(|| TrafficSpecError::UnknownGenerator(self.generator.clone()))
+    fn resolve(&self) -> Result<&'static dyn TrafficGenerator, SpecError> {
+        find_generator(&self.generator).ok_or_else(|| SpecError::UnknownGenerator {
+            name: self.generator.clone(),
+            registered: generators().iter().map(|g| g.name()).collect::<Vec<_>>().join(", "),
+        })
     }
 
     /// Validates everything that does not need a server population: the
@@ -911,7 +767,7 @@ impl TrafficSpec {
     /// range. The CLI probes `--traffic` arguments with this before any
     /// topology is built; population-dependent checks (`incast` fanin vs
     /// servers) surface from [`TrafficSpec::stream`].
-    pub fn validate(&self) -> Result<(), TrafficSpecError> {
+    pub fn validate(&self) -> Result<(), SpecError> {
         self.resolve()?.validate(&self.params)?;
         for t in &self.transforms {
             t.validate()?;
@@ -951,7 +807,7 @@ impl TrafficSpec {
     /// [`TrafficMatrix::random_permutation`] at the same seed. With E epochs the
     /// stream is the concatenation of E phases, phase `i` built with the
     /// derived seed `mix64(seed, 0xE70C ^ i)` at 1/E of the demand.
-    pub fn stream(&self, servers: &ServerMap, seed: u64) -> Result<FlowStream, TrafficSpecError> {
+    pub fn stream(&self, servers: &ServerMap, seed: u64) -> Result<FlowStream, SpecError> {
         self.validate()?;
         let generator = self.resolve()?;
         let epochs = self.epochs();
@@ -977,57 +833,21 @@ impl TrafficSpec {
 
 impl fmt::Display for TrafficSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.generator)?;
-        for (i, (k, v)) in self.params.pairs().iter().enumerate() {
-            let sep = if i == 0 { ':' } else { ',' };
-            write!(f, "{sep}{k}={v}")?;
-        }
-        for t in &self.transforms {
-            write!(f, "+{t}")?;
-        }
-        Ok(())
+        write_spec(f, &self.generator, &self.params, &self.transforms)
     }
 }
 
 impl FromStr for TrafficSpec {
-    type Err = TrafficSpecError;
+    type Err = SpecError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let s = s.trim();
-        if s.is_empty() {
-            return Err(TrafficSpecError::Syntax("empty traffic spec".to_string()));
-        }
-        let mut segments = s.split('+');
-        let head = segments.next().expect("split yields at least one segment");
-        let (generator, raw_params) = match head.split_once(':') {
-            Some((g, p)) => (g, Some(p)),
-            None => (head, None),
-        };
-        if generator.is_empty() {
-            return Err(TrafficSpecError::Syntax("missing generator name".to_string()));
-        }
-        if find_generator(generator).is_none() {
-            return Err(TrafficSpecError::UnknownGenerator(generator.to_string()));
-        }
-        let mut params = Params::new();
-        if let Some(raw) = raw_params {
-            for pair in raw.split(',') {
-                let (k, v) = pair.split_once('=').ok_or_else(|| {
-                    TrafficSpecError::Syntax(format!("parameter '{pair}' is missing '=value'"))
-                })?;
-                if k.is_empty() || v.is_empty() {
-                    return Err(TrafficSpecError::Syntax(format!(
-                        "parameter '{pair}' has an empty key or value"
-                    )));
-                }
-                params.push(k, v);
-            }
-        }
-        let mut transforms = Vec::new();
-        for segment in segments {
-            transforms.push(TrafficTransform::parse(segment)?);
-        }
-        Ok(TrafficSpec { generator: generator.to_string(), params, transforms })
+        let (generator, params, segments) = split_spec(s)?;
+        let mut spec = TrafficSpec::new(generator);
+        spec.params = params;
+        spec.resolve()?;
+        spec.transforms =
+            segments.into_iter().map(TrafficTransform::parse).collect::<Result<_, _>>()?;
+        Ok(spec)
     }
 }
 
@@ -1090,8 +910,8 @@ mod tests {
         let parse_cases: [(&str, &str); 6] = [
             ("", "empty"),
             ("warp9", "registered generators are permutation"),
-            ("permutation+hyperspeed=1", "known transforms are"),
-            ("zipf:s", "missing '=value'"),
+            ("permutation+hyperspeed=1", "registered transforms are"),
+            ("zipf:s", "not key=value"),
             ("zipf:=3", "empty key or value"),
             ("permutation+epochs=0", "at least 1"),
         ];
@@ -1115,6 +935,20 @@ mod tests {
             let spec: TrafficSpec = spec.parse().unwrap();
             let err = spec.stream(&map, 7).unwrap_err().to_string();
             assert!(err.contains(needle), "'{spec}': error '{err}' lacks '{needle}'");
+        }
+    }
+
+    #[test]
+    fn topo_and_traffic_specs_report_malformed_shapes_in_the_same_words() {
+        use jellyfish_topology::TopoSpec;
+        let (topo_gen, traffic_gen) = ("fattree", "stride");
+        for shape in ["", ":k=1", "<gen>:", "<gen>:k", "<gen>:=1", "<gen>:k=1+x"] {
+            let topo = shape.replace("<gen>", topo_gen).parse::<TopoSpec>().unwrap_err();
+            let traffic = shape.replace("<gen>", traffic_gen).parse::<TrafficSpec>().unwrap_err();
+            let topo = topo.to_string().replace(topo_gen, "<gen>");
+            let traffic = traffic.to_string().replace(traffic_gen, "<gen>");
+            assert!(topo.starts_with("bad spec syntax: "), "'{shape}': {topo}");
+            assert_eq!(topo, traffic, "'{shape}': the two spec kinds disagree");
         }
     }
 
