@@ -76,7 +76,9 @@
 //! Every failure is a typed [`CliError`] so all subcommands report them
 //! identically.
 
-use jellyfish::experiment::{self, Experiment, RunCtx, Shard, ShardFragment, TimingFile, WorkPlan};
+use jellyfish::experiment::{
+    self, Experiment, RunCtx, RunSpec, Shard, ShardFragment, TimingFile, WorkPlan,
+};
 use jellyfish::figures::Scale;
 use jellyfish::service::wire::{self, LineOutcome};
 use jellyfish::service::Session;
@@ -169,34 +171,10 @@ topo build options:
 
 /// Parsed `run` options, every flag validated (no silent fallbacks).
 struct RunOptions {
-    scale: Scale,
-    seed: u64,
-    topo: Option<TopoSpec>,
-    traffic: Option<TrafficSpec>,
+    run: RunSpec,
     shard: Option<Shard>,
     plan: Option<String>,
     json: bool,
-}
-
-impl RunOptions {
-    fn ctx(&self) -> RunCtx {
-        let mut ctx = RunCtx::new(self.scale, self.seed);
-        if let Some(spec) = &self.topo {
-            ctx = ctx.with_topo(spec.clone());
-        }
-        if let Some(spec) = &self.traffic {
-            ctx = ctx.with_traffic(spec.clone());
-        }
-        ctx
-    }
-
-    fn topo_string(&self) -> Option<String> {
-        self.topo.as_ref().map(std::string::ToString::to_string)
-    }
-
-    fn traffic_string(&self) -> Option<String> {
-        self.traffic.as_ref().map(std::string::ToString::to_string)
-    }
 }
 
 fn flag_value<'a>(args: &'a [String], i: usize, name: &str) -> Result<&'a str, CliError> {
@@ -206,32 +184,25 @@ fn flag_value<'a>(args: &'a [String], i: usize, name: &str) -> Result<&'a str, C
 }
 
 fn parse_run_options(args: &[String]) -> Result<RunOptions, CliError> {
-    let mut opts = RunOptions {
-        scale: Scale::Laptop,
-        seed: 2012,
-        topo: None,
-        traffic: None,
-        shard: None,
-        plan: None,
-        json: false,
-    };
+    let mut opts =
+        RunOptions { run: RunSpec::new(Scale::Laptop, 2012), shard: None, plan: None, json: false };
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--scale" => {
-                opts.scale = flag_value(args, i, "--scale")?
+                opts.run.scale = flag_value(args, i, "--scale")?
                     .parse()
                     .map_err(|e| CliError::Invalid(format!("{e}")))?;
                 i += 2;
             }
             "--seed" => {
                 let raw = flag_value(args, i, "--seed")?;
-                opts.seed = parse_seed(raw)?;
+                opts.run.seed = parse_seed(raw)?;
                 i += 2;
             }
             "--topo" => {
                 let raw = flag_value(args, i, "--topo")?;
-                opts.topo = Some(
+                opts.run.topo = Some(
                     raw.parse()
                         .map_err(|e| CliError::Invalid(format!("unparsable --topo: {e}")))?,
                 );
@@ -239,7 +210,7 @@ fn parse_run_options(args: &[String]) -> Result<RunOptions, CliError> {
             }
             "--traffic" => {
                 let raw = flag_value(args, i, "--traffic")?;
-                opts.traffic = Some(
+                opts.run.traffic = Some(
                     raw.parse()
                         .map_err(|e| CliError::Invalid(format!("unparsable --traffic: {e}")))?,
                 );
@@ -272,29 +243,22 @@ fn parse_seed(raw: &str) -> Result<u64, CliError> {
     })
 }
 
-/// Loads a `--plan` timing file and checks it measured the same run
-/// configuration. An unreadable or unparsable file is a hard error (the flag
-/// was explicit); a file from a different `(scale, topo)` run is merely
-/// useless for balancing this one, so workers note it and stripe instead.
+/// Loads a `--plan` timing file and checks it measured the same run, seed
+/// aside. An unreadable or unparsable file is a hard error (the flag was
+/// explicit); a file from a run with another scale, `--topo` or `--traffic`
+/// is merely useless for balancing this one, so workers note it and stripe
+/// instead.
 fn load_plan(opts: &RunOptions) -> Result<Option<TimingFile>, CliError> {
     let Some(path) = &opts.plan else { return Ok(None) };
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::Invalid(format!("cannot read --plan '{path}': {e}")))?;
     let tf = TimingFile::from_json(&text)
         .map_err(|e| CliError::Invalid(format!("--plan '{path}' is not a timing file: {e}")))?;
-    if tf.scale != opts.scale
-        || tf.topo != opts.topo_string()
-        || tf.traffic != opts.traffic_string()
-    {
+    if tf.run != (RunSpec { seed: tf.run.seed, ..opts.run.clone() }) {
         eprintln!(
-            "figures: note: --plan '{path}' measured scale {} topo {} traffic {}; this run is \
-             scale {} topo {} traffic {}, so shards fall back to striping",
-            tf.scale,
-            tf.topo.as_deref().unwrap_or("<none>"),
-            tf.traffic.as_deref().unwrap_or("<none>"),
-            opts.scale,
-            opts.topo_string().as_deref().unwrap_or("<none>"),
-            opts.traffic_string().as_deref().unwrap_or("<none>")
+            "figures: note: --plan '{path}' measured the run '{}'; this run is '{}', \
+             so shards fall back to striping",
+            tf.run, opts.run
         );
         return Ok(None);
     }
@@ -353,34 +317,31 @@ fn check_override_support(
 /// can parse yet not build (odd fat-tree k, an infeasible degree, incast
 /// fanin above the server count), so probing here turns a worker panic into
 /// a clean exit-2 error.
-fn check_overrides(
-    experiments: &[&'static dyn Experiment],
-    opts: &RunOptions,
-) -> Result<(), CliError> {
-    if let Some(spec) = &opts.topo {
+fn check_overrides(experiments: &[&'static dyn Experiment], run: &RunSpec) -> Result<(), CliError> {
+    if let Some(spec) = &run.topo {
         check_override_support(
             experiments,
             "--topo",
             |e| e.supports_topo_override(),
             "its topology pairing is the experiment",
         )?;
-        spec.build(opts.seed)
+        spec.build(run.seed)
             .map_err(|e| CliError::Invalid(format!("--topo '{spec}' does not build: {e}")))?;
     }
-    if let Some(tspec) = &opts.traffic {
+    if let Some(tspec) = &run.traffic {
         check_override_support(
             experiments,
             "--traffic",
             |e| e.supports_traffic_override(),
             "its workload is the experiment",
         )?;
-        let ctx = opts.ctx();
+        let ctx = RunCtx::new(run.clone());
         let items = experiments.first().map(|exp| exp.work_items(&ctx)).unwrap_or_default();
         if let Some(item) = items.first() {
             let snap = ctx
-                .spec_snapshot(item.spec(), opts.seed)
+                .spec_snapshot(item.spec(), run.seed)
                 .map_err(|e| CliError::Invalid(format!("cannot build '{}': {e}", item.spec())))?;
-            tspec.stream(&ServerMap::new(&snap.topology), opts.seed).map_err(|e| {
+            tspec.stream(&ServerMap::new(&snap.topology), run.seed).map_err(|e| {
                 CliError::Invalid(format!("--traffic '{tspec}' does not build: {e}"))
             })?;
         }
@@ -396,10 +357,10 @@ fn cmd_run(name: &str, args: &[String]) -> Result<(), CliError> {
         ));
     }
     let experiments = resolve_experiments(name)?;
-    check_overrides(&experiments, &opts)?;
+    check_overrides(&experiments, &opts.run)?;
     let plan = load_plan(&opts)?;
     for exp in experiments {
-        let ctx = opts.ctx();
+        let ctx = RunCtx::new(opts.run.clone());
         match opts.shard {
             Some(shard) => {
                 let num_items = exp.work_items(&ctx).len();
@@ -408,10 +369,7 @@ fn cmd_run(name: &str, args: &[String]) -> Result<(), CliError> {
                 let timed = exp.run_selected_timed(&ctx, &|i| work_plan.owns(shard, i));
                 let fragment = ShardFragment {
                     experiment: exp.name().to_string(),
-                    scale: opts.scale,
-                    seed: opts.seed,
-                    topo: opts.topo_string(),
-                    traffic: opts.traffic_string(),
+                    run: ctx.run.clone(),
                     shard,
                     timings_us: timed.timings_us,
                     items: timed.items,
@@ -419,29 +377,8 @@ fn cmd_run(name: &str, args: &[String]) -> Result<(), CliError> {
                 println!("{}", fragment.to_json());
             }
             None => {
-                let data = exp.run(&ctx);
-                let topo = opts.topo_string();
-                let traffic = opts.traffic_string();
-                let rendered = if opts.json {
-                    render_run_json(
-                        exp.name(),
-                        opts.scale,
-                        opts.seed,
-                        topo.as_deref(),
-                        traffic.as_deref(),
-                        &data,
-                    )
-                } else {
-                    render_run(
-                        exp.name(),
-                        opts.scale,
-                        opts.seed,
-                        topo.as_deref(),
-                        traffic.as_deref(),
-                        &data,
-                    )
-                };
-                print!("{rendered}");
+                let render = if opts.json { render_run_json } else { render_run };
+                print!("{}", render(exp.name(), &ctx.run, &exp.run(&ctx)));
             }
         }
     }
@@ -681,7 +618,7 @@ fn cmd_launch(args: &[String]) -> Result<(), CliError> {
     };
     let experiments = resolve_experiments(name)?;
     let (jobs, opts, hosts_file, run_dir, timeout) = parse_launch_options(&args[1..])?;
-    check_overrides(&experiments, &opts)?;
+    check_overrides(&experiments, &opts.run)?;
     // Surface an unreadable/unparsable --plan here, before any worker spawns
     // (the workers re-validate it themselves).
     load_plan(&opts)?;
@@ -700,15 +637,12 @@ fn cmd_launch(args: &[String]) -> Result<(), CliError> {
         None => Vec::new(),
     };
     let run_dir = run_dir.unwrap_or_else(|| {
-        PathBuf::from(format!("figures-runs/{name}-{}-{}", opts.scale, opts.seed))
+        PathBuf::from(format!("figures-runs/{name}-{}-{}", opts.run.scale, opts.run.seed))
     });
     let cfg = LaunchConfig {
         name: name.clone(),
         jobs,
-        scale: opts.scale,
-        seed: opts.seed,
-        topo: opts.topo_string(),
-        traffic: opts.traffic_string(),
+        run: opts.run,
         plan: opts.plan.as_ref().map(PathBuf::from),
         hosts,
         run_dir,

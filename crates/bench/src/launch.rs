@@ -28,8 +28,7 @@
 //!    `--plan`.
 
 use crate::merge::{self, MergedRun};
-use jellyfish::experiment::{self, RunCtx, Shard, ShardFragment, TimingFile};
-use jellyfish::figures::Scale;
+use jellyfish::experiment::{self, RunCtx, RunSpec, Shard, ShardFragment, TimingFile};
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -61,14 +60,9 @@ pub struct LaunchConfig {
     pub name: String,
     /// Number of worker processes; each owns one shard `K/jobs`.
     pub jobs: usize,
-    /// Instance-size preset forwarded to the workers.
-    pub scale: Scale,
-    /// Base seed forwarded to the workers.
-    pub seed: u64,
-    /// `--topo` override spec string forwarded to the workers, if any.
-    pub topo: Option<String>,
-    /// `--traffic` override spec string forwarded to the workers, if any.
-    pub traffic: Option<String>,
+    /// The run every worker evaluates a shard of (forwarded as
+    /// [`RunSpec::args`]).
+    pub run: RunSpec,
     /// A prior run's `timings.json`, forwarded to the workers as `--plan`
     /// for timing-aware LPT partitioning.
     pub plan: Option<PathBuf>,
@@ -136,22 +130,8 @@ fn shell_quote(s: &str) -> String {
 
 /// The `figures run` argument vector of shard `K/N` under `cfg`.
 fn worker_args(cfg: &LaunchConfig, shard: Shard) -> Vec<String> {
-    let mut args = vec![
-        "run".to_string(),
-        cfg.name.clone(),
-        "--scale".to_string(),
-        cfg.scale.to_string(),
-        "--seed".to_string(),
-        cfg.seed.to_string(),
-    ];
-    if let Some(topo) = &cfg.topo {
-        args.push("--topo".to_string());
-        args.push(topo.clone());
-    }
-    if let Some(traffic) = &cfg.traffic {
-        args.push("--traffic".to_string());
-        args.push(traffic.clone());
-    }
+    let mut args = vec!["run".to_string(), cfg.name.clone()];
+    args.extend(cfg.run.args());
     args.push("--shard".to_string());
     args.push(shard.to_string());
     if let Some(plan) = &cfg.plan {
@@ -413,40 +393,19 @@ pub fn run_workers(
 
 /// Aggregates the per-item wall-clock of every fragment into one
 /// [`TimingFile`] (indexed by the experiments' canonical work-item order).
-/// Every fragment the launcher collected must carry one non-zero timing per
-/// item — a missing or zero timing means a corrupt fragment or a worker from
-/// a build that predates timing support, and fails the launch.
+/// The fragment reader has paired every item with one timing; a zero timing
+/// means a corrupt fragment and fails the launch.
 fn assemble_timings(cfg: &LaunchConfig, fragments: &[ShardFragment]) -> Result<TimingFile, String> {
-    let mut tf = TimingFile::new(cfg.scale, cfg.seed, cfg.topo.clone(), cfg.traffic.clone());
+    let mut tf = TimingFile::new(cfg.run.clone());
+    let ctx = RunCtx::new(cfg.run.clone());
     for exp in experiment::registry() {
         let group: Vec<&ShardFragment> =
             fragments.iter().filter(|f| f.experiment == exp.name()).collect();
         if group.is_empty() {
             continue;
         }
-        let mut ctx = RunCtx::new(cfg.scale, cfg.seed);
-        if let Some(raw) = &cfg.topo {
-            let spec = raw
-                .parse()
-                .map_err(|e| format!("{}: unparsable topo spec '{raw}': {e}", exp.name()))?;
-            ctx = ctx.with_topo(spec);
-        }
-        if let Some(raw) = &cfg.traffic {
-            let spec = raw
-                .parse()
-                .map_err(|e| format!("{}: unparsable traffic spec '{raw}': {e}", exp.name()))?;
-            ctx = ctx.with_traffic(spec);
-        }
         let mut timings = vec![0u64; exp.work_items(&ctx).len()];
         for f in &group {
-            if f.timings_us.len() != f.items.len() {
-                return Err(format!(
-                    "shard {}: {}: fragment carries no per-item timings; \
-                     was the worker built before timing support?",
-                    f.shard,
-                    exp.name()
-                ));
-            }
             for (item, &t) in f.items.iter().zip(&f.timings_us) {
                 if t == 0 {
                     return Err(format!(
@@ -507,6 +466,7 @@ pub fn launch(cfg: &LaunchConfig) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jellyfish::figures::Scale;
 
     /// A scratch directory unique to one test.
     fn scratch(name: &str) -> PathBuf {
@@ -521,7 +481,7 @@ mod tests {
     }
 
     /// A minimal but valid fragment line a fake worker can emit.
-    const FRAGMENT: &str = r#"{"experiment":"fig9","scale":"tiny","seed":7,"topo":null,"shard":[1,1],"timings_us":[],"items":[]}"#;
+    const FRAGMENT: &str = r#"{"experiment":"fig9","scale":"tiny","seed":7,"topo":null,"traffic":null,"shard":[1,1],"timings_us":[],"items":[]}"#;
 
     #[test]
     fn failing_worker_is_retried_exactly_once_then_named() {
@@ -667,10 +627,9 @@ mod tests {
         let cfg = LaunchConfig {
             name: "all".to_string(),
             jobs: 3,
-            scale: Scale::Tiny,
-            seed: 7,
-            topo: Some("fattree:k=4".to_string()),
-            traffic: Some("stride:k=2".to_string()),
+            run: RunSpec::new(Scale::Tiny, 7)
+                .with_topo("fattree:k=4".parse().unwrap())
+                .with_traffic("stride:k=2".parse().unwrap()),
             plan: None,
             hosts: vec!["ssh a {}".to_string(), "ssh b {}".to_string()],
             run_dir: PathBuf::from("/tmp/unused"),
@@ -692,7 +651,23 @@ mod tests {
         let local = LaunchConfig { hosts: Vec::new(), ..cfg };
         let cmds = worker_commands(&local).unwrap();
         assert_ne!(cmds[0].program, "sh");
-        assert_eq!(cmds[2].args.last().unwrap(), "3/3");
+        assert_eq!(
+            cmds[2].args,
+            [
+                "run",
+                "all",
+                "--scale",
+                "tiny",
+                "--seed",
+                "7",
+                "--topo",
+                "fattree:k=4",
+                "--traffic",
+                "stride:k=2",
+                "--shard",
+                "3/3"
+            ]
+        );
     }
 
     #[test]

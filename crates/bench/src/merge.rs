@@ -4,32 +4,24 @@
 //! experiments and recombines them into the datasets a single-process
 //! `figures run` would have produced, byte-for-byte. Before combining
 //! anything it validates the whole set: every fragment must name a
-//! registered experiment, fragments of one experiment must agree on
-//! `(scale, seed, topo, traffic)`, per-item timings (when present) must pair up with
-//! the items, and the items must cover the experiment's work-item list
-//! exactly — no duplicates, no gaps. Violations are reported with the
-//! experiment name *and* the offending item's debug label, so "item 7 is
-//! missing" reads as "item 7 ('jellyfish 96sw x16') is missing".
+//! registered experiment, fragments of one experiment must agree on their
+//! [`RunSpec`] (scale, seed, `--topo` and `--traffic`), and the items must
+//! cover the experiment's work-item list exactly — no duplicates, no gaps.
+//! The fragment reader has already paired every item with its timing and
+//! parsed the run's specs. Violations are reported with the experiment name
+//! *and* the offending item's debug label, so "item 7 is missing" reads as
+//! "item 7 ('jellyfish 96sw x16') is missing".
 
-use jellyfish::experiment::{self, Dataset, Experiment, RunCtx, ShardFragment};
-use jellyfish::figures::Scale;
-use jellyfish_topology::TopoSpec;
-use jellyfish_traffic::TrafficSpec;
+use jellyfish::experiment::{self, Dataset, Experiment, RunCtx, RunSpec, ShardFragment};
 
-/// One merged experiment: the run configuration the fragments agreed on and
-/// the recombined dataset, ready for rendering.
+/// One merged experiment: the run the fragments agreed on and the
+/// recombined dataset, ready for rendering.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MergedRun {
     /// Registered experiment name.
     pub name: &'static str,
-    /// Scale all fragments ran at.
-    pub scale: Scale,
-    /// Seed all fragments ran with.
-    pub seed: u64,
-    /// The `--topo` override all fragments ran with, if any.
-    pub topo: Option<String>,
-    /// The `--traffic` override all fragments ran with, if any.
-    pub traffic: Option<String>,
+    /// The run all fragments belong to.
+    pub run: RunSpec,
     /// The dataset, identical to an unsharded [`Experiment::run`].
     pub data: Dataset,
 }
@@ -68,70 +60,27 @@ pub fn merge_fragments(fragments: &[ShardFragment]) -> Result<Vec<MergedRun>, St
     Ok(merged)
 }
 
-/// All fragments of one `(experiment, scale, seed, topo)` group, with the
-/// merge validation `figures merge` applies: full, duplicate-free item
-/// coverage under a consistent run configuration, and per-item timings that
-/// pair up with the items wherever they are present.
+/// All fragments of one experiment, with the merge validation `figures
+/// merge` applies: full, duplicate-free item coverage under one run.
 fn merge_group(exp: &dyn Experiment, fragments: &[&ShardFragment]) -> Result<MergedRun, String> {
     let name = exp.name();
-    let (scale, seed) = (fragments[0].scale, fragments[0].seed);
-    let topo = fragments[0].topo.clone();
-    let traffic = fragments[0].traffic.clone();
-    for f in fragments {
-        if f.scale != scale || f.seed != seed {
-            return Err(format!(
-                "{name}: fragments disagree on scale/seed \
-                 ({scale}/{seed} vs {}/{}); shards of one sweep must share both",
-                f.scale, f.seed
-            ));
-        }
-        if f.topo != topo {
-            return Err(format!(
-                "{name}: fragments disagree on --topo ({} vs {}); \
-                 shards of one sweep must share the topology override",
-                topo.as_deref().unwrap_or("<none>"),
-                f.topo.as_deref().unwrap_or("<none>")
-            ));
-        }
-        if f.traffic != traffic {
-            return Err(format!(
-                "{name}: fragments disagree on --traffic ({} vs {}); \
-                 shards of one sweep must share the workload override",
-                traffic.as_deref().unwrap_or("<none>"),
-                f.traffic.as_deref().unwrap_or("<none>")
-            ));
-        }
-        if !f.timings_us.is_empty() && f.timings_us.len() != f.items.len() {
-            return Err(format!(
-                "{name}: fragment {} carries {} timings for {} items; \
-                 the file is corrupt or truncated",
-                f.shard,
-                f.timings_us.len(),
-                f.items.len()
-            ));
-        }
+    let run = &fragments[0].run;
+    if let Some(f) = fragments.iter().find(|f| f.run != *run) {
+        return Err(format!(
+            "{name}: fragments disagree on the run ('{run}' vs '{}'); \
+             shards of one sweep must share scale, seed, --topo and --traffic",
+            f.run
+        ));
     }
-    let mut ctx = RunCtx::new(scale, seed);
-    if let Some(raw) = &topo {
-        let spec: TopoSpec = raw
-            .parse()
-            .map_err(|e| format!("{name}: fragment has an unparsable topo spec '{raw}': {e}"))?;
-        if !exp.supports_topo_override() {
-            return Err(format!("{name}: fragment carries --topo but the experiment is fixed"));
-        }
-        ctx = ctx.with_topo(spec);
+    if run.topo.is_some() && !exp.supports_topo_override() {
+        return Err(format!("{name}: fragment carries --topo but the experiment is fixed"));
     }
-    if let Some(raw) = &traffic {
-        let spec: TrafficSpec = raw
-            .parse()
-            .map_err(|e| format!("{name}: fragment has an unparsable traffic spec '{raw}': {e}"))?;
-        if !exp.supports_traffic_override() {
-            return Err(format!(
-                "{name}: fragment carries --traffic but the experiment's workload is fixed"
-            ));
-        }
-        ctx = ctx.with_traffic(spec);
+    if run.traffic.is_some() && !exp.supports_traffic_override() {
+        return Err(format!(
+            "{name}: fragment carries --traffic but the experiment's workload is fixed"
+        ));
     }
+    let ctx = RunCtx::new(run.clone());
     let work_items = exp.work_items(&ctx);
     let expected = work_items.len();
     let mut seen = vec![false; expected];
@@ -170,8 +119,8 @@ fn merge_group(exp: &dyn Experiment, fragments: &[&ShardFragment]) -> Result<Mer
             if item.index >= expected {
                 return Err(format!(
                     "{name}: fragment {} has item {} but the experiment only has {expected} \
-                     work items at scale {scale}",
-                    f.shard, item.index
+                     work items at scale {}",
+                    f.shard, item.index, run.scale
                 ));
             }
             if seen[item.index] {
@@ -192,34 +141,12 @@ fn merge_group(exp: &dyn Experiment, fragments: &[&ShardFragment]) -> Result<Mer
             work_items[missing].label
         ));
     }
-    Ok(MergedRun { name, scale, seed, topo, traffic, data: exp.merge(items) })
+    Ok(MergedRun { name, run: run.clone(), data: exp.merge(items) })
 }
 
 /// Renders merged runs exactly as `figures run` prints them (TSV blocks, or
 /// one JSON line each with `json`).
 pub fn render_merged(runs: &[MergedRun], json: bool) -> String {
-    let mut out = String::new();
-    for run in runs {
-        let rendered = if json {
-            crate::render_run_json(
-                run.name,
-                run.scale,
-                run.seed,
-                run.topo.as_deref(),
-                run.traffic.as_deref(),
-                &run.data,
-            )
-        } else {
-            crate::render_run(
-                run.name,
-                run.scale,
-                run.seed,
-                run.topo.as_deref(),
-                run.traffic.as_deref(),
-                &run.data,
-            )
-        };
-        out.push_str(&rendered);
-    }
-    out
+    let render = if json { crate::render_run_json } else { crate::render_run };
+    runs.iter().map(|r| render(r.name, &r.run, &r.data)).collect()
 }

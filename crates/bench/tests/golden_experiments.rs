@@ -7,10 +7,8 @@
 //! [--traffic <spec>]`; a diff here means a kernel changed observable
 //! results, not just speed.
 
-use jellyfish::experiment::{self, RunCtx, Shard, ShardFragment, WorkPlan};
+use jellyfish::experiment::{self, RunCtx, RunSpec, Shard, ShardFragment, WorkPlan};
 use jellyfish::figures::Scale;
-use jellyfish::topology::TopoSpec;
-use jellyfish::traffic::TrafficSpec;
 use jellyfish_bench::merge::{merge_fragments, render_merged};
 use jellyfish_bench::render_run;
 
@@ -118,27 +116,15 @@ const GOLDENS: &[Golden] = &[
     ),
 ];
 
-/// The run context of a golden: its scale, seed 7 and its `--topo` and
-/// `--traffic` overrides, plus each override as the CLI renders it in the
-/// header.
-fn golden_ctx(
-    scale: Scale,
-    topo: Option<&str>,
-    traffic: Option<&str>,
-) -> (RunCtx, Option<String>, Option<String>) {
-    let mut ctx = RunCtx::new(scale, SEED);
-    let mut rendered = (None, None);
-    if let Some(raw) = topo {
-        let spec: TopoSpec = raw.parse().expect("golden --topo spec parses");
-        rendered.0 = Some(spec.to_string());
-        ctx = ctx.with_topo(spec);
+/// The run of a golden: its scale, seed 7 and its `--topo` and `--traffic`
+/// overrides.
+fn golden_run(scale: Scale, topo: Option<&str>, traffic: Option<&str>) -> RunSpec {
+    RunSpec {
+        scale,
+        seed: SEED,
+        topo: topo.map(|raw| raw.parse().expect("golden --topo spec parses")),
+        traffic: traffic.map(|raw| raw.parse().expect("golden --traffic spec parses")),
     }
-    if let Some(raw) = traffic {
-        let spec: TrafficSpec = raw.parse().expect("golden --traffic spec parses");
-        rendered.1 = Some(spec.to_string());
-        ctx = ctx.with_traffic(spec);
-    }
-    (ctx, rendered.0, rendered.1)
 }
 
 /// `figures run <exp> --scale <scale> --seed 7 [--topo <spec>] [--traffic
@@ -148,10 +134,8 @@ fn golden_ctx(
 fn tiny_runs_match_goldens_byte_for_byte() {
     for (name, scale, topo, traffic, golden) in GOLDENS {
         let exp = experiment::find(name).expect("golden experiment is registered");
-        let (ctx, topo, traffic) = golden_ctx(*scale, *topo, *traffic);
-        let data = exp.run(&ctx);
-        let rendered =
-            render_run(exp.name(), *scale, SEED, topo.as_deref(), traffic.as_deref(), &data);
+        let run = golden_run(*scale, *topo, *traffic);
+        let rendered = render_run(exp.name(), &run, &exp.run(&RunCtx::new(run.clone())));
         assert_eq!(
             rendered, *golden,
             "{name} {topo:?} {traffic:?}: output drifted from the golden"
@@ -166,7 +150,8 @@ fn tiny_runs_match_goldens_byte_for_byte() {
 fn sharded_merge_matches_goldens_byte_for_byte() {
     for (name, scale, topo, traffic, golden) in GOLDENS {
         let exp = experiment::find(name).expect("golden experiment is registered");
-        let (ctx, topo, traffic) = golden_ctx(*scale, *topo, *traffic);
+        let run = golden_run(*scale, *topo, *traffic);
+        let ctx = RunCtx::new(run.clone());
         let num_shards = 2;
         let plan = WorkPlan::plan(exp.work_items(&ctx).len(), num_shards, None);
         let fragments: Vec<ShardFragment> = (1..=num_shards)
@@ -175,10 +160,7 @@ fn sharded_merge_matches_goldens_byte_for_byte() {
                 let timed = exp.run_selected_timed(&ctx, &|i| plan.owns(shard, i));
                 ShardFragment {
                     experiment: exp.name().to_string(),
-                    scale: *scale,
-                    seed: SEED,
-                    topo: topo.clone(),
-                    traffic: traffic.clone(),
+                    run: run.clone(),
                     shard,
                     timings_us: timed.timings_us,
                     items: timed.items,

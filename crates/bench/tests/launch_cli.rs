@@ -5,8 +5,9 @@
 //! command templates — and merge/launch failures must name the experiment,
 //! item label, or shard at fault.
 //!
-//! Uses `fig2b` throughout: 4 work items, microseconds each, so the test
-//! cost is process-spawn overhead, not simulation.
+//! Uses `fig2b` wherever the run needs no override: 4 work items,
+//! microseconds each, so the test cost is process-spawn overhead, not
+//! simulation. The run-record tests use small override-capable sweeps.
 
 use jellyfish::experiment::TimingFile;
 use std::path::PathBuf;
@@ -216,6 +217,89 @@ fn merge_errors_name_the_experiment_and_the_item_label() {
         err.contains("fig2b: incomplete shard set: item 1 ('") && err.contains("is missing"),
         "missing-item error must name experiment and label: {err}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Merging shard 1/2 with a shard 2/2 of a different run fails naming the
+/// experiment and both values, one row per member of the run record:
+/// `(experiment, flag, shard 1/2's value, shard 2/2's value)`.
+#[test]
+fn merge_rejects_shards_of_different_runs_naming_both_values() {
+    let dir = scratch("run-mismatch");
+    let rows = [
+        ("fig2b", "--scale", "tiny", "laptop"),
+        ("fig2b", "--seed", "7", "8"),
+        ("path_length", "--topo", "fattree:k=4", "leafspine:leaf=6,spine=3,servers=4"),
+        ("throughput_vs_workload", "--traffic", "stride:k=3", "zipf:s=1.2"),
+    ];
+    for (exp, flag, first, second) in rows {
+        let mut files = Vec::new();
+        for (k, value) in [(1, first), (2, second)] {
+            let mut args = vec!["run", exp, "--shard"];
+            args.push(if k == 1 { "1/2" } else { "2/2" });
+            for (default_flag, default) in [("--scale", "tiny"), ("--seed", "7")] {
+                if default_flag != flag {
+                    args.extend([default_flag, default]);
+                }
+            }
+            args.extend([flag, value]);
+            let shard = figures(&args);
+            assert!(shard.status.success(), "{exp} {flag} {value}: {}", stderr(&shard));
+            let file = dir.join(format!("{exp}-{}-{k}.jsonl", &flag[2..]));
+            std::fs::write(&file, stdout(&shard)).unwrap();
+            files.push(file);
+        }
+        let merged = figures(&["merge", files[0].to_str().unwrap(), files[1].to_str().unwrap()]);
+        assert_eq!(merged.status.code(), Some(2), "{exp} {flag}: {}", stderr(&merged));
+        let err = stderr(&merged);
+        let name = &flag[2..];
+        assert!(err.contains(&format!("{exp}: fragments disagree on the run")), "{err}");
+        for value in [first, second] {
+            assert!(err.contains(&format!("{name}: {value}")), "{exp} {flag} {value}: {err}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// With both overrides set, `launch --json` and `merge --json` print byte
+/// for byte what `run --json` prints: the run record crosses the worker
+/// command line, the fragments and the merge in one shape.
+#[test]
+fn json_launch_and_merge_match_the_json_run_under_both_overrides() {
+    let dir = scratch("json");
+    let run = [
+        "failure_sweep",
+        "--scale",
+        "tiny",
+        "--seed",
+        "7",
+        "--topo",
+        "fattree:k=4",
+        "--traffic",
+        "stride:k=3",
+    ];
+    let cli = |args: &[&str]| {
+        let out = figures(args);
+        assert!(out.status.success(), "figures {args:?}: {}", stderr(&out));
+        stdout(&out)
+    };
+    let expected = cli(&[&["run"][..], &run, &["--json"]].concat());
+    assert!(expected.starts_with(
+        "{\"experiment\":\"failure_sweep\",\"scale\":\"tiny\",\"seed\":7,\
+         \"topo\":\"fattree:k=4\",\"traffic\":\"stride:k=3\",\"data\":"
+    ));
+    let run_dir = dir.join("launch");
+    let launch = ["--jobs", "2", "--json", "--run-dir", run_dir.to_str().unwrap()];
+    let launched = cli(&[&["launch"][..], &run, &launch].concat());
+    assert_eq!(launched, expected, "launch --json must print the run's bytes");
+    let mut files = Vec::new();
+    for (k, shard) in ["1/2", "2/2"].into_iter().enumerate() {
+        let file = dir.join(format!("shard-{k}.jsonl"));
+        std::fs::write(&file, cli(&[&["run"][..], &run, &["--shard", shard]].concat())).unwrap();
+        files.push(file);
+    }
+    let merged = cli(&["merge", "--json", files[0].to_str().unwrap(), files[1].to_str().unwrap()]);
+    assert_eq!(merged, expected, "merge --json must print the run's bytes");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -7,9 +7,8 @@
 //! cargo run --release --example experiment_registry
 //! ```
 
-use jellyfish::experiment::{find, registry, RunCtx, Shard, ShardFragment};
+use jellyfish::experiment::{find, registry, RunCtx, RunSpec, Shard, ShardFragment, WorkPlan};
 use jellyfish::figures::Scale;
-use jellyfish_topology::TopoSpec;
 
 fn main() {
     // Every figure/table of the paper is a named experiment, plus the
@@ -22,23 +21,22 @@ fn main() {
 
     // Run one by name: every experiment yields the same uniform Dataset.
     let exp = find("fig3").expect("fig3 is registered");
-    let ctx = RunCtx::new(Scale::Tiny, 7);
+    let run = RunSpec::new(Scale::Tiny, 7);
+    let ctx = RunCtx::new(run.clone());
     let dataset = exp.run(&ctx);
     println!("\n== {} ==\n{}", exp.name(), dataset.to_tsv());
 
     // The same sweep, sharded two ways as `figures run --shard K/2` would
     // run it in two separate processes, with the fragments crossing the
     // process boundary as JSON.
+    let plan = WorkPlan::striped(exp.work_items(&ctx).len(), 2);
     let fragments: Vec<ShardFragment> = (1..=2)
         .map(|k| {
             let shard = Shard::new(k, 2).unwrap();
-            let timed = exp.run_selected_timed(&RunCtx::new(Scale::Tiny, 7), &|i| shard.owns(i));
+            let timed = exp.run_selected_timed(&RunCtx::new(run.clone()), &|i| plan.owns(shard, i));
             let fragment = ShardFragment {
                 experiment: exp.name().to_string(),
-                scale: Scale::Tiny,
-                seed: 7,
-                topo: None,
-                traffic: None,
+                run: run.clone(),
                 shard,
                 timings_us: timed.timings_us,
                 items: timed.items,
@@ -53,7 +51,7 @@ fn main() {
     // Point a topology-generic experiment at a different topology: one spec
     // string, zero code changes.
     let generic = find("path_length").expect("path_length is registered");
-    let spec: TopoSpec = "leafspine:leaf=6,spine=3,servers=4".parse().expect("spec parses");
-    let overridden = generic.run(&RunCtx::new(Scale::Tiny, 7).with_topo(spec));
+    let spec = "leafspine:leaf=6,spine=3,servers=4".parse().expect("spec parses");
+    let overridden = generic.run(&RunCtx::new(run.with_topo(spec)));
     println!("\n== {} --topo leafspine ==\n{}", generic.name(), overridden.to_tsv());
 }

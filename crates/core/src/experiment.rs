@@ -14,12 +14,18 @@
 //! * [`Dataset`] — the single tagged result type: labelled `(x, y)` series,
 //!   named rows under fixed column headers, and scalar cells. It renders to
 //!   TSV ([`Dataset::to_tsv`]) and JSON ([`Dataset::to_json`]).
+//! * [`RunSpec`] — the identity of one run: scale, seed and the optional
+//!   `--topo` and `--traffic` overrides. It is the one shape a run takes:
+//!   the [`RunCtx`], every [`ShardFragment`] and [`TimingFile`], and the
+//!   CLI's merged runs and launch configuration each hold one. Its
+//!   `Display` is the `figures run` header body, [`RunSpec::args`] the
+//!   worker command line, and [`RunSpec::json_members_into`] the wire shape.
 //! * [`Shard`] — a `K/N` slice of an experiment's work items. Because every
-//!   item derives its randomness from `(seed, item)` alone, running the
+//!   item derives its randomness from `(run, item)` alone, running the
 //!   shards in separate processes and merging the [`ShardFragment`]s is
 //!   byte-identical to a single-process [`Experiment::run`].
-//! * [`WorkPlan`] — how the items are partitioned across the `N` shards:
-//!   pure `K/N` striping ([`WorkPlan::striped`], the `--shard` default), or
+//! * [`WorkPlan`] — the one rule for which shard owns which items: pure
+//!   `K/N` striping ([`WorkPlan::striped`], the `--shard` default), or
 //!   timing-aware LPT bin-packing over a prior run's measured per-item
 //!   wall-clock ([`WorkPlan::lpt`]). Both are exact partitions, so the merge
 //!   coverage validation is unaffected by which partitioner produced the
@@ -38,19 +44,20 @@
 //! generator registry in `jellyfish_topology::spec`: spec-driven experiments
 //! decompose into [`WorkItem`]s that each carry the spec they evaluate, and
 //! the topology-generic experiments accept a `--topo <spec>` override
-//! ([`RunCtx::with_topo`]) that redirects the whole sweep at any registered
+//! ([`RunSpec::topo`]) that redirects the whole sweep at any registered
 //! topology without code changes.
 //!
-//! The [`RunCtx`] carries the run's [`Scale`], seed and optional topology
-//! override, plus a memoized topology/CSR-snapshot cache keyed by
-//! `(spec, seed)`: items of one experiment that share a base topology (for
-//! example the per-fraction failure sweeps of `fig8`) build the
-//! [`CsrGraph`] snapshot once per process and share it, and each cache hit
-//! is verified against the topology's mutation
-//! [generation](Topology::generation) so a stale snapshot can never be
-//! served. The cache is an optimization only — every builder is a pure
-//! function of `(spec, seed)`, so a shard that rebuilds a snapshot gets
-//! bit-identical data.
+//! The [`RunCtx`] carries the run's [`RunSpec`] plus a memoized
+//! topology/CSR-snapshot cache keyed by `(spec, seed)`: items of one
+//! experiment that share a base topology (for example the per-fraction
+//! failure sweeps of `fig8`) build the [`CsrGraph`] snapshot once per
+//! process and share it, and each cache hit is verified against the
+//! topology's mutation [generation](Topology::generation) so a stale
+//! snapshot can never be served. The cache is an optimization only — every
+//! builder is a pure function of `(spec, seed)`, so a shard that rebuilds a
+//! snapshot gets bit-identical data. [`RunCtx::session`] opens a live
+//! session on a spec's whole transform chain, which the failure sweeps then
+//! churn.
 //!
 //! EXPERIMENTS.md at the repository root indexes the registered experiments
 //! (paper figure, scales, output schema).
@@ -128,11 +135,6 @@ impl Dataset {
     /// An empty dataset.
     pub fn new() -> Self {
         Dataset::default()
-    }
-
-    /// A dataset that is only labelled series.
-    pub fn from_series(series: Vec<Series>) -> Self {
-        Dataset { series, ..Default::default() }
     }
 
     /// Appends `(x, y)` to the series named `label`, creating it on first use.
@@ -403,50 +405,100 @@ impl Snapshot {
     }
 }
 
-/// Per-run context handed to [`Experiment::run_item`]: the scale, seed and
-/// optional topology override of the run, plus a process-local memo of
-/// CSR-backed topology snapshots keyed by `(spec-or-key, seed)`.
-#[derive(Debug)]
-pub struct RunCtx {
-    /// Instance-size preset for this run.
+/// The identity of one run: everything an item result depends on besides
+/// the item itself. Every record of a run holds one — the [`RunCtx`], each
+/// [`ShardFragment`] and [`TimingFile`] — so a new member of a run is one
+/// field here, rendered by [`Display`](fmt::Display) (the `figures run`
+/// header body), [`RunSpec::args`] (the flags a worker is launched with) and
+/// [`RunSpec::json_members_into`] (the wire shape). The spec parsers reject
+/// non-finite numbers, so the derived equality is exact.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunSpec {
+    /// Instance-size preset.
     pub scale: Scale,
     /// Base seed; items derive their own sub-seeds from it deterministically.
     pub seed: u64,
-    topo: Option<TopoSpec>,
-    traffic: Option<TrafficSpec>,
-    cache: Mutex<HashMap<(String, u64), Arc<Snapshot>>>,
-}
-
-impl RunCtx {
-    /// Creates a context for one `(scale, seed)` run.
-    pub fn new(scale: Scale, seed: u64) -> Self {
-        RunCtx { scale, seed, topo: None, traffic: None, cache: Mutex::new(HashMap::new()) }
-    }
-
-    /// Sets the `--topo` override: experiments whose
+    /// The `--topo` override: experiments whose
     /// [`Experiment::supports_topo_override`] is true evaluate this spec
     /// instead of their built-in topology axis.
+    pub topo: Option<TopoSpec>,
+    /// The `--traffic` override: experiments whose
+    /// [`Experiment::supports_traffic_override`] is true evaluate this
+    /// workload instead of their built-in one.
+    pub traffic: Option<TrafficSpec>,
+}
+
+impl RunSpec {
+    /// A `(scale, seed)` run without overrides.
+    pub fn new(scale: Scale, seed: u64) -> Self {
+        RunSpec { scale, seed, topo: None, traffic: None }
+    }
+
+    /// Sets the `--topo` override (builder style).
     pub fn with_topo(mut self, spec: TopoSpec) -> Self {
         self.topo = Some(spec);
         self
     }
 
-    /// The run's topology override, if any.
-    pub fn topo(&self) -> Option<&TopoSpec> {
-        self.topo.as_ref()
-    }
-
-    /// Sets the `--traffic` override: experiments whose
-    /// [`Experiment::supports_traffic_override`] is true evaluate this
-    /// workload instead of their built-in one.
+    /// Sets the `--traffic` override (builder style).
     pub fn with_traffic(mut self, spec: TrafficSpec) -> Self {
         self.traffic = Some(spec);
         self
     }
 
-    /// The run's workload override, if any.
-    pub fn traffic(&self) -> Option<&TrafficSpec> {
-        self.traffic.as_ref()
+    /// The `figures run` flags that reproduce this run:
+    /// `--scale S --seed N [--topo T] [--traffic W]`.
+    pub fn args(&self) -> Vec<String> {
+        self.flags().into_iter().flat_map(|(name, value)| [format!("--{name}"), value]).collect()
+    }
+
+    /// Appends the run's JSON members, `"scale":"S","seed":N,"topo":T,
+    /// "traffic":W` with absent overrides as `null`: the one wire shape of a
+    /// run in shard fragments, `timings.json` and `figures run --json`.
+    pub fn json_members_into(&self, out: &mut String) {
+        json::run_members_into(out, self);
+    }
+
+    /// `(flag, value)` per member, absent overrides left out: the one list
+    /// the header body and the flags both render, which is what lets a
+    /// header be parsed back into the command that printed it.
+    fn flags(&self) -> Vec<(&'static str, String)> {
+        let mut flags = vec![("scale", self.scale.to_string()), ("seed", self.seed.to_string())];
+        if let Some(spec) = &self.topo {
+            flags.push(("topo", spec.to_string()));
+        }
+        if let Some(spec) = &self.traffic {
+            flags.push(("traffic", spec.to_string()));
+        }
+        flags
+    }
+}
+
+/// `scale: S, seed: N[, topo: T][, traffic: W]`.
+impl fmt::Display for RunSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, (name, value)) in self.flags().iter().enumerate() {
+            let sep = if i == 0 { "" } else { ", " };
+            write!(f, "{sep}{name}: {value}")?;
+        }
+        Ok(())
+    }
+}
+
+/// Per-run context handed to [`Experiment::run_item`]: the run's
+/// [`RunSpec`], plus a process-local memo of CSR-backed topology snapshots
+/// keyed by `(spec, seed)`.
+#[derive(Debug)]
+pub struct RunCtx {
+    /// The run every item evaluated under this context belongs to.
+    pub run: RunSpec,
+    cache: Mutex<HashMap<(String, u64), Arc<Snapshot>>>,
+}
+
+impl RunCtx {
+    /// Creates a context for one run.
+    pub fn new(run: RunSpec) -> Self {
+        RunCtx { run, cache: Mutex::new(HashMap::new()) }
     }
 
     /// The workload a traffic-capable experiment should evaluate: the
@@ -455,7 +507,7 @@ impl RunCtx {
     /// seed; both come from the same spec build, so an explicit
     /// `--traffic permutation` is byte-identical to no override.
     pub fn workload(&self, servers: &ServerMap, seed: u64) -> FlowStream {
-        let spec = self.traffic.clone().unwrap_or_else(TrafficSpec::permutation);
+        let spec = self.run.traffic.clone().unwrap_or_else(TrafficSpec::permutation);
         spec.stream(servers, seed)
             .unwrap_or_else(|e| panic!("--traffic '{spec}' does not build for this topology: {e}"))
     }
@@ -486,16 +538,16 @@ impl RunCtx {
         Ok(Arc::new(Snapshot::new(transformed)))
     }
 
-    /// Builds a live [`Session`](crate::service::Session) over the memoized
-    /// transform-free base of `spec` — the same cached topology the
-    /// snapshot path clones, so replaying the spec's transforms as churn
-    /// events reproduces [`RunCtx::spec_snapshot`] byte-for-byte (both
-    /// call [`ScenarioTransform::apply`](jellyfish_topology::spec::ScenarioTransform::apply)
-    /// with `seed` on the identical base). The session inherits the run's
-    /// `--traffic` override.
+    /// Opens a live [`Session`] on the snapshot of `spec` built with `seed`,
+    /// its whole transform chain applied (for a transform-free spec, the
+    /// memoized base). Churn applied to it with the same seed reproduces
+    /// [`RunCtx::spec_snapshot`] of `spec` with those transforms appended:
+    /// both call [`ScenarioTransform::apply`](jellyfish_topology::spec::ScenarioTransform::apply)
+    /// with `seed`, in chain order, on the same topology. The session
+    /// inherits the run's `--traffic` override.
     pub fn session(&self, spec: &TopoSpec, seed: u64) -> Result<Session, SpecError> {
-        let base = self.spec_snapshot(&spec.base(), seed)?;
-        Ok(Session::new(base.topology.clone(), seed).with_traffic(self.traffic.clone()))
+        let snap = self.spec_snapshot(spec, seed)?;
+        Ok(Session::new(snap.topology.clone(), seed).with_traffic(self.run.traffic.clone()))
     }
 
     /// Cache lookup with the staleness guard: a hit whose CSR snapshot no
@@ -520,8 +572,8 @@ impl RunCtx {
     }
 }
 
-/// A `K/N` slice of an experiment's work items (1-based `K`): shard `K`
-/// owns every item whose index is congruent to `K - 1` modulo `N`.
+/// A `K/N` slice of an experiment's work items (1-based `K`). Which items
+/// the slice owns is the [`WorkPlan`]'s to say.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Shard {
     /// 1-based shard number, `1 <= index <= count`.
@@ -537,11 +589,6 @@ impl Shard {
             return Err(format!("invalid shard {index}/{count}: need 1 <= K <= N"));
         }
         Ok(Shard { index, count })
-    }
-
-    /// Whether this shard owns the item at `item_index`.
-    pub fn owns(&self, item_index: usize) -> bool {
-        item_index % self.count == self.index - 1
     }
 }
 
@@ -563,12 +610,13 @@ impl fmt::Display for Shard {
     }
 }
 
-/// How an experiment's work items are partitioned across `N` shards.
+/// How an experiment's work items are partitioned across `N` shards: the one
+/// rule for which [`Shard`] owns which item.
 ///
-/// [`WorkPlan::striped`] reproduces the classic `--shard K/N` striping rule
-/// ([`Shard::owns`]); [`WorkPlan::lpt`] bin-packs items by measured per-item
-/// cost (longest-processing-time-first greedy) so a prior run's
-/// [`TimingFile`] balances the next run. Both produce exact partitions —
+/// [`WorkPlan::striped`] is the `--shard K/N` default; [`WorkPlan::lpt`]
+/// bin-packs items by measured per-item cost
+/// (longest-processing-time-first greedy) so a prior run's [`TimingFile`]
+/// balances the next run. Both produce exact partitions —
 /// every item lands in exactly one bin — which is what keeps the
 /// `figures merge` coverage validation independent of the partitioner that
 /// produced the fragments.
@@ -579,7 +627,7 @@ pub struct WorkPlan {
 
 impl WorkPlan {
     /// The striping partition: bin `K` owns every index congruent to
-    /// `K - 1` modulo `num_shards` (exactly [`Shard::owns`]).
+    /// `K - 1` modulo `num_shards`.
     pub fn striped(num_items: usize, num_shards: usize) -> WorkPlan {
         assert!(num_shards > 0, "a work plan needs at least one shard");
         let mut bins = vec![Vec::new(); num_shards];
@@ -653,28 +701,22 @@ impl WorkPlan {
 /// The measured per-item wall-clock of one prior run, keyed by experiment:
 /// what `figures launch` writes as `timings.json` into its run directory and
 /// what `figures run/launch --plan <file>` feeds back into [`WorkPlan::plan`]
-/// for timing-aware load balancing. `scale`, `seed` and `topo` record the
-/// run the measurements came from; workers fall back to striping when they
-/// do not match the current run (the item decomposition may differ).
+/// for timing-aware load balancing. `run` records the run the measurements
+/// came from; workers fall back to striping when it differs from the current
+/// run in anything but the seed (the item decomposition may differ).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimingFile {
-    /// Scale of the measured run.
-    pub scale: Scale,
-    /// Seed of the measured run.
-    pub seed: u64,
-    /// `--topo` override spec string of the measured run, if any.
-    pub topo: Option<String>,
-    /// `--traffic` override spec string of the measured run, if any.
-    pub traffic: Option<String>,
+    /// The measured run.
+    pub run: RunSpec,
     /// Per-experiment measurements: `timings_us[i]` is the wall-clock of
     /// work item `i` in microseconds.
     pub experiments: Vec<(String, Vec<u64>)>,
 }
 
 impl TimingFile {
-    /// An empty timing file for a `(scale, seed, topo, traffic)` run.
-    pub fn new(scale: Scale, seed: u64, topo: Option<String>, traffic: Option<String>) -> Self {
-        TimingFile { scale, seed, topo, traffic, experiments: Vec::new() }
+    /// An empty timing file for `run`.
+    pub fn new(run: RunSpec) -> Self {
+        TimingFile { run, experiments: Vec::new() }
     }
 
     /// Records (or replaces) the per-item timings of one experiment.
@@ -722,22 +764,16 @@ pub struct TimedRun {
 pub struct ShardFragment {
     /// Registered experiment name.
     pub experiment: String,
-    /// Scale the shard ran at.
-    pub scale: Scale,
-    /// Seed the shard ran with.
-    pub seed: u64,
-    /// The `--topo` override spec string the shard ran with, if any. Merges
-    /// require all fragments of one experiment to agree on it — the work
-    /// item decomposition depends on it.
-    pub topo: Option<String>,
-    /// The `--traffic` override spec string the shard ran with, if any.
-    /// Merges require agreement exactly as for `topo`.
-    pub traffic: Option<String>,
+    /// The run the shard belongs to. Merges require all fragments of one
+    /// experiment to agree on it — the work-item decomposition depends on
+    /// it.
+    pub run: RunSpec,
     /// Which slice of the work items this fragment holds.
     pub shard: Shard,
     /// Measured wall-clock microseconds per entry of `items` (parallel
-    /// vectors; empty only in fragments from builds that predate timing).
-    /// `figures launch` aggregates these into the run's [`TimingFile`].
+    /// vectors; [`ShardFragment::from_json`] rejects a fragment where their
+    /// lengths differ). `figures launch` aggregates these into the run's
+    /// [`TimingFile`].
     pub timings_us: Vec<u64>,
     /// The item results, sorted by item index.
     pub items: Vec<ItemResult>,
@@ -758,7 +794,7 @@ impl ShardFragment {
 /// A named, shardable experiment: one figure or table of the paper.
 ///
 /// Implementations decompose into independent [`WorkItem`]s whose results
-/// are pure functions of `(scale, seed, item index)` — never of which
+/// are pure functions of `(run, item index)` — never of which
 /// process, shard, or thread evaluated them. That contract is what makes
 /// [`Experiment::run`], and any partition of the items into [`Shard`]s
 /// followed by [`Experiment::merge`], produce identical [`Dataset`]s; the
@@ -772,7 +808,7 @@ pub trait Experiment: Sync {
     fn describe(&self) -> &'static str;
 
     /// Whether the experiment's topology axis can be replaced by a
-    /// `--topo <spec>` override ([`RunCtx::with_topo`]). True for the
+    /// `--topo <spec>` override ([`RunSpec::topo`]). True for the
     /// topology-generic metric sweeps (throughput, path length, bisection,
     /// failures); false for the paper figures, whose topology pairings *are*
     /// the experiment.
@@ -781,7 +817,7 @@ pub trait Experiment: Sync {
     }
 
     /// Whether the experiment's workload can be replaced by a
-    /// `--traffic <spec>` override ([`RunCtx::with_traffic`]). True for the
+    /// `--traffic <spec>` override ([`RunSpec::traffic`]). True for the
     /// experiments that evaluate "a workload against a fabric" generically
     /// (the throughput/failure sweeps and the workload experiments); false
     /// for the paper figures, whose permutation workload *is* the
@@ -790,13 +826,13 @@ pub trait Experiment: Sync {
         false
     }
 
-    /// The full, ordered decomposition of this experiment for `ctx`
-    /// (`scale`, `seed`, and — for override-capable experiments — `topo`).
-    /// Must be cheap (no heavy simulation) and deterministic.
+    /// The full, ordered decomposition of this experiment for `ctx.run`
+    /// (its scale and seed and, for override-capable experiments, its
+    /// overrides). Must be cheap (no heavy simulation) and deterministic.
     fn work_items(&self, ctx: &RunCtx) -> Vec<WorkItem>;
 
     /// Evaluates one work item. Must be a pure function of
-    /// `(ctx.scale, ctx.seed, ctx.topo, item)`.
+    /// `(ctx.run, item)`.
     fn run_item(&self, ctx: &RunCtx, item: &WorkItem) -> ItemResult;
 
     /// Combines item results (any order; the default sorts by item index and
@@ -809,13 +845,7 @@ pub trait Experiment: Sync {
 
     /// Runs every work item (in parallel) and merges: the single-process path.
     fn run(&self, ctx: &RunCtx) -> Dataset {
-        self.merge(self.run_items(ctx))
-    }
-
-    /// Evaluates every work item in parallel, returning mergeable results
-    /// sorted by item index.
-    fn run_items(&self, ctx: &RunCtx) -> Vec<ItemResult> {
-        self.run_selected_timed(ctx, &|_| true).items
+        self.merge(self.run_selected_timed(ctx, &|_| true).items)
     }
 
     /// The timing-aware driver everything funnels through: evaluates the
@@ -961,7 +991,7 @@ mod tests {
 
     #[test]
     fn spec_snapshot_caches_bases_and_transforms_clones() {
-        let ctx = RunCtx::new(Scale::Tiny, 7);
+        let ctx = RunCtx::new(RunSpec::new(Scale::Tiny, 7));
         let spec: TopoSpec = "jellyfish:switches=20,ports=8,degree=5".parse().unwrap();
         let a = ctx.spec_snapshot(&spec, 7).unwrap();
         let b = ctx.spec_snapshot(&spec, 7).unwrap();
@@ -1002,14 +1032,18 @@ mod tests {
         let s: Shard = "2/3".parse().unwrap();
         assert_eq!(s, Shard::new(2, 3).unwrap());
         assert_eq!(s.to_string(), "2/3");
-        assert!(!s.owns(0) && s.owns(1) && !s.owns(2) && !s.owns(3) && s.owns(4));
+        let striped = WorkPlan::striped(5, 3);
+        assert_eq!(striped.num_shards(), 3);
+        assert_eq!(striped.items_for(s), &[1, 4]);
         for bad in ["0/3", "4/3", "1/0", "x/y", "3", "1/2/3", ""] {
             assert!(bad.parse::<Shard>().is_err(), "'{bad}' should not parse");
         }
         // Every item is owned by exactly one shard.
         for n in 1..=5usize {
+            let plan = WorkPlan::striped(17, n);
             for item in 0..17usize {
-                let owners = (1..=n).filter(|&k| Shard::new(k, n).unwrap().owns(item)).count();
+                let owners =
+                    (1..=n).filter(|&k| plan.owns(Shard::new(k, n).unwrap(), item)).count();
                 assert_eq!(owners, 1);
             }
         }
@@ -1071,45 +1105,25 @@ mod tests {
         ds.push_point("s", 0.1, 0.2);
         let mut frag = ShardFragment {
             experiment: "fig9".to_string(),
-            scale: Scale::Tiny,
-            seed: u64::MAX,
-            topo: None,
-            traffic: None,
+            run: RunSpec::new(Scale::Tiny, u64::MAX),
             shard: Shard::new(2, 3).unwrap(),
             timings_us: vec![u64::MAX],
             items: vec![ItemResult::new(1, ds)],
         };
         let back = ShardFragment::from_json(&frag.to_json()).unwrap();
         assert_eq!(frag, back);
-        frag.topo = Some("leafspine:leaf=6,spine=3,servers=4".to_string());
-        frag.traffic = Some("zipf:s=1.2,hot_racks=4+scale_demand=0.5".to_string());
+        frag.run.topo = Some("leafspine:leaf=6,spine=3,servers=4".parse().unwrap());
+        frag.run.traffic = Some("zipf:s=1.2,hot_racks=4+scale_demand=0.5".parse().unwrap());
         let back = ShardFragment::from_json(&frag.to_json()).unwrap();
         assert_eq!(frag, back);
-        // Timing-free fragments (older builds) still parse; a fragment whose
-        // timings disagree with its item count is corrupt and rejected.
-        frag.timings_us = Vec::new();
-        let back = ShardFragment::from_json(&frag.to_json()).unwrap();
-        assert_eq!(frag, back);
+        // A fragment whose timings disagree with its item count is corrupt
+        // and rejected.
         frag.timings_us = vec![1, 2];
         assert!(ShardFragment::from_json(&frag.to_json())
             .unwrap_err()
             .contains("2 timings for 1 items"));
         assert!(ShardFragment::from_json("{\"experiment\":1}").is_err());
         assert!(ShardFragment::from_json("not json").is_err());
-    }
-
-    #[test]
-    fn striped_plan_matches_shard_ownership() {
-        for n in 1..=5usize {
-            let plan = WorkPlan::striped(17, n);
-            assert_eq!(plan.num_shards(), n);
-            for k in 1..=n {
-                let shard = Shard::new(k, n).unwrap();
-                for index in 0..17 {
-                    assert_eq!(plan.owns(shard, index), shard.owns(index));
-                }
-            }
-        }
     }
 
     #[test]
@@ -1143,10 +1157,9 @@ mod tests {
     #[test]
     fn timing_file_records_and_round_trips() {
         let mut tf = TimingFile::new(
-            Scale::Tiny,
-            7,
-            Some("fattree:k=4".to_string()),
-            Some("stride:k=3".to_string()),
+            RunSpec::new(Scale::Tiny, 7)
+                .with_topo("fattree:k=4".parse().unwrap())
+                .with_traffic("stride:k=3".parse().unwrap()),
         );
         tf.record("fig9", vec![3, 1, 4]);
         tf.record("fig8", vec![2, 7]);
@@ -1156,7 +1169,7 @@ mod tests {
         assert_eq!(tf.get("nope"), None);
         let back = TimingFile::from_json(&tf.to_json()).unwrap();
         assert_eq!(tf, back);
-        let no_topo = TimingFile::new(Scale::Laptop, u64::MAX, None, None);
+        let no_topo = TimingFile::new(RunSpec::new(Scale::Laptop, u64::MAX));
         assert_eq!(TimingFile::from_json(&no_topo.to_json()).unwrap(), no_topo);
         assert!(TimingFile::from_json("{}").is_err());
         assert!(TimingFile::from_json("not json").is_err());
@@ -1165,17 +1178,87 @@ mod tests {
     #[test]
     fn run_selected_timed_times_every_selected_item() {
         let exp = find("fig2a").unwrap();
-        let ctx = RunCtx::new(Scale::Tiny, 7);
+        let ctx = RunCtx::new(RunSpec::new(Scale::Tiny, 7));
         let n = exp.work_items(&ctx).len();
         let timed = exp.run_selected_timed(&ctx, &|i| i % 2 == 0);
         assert_eq!(timed.items.len(), n.div_ceil(2));
         assert_eq!(timed.items.len(), timed.timings_us.len());
         assert!(timed.items.iter().all(|r| r.index % 2 == 0));
         assert!(timed.timings_us.iter().all(|&t| t >= 1), "timings are clamped non-zero");
-        // The timed results are the same item results the untimed path gives.
-        let untimed = exp.run_items(&ctx);
+        // The selected results are the same item results a full run gives.
+        let all = exp.run_selected_timed(&ctx, &|_| true).items;
         for item in &timed.items {
-            assert_eq!(untimed[item.index], *item);
+            assert_eq!(all[item.index], *item);
+        }
+    }
+
+    #[test]
+    fn run_records_without_every_member_are_rejected() {
+        let tf = TimingFile::new(RunSpec::new(Scale::Tiny, 7));
+        let frag = ShardFragment {
+            experiment: "fig9".to_string(),
+            run: RunSpec::new(Scale::Tiny, 7),
+            shard: Shard::new(1, 1).unwrap(),
+            timings_us: vec![3],
+            items: vec![ItemResult::new(0, Dataset::new())],
+        };
+        for key in ["scale", "seed", "topo", "traffic"] {
+            let needle = format!("\"{key}\":");
+            let drop = |text: String| {
+                let start = text.find(&needle).unwrap();
+                let end = start + text[start..].find(',').unwrap() + 1;
+                format!("{}{}", &text[..start], &text[end..])
+            };
+            let err = TimingFile::from_json(&drop(tf.to_json())).unwrap_err();
+            assert!(err.contains(&format!("missing key '{key}'")), "{key}: {err}");
+            let err = ShardFragment::from_json(&drop(frag.to_json())).unwrap_err();
+            assert!(err.contains(&format!("missing key '{key}'")), "{key}: {err}");
+        }
+        let no_timings = frag.to_json().replace("\"timings_us\":[3],", "");
+        let err = ShardFragment::from_json(&no_timings).unwrap_err();
+        assert!(err.contains("missing key 'timings_us'"), "{err}");
+        let no_meta = frag.to_json().replace("\"meta\":[],", "");
+        let err = ShardFragment::from_json(&no_meta).unwrap_err();
+        assert!(err.contains("missing key 'meta'"), "{err}");
+        let bad_topo = frag.to_json().replace("\"topo\":null", "\"topo\":\"fattree:k=\"");
+        let err = ShardFragment::from_json(&bad_topo).unwrap_err();
+        assert!(err.contains("unparsable topo spec 'fattree:k='"), "{err}");
+        let bad_traffic = tf.to_json().replace("\"traffic\":null", "\"traffic\":\"nope\"");
+        let err = TimingFile::from_json(&bad_traffic).unwrap_err();
+        assert!(err.contains("unparsable traffic spec 'nope'"), "{err}");
+    }
+
+    #[test]
+    fn session_churn_reproduces_the_snapshot_of_the_whole_chain() {
+        use crate::service::ChurnEvent;
+        use jellyfish_topology::spec::ScenarioTransform;
+        let ctx = RunCtx::new(RunSpec::new(Scale::Tiny, 7));
+        let bare = "jellyfish:switches=16,ports=8,degree=5";
+        let specs = [
+            bare.to_string(),
+            format!("{bare}+fail_switches=0.5"),
+            format!("{bare}+expand=4"),
+            "fattree:k=4+degrade_uniform=0.1".to_string(),
+        ];
+        for raw in specs {
+            let spec: TopoSpec = raw.parse().unwrap();
+            for f in [0.0, 0.1, 0.2] {
+                let mut session = ctx.session(&spec, 7).unwrap();
+                session.apply(&ChurnEvent::FailLinks { fraction: f }).unwrap();
+                let chained = spec.clone().with_transform(ScenarioTransform::FailLinks(f));
+                let offline = ctx.spec_snapshot(&chained, 7).unwrap();
+                let live = session.topology();
+                assert_eq!(
+                    live.graph().edges().collect::<Vec<_>>(),
+                    offline.topology.graph().edges().collect::<Vec<_>>(),
+                    "{chained}: the session's links differ from the snapshot's"
+                );
+                assert_eq!(
+                    live.total_servers(),
+                    offline.topology.total_servers(),
+                    "{chained}: the session's servers differ from the snapshot's"
+                );
+            }
         }
     }
 }

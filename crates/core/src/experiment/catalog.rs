@@ -83,9 +83,10 @@ pub(crate) fn fattree_spec(k: usize) -> TopoSpec {
     TopoSpec::new("fattree").with_param("k", k)
 }
 
-/// Resolves a work item's spec against the run context (build seed = the
-/// seed the legacy constructor used) and records the spec string in `ds`.
-fn resolve(ctx: &RunCtx, item: &WorkItem, seed: u64, ds: &mut Dataset) -> Arc<Snapshot> {
+/// Resolves a work item's spec against the run context with build seed
+/// `seed` (the run seed, or the seed the legacy constructor used) and
+/// records the spec string in `ds`.
+pub(crate) fn resolve(ctx: &RunCtx, item: &WorkItem, seed: u64, ds: &mut Dataset) -> Arc<Snapshot> {
     let spec = item.spec();
     let snap = ctx
         .spec_snapshot(spec, seed)
@@ -110,7 +111,7 @@ impl Experiment for Fig1c {
     }
 
     fn work_items(&self, ctx: &RunCtx) -> Vec<WorkItem> {
-        let k = ctx.scale.pick(14, 10, 6);
+        let k = ctx.run.scale.pick(14, 10, 6);
         let servers = FatTree::servers_for_port_count(k);
         let switches = FatTree::switches_for_port_count(k);
         vec![
@@ -122,7 +123,7 @@ impl Experiment for Fig1c {
     fn run_item(&self, ctx: &RunCtx, item: &WorkItem) -> ItemResult {
         let label = if item.index == 0 { "Jellyfish" } else { "Fat-tree" };
         let mut ds = Dataset::new();
-        let snap = resolve(ctx, item, ctx.seed, &mut ds);
+        let snap = resolve(ctx, item, ctx.run.seed, &mut ds);
         let hist = server_pair_histogram(&snap.topology, &snap.csr);
         let points = (2..=hist.len().max(7))
             .map(|h| (h as f64, fraction_of_server_pairs_within(&hist, h)))
@@ -251,7 +252,7 @@ impl Experiment for Fig2c {
     }
 
     fn work_items(&self, ctx: &RunCtx) -> Vec<WorkItem> {
-        fig2c_port_counts(ctx.scale)
+        fig2c_port_counts(ctx.run.scale)
             .into_iter()
             .enumerate()
             .map(|(i, k)| WorkItem::new(i, format!("k={k}")))
@@ -259,16 +260,16 @@ impl Experiment for Fig2c {
     }
 
     fn run_item(&self, ctx: &RunCtx, item: &WorkItem) -> ItemResult {
-        let k = fig2c_port_counts(ctx.scale)[item.index];
+        let k = fig2c_port_counts(ctx.run.scale)[item.index];
         let switches = FatTree::switches_for_port_count(k);
         let ports = FatTree::ports_for_port_count(k);
         let ft_servers = FatTree::servers_for_port_count(k);
         // Binary search servers for the same equipment.
         let opts = crate::capacity::CapacitySearchOptions {
-            probe_samples: if ctx.scale == Scale::Paper { 3 } else { 1 },
-            verify_samples: if ctx.scale == Scale::Paper { 10 } else { 2 },
+            probe_samples: if ctx.run.scale == Scale::Paper { 3 } else { 1 },
+            verify_samples: if ctx.run.scale == Scale::Paper { 10 } else { 2 },
             throughput: ThroughputOptions::default(),
-            seed: ctx.seed,
+            seed: ctx.run.seed,
         };
         let result = crate::capacity::servers_at_full_throughput(switches, k, opts);
         let mut ds = Dataset::new();
@@ -301,7 +302,7 @@ impl Experiment for Fig3 {
     }
 
     fn work_items(&self, ctx: &RunCtx) -> Vec<WorkItem> {
-        fig3_configs(ctx.scale)
+        fig3_configs(ctx.run.scale)
             .into_iter()
             .enumerate()
             .map(|(i, (n, ports, degree))| {
@@ -312,8 +313,8 @@ impl Experiment for Fig3 {
 
     fn run_item(&self, ctx: &RunCtx, item: &WorkItem) -> ItemResult {
         let i = item.index;
-        let (n, ports, degree) = fig3_configs(ctx.scale)[i];
-        let seed = ctx.seed;
+        let (n, ports, degree) = fig3_configs(ctx.run.scale)[i];
+        let seed = ctx.run.seed;
         // Attach servers so the degree-diameter graph is *not* at full
         // bisection (the paper chooses server counts that keep the
         // benchmark below saturation so its full capacity is visible).
@@ -378,7 +379,7 @@ impl Experiment for Fig4 {
     }
 
     fn work_items(&self, ctx: &RunCtx) -> Vec<WorkItem> {
-        fig4_axis(ctx.scale)
+        fig4_axis(ctx.run.scale)
             .into_iter()
             .enumerate()
             .map(|(i, (label, spec))| WorkItem::with_spec(i, label, spec))
@@ -386,7 +387,7 @@ impl Experiment for Fig4 {
     }
 
     fn run_item(&self, ctx: &RunCtx, item: &WorkItem) -> ItemResult {
-        let seed = ctx.seed;
+        let seed = ctx.run.seed;
         let mut ds = Dataset::new();
         let snap = resolve(ctx, item, seed, &mut ds);
         let servers = ServerMap::new(&snap.topology);
@@ -427,7 +428,7 @@ impl Experiment for Fig5 {
     }
 
     fn work_items(&self, ctx: &RunCtx) -> Vec<WorkItem> {
-        let (ports, degree, sizes) = fig5_params(ctx.scale);
+        let (ports, degree, sizes) = fig5_params(ctx.run.scale);
         let mut items: Vec<WorkItem> = sizes
             .iter()
             .enumerate()
@@ -441,9 +442,9 @@ impl Experiment for Fig5 {
     }
 
     fn run_item(&self, ctx: &RunCtx, item: &WorkItem) -> ItemResult {
-        let (ports, degree, sizes) = fig5_params(ctx.scale);
+        let (ports, degree, sizes) = fig5_params(ctx.run.scale);
         let servers_per = ports - degree;
-        let seed = ctx.seed;
+        let seed = ctx.run.seed;
         let mut ds = Dataset::new();
         if item.index < sizes.len() {
             let snap = resolve(ctx, item, seed, &mut ds);
@@ -491,14 +492,14 @@ impl Experiment for Fig6 {
     }
 
     fn work_items(&self, ctx: &RunCtx) -> Vec<WorkItem> {
-        let (start, end, step) = fig6_schedule(ctx.scale);
+        let (start, end, step) = fig6_schedule(ctx.run.scale);
         let stages = 1 + (end - start).div_ceil(step);
         (0..stages).map(|i| WorkItem::new(i, format!("stage {i}"))).collect()
     }
 
     fn run_item(&self, ctx: &RunCtx, item: &WorkItem) -> ItemResult {
-        let (start, end, step) = fig6_schedule(ctx.scale);
-        let seed = ctx.seed;
+        let (start, end, step) = fig6_schedule(ctx.run.scale);
+        let seed = ctx.run.seed;
         // Growing the schedule is cheap (topology construction only); the
         // throughput evaluations below dominate, so each item regrows the
         // arc and evaluates its own stage.
@@ -548,8 +549,8 @@ impl Experiment for Fig7 {
     }
 
     fn run_item(&self, ctx: &RunCtx, item: &WorkItem) -> ItemResult {
-        let seed = ctx.seed;
-        let scenario = match ctx.scale {
+        let seed = ctx.run.seed;
+        let scenario = match ctx.run.scale {
             Scale::Paper => ExpansionScenario { seed, ..Default::default() },
             Scale::Laptop => ExpansionScenario {
                 initial_servers: 240,
@@ -624,7 +625,7 @@ impl Experiment for Fig8 {
 
     fn work_items(&self, ctx: &RunCtx) -> Vec<WorkItem> {
         let mut items = Vec::new();
-        for (t, (name, base)) in fig8_bases(ctx.scale).into_iter().enumerate() {
+        for (t, (name, base)) in fig8_bases(ctx.run.scale).into_iter().enumerate() {
             for (fi, &f) in FIG8_FRACTIONS.iter().enumerate() {
                 items.push(WorkItem::with_spec(
                     t * FIG8_FRACTIONS.len() + fi,
@@ -637,7 +638,7 @@ impl Experiment for Fig8 {
     }
 
     fn run_item(&self, ctx: &RunCtx, item: &WorkItem) -> ItemResult {
-        let seed = ctx.seed;
+        let seed = ctx.run.seed;
         let topo_idx = item.index / FIG8_FRACTIONS.len();
         let f = FIG8_FRACTIONS[item.index % FIG8_FRACTIONS.len()];
         let mut ds = Dataset::new();
@@ -670,9 +671,9 @@ impl Experiment for Fig9 {
     }
 
     fn work_items(&self, ctx: &RunCtx) -> Vec<WorkItem> {
-        let switches = ctx.scale.pick(245, 80, 25);
-        let ports = ctx.scale.pick(14, 10, 8);
-        let degree = ctx.scale.pick(11, 7, 5);
+        let switches = ctx.run.scale.pick(245, 80, 25);
+        let ports = ctx.run.scale.pick(14, 10, 8);
+        let degree = ctx.run.scale.pick(11, 7, 5);
         let spec = jellyfish_spec(switches, ports, degree);
         ["ksp8", "ecmp64", "ecmp8"]
             .iter()
@@ -682,7 +683,7 @@ impl Experiment for Fig9 {
     }
 
     fn run_item(&self, ctx: &RunCtx, item: &WorkItem) -> ItemResult {
-        let seed = ctx.seed;
+        let seed = ctx.run.seed;
         let mut ds = Dataset::new();
         let snap = resolve(ctx, item, seed, &mut ds);
         let servers = ServerMap::new(&snap.topology);
@@ -752,9 +753,9 @@ impl Experiment for Table1 {
     }
 
     fn run_item(&self, ctx: &RunCtx, item: &WorkItem) -> ItemResult {
-        let k = ctx.scale.pick(14, 8, 6);
-        let seed = ctx.seed;
-        let duration = match ctx.scale {
+        let k = ctx.run.scale.pick(14, 8, 6);
+        let seed = ctx.run.seed;
+        let duration = match ctx.run.scale {
             Scale::Paper => 20.0,
             Scale::Laptop => 8.0,
             Scale::Tiny => 4.0,
@@ -811,7 +812,7 @@ impl Experiment for Fig10 {
     }
 
     fn work_items(&self, ctx: &RunCtx) -> Vec<WorkItem> {
-        fig10_sizes(ctx.scale)
+        fig10_sizes(ctx.run.scale)
             .into_iter()
             .enumerate()
             .map(|(i, (n, ports, degree))| {
@@ -822,8 +823,8 @@ impl Experiment for Fig10 {
 
     fn run_item(&self, ctx: &RunCtx, item: &WorkItem) -> ItemResult {
         let i = item.index;
-        let (n, _, _) = fig10_sizes(ctx.scale)[i];
-        let seed = ctx.seed;
+        let (n, _, _) = fig10_sizes(ctx.run.scale)[i];
+        let seed = ctx.run.seed;
         let mut ds = Dataset::new();
         // Per-size seed derivation from the legacy loop: seed ^ i.
         let snap = resolve(ctx, item, seed ^ i as u64, &mut ds);
@@ -897,8 +898,8 @@ fn fig11_12_work_items(scale: Scale) -> Vec<WorkItem> {
 }
 
 fn fig11_12_run_item(ctx: &RunCtx, item: &WorkItem) -> ItemResult {
-    let k = fig11_port_counts(ctx.scale)[item.index];
-    let seed = ctx.seed;
+    let k = fig11_port_counts(ctx.run.scale)[item.index];
+    let seed = ctx.run.seed;
     let mut ds = Dataset::new();
     let ft = resolve(ctx, item, seed, &mut ds);
     let ft = &ft.topology;
@@ -962,7 +963,7 @@ impl Experiment for Fig11 {
     }
 
     fn work_items(&self, ctx: &RunCtx) -> Vec<WorkItem> {
-        fig11_12_work_items(ctx.scale)
+        fig11_12_work_items(ctx.run.scale)
     }
 
     fn run_item(&self, ctx: &RunCtx, item: &WorkItem) -> ItemResult {
@@ -984,7 +985,7 @@ impl Experiment for Fig12 {
     }
 
     fn work_items(&self, ctx: &RunCtx) -> Vec<WorkItem> {
-        fig11_12_work_items(ctx.scale)
+        fig11_12_work_items(ctx.run.scale)
     }
 
     fn run_item(&self, ctx: &RunCtx, item: &WorkItem) -> ItemResult {
@@ -1011,7 +1012,7 @@ impl Experiment for Fig13 {
     }
 
     fn work_items(&self, ctx: &RunCtx) -> Vec<WorkItem> {
-        let k = ctx.scale.pick(14, 8, 6);
+        let k = ctx.run.scale.pick(14, 8, 6);
         let jf_servers = FatTree::servers_for_port_count(k) * 9 / 8;
         vec![
             WorkItem::with_spec(
@@ -1024,7 +1025,7 @@ impl Experiment for Fig13 {
     }
 
     fn run_item(&self, ctx: &RunCtx, item: &WorkItem) -> ItemResult {
-        let seed = ctx.seed;
+        let seed = ctx.run.seed;
         let (label, policy) = if item.index == 0 {
             ("Jellyfish", RoutingScheme::ksp8())
         } else {
@@ -1077,7 +1078,7 @@ impl Experiment for Fig14 {
     }
 
     fn work_items(&self, ctx: &RunCtx) -> Vec<WorkItem> {
-        fig14_sizes(ctx.scale)
+        fig14_sizes(ctx.run.scale)
             .into_iter()
             .enumerate()
             .map(|(i, (n, ports, degree, _))| {
@@ -1087,8 +1088,8 @@ impl Experiment for Fig14 {
     }
 
     fn run_item(&self, ctx: &RunCtx, item: &WorkItem) -> ItemResult {
-        let (n, ports, degree, containers) = fig14_sizes(ctx.scale)[item.index];
-        let seed = ctx.seed;
+        let (n, ports, degree, containers) = fig14_sizes(ctx.run.scale)[item.index];
+        let seed = ctx.run.seed;
         let fractions = [0.0, 0.2, 0.4, 0.5, 0.6, 0.8];
         let opts = sweep_opts();
         let mut ds = Dataset::new();
@@ -1124,11 +1125,12 @@ impl Experiment for Fig14 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::RunSpec;
 
     const SEED: u64 = 7;
 
     fn run(exp: &dyn Experiment, scale: Scale, seed: u64) -> Dataset {
-        exp.run(&RunCtx::new(scale, seed))
+        exp.run(&RunCtx::new(RunSpec::new(scale, seed)))
     }
 
     #[test]

@@ -2,15 +2,15 @@
 //! failure resilience for *any* [`TopoSpec`], not just the paper's pairings.
 //!
 //! These four experiments are the consumers of the `--topo <spec>` override
-//! ([`RunCtx::with_topo`]): without an override they sweep a default
+//! ([`RunSpec::topo`](super::RunSpec::topo)): without an override they sweep a default
 //! Jellyfish axis sized by [`Scale`]; with one they evaluate the given spec
 //! instead — `figures run throughput_vs_size --topo leafspine:leaf=6,spine=3,servers=4`
 //! points the whole pipeline at a leaf-spine Clos with zero code changes.
 //! Every dataset records the spec strings it evaluated in its metadata, so
 //! the provenance travels with the numbers through shards and merges.
 
-use super::catalog::{jellyfish_spec, sweep_opts};
-use super::{Dataset, Experiment, ItemResult, RunCtx, Snapshot, WorkItem};
+use super::catalog::{jellyfish_spec, resolve, sweep_opts};
+use super::{Dataset, Experiment, ItemResult, RunCtx, WorkItem};
 use crate::figures::Scale;
 use crate::service::{ChurnEvent, Query, Reply};
 use jellyfish_flow::bisection::min_bisection_heuristic;
@@ -19,13 +19,12 @@ use jellyfish_topology::properties::path_length_stats;
 use jellyfish_topology::spec::ScenarioTransform;
 use jellyfish_topology::TopoSpec;
 use jellyfish_traffic::ServerMap;
-use std::sync::Arc;
 
 /// Records the `--traffic` override in the dataset's provenance metadata.
 /// Only overridden runs get the `traffic` key, so default-workload outputs
 /// stay byte-identical to builds that predate the override.
 pub(crate) fn record_traffic_meta(ctx: &RunCtx, ds: &mut Dataset) {
-    if let Some(spec) = ctx.traffic() {
+    if let Some(spec) = &ctx.run.traffic {
         ds.push_meta("traffic", spec.to_string());
     }
 }
@@ -33,15 +32,15 @@ pub(crate) fn record_traffic_meta(ctx: &RunCtx, ds: &mut Dataset) {
 /// The default topology axis: Jellyfish instances of increasing size at the
 /// run's scale. Replaced wholesale by the `--topo` override.
 fn default_axis(ctx: &RunCtx) -> Vec<(String, TopoSpec)> {
-    if let Some(spec) = ctx.topo() {
+    if let Some(spec) = &ctx.run.topo {
         return vec![(spec.to_string(), spec.clone())];
     }
-    let (ports, degree) = match ctx.scale {
+    let (ports, degree) = match ctx.run.scale {
         Scale::Paper => (12, 9),
         Scale::Laptop => (10, 7),
         Scale::Tiny => (8, 5),
     };
-    let sizes: &[usize] = match ctx.scale {
+    let sizes: &[usize] = match ctx.run.scale {
         Scale::Paper => &[100, 200, 400, 800],
         Scale::Laptop => &[40, 80, 160],
         Scale::Tiny => &[16, 24],
@@ -55,16 +54,6 @@ fn axis_items(ctx: &RunCtx) -> Vec<WorkItem> {
         .enumerate()
         .map(|(i, (label, spec))| WorkItem::with_spec(i, label, spec))
         .collect()
-}
-
-/// Resolves a generic work item's spec, recording it in the metadata.
-fn resolve(ctx: &RunCtx, item: &WorkItem, ds: &mut Dataset) -> Arc<Snapshot> {
-    let spec = item.spec();
-    let snap = ctx
-        .spec_snapshot(spec, ctx.seed)
-        .unwrap_or_else(|e| panic!("{}: cannot build '{spec}': {e}", item.label));
-    ds.push_meta(format!("topo:{}", item.label), spec.to_string());
-    snap
 }
 
 // ------------------------------------------------------- throughput_vs_size
@@ -96,10 +85,10 @@ impl Experiment for ThroughputVsSize {
 
     fn run_item(&self, ctx: &RunCtx, item: &WorkItem) -> ItemResult {
         let mut ds = Dataset::new();
-        let snap = resolve(ctx, item, &mut ds);
+        let snap = resolve(ctx, item, ctx.run.seed, &mut ds);
         record_traffic_meta(ctx, &mut ds);
         let servers = ServerMap::new(&snap.topology);
-        let workload = ctx.workload(&servers, ctx.seed ^ item.index as u64);
+        let workload = ctx.workload(&servers, ctx.run.seed ^ item.index as u64);
         let r = normalized_throughput(&snap.topology, &servers, workload, sweep_opts());
         ds.push_point("Normalized throughput", snap.topology.total_servers() as f64, r.normalized);
         ItemResult::new(item.index, ds)
@@ -134,7 +123,7 @@ impl Experiment for PathLength {
 
     fn run_item(&self, ctx: &RunCtx, item: &WorkItem) -> ItemResult {
         let mut ds = Dataset::new();
-        let snap = resolve(ctx, item, &mut ds);
+        let snap = resolve(ctx, item, ctx.run.seed, &mut ds);
         let stats = path_length_stats(&snap.csr);
         ds.set_columns(&PATH_LENGTH_COLUMNS);
         ds.push_row(
@@ -178,9 +167,10 @@ impl Experiment for Bisection {
 
     fn run_item(&self, ctx: &RunCtx, item: &WorkItem) -> ItemResult {
         let mut ds = Dataset::new();
-        let snap = resolve(ctx, item, &mut ds);
-        let restarts = ctx.scale.pick(8, 4, 2);
-        let cut = min_bisection_heuristic(&snap.topology, restarts, ctx.seed ^ item.index as u64);
+        let snap = resolve(ctx, item, ctx.run.seed, &mut ds);
+        let restarts = ctx.run.scale.pick(8, 4, 2);
+        let cut =
+            min_bisection_heuristic(&snap.topology, restarts, ctx.run.seed ^ item.index as u64);
         ds.set_columns(&BISECTION_COLUMNS);
         ds.push_row(
             item.label.clone(),
@@ -197,8 +187,9 @@ impl Experiment for Bisection {
 
 // ------------------------------------------------------------ failure_sweep
 
-/// The failed-link fractions the generic sweep evaluates per scale.
-fn failure_fractions(scale: Scale) -> &'static [f64] {
+/// The failed-link fractions the failure sweeps evaluate per scale (the
+/// impaired sweep shares them, so the two plots line up point for point).
+pub(crate) fn failure_fractions(scale: Scale) -> &'static [f64] {
     match scale {
         Scale::Paper => &[0.0, 0.05, 0.10, 0.15, 0.20, 0.25],
         Scale::Laptop => &[0.0, 0.05, 0.10, 0.15, 0.20, 0.25],
@@ -209,10 +200,10 @@ fn failure_fractions(scale: Scale) -> &'static [f64] {
 /// The base topology the failure transforms chain onto: the override, or a
 /// scale-sized default Jellyfish.
 fn failure_base(ctx: &RunCtx) -> TopoSpec {
-    if let Some(spec) = ctx.topo() {
+    if let Some(spec) = &ctx.run.topo {
         return spec.clone();
     }
-    match ctx.scale {
+    match ctx.run.scale {
         Scale::Paper => jellyfish_spec(160, 12, 9),
         Scale::Laptop => jellyfish_spec(60, 10, 7),
         Scale::Tiny => jellyfish_spec(20, 8, 5),
@@ -243,7 +234,7 @@ impl Experiment for FailureSweep {
 
     fn work_items(&self, ctx: &RunCtx) -> Vec<WorkItem> {
         let base = failure_base(ctx);
-        failure_fractions(ctx.scale)
+        failure_fractions(ctx.run.scale)
             .iter()
             .enumerate()
             .map(|(i, &f)| {
@@ -257,17 +248,17 @@ impl Experiment for FailureSweep {
     }
 
     fn run_item(&self, ctx: &RunCtx, item: &WorkItem) -> ItemResult {
-        let f = failure_fractions(ctx.scale)[item.index];
+        let f = failure_fractions(ctx.run.scale)[item.index];
         let mut ds = Dataset::new();
         let spec = item.spec();
-        // The sweep's inner loop runs on the live-session API: the item's
-        // `+fail_links=f` transform becomes a churn event applied to the
-        // memoized base, and the measurement a throughput query. Both paths
-        // call the same `ScenarioTransform` with the same seed on the same
-        // cached base, so the output is byte-identical to the snapshot path
-        // this replaced.
+        // The sweep's inner loop runs on the live-session API: the session
+        // opens on the base with its whole transform chain applied, the
+        // item's `+fail_links=f` transform becomes a churn event, and the
+        // measurement a throughput query. Both paths call the same
+        // `ScenarioTransform`s with the same seed in the same order, so the
+        // output is byte-identical to the snapshot path of the item's spec.
         let mut session = ctx
-            .session(spec, ctx.seed)
+            .session(&failure_base(ctx), ctx.run.seed)
             .unwrap_or_else(|e| panic!("{}: cannot build '{spec}': {e}", item.label))
             .with_throughput_options(sweep_opts());
         ds.push_meta(format!("topo:{}", item.label), spec.to_string());
@@ -283,5 +274,42 @@ impl Experiment for FailureSweep {
         };
         ds.push_point("Normalized throughput", f, result.normalized);
         ItemResult::new(item.index, ds)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::experiment::catalog::permutation;
+    use crate::experiment::RunSpec;
+    use crate::service::TRAFFIC_SEED_XOR;
+
+    #[test]
+    fn failure_sweep_under_a_transformed_override_matches_the_snapshot_path() {
+        let bare = "jellyfish:switches=16,ports=8,degree=5";
+        let specs = [
+            bare.to_string(),
+            format!("{bare}+fail_switches=0.5"),
+            format!("{bare}+expand=4"),
+            "fattree:k=4+degrade_uniform=0.1".to_string(),
+        ];
+        for raw in specs {
+            let ctx = RunCtx::new(RunSpec::new(Scale::Tiny, 7).with_topo(raw.parse().unwrap()));
+            let ds = FailureSweep.run(&ctx);
+            let items = FailureSweep.work_items(&ctx);
+            assert_eq!(ds.series[0].points.len(), items.len(), "{raw}");
+            for (item, &(f, live)) in items.iter().zip(&ds.series[0].points) {
+                let snap = ctx.spec_snapshot(item.spec(), 7).unwrap();
+                let servers = ServerMap::new(&snap.topology);
+                let workload = permutation(&servers, 7 ^ TRAFFIC_SEED_XOR);
+                let offline =
+                    normalized_throughput(&snap.topology, &servers, workload, sweep_opts());
+                assert_eq!(
+                    live.to_bits(),
+                    offline.normalized.to_bits(),
+                    "{raw} at fail_links={f}: the session and the snapshot disagree"
+                );
+            }
+        }
     }
 }

@@ -18,7 +18,7 @@
 //! Every work item's spec carries its full impairment chain, so provenance
 //! (`# topo:` metadata), sharding and `figures launch` merges treat
 //! impaired runs exactly like any other spec-driven sweep. Impairment RNG
-//! seeds derive from `(ctx.seed, impair config)` via
+//! seeds derive from `(ctx.run.seed, impair config)` via
 //! [`ScenarioTransform::derived_seed`] — pure functions of the fragment
 //! metadata, hence bit-reproducible across shards and workers.
 //!
@@ -27,8 +27,9 @@
 //! axis (e.g. `throughput_vs_loss` keeps the override's jitter while
 //! sweeping its `loss` field).
 
-use super::catalog::{jellyfish_spec, permutation};
-use super::{Dataset, Experiment, ItemResult, RunCtx, Snapshot, WorkItem};
+use super::catalog::{jellyfish_spec, permutation, resolve};
+use super::generic::failure_fractions;
+use super::{Dataset, Experiment, ItemResult, RunCtx, WorkItem};
 use crate::figures::Scale;
 use crate::metrics::LatencyHistogram;
 use crate::service::ChurnEvent;
@@ -38,7 +39,6 @@ use jellyfish_sim::{build_connections, SimConfig, SimReport, Simulator, Transpor
 use jellyfish_topology::spec::{ImpairConfig, ScenarioTransform};
 use jellyfish_topology::{CsrGraph, TopoSpec, Topology};
 use jellyfish_traffic::ServerMap;
-use std::sync::Arc;
 
 /// Same-server-count leaf-spine counterpart of the scale's default
 /// Jellyfish (60 / 180 / 480 servers at tiny / laptop / paper).
@@ -51,10 +51,10 @@ fn leafspine_spec(leaves: usize, spines: usize, servers: usize) -> TopoSpec {
 
 /// The default topology pair per scale, or the `--topo` override alone.
 fn impair_bases(ctx: &RunCtx) -> Vec<(String, TopoSpec)> {
-    if let Some(spec) = ctx.topo() {
+    if let Some(spec) = &ctx.run.topo {
         return vec![(spec.to_string(), spec.clone())];
     }
-    let (jf, ls) = match ctx.scale {
+    let (jf, ls) = match ctx.run.scale {
         Scale::Paper => (jellyfish_spec(160, 12, 9), leafspine_spec(40, 12, 12)),
         Scale::Laptop => (jellyfish_spec(60, 10, 7), leafspine_spec(20, 10, 9)),
         Scale::Tiny => (jellyfish_spec(20, 8, 5), leafspine_spec(10, 5, 6)),
@@ -107,16 +107,6 @@ fn simulate(
     Simulator::new(net, conns, config).run()
 }
 
-/// Resolves an item's spec into a snapshot, recording provenance.
-fn resolve(ctx: &RunCtx, item: &WorkItem, ds: &mut Dataset) -> Arc<Snapshot> {
-    let spec = item.spec();
-    let snap = ctx
-        .spec_snapshot(spec, ctx.seed)
-        .unwrap_or_else(|e| panic!("{}: cannot build '{spec}': {e}", item.label));
-    ds.push_meta(format!("topo:{}", item.label), spec.to_string());
-    snap
-}
-
 // -------------------------------------------------------- throughput_vs_loss
 
 /// The wire-loss axis per scale.
@@ -136,7 +126,7 @@ impl ThroughputVsLoss {
         let mut out = Vec::new();
         for (base_label, base) in impair_bases(ctx) {
             let seed_cfg = base.impairment().unwrap_or_default();
-            for &loss in loss_fractions(ctx.scale) {
+            for &loss in loss_fractions(ctx.run.scale) {
                 let cfg = ImpairConfig { loss, ..seed_cfg };
                 let spec = base.without_impairment().with_transform(ScenarioTransform::Impair(cfg));
                 out.push((base_label.clone(), format!("{base_label} loss={loss}"), spec));
@@ -169,17 +159,17 @@ impl Experiment for ThroughputVsLoss {
 
     fn run_item(&self, ctx: &RunCtx, item: &WorkItem) -> ItemResult {
         let (series, _, _) = &Self::items(ctx)[item.index];
-        let loss = loss_fractions(ctx.scale)[item.index % loss_fractions(ctx.scale).len()];
+        let loss = loss_fractions(ctx.run.scale)[item.index % loss_fractions(ctx.run.scale).len()];
         let mut ds = Dataset::new();
-        let snap = resolve(ctx, item, &mut ds);
+        let snap = resolve(ctx, item, ctx.run.seed, &mut ds);
         let report = simulate(
             &snap.topology,
             &snap.csr,
             item.spec(),
             TransportPolicy::Mptcp { subflows: 8 },
-            ctx.seed,
-            ctx.seed ^ 0x1055,
-            sim_duration(ctx.scale),
+            ctx.run.seed,
+            ctx.run.seed ^ 0x1055,
+            sim_duration(ctx.run.scale),
         );
         ds.push_point(series, loss, report.mean_throughput());
         ItemResult::new(item.index, ds)
@@ -241,15 +231,15 @@ impl Experiment for LatencyHistogramExp {
 
     fn run_item(&self, ctx: &RunCtx, item: &WorkItem) -> ItemResult {
         let mut ds = Dataset::new();
-        let snap = resolve(ctx, item, &mut ds);
+        let snap = resolve(ctx, item, ctx.run.seed, &mut ds);
         let report = simulate(
             &snap.topology,
             &snap.csr,
             item.spec(),
             TransportPolicy::Mptcp { subflows: 8 },
-            ctx.seed,
-            ctx.seed ^ 0x1A7E,
-            sim_duration(ctx.scale),
+            ctx.run.seed,
+            ctx.run.seed ^ 0x1A7E,
+            sim_duration(ctx.run.scale),
         );
         let hist = LatencyHistogram::from_samples(&report.rtt_samples, HIST_BIN_WIDTH, HIST_BINS);
         ds.push_meta(format!("rtt_samples:{}", item.label), hist.total.to_string());
@@ -261,14 +251,6 @@ impl Experiment for LatencyHistogramExp {
 }
 
 // --------------------------------------------------- impaired_failure_sweep
-
-/// Replicates the `failure_sweep` axis (kept in sync by a registry test).
-fn failure_fractions(scale: Scale) -> &'static [f64] {
-    match scale {
-        Scale::Paper | Scale::Laptop => &[0.0, 0.05, 0.10, 0.15, 0.20, 0.25],
-        Scale::Tiny => &[0.0, 0.10, 0.20],
-    }
-}
 
 /// The lossy, jittery fabric the failure sweep runs on (override `+impair=`
 /// fields take precedence).
@@ -288,7 +270,7 @@ impl ImpairedFailureSweep {
     fn series(ctx: &RunCtx) -> Vec<(String, TopoSpec, TransportPolicy)> {
         let mptcp = TransportPolicy::Mptcp { subflows: 8 };
         let tcp8 = TransportPolicy::Tcp { flows: 8 };
-        if let Some(spec) = ctx.topo() {
+        if let Some(spec) = &ctx.run.topo {
             return vec![
                 (format!("{spec} mptcp8"), spec.clone(), mptcp),
                 (format!("{spec} tcp8"), spec.clone(), tcp8),
@@ -303,16 +285,12 @@ impl ImpairedFailureSweep {
         ]
     }
 
+    /// `(series label, base spec, transport, failed fraction)` per item.
     fn items(ctx: &RunCtx) -> Vec<(String, TopoSpec, TransportPolicy, f64)> {
         let mut out = Vec::new();
         for (series, base, transport) in Self::series(ctx) {
-            let cfg = degraded_fabric(&base);
-            for &f in failure_fractions(ctx.scale) {
-                let spec = base
-                    .without_impairment()
-                    .with_transform(ScenarioTransform::FailLinks(f))
-                    .with_transform(ScenarioTransform::Impair(cfg));
-                out.push((series.clone(), spec, transport, f));
+            for &f in failure_fractions(ctx.run.scale) {
+                out.push((series.clone(), base.clone(), transport, f));
             }
         }
         out
@@ -336,23 +314,27 @@ impl Experiment for ImpairedFailureSweep {
         Self::items(ctx)
             .into_iter()
             .enumerate()
-            .map(|(i, (series, spec, _, f))| {
+            .map(|(i, (series, base, _, f))| {
+                let spec = base
+                    .without_impairment()
+                    .with_transform(ScenarioTransform::FailLinks(f))
+                    .with_transform(ScenarioTransform::Impair(degraded_fabric(&base)));
                 WorkItem::with_spec(i, format!("{series} fail={f}"), spec)
             })
             .collect()
     }
 
     fn run_item(&self, ctx: &RunCtx, item: &WorkItem) -> ItemResult {
-        let (series, _, transport, f) = Self::items(ctx)[item.index].clone();
+        let (series, base, transport, f) = Self::items(ctx)[item.index].clone();
         let mut ds = Dataset::new();
         let spec = item.spec();
-        // Live-session inner loop, mirroring `failure_sweep`: the item's
-        // `+fail_links=f` transform is applied as a churn event to the
-        // memoized base (the `+impair=` link is a topology no-op — the
-        // packet engine attaches it below), byte-identical to the snapshot
-        // path this replaced.
+        // Live-session inner loop, mirroring `failure_sweep`: the session
+        // opens on the base's whole topology-changing chain and the item's
+        // `+fail_links=f` transform is applied as a churn event (the
+        // `+impair=` link is a topology no-op — the packet engine attaches
+        // it below), byte-identical to the snapshot path of the item's spec.
         let mut session = ctx
-            .session(spec, ctx.seed)
+            .session(&base.without_impairment(), ctx.run.seed)
             .unwrap_or_else(|e| panic!("{}: cannot build '{spec}': {e}", item.label));
         ds.push_meta(format!("topo:{}", item.label), spec.to_string());
         session
@@ -363,9 +345,9 @@ impl Experiment for ImpairedFailureSweep {
             session.csr(),
             spec,
             transport,
-            ctx.seed,
-            ctx.seed ^ 0xFA11,
-            sim_duration(ctx.scale),
+            ctx.run.seed,
+            ctx.run.seed ^ 0xFA11,
+            sim_duration(ctx.run.scale),
         );
         ds.push_point(&series, f, report.mean_throughput());
         ItemResult::new(item.index, ds)
@@ -375,10 +357,11 @@ impl Experiment for ImpairedFailureSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::RunSpec;
 
     #[test]
     fn items_cover_the_axes_and_carry_impairment() {
-        let ctx = RunCtx::new(Scale::Tiny, 7);
+        let ctx = RunCtx::new(RunSpec::new(Scale::Tiny, 7));
         let tvl = ThroughputVsLoss.work_items(&ctx);
         assert_eq!(tvl.len(), 2 * loss_fractions(Scale::Tiny).len());
         assert!(tvl.iter().all(|i| i.spec().impairment().is_some()));
@@ -400,29 +383,10 @@ mod tests {
     }
 
     #[test]
-    fn fractions_match_the_unimpaired_failure_sweep() {
-        // impaired_failure_sweep mirrors failure_sweep's x axis so the two
-        // plots are comparable point-for-point.
-        use crate::experiment::find;
-        for scale in [Scale::Tiny, Scale::Laptop] {
-            let ctx = RunCtx::new(scale, 7);
-            let plain: Vec<String> = find("failure_sweep")
-                .unwrap()
-                .work_items(&ctx)
-                .iter()
-                .map(|i| i.label.clone())
-                .collect();
-            let fractions: Vec<String> =
-                failure_fractions(scale).iter().map(|f| format!("fail_links={f}")).collect();
-            assert_eq!(plain, fractions);
-        }
-    }
-
-    #[test]
     fn override_impairment_seeds_the_axes() {
         let spec: TopoSpec =
             "jellyfish:switches=16,ports=8,degree=5+impair=jitter_ms:2,queue:16".parse().unwrap();
-        let ctx = RunCtx::new(Scale::Tiny, 7).with_topo(spec);
+        let ctx = RunCtx::new(RunSpec::new(Scale::Tiny, 7).with_topo(spec));
         // throughput_vs_loss keeps the override's jitter/queue on every point.
         for item in ThroughputVsLoss.work_items(&ctx) {
             let cfg = item.spec().impairment().unwrap();

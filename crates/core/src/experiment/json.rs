@@ -1,5 +1,6 @@
-//! Dependency-free JSON encoding/decoding for [`Dataset`] and
-//! [`ShardFragment`] (the build environment has no serde; see DESIGN.md).
+//! Dependency-free JSON encoding/decoding for [`Dataset`], [`RunSpec`],
+//! [`ShardFragment`] and [`TimingFile`] (the build environment has no serde;
+//! see DESIGN.md).
 //!
 //! Numbers are written with Rust's shortest round-trip `Display` formatting
 //! and parsed with `str::parse::<f64>`, so every finite value — and every
@@ -7,9 +8,11 @@
 //! `f64` — survives a write/parse cycle exactly. That exactness is what lets
 //! `figures merge` reproduce a single-process run byte-for-byte.
 
-use super::{Dataset, ItemResult, Row, Series, Shard, ShardFragment, TimingFile};
+use super::{Dataset, ItemResult, Row, RunSpec, Series, Shard, ShardFragment, TimingFile};
 use crate::figures::Scale;
 use crate::json::{escape_into, num_into, opt_str_into, parse_document, Value};
+use std::fmt::Display;
+use std::str::FromStr;
 
 // ---------------------------------------------------------------- encoding
 
@@ -89,15 +92,22 @@ pub(super) fn dataset_to_json(ds: &Dataset) -> String {
     out
 }
 
+/// Appends a run's members: `"scale":"S","seed":N,"topo":T,"traffic":W`,
+/// each override a spec string or `null`.
+pub(super) fn run_members_into(out: &mut String, run: &RunSpec) {
+    out.push_str(&format!("\"scale\":\"{}\",\"seed\":{},\"topo\":", run.scale, run.seed));
+    opt_str_into(out, run.topo.as_ref().map(ToString::to_string).as_deref());
+    out.push_str(",\"traffic\":");
+    opt_str_into(out, run.traffic.as_ref().map(ToString::to_string).as_deref());
+}
+
 /// Renders a shard fragment as one line of JSON.
 pub(super) fn fragment_to_json(frag: &ShardFragment) -> String {
     let mut out = String::new();
     out.push_str("{\"experiment\":");
     escape_into(&mut out, &frag.experiment);
-    out.push_str(&format!(",\"scale\":\"{}\",\"seed\":{},\"topo\":", frag.scale, frag.seed));
-    opt_str_into(&mut out, frag.topo.as_deref());
-    out.push_str(",\"traffic\":");
-    opt_str_into(&mut out, frag.traffic.as_deref());
+    out.push(',');
+    run_members_into(&mut out, &frag.run);
     out.push_str(&format!(
         ",\"shard\":[{},{}],\"timings_us\":[",
         frag.shard.index, frag.shard.count
@@ -123,11 +133,8 @@ pub(super) fn fragment_to_json(frag: &ShardFragment) -> String {
 
 /// Renders a timing file (`figures launch`'s `timings.json`) as JSON.
 pub(super) fn timing_file_to_json(tf: &TimingFile) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{{\"scale\":\"{}\",\"seed\":{},\"topo\":", tf.scale, tf.seed));
-    opt_str_into(&mut out, tf.topo.as_deref());
-    out.push_str(",\"traffic\":");
-    opt_str_into(&mut out, tf.traffic.as_deref());
+    let mut out = String::from("{");
+    run_members_into(&mut out, &tf.run);
     out.push_str(",\"experiments\":[");
     for (i, (name, timings)) in tf.experiments.iter().enumerate() {
         if i > 0 {
@@ -152,15 +159,12 @@ pub(super) fn timing_file_to_json(tf: &TimingFile) -> String {
 
 fn dataset_from_value(v: &Value) -> Result<Dataset, String> {
     let mut ds = Dataset::new();
-    // `meta` is optional so fragments written before it existed still parse.
-    if let Ok(meta) = v.get("meta") {
-        for pair in meta.as_arr()? {
-            let kv = pair.as_arr()?;
-            if kv.len() != 2 {
-                return Err("meta entry is not a [key, value] pair".to_string());
-            }
-            ds.push_meta(kv[0].as_str()?.to_string(), kv[1].as_str()?.to_string());
+    for pair in v.get("meta")?.as_arr()? {
+        let kv = pair.as_arr()?;
+        if kv.len() != 2 {
+            return Err("meta entry is not a [key, value] pair".to_string());
         }
+        ds.push_meta(kv[0].as_str()?.to_string(), kv[1].as_str()?.to_string());
     }
     for s in v.get("series")?.as_arr()? {
         let label = s.get("label")?.as_str()?.to_string();
@@ -194,33 +198,41 @@ pub(super) fn dataset_from_json(text: &str) -> Result<Dataset, String> {
     dataset_from_value(&parse_document(text)?)
 }
 
+/// Reads the members [`run_members_into`] writes. All four are required, and
+/// the override specs are parsed here, so nothing downstream parses them
+/// again.
+fn run_from_value(v: &Value) -> Result<RunSpec, String> {
+    let scale: Scale = v.get("scale")?.as_str()?.parse().map_err(|e| format!("{e}"))?;
+    let seed = v.get("seed")?.as_u64()?;
+    Ok(RunSpec { scale, seed, topo: spec_member(v, "topo")?, traffic: spec_member(v, "traffic")? })
+}
+
+/// A required member holding a spec string or `null`, parsed.
+fn spec_member<T: FromStr>(v: &Value, key: &str) -> Result<Option<T>, String>
+where
+    T::Err: Display,
+{
+    match v.get(key)? {
+        Value::Null => Ok(None),
+        value => {
+            let raw = value.as_str()?;
+            raw.parse().map(Some).map_err(|e| format!("unparsable {key} spec '{raw}': {e}"))
+        }
+    }
+}
+
 /// Parses [`fragment_to_json`] output.
 pub(super) fn fragment_from_json(text: &str) -> Result<ShardFragment, String> {
     let v = parse_document(text)?;
     let experiment = v.get("experiment")?.as_str()?.to_string();
-    let scale: Scale = v.get("scale")?.as_str()?.parse().map_err(|e| format!("{e}"))?;
-    let seed = v.get("seed")?.as_u64()?;
-    // `topo` and `traffic` are optional so fragments written before they
-    // existed still parse.
-    let topo = match v.get("topo") {
-        Ok(Value::Null) | Err(_) => None,
-        Ok(value) => Some(value.as_str()?.to_string()),
-    };
-    let traffic = match v.get("traffic") {
-        Ok(Value::Null) | Err(_) => None,
-        Ok(value) => Some(value.as_str()?.to_string()),
-    };
+    let run = run_from_value(&v)?;
     let shard = v.get("shard")?.as_arr()?;
     if shard.len() != 2 {
         return Err("'shard' is not a [K, N] pair".to_string());
     }
     let shard = Shard::new(shard[0].as_usize()?, shard[1].as_usize()?)?;
-    // `timings_us` is optional so fragments written before it existed still
-    // parse; when present it must pair up with the items exactly.
-    let timings_us: Vec<u64> = match v.get("timings_us") {
-        Ok(arr) => arr.as_arr()?.iter().map(Value::as_u64).collect::<Result<_, _>>()?,
-        Err(_) => Vec::new(),
-    };
+    let timings_us: Vec<u64> =
+        v.get("timings_us")?.as_arr()?.iter().map(Value::as_u64).collect::<Result<_, _>>()?;
     let mut items = Vec::new();
     for item in v.get("items")?.as_arr()? {
         items.push(ItemResult::new(
@@ -228,30 +240,20 @@ pub(super) fn fragment_from_json(text: &str) -> Result<ShardFragment, String> {
             dataset_from_value(item.get("data")?)?,
         ));
     }
-    if !timings_us.is_empty() && timings_us.len() != items.len() {
+    if timings_us.len() != items.len() {
         return Err(format!(
             "fragment carries {} timings for {} items; the file is corrupt or truncated",
             timings_us.len(),
             items.len()
         ));
     }
-    Ok(ShardFragment { experiment, scale, seed, topo, traffic, shard, timings_us, items })
+    Ok(ShardFragment { experiment, run, shard, timings_us, items })
 }
 
 /// Parses [`timing_file_to_json`] output.
 pub(super) fn timing_file_from_json(text: &str) -> Result<TimingFile, String> {
     let v = parse_document(text)?;
-    let scale: Scale = v.get("scale")?.as_str()?.parse().map_err(|e| format!("{e}"))?;
-    let seed = v.get("seed")?.as_u64()?;
-    let topo = match v.get("topo") {
-        Ok(Value::Null) | Err(_) => None,
-        Ok(value) => Some(value.as_str()?.to_string()),
-    };
-    let traffic = match v.get("traffic") {
-        Ok(Value::Null) | Err(_) => None,
-        Ok(value) => Some(value.as_str()?.to_string()),
-    };
-    let mut tf = TimingFile::new(scale, seed, topo, traffic);
+    let mut tf = TimingFile::new(run_from_value(&v)?);
     for entry in v.get("experiments")?.as_arr()? {
         let pair = entry.as_arr()?;
         if pair.len() != 2 {

@@ -1,5 +1,5 @@
 //! Workload-generic experiments: the consumers of the `--traffic <spec>`
-//! override ([`RunCtx::with_traffic`]), mirroring how [`super::generic`]
+//! override ([`RunSpec::traffic`](super::RunSpec::traffic)), mirroring how [`super::generic`]
 //! consumes `--topo`.
 //!
 //! Each experiment fixes one base fabric (a scale-sized Jellyfish, or the
@@ -32,10 +32,10 @@ use std::sync::Arc;
 /// The base fabric the workload axes run against: the `--topo` override, or
 /// a scale-sized default Jellyfish.
 fn workload_base(ctx: &RunCtx) -> TopoSpec {
-    if let Some(spec) = ctx.topo() {
+    if let Some(spec) = &ctx.run.topo {
         return spec.clone();
     }
-    match ctx.scale {
+    match ctx.run.scale {
         Scale::Paper => jellyfish_spec(100, 12, 9),
         Scale::Laptop => jellyfish_spec(40, 10, 7),
         Scale::Tiny => jellyfish_spec(16, 8, 5),
@@ -46,7 +46,7 @@ fn workload_base(ctx: &RunCtx) -> TopoSpec {
 /// single spec; otherwise the experiment's defaults (which must parse — they
 /// are registered strings).
 fn workload_axis(ctx: &RunCtx, defaults: &[&str]) -> Vec<TrafficSpec> {
-    if let Some(spec) = ctx.traffic() {
+    if let Some(spec) = &ctx.run.traffic {
         return vec![spec.clone()];
     }
     defaults
@@ -69,7 +69,7 @@ fn workload_items(ctx: &RunCtx, defaults: &[&str]) -> Vec<WorkItem> {
 }
 
 /// Resolves a workload item: the memoized base snapshot, its server map,
-/// and the item's flow stream (seeded by `ctx.seed ^ index`), with both
+/// and the item's flow stream (seeded by `ctx.run.seed ^ index`), with both
 /// specs recorded in the dataset's provenance metadata.
 fn resolve(
     ctx: &RunCtx,
@@ -78,14 +78,14 @@ fn resolve(
 ) -> (Arc<Snapshot>, ServerMap, FlowStream) {
     let spec = item.spec();
     let snap = ctx
-        .spec_snapshot(spec, ctx.seed)
+        .spec_snapshot(spec, ctx.run.seed)
         .unwrap_or_else(|e| panic!("{}: cannot build '{spec}': {e}", item.label));
     ds.push_meta("topo", spec.to_string());
     let tspec = item.traffic();
     ds.push_meta(format!("traffic:{}", item.label), tspec.to_string());
     let servers = ServerMap::new(&snap.topology);
     let stream = tspec
-        .stream(&servers, ctx.seed ^ item.index as u64)
+        .stream(&servers, ctx.run.seed ^ item.index as u64)
         .unwrap_or_else(|e| panic!("workload '{tspec}' does not build on '{spec}': {e}"));
     (snap, servers, stream)
 }
@@ -183,7 +183,7 @@ impl Experiment for FairnessUnderSkew {
     }
 
     fn work_items(&self, ctx: &RunCtx) -> Vec<WorkItem> {
-        workload_items(ctx, skew_axis(ctx.scale))
+        workload_items(ctx, skew_axis(ctx.run.scale))
     }
 
     fn run_item(&self, ctx: &RunCtx, item: &WorkItem) -> ItemResult {
@@ -195,7 +195,7 @@ impl Experiment for FairnessUnderSkew {
             stream,
             RoutingScheme::ksp8(),
             TransportPolicy::Mptcp { subflows: 8 },
-            ctx.seed ^ item.index as u64,
+            ctx.run.seed ^ item.index as u64,
         );
         let report = max_min_fair_allocation(&conns);
         let jain = jain_fairness_index(&report.throughputs);
@@ -252,7 +252,7 @@ impl Experiment for IncastDegradation {
     }
 
     fn work_items(&self, ctx: &RunCtx) -> Vec<WorkItem> {
-        workload_items(ctx, incast_axis(ctx.scale))
+        workload_items(ctx, incast_axis(ctx.run.scale))
     }
 
     fn run_item(&self, ctx: &RunCtx, item: &WorkItem) -> ItemResult {
@@ -263,14 +263,14 @@ impl Experiment for IncastDegradation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::find;
+    use crate::experiment::{find, RunSpec};
 
     #[test]
     fn workload_axis_collapses_under_an_override() {
-        let ctx = RunCtx::new(Scale::Tiny, 7);
+        let run = RunSpec::new(Scale::Tiny, 7);
         let exp = find("throughput_vs_workload").unwrap();
-        assert_eq!(exp.work_items(&ctx).len(), THROUGHPUT_WORKLOADS.len());
-        let ctx = ctx.with_traffic("stride:k=3".parse().unwrap());
+        assert_eq!(exp.work_items(&RunCtx::new(run.clone())).len(), THROUGHPUT_WORKLOADS.len());
+        let ctx = RunCtx::new(run.with_traffic("stride:k=3".parse().unwrap()));
         let items = exp.work_items(&ctx);
         assert_eq!(items.len(), 1);
         assert_eq!(items[0].traffic().to_string(), "stride:k=3");
@@ -278,7 +278,7 @@ mod tests {
 
     #[test]
     fn throughput_vs_workload_produces_one_row_per_workload() {
-        let ctx = RunCtx::new(Scale::Tiny, 7);
+        let ctx = RunCtx::new(RunSpec::new(Scale::Tiny, 7));
         let ds = find("throughput_vs_workload").unwrap().run(&ctx);
         assert_eq!(ds.rows.len(), THROUGHPUT_WORKLOADS.len());
         assert_eq!(ds.columns, WORKLOAD_THROUGHPUT_COLUMNS);
@@ -297,7 +297,7 @@ mod tests {
 
     #[test]
     fn fairness_degrades_with_skew() {
-        let ctx = RunCtx::new(Scale::Tiny, 7);
+        let ctx = RunCtx::new(RunSpec::new(Scale::Tiny, 7));
         let ds = find("fairness_under_skew").unwrap().run(&ctx);
         assert_eq!(ds.rows.len(), skew_axis(Scale::Tiny).len());
         for row in &ds.rows {
@@ -312,7 +312,7 @@ mod tests {
 
     #[test]
     fn incast_throughput_is_monotone_non_increasing_in_fanin() {
-        let ctx = RunCtx::new(Scale::Tiny, 7);
+        let ctx = RunCtx::new(RunSpec::new(Scale::Tiny, 7));
         let ds = find("incast_degradation").unwrap().run(&ctx);
         let tputs: Vec<f64> = ds.rows.iter().map(|r| r.values[2]).collect();
         assert_eq!(tputs.len(), incast_axis(Scale::Tiny).len());

@@ -3,7 +3,7 @@
 
 use jellyfish::capacity::supports_full_throughput;
 use jellyfish::experiment::catalog::FIG13_JAIN_PREFIX;
-use jellyfish::experiment::{find, Dataset, RunCtx};
+use jellyfish::experiment::{find, Dataset, RunCtx, RunSpec};
 use jellyfish::figures::Scale;
 use jellyfish::metrics::jain_fairness_index;
 use jellyfish::prelude::*;
@@ -29,7 +29,9 @@ fn jellyfish_total(switches: usize, ports: usize, servers: usize, seed: u64) -> 
 
 /// Runs a registered experiment the way `figures run` does.
 fn run_experiment(name: &str, scale: Scale, seed: u64) -> Dataset {
-    find(name).unwrap_or_else(|| panic!("{name} is registered")).run(&RunCtx::new(scale, seed))
+    find(name)
+        .unwrap_or_else(|| panic!("{name} is registered"))
+        .run(&RunCtx::new(RunSpec::new(scale, seed)))
 }
 
 /// Figure 1(c) at a reduced but still meaningful scale: the same-equipment

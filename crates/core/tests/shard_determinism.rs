@@ -1,17 +1,16 @@
 //! Shard determinism: for every registered experiment at `Scale::Tiny` —
 //! and, for the override-capable experiments, additionally under `--topo`
-//! and `--traffic` spec overrides — splitting the work items across N shards and merging the
-//! shard outputs reproduces the unsharded [`Dataset`] exactly — same
+//! and `--traffic` spec overrides — splitting the work items across N shards
+//! and merging the shard outputs reproduces the unsharded [`Dataset`] exactly — same
 //! in-memory value, same rendered TSV bytes — including when the fragments
 //! cross a process boundary as JSON (the `figures run --shard` /
 //! `figures merge` path).
 
 use jellyfish::experiment::{
-    registry, Dataset, Experiment, ItemResult, RunCtx, Shard, ShardFragment,
+    registry, Dataset, Experiment, ItemResult, RunCtx, RunSpec, Shard, ShardFragment, WorkPlan,
 };
 use jellyfish::figures::Scale;
 use jellyfish_topology::TopoSpec;
-use jellyfish_traffic::TrafficSpec;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -48,15 +47,17 @@ struct Baseline {
     dataset: Dataset,
 }
 
+fn run_for(topo: Option<&str>, traffic: Option<&str>) -> RunSpec {
+    RunSpec {
+        scale: Scale::Tiny,
+        seed: SEED,
+        topo: topo.map(|raw| raw.parse().expect("override spec parses")),
+        traffic: traffic.map(|raw| raw.parse().expect("override traffic spec parses")),
+    }
+}
+
 fn ctx_for(topo: Option<&str>, traffic: Option<&str>) -> RunCtx {
-    let mut ctx = RunCtx::new(Scale::Tiny, SEED);
-    if let Some(raw) = topo {
-        ctx = ctx.with_topo(raw.parse::<TopoSpec>().expect("override spec parses"));
-    }
-    if let Some(raw) = traffic {
-        ctx = ctx.with_traffic(raw.parse::<TrafficSpec>().expect("override traffic spec parses"));
-    }
-    ctx
+    RunCtx::new(run_for(topo, traffic))
 }
 
 /// Every experiment's full item results and merged dataset at `Scale::Tiny`
@@ -74,7 +75,7 @@ fn baselines() -> &'static [Baseline] {
             .into_iter()
             .map(|(name, topo, traffic)| {
                 let exp = find(name);
-                let items = exp.run_items(&ctx_for(topo, traffic));
+                let items = exp.run_selected_timed(&ctx_for(topo, traffic), &|_| true).items;
                 let dataset = exp.merge(items.clone());
                 Baseline { name, topo, traffic, items, dataset }
             })
@@ -90,7 +91,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Partitioning the item results of any experiment across N shards (the
-    /// striping rule of `Shard::owns`) and merging — with the shards
+    /// striping rule of `WorkPlan::striped`) and merging — with the shards
     /// fed to `merge` in arbitrary rotated order — equals the unsharded
     /// dataset, value- and byte-exactly.
     #[test]
@@ -100,12 +101,13 @@ proptest! {
     ) {
         for base in baselines() {
             let exp = find(base.name);
+            let plan = WorkPlan::striped(base.items.len(), n);
             let mut shards: Vec<Vec<ItemResult>> = (1..=n)
                 .map(|k| {
                     let shard = Shard::new(k, n).unwrap();
                     base.items
                         .iter()
-                        .filter(|it| shard.owns(it.index))
+                        .filter(|it| plan.owns(shard, it.index))
                         .cloned()
                         .collect()
                 })
@@ -134,11 +136,12 @@ fn sharded_runs_roundtrip_through_fragment_json() {
     const N: usize = 2;
     for base in baselines() {
         let exp = find(base.name);
+        let plan = WorkPlan::striped(base.items.len(), N);
         let mut parsed_items = Vec::new();
         for k in 1..=N {
             let shard = Shard::new(k, N).unwrap();
             let timed =
-                exp.run_selected_timed(&ctx_for(base.topo, base.traffic), &|i| shard.owns(i));
+                exp.run_selected_timed(&ctx_for(base.topo, base.traffic), &|i| plan.owns(shard, i));
             assert_eq!(
                 timed.items.len(),
                 timed.timings_us.len(),
@@ -148,10 +151,7 @@ fn sharded_runs_roundtrip_through_fragment_json() {
             assert!(timed.timings_us.iter().all(|&t| t > 0), "{}: zero timing", exp.name());
             let fragment = ShardFragment {
                 experiment: exp.name().to_string(),
-                scale: Scale::Tiny,
-                seed: SEED,
-                topo: base.topo.map(str::to_string),
-                traffic: base.traffic.map(str::to_string),
+                run: run_for(base.topo, base.traffic),
                 shard,
                 timings_us: timed.timings_us,
                 items: timed.items,
@@ -204,9 +204,10 @@ fn work_items_are_dense_and_uniquely_owned() {
             }
         }
         for n in 1..=5 {
+            let plan = WorkPlan::striped(items.len(), n);
             for item in &items {
                 let owners =
-                    (1..=n).filter(|&k| Shard::new(k, n).unwrap().owns(item.index)).count();
+                    (1..=n).filter(|&k| plan.owns(Shard::new(k, n).unwrap(), item.index)).count();
                 assert_eq!(owners, 1, "{name}: item {} owned by {} shards", item.index, owners);
             }
         }

@@ -4,7 +4,7 @@
 //! use — plus determinism of `build(spec, seed)` for every spec any
 //! registered experiment's work items carry at `Scale::Tiny`.
 
-use jellyfish::experiment::{registry, RunCtx};
+use jellyfish::experiment::{registry, RunCtx, RunSpec};
 use jellyfish::figures::Scale;
 use jellyfish_topology::clos::ClosConfig;
 use jellyfish_topology::degree_diameter::figure3_pair;
@@ -102,7 +102,7 @@ fn leafspine_spec_equals_clos_config() {
 fn every_catalog_item_spec_builds_deterministically() {
     let mut specs: Vec<TopoSpec> = Vec::new();
     for exp in registry() {
-        let ctx = RunCtx::new(Scale::Tiny, SEED);
+        let ctx = RunCtx::new(RunSpec::new(Scale::Tiny, SEED));
         for item in exp.work_items(&ctx) {
             if let Some(spec) = item.spec {
                 if !specs.contains(&spec) {

@@ -98,18 +98,3 @@ proptest! {
         }
     }
 }
-
-/// Striping through `WorkPlan` is bit-compatible with the legacy
-/// [`Shard::owns`] rule `figures run --shard` used before plans existed.
-#[test]
-fn striped_plan_is_the_legacy_shard_rule() {
-    for n in 1..=6usize {
-        let plan = WorkPlan::striped(23, n);
-        for k in 1..=n {
-            let shard = Shard::new(k, n).unwrap();
-            for item in 0..23 {
-                assert_eq!(plan.owns(shard, item), shard.owns(item), "item {item} shard {shard}");
-            }
-        }
-    }
-}
