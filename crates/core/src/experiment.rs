@@ -409,7 +409,8 @@ impl Snapshot {
 /// the item itself. Every record of a run holds one — the [`RunCtx`], each
 /// [`ShardFragment`] and [`TimingFile`] — so a new member of a run is one
 /// field here, rendered by [`Display`](fmt::Display) (the `figures run`
-/// header body), [`RunSpec::args`] (the flags a worker is launched with) and
+/// header body, `scale: S, seed: N[, topo: T][, traffic: W]`),
+/// [`RunSpec::args`] (the flags a worker is launched with) and
 /// [`RunSpec::json_members_into`] (the wire shape). The spec parsers reject
 /// non-finite numbers, so the derived equality is exact.
 #[derive(Debug, Clone, PartialEq)]
@@ -474,7 +475,6 @@ impl RunSpec {
     }
 }
 
-/// `scale: S, seed: N[, topo: T][, traffic: W]`.
 impl fmt::Display for RunSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (i, (name, value)) in self.flags().iter().enumerate() {
