@@ -204,7 +204,8 @@ pub enum Reply {
     },
     /// Normalized throughput of the current topology.
     Throughput {
-        /// The solver result (λ, normalized min flow, commodity count, ε).
+        /// The solver result (λ and its certified upper bound λ_hi,
+        /// normalized min flow, commodity count, ε).
         result: ThroughputResult,
     },
     /// Heuristic minimum bisection.

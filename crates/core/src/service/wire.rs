@@ -209,6 +209,8 @@ fn query_reply(r: &Reply) -> String {
         Reply::Throughput { result } => {
             out.push_str("\"throughput\",\"lambda\":");
             num_into(&mut out, result.lambda);
+            out.push_str(",\"lambda_hi\":");
+            num_into(&mut out, result.lambda_hi);
             out.push_str(",\"normalized\":");
             num_into(&mut out, result.normalized);
             out.push_str(&format!(",\"commodities\":{},\"epsilon\":", result.commodities));

@@ -1,22 +1,56 @@
 //! Max-concurrent multicommodity flow via the Garg–Könemann multiplicative
-//! weights framework.
+//! weights framework, stopped by a duality certificate.
 //!
 //! Given directed arc capacities (every undirected switch link contributes
 //! two arcs of unit capacity — links are full duplex) and a set of
 //! commodities `(src, dst, demand)`, the solver computes the largest `λ` such
-//! that `λ · demand_j` can be routed for every commodity simultaneously,
-//! within a multiplicative `(1 − ε)` of the true optimum.
+//! that `λ · demand_j` can be routed for every commodity simultaneously.
 //!
 //! [`max_concurrent_flow`] is the textbook algorithm, where each routing
 //! step picks the currently-cheapest path with Dijkstra: the
 //! CPLEX-equivalent "optimal routing" oracle. It consumes a [`CsrGraph`]
 //! snapshot, and all per-arc state (lengths, accumulated flow) lives in flat
 //! vectors indexed by the snapshot's dense arc ids — the inner Dijkstra loop
-//! never touches a hash map. See DESIGN.md, substitution 1, for the CPLEX
-//! substitution argument and the snapshot contract.
+//! never touches a hash map.
+//!
+//! Every solve returns a bracket `λ ≤ λ* ≤ λ_hi` around the optimum `λ*`:
+//!
+//! * `λ` (λ_lo) is the better of the textbook `phases / scaling` and
+//!   `phases / max arc flow`, the flow routed so far scaled down until it
+//!   fits every arc.
+//! * `λ_hi = D(l) / α(l)` is the weak-duality bound of the current arc
+//!   lengths `l`: `D(l) = Σ l_a` and `α(l) = Σ_j demand_j · dist_l(src_j,
+//!   dst_j)`.
+//!
+//! The solver takes a certificate every `CERTIFICATE_INTERVAL` phases and
+//! stops as soon as `λ_hi ≤ (1 + ε)·λ`, so the reported `λ` is within a
+//! factor `1/(1 + ε) ≥ 1 − ε` of the optimum. The textbook stop, `D(l) ≥ 1`,
+//! remains as a backstop. See DESIGN.md, substitution 1.
+
+use std::collections::BTreeMap;
 
 use jellyfish_routing::shortest::ShortestPathSearch;
 use jellyfish_topology::{ArcId, CsrGraph, NodeId};
+
+/// Phases between two duality certificates. A certificate costs one
+/// exhaustive search per distinct source, on the order of a phase's routing
+/// searches: checking every phase doubles the work, checking rarely runs
+/// past the phase where the gap closed. Over the 102 tiny `failure_sweep`
+/// solves, intervals 1, 2, 4, 6 and 8 took 2.1, 1.7, 1.0, 0.94 and 1.2 s
+/// (PERF.md).
+const CERTIFICATE_INTERVAL: usize = 4;
+
+/// The range [`McfOptions::epsilon`] is clamped to.
+const EPSILON_RANGE: (f64, f64) = (1e-3, 0.5);
+
+/// Stored arc lengths are multiplied by [`RENORMALIZE_BY`] once their sum
+/// passes this. One update grows the sum by at most a factor 1 + ε ≤ 1.5,
+/// so it stays far from overflow.
+const RENORMALIZE_ABOVE: f64 = 1e180;
+
+/// 2^-600: a power of two, so renormalizing is exact, and neither path
+/// choice nor `D(l)/α(l)` depends on a common scale.
+const RENORMALIZE_BY: f64 = f64::from_bits((1023 - 600) << 52);
 
 /// One commodity: a demand from a source switch to a destination switch.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,8 +66,9 @@ pub struct Commodity {
 /// Options controlling the approximation.
 #[derive(Debug, Clone, Copy)]
 pub struct McfOptions {
-    /// Approximation accuracy ε: the returned λ is ≥ (1 − ε)·OPT up to
-    /// floating-point noise. Smaller is slower (roughly 1/ε²).
+    /// Approximation accuracy ε, clamped to `[0.001, 0.5]`: once the
+    /// certificate closes, the returned λ is ≥ OPT/(1 + ε) ≥ (1 − ε)·OPT.
+    /// Smaller is slower (roughly 1/ε²).
     pub epsilon: f64,
     /// Stop early once λ provably reaches this value (useful for "is the
     /// network at full throughput?" checks where only λ ≥ 1 matters).
@@ -46,44 +81,51 @@ impl Default for McfOptions {
     }
 }
 
+impl McfOptions {
+    /// The ε the solver actually uses: `epsilon` clamped to `[0.001, 0.5]`.
+    pub fn clamped_epsilon(&self) -> f64 {
+        self.epsilon.clamp(EPSILON_RANGE.0, EPSILON_RANGE.1)
+    }
+}
+
+/// Why a solve stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum McfStop {
+    /// The certificate closed, `λ_hi ≤ (1 + ε)·λ`; trivial instances (no
+    /// commodity, an unreachable one) close it exactly.
+    Certified,
+    /// `λ` reached [`McfOptions::lambda_cap`] first.
+    Cap,
+    /// The textbook stop `D(l) ≥ 1` came first.
+    Backstop,
+}
+
 /// Result of a max-concurrent-flow computation.
 #[derive(Debug, Clone)]
 pub struct McfSolution {
-    /// The achieved concurrent-flow fraction λ (possibly truncated at
-    /// `lambda_cap`).
+    /// The certified lower bound λ_lo on the optimum λ* (truncated at
+    /// `lambda_cap`): a feasible flow routes this fraction of every demand.
     pub lambda: f64,
-    /// Scaled utilization in `[0, 1]` of every directed arc, indexed by the
-    /// snapshot's dense [`ArcId`] (empty when the solve short-circuited
-    /// before touching any arc).
-    pub arc_utilization: Vec<f64>,
-    /// Number of shortest-path computations performed (profiling aid).
+    /// The certified upper bound λ_hi ≥ λ*: the least `D(l)/α(l)` over the
+    /// certificates taken (infinite with no commodity, 0 with an
+    /// unreachable one).
+    pub lambda_hi: f64,
+    /// Why the solve stopped.
+    pub stop: McfStop,
+    /// Complete phases, each routing every demand once (a work counter).
+    pub phases: usize,
+    /// Routing shortest-path computations performed (a work counter; the
+    /// certificates' exhaustive searches are not counted).
     pub path_computations: usize,
-}
-
-impl McfSolution {
-    /// Maximum arc utilization (1.0 means some arc is saturated).
-    pub fn max_utilization(&self) -> f64 {
-        self.arc_utilization.iter().fold(0.0, |acc, &u| f64::max(acc, u))
-    }
-
-    /// Mean arc utilization across all arcs that carry any flow.
-    pub fn mean_utilization(&self) -> f64 {
-        let (count, sum) = self
-            .arc_utilization
-            .iter()
-            .filter(|&&u| u > 0.0)
-            .fold((0usize, 0.0f64), |(count, sum), &u| (count + 1, sum + u));
-        if count == 0 {
-            0.0
-        } else {
-            sum / count as f64
-        }
-    }
 }
 
 /// Internal per-arc state for the multiplicative-weights algorithm: flat
 /// slices indexed by dense arc id. Every arc has unit capacity, so an arc's
 /// length is also its capacity-weighted length.
+///
+/// Lengths are stored divided by a common scale `e^{ln_scale}` that keeps
+/// them representable: GK's true lengths start at δ, which underflows to 0
+/// at small ε (δ ≈ 4e-401 at ε = 0.005 on 100 arcs).
 struct ArcState {
     length: Vec<f64>,
     flow: Vec<f64>,
@@ -92,21 +134,30 @@ struct ArcState {
     /// increment is exact because each update multiplies a single arc's
     /// length).
     total_weighted_length: f64,
+    /// `ln` of the factor from stored to true lengths.
+    ln_scale: f64,
+    /// The backstop `D(l) ≥ 1` in stored units, `e^{-ln_scale}`: the
+    /// log-space test `ln(total) + ln_scale ≥ 0` without a logarithm per
+    /// update. Infinite while it overflows.
+    backstop: f64,
 }
 
 impl ArcState {
-    fn new(csr: &CsrGraph, delta: f64) -> Self {
-        let num_arcs = csr.num_arcs();
+    /// Every arc at the true length `e^{ln_delta}`, stored as 1.
+    fn new(num_arcs: usize, ln_delta: f64) -> Self {
         ArcState {
-            length: vec![delta; num_arcs],
+            length: vec![1.0; num_arcs],
             flow: vec![0.0; num_arcs],
-            total_weighted_length: delta * num_arcs as f64,
+            total_weighted_length: num_arcs as f64,
+            ln_scale: ln_delta,
+            backstop: (-ln_delta).exp(),
         }
     }
 
+    /// Whether the true lengths sum to at least 1.
     #[inline]
-    fn total_weighted_length(&self) -> f64 {
-        self.total_weighted_length
+    fn exhausted(&self) -> bool {
+        self.total_weighted_length >= self.backstop
     }
 
     fn send_on_arcs(&mut self, arcs: &[ArcId], amount: f64, epsilon: f64) {
@@ -121,11 +172,21 @@ impl ArcState {
             factor,
             &mut self.total_weighted_length,
         );
+        if self.total_weighted_length > RENORMALIZE_ABOVE {
+            self.length.iter_mut().for_each(|l| *l *= RENORMALIZE_BY);
+            self.total_weighted_length *= RENORMALIZE_BY;
+            self.ln_scale -= RENORMALIZE_BY.ln();
+            self.backstop = (-self.ln_scale).exp();
+        }
     }
 
-    #[inline]
-    fn arc_length(&self, arc: ArcId) -> f64 {
-        self.length[arc]
+    /// The certified lower bound after `phases` complete phases:
+    /// `phases / scaling`, or the routed flow scaled down to fit the
+    /// busiest arc, whichever is larger.
+    fn lambda_lo(&self, phases: usize, scaling: f64) -> f64 {
+        let max_flow = self.flow.iter().fold(0.0, |acc: f64, &f| acc.max(f));
+        let phases = phases as f64;
+        (phases / scaling).max(if max_flow > 0.0 { phases / max_flow } else { 0.0 })
     }
 }
 
@@ -171,54 +232,88 @@ fn sanitize(csr: &CsrGraph, commodities: &[Commodity]) -> Vec<Commodity> {
         .collect()
 }
 
+/// The commodities grouped by source, sources ascending, each group's
+/// `(dst, demand)` pairs in commodity order: one exhaustive search per
+/// group prices all of them.
+fn by_source(commodities: &[Commodity]) -> Vec<(NodeId, Vec<(NodeId, f64)>)> {
+    let mut groups: BTreeMap<NodeId, Vec<(NodeId, f64)>> = BTreeMap::new();
+    for c in commodities {
+        groups.entry(c.src).or_default().push((c.dst, c.demand));
+    }
+    groups.into_iter().collect()
+}
+
+/// The weak-duality upper bound `D(l)/α(l)` of the current lengths, with
+/// `D(l)` summed fresh and `α(l)` priced by one exhaustive search per
+/// source. Both scale alike, so stored lengths serve as well as true ones.
+fn dual_bound(
+    csr: &CsrGraph,
+    sources: &[(NodeId, Vec<(NodeId, f64)>)],
+    length: &[f64],
+    search: &mut ShortestPathSearch,
+) -> f64 {
+    let volume: f64 = length.iter().sum();
+    let mut alpha = 0.0;
+    for (src, sinks) in sources {
+        let dist = search.distances(csr, *src, |_, arc| length[arc]);
+        alpha += sinks.iter().map(|&(dst, demand)| demand * dist[dst]).sum::<f64>();
+    }
+    volume / alpha
+}
+
 /// Max-concurrent multicommodity flow with a Dijkstra inner loop
 /// (the "optimal routing" oracle).
 ///
 /// Returns λ such that every commodity can simultaneously route a `λ`
-/// fraction of its demand. With `opts.lambda_cap = Some(c)`, iteration stops
-/// as soon as λ ≥ c can be certified, which is much faster when only a
-/// threshold matters.
+/// fraction of its demand, and an upper bound `lambda_hi` on the optimum;
+/// the solve stops once the two are within a factor `1 + ε`. With
+/// `opts.lambda_cap = Some(c)`, iteration stops as soon as λ ≥ c is
+/// certified, which is much faster when only a threshold matters.
 pub fn max_concurrent_flow(
     csr: &CsrGraph,
     commodities: &[Commodity],
     opts: McfOptions,
 ) -> McfSolution {
     let commodities = sanitize(csr, commodities);
-    if commodities.is_empty() || csr.num_edges() == 0 {
-        return McfSolution {
-            lambda: if commodities.is_empty() { f64::INFINITY } else { 0.0 },
-            arc_utilization: Vec::new(),
-            path_computations: 0,
-        };
+    let exact = |lambda: f64, path_computations| McfSolution {
+        lambda,
+        lambda_hi: lambda,
+        stop: McfStop::Certified,
+        phases: 0,
+        path_computations,
+    };
+    if commodities.is_empty() {
+        return exact(f64::INFINITY, 0);
     }
-    let eps = opts.epsilon.clamp(1e-3, 0.5);
+    if csr.num_edges() == 0 {
+        return exact(0.0, 0);
+    }
+    let eps = opts.clamped_epsilon();
     let num_arcs = csr.num_arcs();
-    // Garg–Könemann initialization.
-    let delta = (1.0 + eps) / ((1.0 + eps) * num_arcs as f64).powf(1.0 / eps);
-    let mut arcs = ArcState::new(csr, delta);
-    let scaling = ((1.0 + eps) / delta).ln() / (1.0 + eps).ln();
-    let mut phases = 0.0f64;
+    // Garg–Könemann initialization, δ = (1+ε)/((1+ε)·m)^{1/ε}, in log space.
+    let ln_delta = (1.0 + eps).ln() - ((1.0 + eps) * num_arcs as f64).ln() / eps;
+    let scaling = ((1.0 + eps).ln() - ln_delta) / (1.0 + eps).ln();
+    let mut arcs = ArcState::new(num_arcs, ln_delta);
+    let sources = by_source(&commodities);
+    let mut phases = 0usize;
     let mut path_computations = 0usize;
+    let mut lambda_hi = f64::INFINITY;
     let mut search = ShortestPathSearch::new();
     let mut path = Vec::new();
 
-    'outer: while arcs.total_weighted_length() < 1.0 {
+    let stop = 'solve: loop {
         for c in &commodities {
             let mut remaining = c.demand;
             while remaining > 1e-12 {
-                if arcs.total_weighted_length() >= 1.0 {
-                    break 'outer;
+                if arcs.exhausted() {
+                    break 'solve McfStop::Backstop;
                 }
                 path_computations += 1;
                 let found =
-                    search.find_path(csr, c.src, c.dst, |_, arc| arcs.arc_length(arc), &mut path);
+                    search.find_path(csr, c.src, c.dst, |_, arc| arcs.length[arc], &mut path);
                 if found.is_none() {
                     // Unreachable destination: λ is zero.
-                    return McfSolution {
-                        lambda: 0.0,
-                        arc_utilization: Vec::new(),
-                        path_computations,
-                    };
+                    return exact(0.0, path_computations);
                 }
                 // Every arc has unit capacity, so one path carries at most 1.
                 let send = remaining.min(1.0);
@@ -228,43 +323,24 @@ pub fn max_concurrent_flow(
                 remaining -= send;
             }
         }
-        phases += 1.0;
-        if let Some(cap) = opts.lambda_cap {
-            // λ after this many full phases is at least phases / scaling.
-            if phases / scaling >= cap {
-                break;
+        phases += 1;
+        let lambda_lo = arcs.lambda_lo(phases, scaling);
+        if opts.lambda_cap.is_some_and(|cap| lambda_lo >= cap) {
+            break McfStop::Cap;
+        }
+        if phases.is_multiple_of(CERTIFICATE_INTERVAL) {
+            lambda_hi = lambda_hi.min(dual_bound(csr, &sources, &arcs.length, &mut search));
+            if lambda_hi <= (1.0 + eps) * lambda_lo {
+                break McfStop::Certified;
             }
         }
-    }
-
-    let lambda_raw = phases / scaling;
-    let lambda = match opts.lambda_cap {
-        Some(cap) => lambda_raw.min(cap),
-        None => lambda_raw,
     };
-    let utilization = scaled_utilization(&arcs, lambda_raw, phases);
-    McfSolution { lambda, arc_utilization: utilization, path_computations }
-}
-
-/// Converts raw accumulated flow into per-arc utilization consistent with the
-/// returned λ: the algorithm routes every demand once per phase, so the true
-/// (feasible) flow is the accumulated flow divided by the number of phases,
-/// then multiplied by λ to express the concurrently-routable fraction. One
-/// elementwise pass over the flat flow array.
-fn scaled_utilization(arcs: &ArcState, lambda_raw: f64, phases: f64) -> Vec<f64> {
-    if phases <= 0.0 {
-        return Vec::new();
+    if stop != McfStop::Certified {
+        lambda_hi = lambda_hi.min(dual_bound(csr, &sources, &arcs.length, &mut search));
     }
-    let scale = if lambda_raw > 0.0 { 1.0 } else { 0.0 };
-    scale_clamp(&arcs.flow, phases, scale)
-}
-
-/// Elementwise accumulated-flow → utilization conversion over the whole arc
-/// array: `min((flow[a] / phases) · scale, 1.0)` (arcs have unit capacity).
-/// The operation order (divide by phases first, then scale) is part of the
-/// output: utilization bits depend on it.
-fn scale_clamp(flow: &[f64], phases: f64, scale: f64) -> Vec<f64> {
-    flow.iter().map(|&f| (f / phases * scale).min(1.0)).collect()
+    let lambda_lo = arcs.lambda_lo(phases, scaling);
+    let lambda = opts.lambda_cap.map_or(lambda_lo, |cap| lambda_lo.min(cap));
+    McfSolution { lambda, lambda_hi, stop, phases, path_computations }
 }
 
 #[cfg(test)]
@@ -278,31 +354,38 @@ mod tests {
         CsrGraph::from_graph(&g)
     }
 
+    /// Solves and checks that the certificate brackets the known optimum:
+    /// `λ ≤ λ* ≤ λ_hi`, closed to within `1 + ε`.
+    fn bracket(g: &CsrGraph, commodities: &[Commodity], opts: McfOptions, optimum: f64) {
+        let sol = max_concurrent_flow(g, commodities, opts);
+        assert!(
+            sol.lambda <= optimum && optimum <= sol.lambda_hi,
+            "λ* = {optimum} outside [{}, {}]",
+            sol.lambda,
+            sol.lambda_hi
+        );
+        assert_eq!(sol.stop, McfStop::Certified);
+        assert!(sol.lambda_hi <= (1.0 + opts.clamped_epsilon()) * sol.lambda);
+    }
+
     #[test]
     fn single_commodity_on_single_link() {
-        let g = single_link();
         let commodities = [Commodity { src: 0, dst: 1, demand: 1.0 }];
-        let sol = max_concurrent_flow(&g, &commodities, McfOptions::default());
-        // One unit of demand over a unit-capacity link: λ ≈ 1.
-        assert!((sol.lambda - 1.0).abs() < 0.1, "lambda = {}", sol.lambda);
+        bracket(&single_link(), &commodities, McfOptions::default(), 1.0);
     }
 
     #[test]
     fn demand_double_capacity_halves_lambda() {
-        let g = single_link();
         let commodities = [Commodity { src: 0, dst: 1, demand: 2.0 }];
-        let sol = max_concurrent_flow(&g, &commodities, McfOptions::default());
-        assert!((sol.lambda - 0.5).abs() < 0.06, "lambda = {}", sol.lambda);
+        bracket(&single_link(), &commodities, McfOptions::default(), 0.5);
     }
 
     #[test]
     fn two_opposite_commodities_use_both_directions() {
         // Full-duplex link: 0→1 and 1→0 each get their own unit arc.
-        let g = single_link();
         let commodities =
             [Commodity { src: 0, dst: 1, demand: 1.0 }, Commodity { src: 1, dst: 0, demand: 1.0 }];
-        let sol = max_concurrent_flow(&g, &commodities, McfOptions::default());
-        assert!((sol.lambda - 1.0).abs() < 0.1, "lambda = {}", sol.lambda);
+        bracket(&single_link(), &commodities, McfOptions::default(), 1.0);
     }
 
     #[test]
@@ -315,15 +398,12 @@ mod tests {
         g.add_edge(2, 3);
         let g = CsrGraph::from_graph(&g);
         let commodities = [Commodity { src: 0, dst: 3, demand: 2.0 }];
-        let sol = max_concurrent_flow(&g, &commodities, McfOptions::default());
-        assert!((sol.lambda - 1.0).abs() < 0.1, "lambda = {}", sol.lambda);
-        // Utilization spread across both paths.
-        assert!(sol.max_utilization() <= 1.0 + 1e-9);
+        bracket(&g, &commodities, McfOptions::default(), 1.0);
     }
 
     #[test]
     fn bottleneck_shared_by_two_commodities() {
-        // Both commodities must cross the single 1-2 link: λ ≈ 0.5 each.
+        // Both commodities must cross the single 1-2 link: λ* = 0.5 each.
         let mut g = Graph::new(4);
         g.add_edge(0, 1);
         g.add_edge(1, 2);
@@ -331,8 +411,7 @@ mod tests {
         let g = CsrGraph::from_graph(&g);
         let commodities =
             [Commodity { src: 0, dst: 3, demand: 1.0 }, Commodity { src: 1, dst: 3, demand: 1.0 }];
-        let sol = max_concurrent_flow(&g, &commodities, McfOptions::default());
-        assert!((sol.lambda - 0.5).abs() < 0.06, "lambda = {}", sol.lambda);
+        bracket(&g, &commodities, McfOptions::default(), 0.5);
     }
 
     #[test]
@@ -342,14 +421,14 @@ mod tests {
         let g = CsrGraph::from_graph(&g);
         let commodities = [Commodity { src: 0, dst: 2, demand: 1.0 }];
         let sol = max_concurrent_flow(&g, &commodities, McfOptions::default());
-        assert_eq!(sol.lambda, 0.0);
+        assert_eq!((sol.lambda, sol.lambda_hi), (0.0, 0.0));
     }
 
     #[test]
     fn empty_commodities_are_unconstrained() {
         let g = single_link();
         let sol = max_concurrent_flow(&g, &[], McfOptions::default());
-        assert!(sol.lambda.is_infinite());
+        assert!(sol.lambda.is_infinite() && sol.lambda_hi.is_infinite());
         let sol2 = max_concurrent_flow(
             &g,
             &[Commodity { src: 0, dst: 0, demand: 5.0 }],
@@ -365,6 +444,8 @@ mod tests {
         let opts = McfOptions { lambda_cap: Some(1.0), ..Default::default() };
         let sol = max_concurrent_flow(&g, &commodities, opts);
         assert!((sol.lambda - 1.0).abs() < 1e-9);
+        assert_eq!(sol.stop, McfStop::Cap);
+        assert!(sol.lambda_hi >= 100.0, "λ* = 100 ≤ λ_hi = {}", sol.lambda_hi);
         // Without the cap λ would be ~100; with it we stop at 1.0.
         let uncapped = max_concurrent_flow(&g, &commodities, McfOptions::default());
         assert!(uncapped.lambda > 10.0);
@@ -388,8 +469,26 @@ mod tests {
             &commodities,
             McfOptions { epsilon: 0.02, ..Default::default() },
         );
-        assert!((fine.lambda - 1.0).abs() <= (coarse.lambda - 1.0).abs() + 0.05);
-        assert!((fine.lambda - 1.0).abs() < 0.05);
+        assert!(fine.lambda_hi / fine.lambda <= coarse.lambda_hi / coarse.lambda);
+        assert!(fine.lambda <= 1.0 && 1.0 <= fine.lambda_hi && fine.lambda_hi <= 1.02);
+    }
+
+    #[test]
+    fn epsilon_below_the_underflow_threshold_terminates() {
+        // δ = (1+ε)/((1+ε)·m)^{1/ε} is about 4e-401 for ε = 0.005 on these
+        // 100 arcs: stored unscaled it is 0, no length ever grows and the
+        // solve never ends.
+        let topo = JellyfishBuilder::new(20, 8, 5).seed(7).build().unwrap();
+        let g = topo.csr();
+        assert_eq!(g.num_arcs(), 100);
+        let commodities = [Commodity { src: 0, dst: 13, demand: 1.0 }];
+        for epsilon in [0.005, 0.001] {
+            let opts = McfOptions { epsilon, lambda_cap: None };
+            let sol = max_concurrent_flow(&g, &commodities, opts);
+            let eps = opts.clamped_epsilon();
+            assert!(sol.lambda > 0.0 && sol.lambda <= sol.lambda_hi, "ε = {epsilon}: {sol:?}");
+            assert!(sol.lambda_hi <= (1.0 + eps) * sol.lambda, "ε = {epsilon}: {sol:?}");
+        }
     }
 
     #[test]
@@ -406,14 +505,15 @@ mod tests {
     }
 
     #[test]
-    fn utilization_keys_cover_all_arcs() {
+    fn certificate_brackets_the_optimum_on_jellyfish() {
+        // One commodity: λ* is the 0 → 5 max flow, at most the source's
+        // out-degree over the demand.
         let topo = JellyfishBuilder::new(10, 6, 3).seed(4).build().unwrap();
         let g = topo.csr();
         let commodities = [Commodity { src: 0, dst: 5, demand: 1.0 }];
         let sol = max_concurrent_flow(&g, &commodities, McfOptions::default());
-        assert_eq!(sol.arc_utilization.len(), g.num_arcs());
-        for &util in &sol.arc_utilization {
-            assert!((0.0..=1.0).contains(&util), "utilization {util}");
-        }
+        assert_eq!(sol.stop, McfStop::Certified);
+        assert!(sol.lambda <= sol.lambda_hi && sol.lambda_hi <= 1.05 * sol.lambda, "{sol:?}");
+        assert!(sol.lambda <= g.degree(0) as f64, "{sol:?}");
     }
 }

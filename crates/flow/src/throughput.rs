@@ -31,14 +31,20 @@ impl Default for ThroughputOptions {
 /// Result of a throughput evaluation.
 #[derive(Debug, Clone)]
 pub struct ThroughputResult {
-    /// The concurrent-flow fraction λ (not capped at 1).
+    /// The concurrent-flow fraction λ (not capped at 1): a certified lower
+    /// bound on the optimum λ*.
     pub lambda: f64,
+    /// A certified upper bound on λ*; with `stop_at_full: false` it is
+    /// within a factor `1 + ε` of `lambda` unless the solver's `D(l) ≥ 1`
+    /// backstop stopped first.
+    pub lambda_hi: f64,
     /// Normalized per-flow throughput `min(λ, 1)`, the paper's y-axis unit.
     pub normalized: f64,
     /// Number of switch-level commodities after aggregation.
     pub commodities: usize,
-    /// The solver accuracy ε used; the reported λ is a (1 − ε)-style lower
-    /// bound on the true optimum.
+    /// The solver accuracy ε used (the requested one clamped to the
+    /// solver's range); λ ≥ (1 − ε)·λ* unless a cap or the backstop
+    /// stopped the solve.
     pub epsilon: f64,
 }
 
@@ -65,24 +71,26 @@ pub fn normalized_throughput(
         .into_iter()
         .map(|(src, dst, demand)| Commodity { src, dst, demand })
         .collect();
-    if commodities.is_empty() {
-        return ThroughputResult {
-            lambda: f64::INFINITY,
-            normalized: 1.0,
-            commodities: 0,
-            epsilon: opts.epsilon,
-        };
-    }
     let mcf_opts = McfOptions {
         epsilon: opts.epsilon,
         lambda_cap: if opts.stop_at_full { Some(1.0) } else { None },
     };
+    if commodities.is_empty() {
+        return ThroughputResult {
+            lambda: f64::INFINITY,
+            lambda_hi: f64::INFINITY,
+            normalized: 1.0,
+            commodities: 0,
+            epsilon: mcf_opts.clamped_epsilon(),
+        };
+    }
     let solution = max_concurrent_flow(&topo.csr(), &commodities, mcf_opts);
     ThroughputResult {
         lambda: solution.lambda,
+        lambda_hi: solution.lambda_hi,
         normalized: solution.lambda.clamp(0.0, 1.0),
         commodities: commodities.len(),
-        epsilon: opts.epsilon,
+        epsilon: mcf_opts.clamped_epsilon(),
     }
 }
 
@@ -129,6 +137,42 @@ mod tests {
     }
 
     #[test]
+    fn fat_tree_permutations_reach_one_minus_epsilon() {
+        // A fat-tree routes any permutation at full rate, so λ* ≥ 1 and an
+        // uncapped solve must report λ ≥ 1 − ε.
+        for k in [4, 6, 8] {
+            let topo = FatTree::new(k).unwrap().into_topology();
+            let servers = ServerMap::new(&topo);
+            for (epsilon, seed) in [(0.05, 1), (0.05, 2), (0.1, 1), (0.1, 3)] {
+                let tm = TrafficMatrix::random_permutation(&servers, seed);
+                let opts = ThroughputOptions { epsilon, stop_at_full: false };
+                let r = normalized_throughput(&topo, &servers, &tm, opts);
+                assert!(
+                    r.lambda >= 1.0 - epsilon && r.lambda <= r.lambda_hi,
+                    "k={k} ε={epsilon} seed {seed}: λ = {} ≤ λ_hi = {}",
+                    r.lambda,
+                    r.lambda_hi
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn reported_epsilon_is_the_clamped_one() {
+        // One flow between two switches: the λ ≥ 1 cap stops the solve
+        // after its first phase, whatever the ε.
+        let topo = JellyfishBuilder::new(12, 8, 5).seed(2).build().unwrap();
+        let servers = ServerMap::new(&topo);
+        let flow = Flow { src: 0, dst: servers.num_servers() - 1, demand: 1.0 };
+        for (asked, used) in [(1e-6, 1e-3), (0.06, 0.06), (0.9, 0.5)] {
+            let opts = ThroughputOptions { epsilon: asked, stop_at_full: true };
+            let r = normalized_throughput(&topo, &servers, [flow], opts);
+            assert_eq!((r.commodities, r.epsilon), (1, used));
+            assert_eq!(normalized_throughput(&topo, &servers, Vec::new(), opts).epsilon, used);
+        }
+    }
+
+    #[test]
     fn stream_and_matrix_paths_agree_exactly() {
         let topo = JellyfishBuilder::new(12, 8, 5).seed(2).build().unwrap();
         let servers = ServerMap::new(&topo);
@@ -138,6 +182,7 @@ mod tests {
         let eager = normalized_throughput(&topo, &servers, &tm, opts);
         let streamed = normalized_throughput(&topo, &servers, stream, opts);
         assert_eq!(eager.lambda.to_bits(), streamed.lambda.to_bits());
+        assert_eq!(eager.lambda_hi.to_bits(), streamed.lambda_hi.to_bits());
         assert_eq!(eager.commodities, streamed.commodities);
     }
 

@@ -12,22 +12,27 @@ use std::collections::BinaryHeap;
 
 pub use jellyfish_topology::bfs::{all_pairs_distances, DistanceMatrix, UNREACHED};
 
-/// A reusable point-to-point Dijkstra: the one weighted shortest-path search
-/// in the workspace, shared by Yen's spur searches and the Garg–Könemann
-/// flow solver's inner loop.
+/// A reusable Dijkstra: the one weighted shortest-path search in the
+/// workspace, shared by Yen's spur searches and the Garg–Könemann flow
+/// solver (its routing steps and its duality certificate).
 ///
 /// The search owns its distance, parent-node, parent-arc and heap buffers,
 /// so a caller that keeps one alive across queries allocates nothing per
-/// query once the buffers have grown to the snapshot's size. It stops as
-/// soon as the destination is settled and writes the path as arc ids, so a
-/// caller holding per-arc state never maps nodes back to arcs.
+/// query once the buffers have grown to the snapshot's size.
+/// [`find_path`](Self::find_path) stops as soon as the destination is
+/// settled and writes the path as arc ids, so a caller holding per-arc state
+/// never maps nodes back to arcs; [`distances`](Self::distances) runs the
+/// same scan to exhaustion.
 ///
 /// Nodes settle in `(distance, node id)` order: the heap key is
 /// `(dist.to_bits(), node)`, which orders exactly like the distances because
-/// every distance is non-negative and finite. With non-negative weights no
-/// settled node is ever relaxed again, so the destination's parent chain is
-/// final once it is popped and the path equals the one a full shortest-path
-/// tree would give, tie for tie.
+/// every distance is non-negative and finite. An arc relaxes only on a
+/// strictly shorter distance, so with non-negative weights no settled node
+/// is ever relaxed again: the destination's parent chain is final once it is
+/// popped, and the path equals the one a full shortest-path tree would give,
+/// tie for tie. The comparison is exact at every scale, which the flow
+/// solver needs: its arc lengths start near 1e-40 and span dozens of orders
+/// of magnitude.
 #[derive(Debug, Clone, Default)]
 pub struct ShortestPathSearch {
     dist: Vec<f64>,
@@ -62,15 +67,43 @@ impl ShortestPathSearch {
     where
         F: Fn(NodeId, ArcId) -> f64,
     {
+        path.clear();
+        if !self.scan(csr, src, dst, arc_weight) {
+            return None;
+        }
+        let mut cur = dst;
+        while cur != src {
+            path.push(self.parent_arc[cur]);
+            cur = self.parent[cur];
+        }
+        path.reverse();
+        Some(self.dist[dst])
+    }
+
+    /// The cost of the cheapest path from `src` to every node under the
+    /// same weights as [`find_path`](Self::find_path), indexed by node id
+    /// (infinite where unreachable): the scan run to exhaustion.
+    pub fn distances<F>(&mut self, csr: &CsrGraph, src: NodeId, arc_weight: F) -> &[f64]
+    where
+        F: Fn(NodeId, ArcId) -> f64,
+    {
+        self.scan(csr, src, NodeId::MAX, arc_weight);
+        &self.dist
+    }
+
+    /// Settles nodes from `src` until `dst` is settled (returns `true`) or
+    /// the heap runs dry (returns `false`). Parents are written whenever a
+    /// distance is, so stale entries from an earlier query are never read.
+    fn scan<F>(&mut self, csr: &CsrGraph, src: NodeId, dst: NodeId, arc_weight: F) -> bool
+    where
+        F: Fn(NodeId, ArcId) -> f64,
+    {
         let n = csr.num_nodes();
         self.dist.clear();
         self.dist.resize(n, f64::INFINITY);
-        // Parents are written whenever a distance is, so stale entries from
-        // an earlier query are never read.
         self.parent.resize(n, usize::MAX);
         self.parent_arc.resize(n, usize::MAX);
         self.heap.clear();
-        path.clear();
         self.dist[src] = 0.0;
         self.heap.push(Reverse((0.0f64.to_bits(), src)));
         while let Some(Reverse((bits, u))) = self.heap.pop() {
@@ -79,13 +112,7 @@ impl ShortestPathSearch {
                 continue;
             }
             if u == dst {
-                let mut cur = dst;
-                while cur != src {
-                    path.push(self.parent_arc[cur]);
-                    cur = self.parent[cur];
-                }
-                path.reverse();
-                return Some(d);
+                return true;
             }
             for arc in csr.arc_range(u) {
                 let w = arc_weight(u, arc);
@@ -94,7 +121,7 @@ impl ShortestPathSearch {
                 }
                 let v = csr.arc_target(arc);
                 let nd = d + w;
-                if nd + 1e-15 < self.dist[v] {
+                if nd < self.dist[v] {
                     self.dist[v] = nd;
                     self.parent[v] = u;
                     self.parent_arc[v] = arc;
@@ -102,7 +129,7 @@ impl ShortestPathSearch {
                 }
             }
         }
-        None
+        false
     }
 }
 
@@ -284,6 +311,23 @@ mod tests {
         let (path, cost) = weighted_shortest_path(&csr, 0, 2, weight).unwrap();
         assert_eq!(path, vec![0, 1, 2]);
         assert!((cost - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn tiny_weights_still_find_the_cheapest_path() {
+        // Garg–Könemann lengths start near 1e-40: a detour cheaper by 1e-40
+        // must still win over the direct link.
+        let mut g = Graph::new(3);
+        g.add_edge(0, 1);
+        g.add_edge(1, 2);
+        g.add_edge(0, 2);
+        let csr = CsrGraph::from_graph(&g);
+        let weight = |u: usize, v: usize| if u + v == 2 { 3e-40 } else { 1e-40 };
+        let (path, cost) = weighted_shortest_path(&csr, 0, 2, weight).unwrap();
+        assert_eq!((path, cost), (vec![0, 1, 2], 2e-40));
+        let mut search = ShortestPathSearch::new();
+        let dist = search.distances(&csr, 0, |u, arc| weight(u, csr.arc_target(arc)));
+        assert_eq!(dist, &[0.0, 1e-40, 2e-40]);
     }
 
     #[test]
