@@ -1,14 +1,17 @@
 //! Equivalence proof for the target-terminated [`ShortestPathSearch`]: on
 //! graphs from every registered topology generator, for every ordered node
 //! pair, it must return the same arc sequence and a `to_bits`-equal cost as
-//! the full-tree Dijkstra it replaced, which is kept below verbatim as the
-//! oracle. Weights are drawn three ways — all equal, small integers (zero
-//! included) and random positive f64 spanning many magnitudes — because
-//! equal and integer weights are where ties decide parents. Some arcs are
-//! masked with an infinite or NaN weight, and some specs fail links, so
-//! unreachable pairs are covered too. One search instance serves every
-//! query of every case, so reuse across queries and graph sizes is covered
-//! as well.
+//! the full-tree Dijkstra it replaced, which is kept below as the oracle;
+//! run to exhaustion, it must return the oracle's distance bits for every
+//! node. Both relax an arc only on a strictly shorter distance: the
+//! seed-era `nd + 1e-15 < dist` slack, which froze tentative distances at
+//! the tiny lengths Garg–Könemann starts from, is gone from both. Weights
+//! are drawn three ways — all equal, small integers (zero included) and
+//! random positive f64 spanning many magnitudes — because equal and integer
+//! weights are where ties decide parents. Some arcs are masked with an
+//! infinite or NaN weight, and some specs fail links, so unreachable pairs
+//! are covered too. One search instance serves every query of every case,
+//! so reuse across queries and graph sizes is covered as well.
 
 use jellyfish_routing::shortest::ShortestPathSearch;
 use jellyfish_routing::Path;
@@ -44,7 +47,7 @@ where
             }
             let v = csr.arc_target(arc);
             let nd = d + w;
-            if nd + 1e-15 < dist[v] {
+            if nd < dist[v] {
                 dist[v] = nd;
                 parent[v] = u;
                 heap.push(Reverse((OrderedF64(nd), v)));
@@ -165,7 +168,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(60))]
 
     /// For every ordered pair, the search's arc path and cost bits equal the
-    /// full-tree oracle's, including `None` for unreachable pairs.
+    /// full-tree oracle's, including `None` for unreachable pairs, and so do
+    /// the exhaustive scan's distances from every source.
     #[test]
     fn search_matches_full_tree_dijkstra(
         pick in 0usize..5,
@@ -183,6 +187,9 @@ proptest! {
         let mut path = Vec::new();
         for src in csr.nodes() {
             let (dist, parent) = dijkstra_core(&csr, src, |_, arc| w[arc]);
+            let all: Vec<u64> =
+                search.distances(&csr, src, |_, arc| w[arc]).iter().map(|d| d.to_bits()).collect();
+            prop_assert_eq!(all, dist.iter().map(|d| d.to_bits()).collect::<Vec<_>>());
             for dst in csr.nodes() {
                 let want = oracle_answer(&csr, src, dst, &dist, &parent);
                 let got = search
