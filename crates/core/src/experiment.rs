@@ -286,15 +286,10 @@ impl Dataset {
     }
 
     /// Renders the dataset as a JSON object. Finite numbers use Rust's
-    /// shortest round-trip formatting, so [`Dataset::from_json`] recovers
-    /// them exactly.
+    /// shortest round-trip formatting, so a shard fragment's items
+    /// ([`ShardFragment::from_json`]) recover them exactly.
     pub fn to_json(&self) -> String {
         json::dataset_to_json(self)
-    }
-
-    /// Parses a dataset from the JSON produced by [`Dataset::to_json`].
-    pub fn from_json(text: &str) -> Result<Dataset, String> {
-        json::dataset_from_json(text)
     }
 }
 
@@ -518,36 +513,36 @@ impl RunCtx {
     /// that share a base but apply different failure/expansion transforms
     /// (e.g. one failure sweep) build it once and transform clones.
     pub fn spec_snapshot(&self, spec: &TopoSpec, seed: u64) -> Result<Arc<Snapshot>, SpecError> {
-        let base = spec.base();
-        // Build the base outside the memo closure so errors propagate
-        // instead of panicking inside it.
-        let snap = {
-            let key = (base.to_string(), seed);
-            if let Some(snap) = self.lookup(&key) {
-                snap
-            } else {
-                let topology = base.build(seed)?;
-                self.insert(key, topology)
-            }
-        };
+        let base = self.base_snapshot(spec, seed)?;
         if spec.transforms().is_empty() {
-            return Ok(snap);
+            return Ok(base);
         }
-        let mut transformed = snap.topology.clone();
-        spec.apply_transforms(&mut transformed, seed)?;
-        Ok(Arc::new(Snapshot::new(transformed)))
+        Ok(Arc::new(Snapshot::new(transformed(&base.topology, spec, seed)?)))
     }
 
-    /// Opens a live [`Session`] on the snapshot of `spec` built with `seed`,
-    /// its whole transform chain applied (for a transform-free spec, the
-    /// memoized base). Churn applied to it with the same seed reproduces
+    /// Opens a live [`Session`] on the topology of `spec` built with `seed`,
+    /// its whole transform chain applied to a clone of the memoized base.
+    /// Churn applied to it with the same seed reproduces
     /// [`RunCtx::spec_snapshot`] of `spec` with those transforms appended:
     /// both call [`ScenarioTransform::apply`](jellyfish_topology::spec::ScenarioTransform::apply)
     /// with `seed`, in chain order, on the same topology. The session
-    /// inherits the run's `--traffic` override.
+    /// builds its own CSR, so no snapshot of the transformed topology is
+    /// taken here. It inherits the run's `--traffic` override.
     pub fn session(&self, spec: &TopoSpec, seed: u64) -> Result<Session, SpecError> {
-        let snap = self.spec_snapshot(spec, seed)?;
-        Ok(Session::new(snap.topology.clone(), seed).with_traffic(self.run.traffic.clone()))
+        let topology = transformed(&self.base_snapshot(spec, seed)?.topology, spec, seed)?;
+        Ok(Session::new(topology, seed).with_traffic(self.run.traffic.clone()))
+    }
+
+    /// The memoized snapshot of `spec`'s transform-free base.
+    fn base_snapshot(&self, spec: &TopoSpec, seed: u64) -> Result<Arc<Snapshot>, SpecError> {
+        let key = (spec.base().to_string(), seed);
+        if let Some(snap) = self.lookup(&key) {
+            return Ok(snap);
+        }
+        // Build outside the memo lock so errors propagate instead of
+        // panicking inside it.
+        let topology = spec.base().build(seed)?;
+        Ok(self.insert(key, topology))
     }
 
     /// Cache lookup with the staleness guard: a hit whose CSR snapshot no
@@ -570,6 +565,13 @@ impl RunCtx {
         let snap = Arc::new(Snapshot::new(topology));
         Arc::clone(self.cache.lock().unwrap().entry(key).or_insert(snap))
     }
+}
+
+/// A clone of `base` with `spec`'s transform chain applied.
+fn transformed(base: &Topology, spec: &TopoSpec, seed: u64) -> Result<Topology, SpecError> {
+    let mut topology = base.clone();
+    spec.apply_transforms(&mut topology, seed)?;
+    Ok(topology)
 }
 
 /// A `K/N` slice of an experiment's work items (1-based `K`). Which items
@@ -1088,21 +1090,15 @@ mod tests {
     }
 
     #[test]
-    fn dataset_json_round_trips_exactly() {
+    fn fragment_json_round_trips_exactly() {
+        // Every dataset member, with escapes in names and extreme values.
         let mut ds = Dataset::new();
         ds.push_meta("topo:jf", "jellyfish:switches=4,ports=3,degree=2+fail_links=0.05");
         ds.push_cell("odd \"name\"\twith\\escapes", 1.0 / 3.0);
         ds.set_columns(&["c", "v"]);
         ds.push_row("r0", vec![0.1 + 0.2, -4.0, 1e-300]);
-        ds.push_point("s", f64::MIN_POSITIVE, 12345678901234.5);
-        let back = Dataset::from_json(&ds.to_json()).unwrap();
-        assert_eq!(ds, back);
-    }
-
-    #[test]
-    fn fragment_json_round_trips_exactly() {
-        let mut ds = Dataset::new();
         ds.push_point("s", 0.1, 0.2);
+        ds.push_point("s", f64::MIN_POSITIVE, 12345678901234.5);
         let mut frag = ShardFragment {
             experiment: "fig9".to_string(),
             run: RunSpec::new(Scale::Tiny, u64::MAX),

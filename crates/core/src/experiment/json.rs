@@ -193,11 +193,6 @@ fn dataset_from_value(v: &Value) -> Result<Dataset, String> {
     Ok(ds)
 }
 
-/// Parses [`dataset_to_json`] output.
-pub(super) fn dataset_from_json(text: &str) -> Result<Dataset, String> {
-    dataset_from_value(&parse_document(text)?)
-}
-
 /// Reads the members [`run_members_into`] writes. All four are required, and
 /// the override specs are parsed here, so nothing downstream parses them
 /// again.
