@@ -5,13 +5,15 @@
 //! and the objective is the largest fraction `λ` of every demand that can be
 //! routed simultaneously (max *concurrent* flow). This crate replaces CPLEX
 //! with a combinatorial (1 − ε)-approximation (Garg & Könemann, FOCS 1998)
-//! — see DESIGN.md, substitution 1 — and adds the bisection-bandwidth
-//! machinery used by Figures 2(a), 2(b) and 7.
+//! whose every solve carries a duality certificate — see DESIGN.md,
+//! substitution 1 — and adds the bisection-bandwidth machinery used by
+//! Figures 2(a), 2(b) and 7.
 //!
 //! Modules:
 //!
 //! * [`mcf`] — the Garg–Könemann max-concurrent multicommodity-flow solver
-//!   over the full graph (Dijkstra inner loop): "optimal routing".
+//!   over the full graph (Dijkstra inner loop): "optimal routing", stopped
+//!   once its certified bounds on λ are within a factor 1 + ε.
 //! * [`bisection`] — Bollobás's analytic lower bound for random regular
 //!   graphs, the fat-tree's closed form, a Kernighan–Lin heuristic for
 //!   arbitrary graphs, and full-bisection design-point search.

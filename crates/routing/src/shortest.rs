@@ -92,8 +92,9 @@ impl ShortestPathSearch {
     }
 
     /// Settles nodes from `src` until `dst` is settled (returns `true`) or
-    /// the heap runs dry (returns `false`). Parents are written whenever a
-    /// distance is, so stale entries from an earlier query are never read.
+    /// the heap runs dry (returns `false`; `dst = NodeId::MAX` settles
+    /// every reachable node). Parents are written whenever a distance is,
+    /// so stale entries from an earlier query are never read.
     fn scan<F>(&mut self, csr: &CsrGraph, src: NodeId, dst: NodeId, arc_weight: F) -> bool
     where
         F: Fn(NodeId, ArcId) -> f64,

@@ -3,11 +3,10 @@
 //! pair, it must return the same arc sequence and a `to_bits`-equal cost as
 //! the full-tree Dijkstra it replaced, which is kept below as the oracle;
 //! run to exhaustion, it must return the oracle's distance bits for every
-//! node. Both relax an arc only on a strictly shorter distance: the
-//! seed-era `nd + 1e-15 < dist` slack, which froze tentative distances at
-//! the tiny lengths Garg–Könemann starts from, is gone from both. Weights
-//! are drawn three ways — all equal, small integers (zero included) and
-//! random positive f64 spanning many magnitudes — because equal and integer
+//! node. Both relax an arc only on a strictly shorter distance, which stays
+//! exact at the tiny lengths Garg–Könemann starts from. Weights are drawn
+//! three ways — all equal, small integers (zero included) and random
+//! positive f64 spanning many magnitudes — because equal and integer
 //! weights are where ties decide parents. Some arcs are masked with an
 //! infinite or NaN weight, and some specs fail links, so unreachable pairs
 //! are covered too. One search instance serves every query of every case,
