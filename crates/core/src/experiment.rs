@@ -1090,15 +1090,31 @@ mod tests {
     }
 
     #[test]
-    fn fragment_json_round_trips_exactly() {
-        // Every dataset member, with escapes in names and extreme values.
+    fn dataset_json_round_trips_exactly() {
+        // Every dataset member, with escapes in names and extreme values,
+        // read back through the fragment reader (the only dataset reader).
         let mut ds = Dataset::new();
         ds.push_meta("topo:jf", "jellyfish:switches=4,ports=3,degree=2+fail_links=0.05");
         ds.push_cell("odd \"name\"\twith\\escapes", 1.0 / 3.0);
         ds.set_columns(&["c", "v"]);
         ds.push_row("r0", vec![0.1 + 0.2, -4.0, 1e-300]);
-        ds.push_point("s", 0.1, 0.2);
         ds.push_point("s", f64::MIN_POSITIVE, 12345678901234.5);
+        let frag = ShardFragment {
+            experiment: "fig9".to_string(),
+            run: RunSpec::new(Scale::Tiny, 1),
+            shard: Shard::new(1, 1).unwrap(),
+            timings_us: vec![0],
+            items: vec![ItemResult::new(0, ds.clone())],
+        };
+        let back = ShardFragment::from_json(&frag.to_json()).unwrap();
+        assert_eq!(back.items.len(), 1);
+        assert_eq!(ds, back.items[0].data);
+    }
+
+    #[test]
+    fn fragment_json_round_trips_exactly() {
+        let mut ds = Dataset::new();
+        ds.push_point("s", 0.1, 0.2);
         let mut frag = ShardFragment {
             experiment: "fig9".to_string(),
             run: RunSpec::new(Scale::Tiny, u64::MAX),
