@@ -49,7 +49,10 @@ const EPSILON_RANGE: (f64, f64) = (1e-3, 0.5);
 const RENORMALIZE_ABOVE: f64 = 1e180;
 
 /// 2^-600: a power of two, so renormalizing is exact, and neither path
-/// choice nor `D(l)/α(l)` depends on a common scale.
+/// choice nor `D(l)/α(l)` depends on a common scale. A length that would
+/// drop below `f64::MIN_POSITIVE` is floored there instead, so that its
+/// next update still grows it: raising a length never invalidates
+/// `D(l)/α(l)` or the `phases / scaling` bound.
 const RENORMALIZE_BY: f64 = f64::from_bits((1023 - 600) << 52);
 
 /// One commodity: a demand from a source switch to a destination switch.
@@ -112,8 +115,6 @@ pub struct McfSolution {
     pub lambda_hi: f64,
     /// Why the solve stopped.
     pub stop: McfStop,
-    /// Complete phases, each routing every demand once (a work counter).
-    pub phases: usize,
     /// Routing shortest-path computations performed (a work counter; the
     /// certificates' exhaustive searches are not counted).
     pub path_computations: usize,
@@ -173,7 +174,7 @@ impl ArcState {
             &mut self.total_weighted_length,
         );
         if self.total_weighted_length > RENORMALIZE_ABOVE {
-            self.length.iter_mut().for_each(|l| *l *= RENORMALIZE_BY);
+            self.length.iter_mut().for_each(|l| *l = (*l * RENORMALIZE_BY).max(f64::MIN_POSITIVE));
             self.total_weighted_length *= RENORMALIZE_BY;
             self.ln_scale -= RENORMALIZE_BY.ln();
             self.backstop = (-self.ln_scale).exp();
@@ -279,7 +280,6 @@ pub fn max_concurrent_flow(
         lambda,
         lambda_hi: lambda,
         stop: McfStop::Certified,
-        phases: 0,
         path_computations,
     };
     if commodities.is_empty() {
@@ -340,7 +340,7 @@ pub fn max_concurrent_flow(
     }
     let lambda_lo = arcs.lambda_lo(phases, scaling);
     let lambda = opts.lambda_cap.map_or(lambda_lo, |cap| lambda_lo.min(cap));
-    McfSolution { lambda, lambda_hi, stop, phases, path_computations }
+    McfSolution { lambda, lambda_hi, stop, path_computations }
 }
 
 #[cfg(test)]
@@ -356,7 +356,12 @@ mod tests {
 
     /// Solves and checks that the certificate brackets the known optimum:
     /// `λ ≤ λ* ≤ λ_hi`, closed to within `1 + ε`.
-    fn bracket(g: &CsrGraph, commodities: &[Commodity], opts: McfOptions, optimum: f64) {
+    fn bracket(
+        g: &CsrGraph,
+        commodities: &[Commodity],
+        opts: McfOptions,
+        optimum: f64,
+    ) -> McfSolution {
         let sol = max_concurrent_flow(g, commodities, opts);
         assert!(
             sol.lambda <= optimum && optimum <= sol.lambda_hi,
@@ -366,6 +371,7 @@ mod tests {
         );
         assert_eq!(sol.stop, McfStop::Certified);
         assert!(sol.lambda_hi <= (1.0 + opts.clamped_epsilon()) * sol.lambda);
+        sol
     }
 
     #[test]
@@ -464,13 +470,9 @@ mod tests {
             &commodities,
             McfOptions { epsilon: 0.3, ..Default::default() },
         );
-        let fine = max_concurrent_flow(
-            &g,
-            &commodities,
-            McfOptions { epsilon: 0.02, ..Default::default() },
-        );
+        let fine =
+            bracket(&g, &commodities, McfOptions { epsilon: 0.02, ..Default::default() }, 1.0);
         assert!(fine.lambda_hi / fine.lambda <= coarse.lambda_hi / coarse.lambda);
-        assert!(fine.lambda <= 1.0 && 1.0 <= fine.lambda_hi && fine.lambda_hi <= 1.02);
     }
 
     #[test]
@@ -489,6 +491,33 @@ mod tests {
             assert!(sol.lambda > 0.0 && sol.lambda <= sol.lambda_hi, "ε = {epsilon}: {sol:?}");
             assert!(sol.lambda_hi <= (1.0 + eps) * sol.lambda, "ε = {epsilon}: {sol:?}");
         }
+    }
+
+    #[test]
+    fn renormalization_keeps_lengths_positive_and_the_backstop_exact() {
+        // True lengths start at δ = e^-1000, so the stored sum passes
+        // RENORMALIZE_ABOVE twice before the true sum reaches 1. Arc 1 is
+        // never updated: two rescales by 2^-600 would take it to 2^-1200,
+        // below the smallest subnormal.
+        let ln_delta = -1000.0;
+        let ln_factor = 1.5f64.ln();
+        let mut arcs = ArcState::new(2, ln_delta);
+        let (mut updates, mut renormalizations) = (0usize, 0);
+        while !arcs.exhausted() {
+            let ln_scale = arcs.ln_scale;
+            arcs.send_on_arcs(&[0], 1.0, 0.5);
+            updates += 1;
+            renormalizations += usize::from(arcs.ln_scale != ln_scale);
+            assert!(arcs.length.iter().all(|&l| l > 0.0), "{:?}", arcs.length);
+            let ln_total = arcs.total_weighted_length.ln() + arcs.ln_scale;
+            assert_eq!(arcs.exhausted(), ln_total >= 0.0, "after {updates} updates");
+            // The true sum δ·(1.5^updates + 1), in log space.
+            let grown = updates as f64 * ln_factor;
+            let expected = ln_delta + grown + (-grown).exp().ln_1p();
+            assert!((ln_total - expected).abs() < 1e-9, "{ln_total} vs {expected}");
+        }
+        assert_eq!(renormalizations, 2);
+        assert_eq!(updates, (-ln_delta / ln_factor).ceil() as usize);
     }
 
     #[test]
