@@ -8,7 +8,10 @@
 //! ([`jellyfish_routing::incremental::repair_all_pairs`]) and cached ECMP
 //! path sets are invalidated per pair with the exact shortest-path-DAG
 //! predicate ([`jellyfish_routing::incremental::edge_on_shortest_path`]),
-//! instead of rebuilding everything per event.
+//! instead of rebuilding everything per event. An event's [`EdgeDelta`] is
+//! one merge of the old and new snapshots' sorted edge lists, and
+//! [`affected_sources`] flags the rows it may change once, for both the
+//! repair and the path cache.
 //!
 //! ## Determinism contract
 //!
@@ -22,6 +25,8 @@
 //!   rather than re-adding edges: `Graph` edge order is
 //!   history-dependent (swap-remove), and seeded samplers shuffle
 //!   `edges()`, so only the clone keeps later events bit-reproducible.
+//!   The base's CSR snapshot is kept too, so a restore clones it instead of
+//!   re-sorting the base's edges.
 //! * Hop distances are canonical, so any correct row repair is
 //!   byte-identical to a full rebuild. ECMP enumeration reads the
 //!   destination's row of the resident, repaired matrix and the sorted CSR
@@ -51,7 +56,6 @@ use jellyfish_routing::shortest::all_pairs_distances;
 use jellyfish_routing::yen::k_shortest_paths;
 use jellyfish_routing::Path;
 use jellyfish_topology::bfs::{DistanceMatrix, UNREACHED};
-use jellyfish_topology::graph::Edge;
 use jellyfish_topology::spec::ScenarioTransform;
 use jellyfish_topology::{CsrGraph, NodeId, Topology};
 use jellyfish_traffic::{ServerMap, TrafficSpec};
@@ -281,6 +285,8 @@ fn scheme_key(scheme: RoutingScheme) -> SchemeKey {
 pub struct Session {
     /// Pristine topology, the `Restore` target.
     base: Topology,
+    /// CSR snapshot of `base`, which `Restore` clones.
+    base_csr: CsrGraph,
     /// Current topology.
     topo: Topology,
     /// CSR snapshot of `topo`, refreshed on every apply.
@@ -309,6 +315,7 @@ impl Session {
         let csr = topo.csr();
         Session {
             base: topo.clone(),
+            base_csr: csr.clone(),
             topo,
             csr,
             seed,
@@ -374,7 +381,6 @@ impl Session {
     /// unchanged.
     pub fn apply(&mut self, event: &ChurnEvent) -> Result<Delta, ServiceError> {
         self.validate(event)?;
-        let before: Vec<_> = self.topo.graph().edges().collect();
         match *event {
             ChurnEvent::FailLink { a, b } => {
                 // Validated above; disconnect cannot fail now.
@@ -404,8 +410,12 @@ impl Session {
                     .map_err(|e| ServiceError::Spec(e.to_string()))?;
             }
         }
-        let delta = EdgeDelta::between(before, self.topo.graph().edges());
-        self.csr = self.topo.csr();
+        let csr = match event {
+            ChurnEvent::Restore => self.base_csr.clone(),
+            _ => self.topo.csr(),
+        };
+        let delta = EdgeDelta::between(&self.csr, &csr);
+        self.csr = csr;
         let (repaired, total, full, dropped, kept) = self.refresh_routing(&delta);
 
         self.stats.events += 1;
@@ -436,11 +446,13 @@ impl Session {
     ///
     /// KSP entries are dropped on every effective delta (Yen's output
     /// depends on global tie-breaking — there is no sound incremental
-    /// subset). ECMP entries survive exactly when both distance rows are
-    /// unchanged ([`affected_sources`] on the *pre-repair* matrix) and no
-    /// delta edge lies on the pair's shortest-path DAG
-    /// ([`edge_on_shortest_path`] reads only the two unchanged rows, so
-    /// old-DAG and new-DAG membership coincide for surviving pairs).
+    /// subset). ECMP entries survive exactly when [`affected_sources`],
+    /// run once on the *pre-repair* matrix, flags neither distance row (an
+    /// unflagged row is unchanged) and no delta edge lies on the pair's
+    /// shortest-path DAG ([`edge_on_shortest_path`] reads only the two
+    /// unchanged rows, so old-DAG and new-DAG membership coincide for
+    /// surviving pairs). A delta that shrinks the node set flags every
+    /// row, so the repair rebuilds the matrix and the cache empties.
     fn refresh_routing(
         &mut self,
         delta: &EdgeDelta,
@@ -465,21 +477,12 @@ impl Session {
             self.paths.clear();
             return (Some(n_new), Some(n_new), true, cached, 0);
         }
-        if n_new < dist.num_cols() {
-            // Shrinking delta (restore after expansion) re-keys nodes;
-            // repair_all_pairs falls back to a full rebuild and no cached
-            // pair is trustworthy.
-            let outcome = repair_all_pairs(dist, &self.csr, delta);
-            self.paths.clear();
-            return (Some(outcome.repaired_rows), Some(outcome.total_rows), true, cached, 0);
-        }
         if delta.is_empty() && n_new == dist.num_cols() {
             return (Some(0), Some(n_new), false, 0, cached);
         }
-        let affected = affected_sources(dist, delta);
-        let outcome = repair_all_pairs(dist, &self.csr, delta);
+        let affected = affected_sources(dist, &self.csr, delta);
+        let outcome = repair_all_pairs(dist, &self.csr, &affected);
         let dist = &*dist;
-        let changed: Vec<Edge> = delta.removed.iter().chain(delta.added.iter()).copied().collect();
         self.paths.retain(|&((scheme_tag, _), src, dst), _| {
             if scheme_tag != ECMP_TAG {
                 return false;
@@ -489,7 +492,11 @@ impl Session {
             {
                 return false;
             }
-            !changed.iter().any(|e| edge_on_shortest_path(dist, src, dst, e.a, e.b))
+            !delta
+                .removed
+                .iter()
+                .chain(&delta.added)
+                .any(|e| edge_on_shortest_path(dist, src, dst, e.a, e.b))
         });
         let kept = self.paths.len();
         (
@@ -619,5 +626,86 @@ mod tests {
         session.query(&path(RoutingScheme::ecmp8())).unwrap();
         let delta = session.apply(&ChurnEvent::Restore).unwrap();
         assert_eq!(delta.total_rows, Some(16));
+    }
+
+    type State = (
+        Vec<jellyfish_topology::graph::Edge>,
+        usize,
+        u64,
+        CsrGraph,
+        Option<DistanceMatrix>,
+        BTreeMap<(SchemeKey, NodeId, NodeId), Vec<Path>>,
+        SessionStats,
+    );
+
+    fn state(s: &Session) -> State {
+        (
+            s.topo.graph().edges().collect(),
+            s.topo.total_servers(),
+            s.topo.generation(),
+            s.csr.clone(),
+            s.dist.clone(),
+            s.paths.clone(),
+            s.stats,
+        )
+    }
+
+    /// Distance, ECMP and KSP replies for a few pairs, rendered for
+    /// comparison.
+    fn answers(s: &mut Session) -> Vec<String> {
+        let mut out = Vec::new();
+        for (src, dst) in [(0, 9), (1, 12), (3, 8), (6, 15)] {
+            for query in [
+                Query::Dist { src, dst },
+                Query::Path { src, dst, scheme: RoutingScheme::ecmp8() },
+                Query::Path { src, dst, scheme: RoutingScheme::ksp8() },
+            ] {
+                out.push(format!("{:?}", s.query(&query).unwrap()));
+            }
+        }
+        out
+    }
+
+    /// A refused event leaves the topology, the snapshot, the distance
+    /// matrix, the path cache and the counters as they were, and the next
+    /// queries answer as a fresh session on the same topology would.
+    #[test]
+    fn refused_events_leave_the_session_unchanged() {
+        let topo = JellyfishBuilder::new(16, 8, 5).seed(7).build().unwrap();
+        let mut session = Session::new(topo, 7);
+        let e = session.topology().graph().edges().next().unwrap();
+        session.apply(&ChurnEvent::FailLink { a: e.a, b: e.b }).unwrap();
+        answers(&mut session);
+        let (a, b) = (e.a, e.b);
+        let n = session.topology().num_switches();
+        let before = state(&session);
+        assert!(before.4.is_some() && !before.5.is_empty(), "matrix built, cache warm");
+
+        let refused = [
+            (ChurnEvent::FailLink { a, b }, ServiceError::NoSuchLink(a, b)),
+            (ChurnEvent::FailLink { a, b: n }, ServiceError::UnknownNode(n)),
+            (
+                ChurnEvent::FailLinks { fraction: 1.5 },
+                ServiceError::Param("fraction 1.5 must be in [0, 1]".into()),
+            ),
+            (
+                ChurnEvent::FailLinks { fraction: f64::NAN },
+                ServiceError::Param("fraction NaN must be in [0, 1]".into()),
+            ),
+            (ChurnEvent::FailSwitch { node: n }, ServiceError::UnknownNode(n)),
+            (
+                ChurnEvent::Expand { racks: 0 },
+                ServiceError::Param("expand needs racks >= 1".into()),
+            ),
+        ];
+        for (event, error) in refused {
+            assert_eq!(session.apply(&event), Err(error), "{event:?}");
+            assert!(state(&session) == before, "{event:?} changed the session");
+        }
+
+        let hits = session.stats().path_cache_hits;
+        let mut fresh = Session::new(session.topology().clone(), 7);
+        assert_eq!(answers(&mut session), answers(&mut fresh));
+        assert_eq!(session.stats().path_cache_hits, hits + 8, "ECMP and KSP answers were cached");
     }
 }

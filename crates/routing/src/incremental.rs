@@ -2,48 +2,71 @@
 //!
 //! The live-topology service (`jellyfish::service`) holds a resident
 //! [`DistanceMatrix`] and applies link/switch failures, restores and
-//! incremental expansion as *deltas*. After a delta, most sources' distance
-//! rows are provably unchanged; this module computes the affected-source
-//! set from the old matrix and the edge changes alone, then recomputes only
-//! those rows with the block driver of the full rebuild
-//! ([`map_source_blocks`]).
+//! incremental expansion as *deltas*. An [`EdgeDelta`] is one merge of the
+//! old and new [`CsrGraph`] snapshots' sorted edge lists. After a delta,
+//! most sources' distance rows are provably unchanged: [`affected_sources`]
+//! flags the others from the old matrix, the delta and the new snapshot,
+//! and [`repair_all_pairs`] recomputes only the flagged rows with the block
+//! driver of the full rebuild ([`map_source_blocks`]).
 //!
 //! Byte-identity with a full rebuild is structural, not probabilistic: hop
 //! distances are canonical values, so any correct BFS writes the same `u32`s
 //! a full [`all_pairs_distances`](crate::shortest::all_pairs_distances)
-//! sweep would. The affected-source criteria below are *conservative*
-//! (they may recompute an unchanged row, never skip a changed one):
+//! sweep would. Write `d` for the old distances from a source `s`. The
+//! criteria below are *sound* (a row they leave unflagged keeps every old
+//! value) and *exact* for a delta of one removed or one added old–old edge
+//! (they flag precisely the rows that change):
 //!
-//! * **Removed edge `(u, v)`** — a source `s` can only lose a shortest path
-//!   if the edge was on one, which requires `|d(s,u) − d(s,v)| == 1`.
-//! * **Added edge `(u, v)`** (both endpoints old) — a strictly shorter path
-//!   through the new edge requires `|d(s,u) − d(s,v)| >= 2`.
+//! * **Removed edge `(u, v)`** — flag `s` when the edge was *tight*,
+//!   `d(v) == d(u) + 1`, and the far endpoint `v` has no neighbour in the
+//!   new snapshot at the near endpoint's level `d(u)`.
+//! * **Added edge `(u, v)`** (both endpoints old) — flag `s` when
+//!   `|d(u) − d(v)| >= 2`: only then is the edge a shortcut.
 //! * **Expansion** — new nodes attach to the old graph at a *boundary* set
 //!   `B` (old endpoints of old↔new edges). A path from `s` through the new
 //!   region enters at some `u ∈ B` and exits at some `v ∈ B`, spending at
-//!   least 2 hops inside; it can only shorten an old distance if
-//!   `|d(s,u) − d(s,v)| >= 3` for some boundary pair. New nodes' own rows
-//!   are always recomputed, and unaffected old rows gain their new-node
-//!   columns by symmetry (`d(s,x) = d(x,s)` on an undirected graph).
+//!   least 2 hops inside; flag `s` when `|d(u) − d(v)| >= 3` for some
+//!   boundary pair. New nodes' own rows are always recomputed, and
+//!   unflagged old rows gain their new-node columns by symmetry
+//!   (`d(s,x) = d(x,s)` on an undirected graph).
 //!
-//! Mixed batches (an expansion rewire removes old edges *and* adds old↔new
-//! ones) are sound under the union of the criteria: removals can only
-//! increase distances and additions only decrease them, so a row that no
-//! criterion marks keeps every old value (see the churn-equivalence proptest
-//! in `jellyfish`'s test suite, which pins incremental == full rebuild
-//! byte-for-byte over random event sequences on every registered
-//! generator).
+//! An edge or boundary pair with one endpoint unreachable from `s` flags
+//! `s`; with both unreachable it does not (a region `s` cannot reach cannot
+//! change its row).
+//!
+//! **Soundness**, for any mix of the three (an expansion rewire removes old
+//! edges *and* adds old↔new ones). Let `d'` be the new distances from an
+//! unflagged `s`, on old nodes.
+//!
+//! * *No distance falls.* Surviving old edges and, by the addition test,
+//!   added old–old edges join nodes whose `d` differs by at most 1; by the
+//!   expansion test a detour through the new region spends at least as
+//!   many hops as the `d` gap between its entry and exit. So along any new
+//!   path from `s`, `d` grows by at most the path's length: `d <= d'`.
+//! * *No distance rises*, by induction on the level `k = d(t)`. In the old
+//!   graph `t` had a neighbour at level `k − 1`. If that edge survived, `t`
+//!   still has it; if it was removed, it was tight with `t` as its far
+//!   endpoint, and the removal test left `s` unflagged only because `t` has
+//!   a neighbour at level `k − 1` in the new snapshot. Either way
+//!   `d'(t) <= d'(w) + 1 <= k` for that neighbour `w`.
+//!
+//! **Exactness for one edge.** If the one removed edge flags `s`, every
+//! neighbour the far endpoint `v` has left sits at level `>= d(v)`, and a
+//! removal lengthens no path, so `d'(v) > d(v)`. If the one added edge flags
+//! `s`, it shortens the path to its far endpoint, or reaches a node that
+//! was unreachable. The `affected_rows` tests check soundness under mixed
+//! deltas and exactness for single edges on every topology generator.
 
 use crate::shortest::{all_pairs_distances, DistanceMatrix, UNREACHED};
 use jellyfish_topology::bfs::map_source_blocks;
 use jellyfish_topology::graph::Edge;
 use jellyfish_topology::{CsrGraph, NodeId};
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
 
-/// An undirected edge-set delta between two topology states.
+/// An undirected edge-set delta between two topology snapshots.
 ///
 /// `added` may reference nodes beyond the old matrix (expansion); `removed`
-/// edges always existed in the old graph.
+/// edges always existed in the old graph. Both lists are sorted.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EdgeDelta {
     /// Edges present before and absent after.
@@ -53,16 +76,26 @@ pub struct EdgeDelta {
 }
 
 impl EdgeDelta {
-    /// Computes the delta between two edge sets (any iteration order).
-    pub fn between(
-        before: impl IntoIterator<Item = Edge>,
-        after: impl IntoIterator<Item = Edge>,
-    ) -> Self {
-        let before: BTreeSet<Edge> = before.into_iter().collect();
-        let after: BTreeSet<Edge> = after.into_iter().collect();
-        EdgeDelta {
-            removed: before.difference(&after).copied().collect(),
-            added: after.difference(&before).copied().collect(),
+    /// The delta between two snapshots: one merge of their edge lists,
+    /// which edge ids keep in lexicographic `(a, b)` order.
+    pub fn between(before: &CsrGraph, after: &CsrGraph) -> Self {
+        let edge = |(a, b): (NodeId, NodeId)| Edge { a, b };
+        let (mut old, mut new) = (before.edges().peekable(), after.edges().peekable());
+        let mut delta = EdgeDelta::default();
+        loop {
+            match (old.peek(), new.peek()) {
+                (Some(x), Some(y)) => match x.cmp(y) {
+                    Ordering::Less => delta.removed.extend(old.next().map(edge)),
+                    Ordering::Greater => delta.added.extend(new.next().map(edge)),
+                    Ordering::Equal => {
+                        old.next();
+                        new.next();
+                    }
+                },
+                (Some(_), None) => delta.removed.extend(old.by_ref().map(edge)),
+                (None, Some(_)) => delta.added.extend(new.by_ref().map(edge)),
+                (None, None) => return delta,
+            }
         }
     }
 
@@ -83,36 +116,37 @@ pub struct RepairOutcome {
     pub full_rebuild: bool,
 }
 
-/// Marks the old sources whose distance rows a delta may change.
+/// Flags the old sources whose distance rows `delta` may change, by the
+/// criteria of the module docs; `dist` is the pre-delta matrix and `after`
+/// the post-delta snapshot.
 ///
 /// Returns one flag per old row. New-node rows (beyond the old matrix) are
-/// not represented here — they are always recomputed. Callers invalidating
-/// derived per-pair state (the live service's path cache) run this on the
-/// *pre-delta* matrix: an unflagged row is bit-unchanged by
-/// [`repair_all_pairs`].
-pub fn affected_sources(dist: &DistanceMatrix, delta: &EdgeDelta) -> Vec<bool> {
+/// not represented here — they are always recomputed. A delta that shrinks
+/// the node set re-keys nodes, so it flags every row. An unflagged row is
+/// bit-unchanged by [`repair_all_pairs`], which is what lets callers keep
+/// derived per-pair state (the live service's path cache).
+pub fn affected_sources(dist: &DistanceMatrix, after: &CsrGraph, delta: &EdgeDelta) -> Vec<bool> {
     let n_old = dist.num_cols();
+    if after.num_nodes() < n_old {
+        return vec![true; n_old];
+    }
     // Boundary of the new region: old endpoints of old<->new added edges.
-    let mut boundary: BTreeSet<NodeId> = BTreeSet::new();
+    let mut boundary: Vec<NodeId> = Vec::new();
     let mut added_old: Vec<Edge> = Vec::new();
     for e in &delta.added {
         match (e.a < n_old, e.b < n_old) {
             (true, true) => added_old.push(*e),
-            (true, false) => {
-                boundary.insert(e.a);
-            }
-            (false, true) => {
-                boundary.insert(e.b);
-            }
+            (true, false) => boundary.push(e.a),
+            (false, true) => boundary.push(e.b),
             // new<->new edges are internal to the recomputed region.
             (false, false) => {}
         }
     }
-    let boundary: Vec<NodeId> = boundary.into_iter().collect();
+    boundary.sort_unstable();
+    boundary.dedup();
 
-    // |d(s,u) - d(s,v)| with UNREACHED treated as "affected unless both
-    // endpoints are unreachable from s" (a region s cannot reach at all
-    // cannot change s's row).
+    // |d(s,u) - d(s,v)|, or None when exactly one endpoint is unreachable
+    // from s (both unreachable reads as 0).
     let spread = |row: &[u32], u: NodeId, v: NodeId| -> Option<u32> {
         match (row[u], row[v]) {
             (UNREACHED, UNREACHED) => Some(0),
@@ -120,28 +154,41 @@ pub fn affected_sources(dist: &DistanceMatrix, delta: &EdgeDelta) -> Vec<bool> {
             (du, dv) => Some(du.abs_diff(dv)),
         }
     };
+    // A removed edge flags s when it was tight and its far endpoint has no
+    // neighbour left at the near endpoint's level.
+    let loses_parent = |row: &[u32], e: &Edge| -> bool {
+        let (near, far) = match spread(row, e.a, e.b) {
+            Some(1) if row[e.a] < row[e.b] => (row[e.a], e.b),
+            Some(1) => (row[e.b], e.a),
+            Some(_) => return false,
+            None => return true,
+        };
+        !after.neighbors(far).iter().any(|&w| (w as usize) < n_old && row[w as usize] == near)
+    };
 
-    let mut affected = vec![false; n_old];
-    for (s, flag) in affected.iter_mut().enumerate() {
-        let row = dist.row(s);
-        let hit = delta.removed.iter().any(|e| !matches!(spread(row, e.a, e.b), Some(d) if d != 1))
-            || added_old.iter().any(|e| !matches!(spread(row, e.a, e.b), Some(d) if d <= 1))
-            || boundary.iter().enumerate().any(|(i, &u)| {
-                boundary[i + 1..].iter().any(|&v| !matches!(spread(row, u, v), Some(d) if d <= 2))
-            });
-        *flag = hit;
-    }
-    affected
+    (0..n_old)
+        .map(|s| {
+            let row = dist.row(s);
+            delta.removed.iter().any(|e| loses_parent(row, e))
+                || added_old.iter().any(|e| !matches!(spread(row, e.a, e.b), Some(d) if d <= 1))
+                || boundary.iter().enumerate().any(|(i, &u)| {
+                    boundary[i + 1..]
+                        .iter()
+                        .any(|&v| !matches!(spread(row, u, v), Some(d) if d <= 2))
+                })
+        })
+        .collect()
 }
 
-/// Repairs an all-pairs matrix in place after `delta` took the topology to
-/// the state `csr` snapshots. Returns what was recomputed.
+/// Repairs an all-pairs matrix in place to the state `csr` snapshots,
+/// recomputing the old rows `affected` flags (from [`affected_sources`])
+/// and every new-node row. Returns what was recomputed.
 ///
 /// The repaired matrix is byte-identical to `all_pairs_distances(csr)`.
 pub fn repair_all_pairs(
     dist: &mut DistanceMatrix,
     csr: &CsrGraph,
-    delta: &EdgeDelta,
+    affected: &[bool],
 ) -> RepairOutcome {
     let n_old = dist.num_cols();
     let n_new = csr.num_nodes();
@@ -151,44 +198,32 @@ pub fn repair_all_pairs(
         *dist = all_pairs_distances(csr);
         return RepairOutcome { repaired_rows: n_new, total_rows: n_new, full_rebuild: true };
     }
-    if delta.is_empty() && n_new == n_old {
-        return RepairOutcome { repaired_rows: 0, total_rows: n_new, full_rebuild: false };
+    assert_eq!(affected.len(), n_old, "one flag per old row");
+    let sources: Vec<NodeId> = (0..n_old).filter(|&s| affected[s]).chain(n_old..n_new).collect();
+    let outcome =
+        RepairOutcome { repaired_rows: sources.len(), total_rows: n_new, full_rebuild: false };
+    if sources.is_empty() {
+        return outcome;
     }
-
-    let affected = affected_sources(dist, delta);
+    let blocks = map_source_blocks(csr, &sources, |_, rows| rows.to_vec());
+    let rows = sources.iter().zip(blocks.iter().flat_map(|rows| rows.chunks_exact(n_new)));
 
     if n_new == n_old {
-        let sources: Vec<NodeId> =
-            affected.iter().enumerate().filter(|&(_, &hit)| hit).map(|(s, _)| s).collect();
-        let rows = map_source_blocks(csr, &sources, |_, rows| rows.to_vec()).concat();
-        for (&s, row) in sources.iter().zip(rows.chunks_exact(n_new)) {
+        for (&s, row) in rows {
             dist.row_mut(s).copy_from_slice(row);
         }
-        return RepairOutcome {
-            repaired_rows: sources.len(),
-            total_rows: n_new,
-            full_rebuild: false,
-        };
+        return outcome;
     }
 
-    // The node count grew: re-stride unaffected rows, recompute affected
-    // and new rows, then fill unaffected rows' new columns by symmetry.
+    // The node count grew: re-stride unaffected rows, write affected and
+    // new rows, then fill unaffected rows' new columns by symmetry.
     let mut data = vec![UNREACHED; n_new * n_new];
     for s in 0..n_old {
         if !affected[s] {
             data[s * n_new..s * n_new + n_old].copy_from_slice(dist.row(s));
         }
     }
-    let sources: Vec<NodeId> = affected
-        .iter()
-        .enumerate()
-        .filter(|&(_, &hit)| hit)
-        .map(|(s, _)| s)
-        .chain(n_old..n_new)
-        .collect();
-    let repaired = sources.len();
-    let rows = map_source_blocks(csr, &sources, |_, rows| rows.to_vec()).concat();
-    for (&s, row) in sources.iter().zip(rows.chunks_exact(n_new)) {
+    for (&s, row) in rows {
         data[s * n_new..(s + 1) * n_new].copy_from_slice(row);
     }
     for s in 0..n_old {
@@ -199,7 +234,7 @@ pub fn repair_all_pairs(
         }
     }
     *dist = DistanceMatrix::from_flat(n_new, data);
-    RepairOutcome { repaired_rows: repaired, total_rows: n_new, full_rebuild: false }
+    outcome
 }
 
 /// True when the undirected edge `(u, v)` lies on some shortest `src → dst`
@@ -242,15 +277,12 @@ mod tests {
     use jellyfish_topology::failures::{fail_random_links, fail_random_switches};
     use jellyfish_topology::{JellyfishBuilder, Topology};
 
-    fn edges(t: &Topology) -> Vec<Edge> {
-        t.graph().edges().collect()
-    }
-
     fn assert_repair_matches_rebuild(before: &Topology, after: &Topology) -> RepairOutcome {
-        let mut dist = all_pairs_distances(&before.csr());
-        let delta = EdgeDelta::between(edges(before), edges(after));
+        let old = before.csr();
+        let mut dist = all_pairs_distances(&old);
         let csr = after.csr();
-        let outcome = repair_all_pairs(&mut dist, &csr, &delta);
+        let affected = affected_sources(&dist, &csr, &EdgeDelta::between(&old, &csr));
+        let outcome = repair_all_pairs(&mut dist, &csr, &affected);
         let full = all_pairs_distances(&csr);
         assert_eq!(dist.as_flat(), full.as_flat(), "repair diverged from full rebuild");
         outcome
@@ -308,10 +340,12 @@ mod tests {
         let base = JellyfishBuilder::new(20, 8, 5).seed(7).build().unwrap();
         let mut grown = base.clone();
         add_racks(&mut grown, 1, 8, 3, 13).unwrap();
-        let mut dist = all_pairs_distances(&grown.csr());
-        let delta = EdgeDelta::between(edges(&grown), edges(&base));
+        let old = grown.csr();
+        let mut dist = all_pairs_distances(&old);
         let csr = base.csr();
-        let outcome = repair_all_pairs(&mut dist, &csr, &delta);
+        let affected = affected_sources(&dist, &csr, &EdgeDelta::between(&old, &csr));
+        assert!(affected.iter().all(|&hit| hit), "a shrink re-keys every row");
+        let outcome = repair_all_pairs(&mut dist, &csr, &affected);
         assert!(outcome.full_rebuild);
         assert_eq!(dist.as_flat(), all_pairs_distances(&csr).as_flat());
     }
@@ -319,21 +353,38 @@ mod tests {
     #[test]
     fn empty_delta_repairs_nothing() {
         let base = JellyfishBuilder::new(20, 8, 5).seed(7).build().unwrap();
-        let mut dist = all_pairs_distances(&base.csr());
-        let outcome = repair_all_pairs(&mut dist, &base.csr(), &EdgeDelta::default());
+        let csr = base.csr();
+        let mut dist = all_pairs_distances(&csr);
+        let delta = EdgeDelta::between(&csr, &csr);
+        assert!(delta.is_empty());
+        let affected = affected_sources(&dist, &csr, &delta);
+        assert!(affected.iter().all(|&hit| !hit));
+        let outcome = repair_all_pairs(&mut dist, &csr, &affected);
         assert_eq!(outcome.repaired_rows, 0);
         assert!(!outcome.full_rebuild);
     }
 
     #[test]
     fn edge_delta_between_is_order_independent() {
-        let mut fwd = vec![Edge::new(0, 1), Edge::new(1, 2)];
-        let delta = EdgeDelta::between(fwd.clone(), vec![Edge::new(1, 2), Edge::new(2, 3)]);
-        assert_eq!(delta.removed, vec![Edge::new(0, 1)]);
-        assert_eq!(delta.added, vec![Edge::new(2, 3)]);
-        fwd.reverse();
-        let delta2 = EdgeDelta::between(fwd, vec![Edge::new(2, 3), Edge::new(1, 2)]);
-        assert_eq!(delta, delta2);
+        let snapshot = |edges: &[(NodeId, NodeId)]| {
+            let mut g = jellyfish_topology::Graph::new(6);
+            for &(u, v) in edges {
+                g.add_edge(u, v);
+            }
+            CsrGraph::from_graph(&g)
+        };
+        let before = [(0, 1), (1, 2), (3, 4), (4, 5)];
+        let after = [(1, 2), (2, 3), (0, 5), (4, 5)];
+        let delta = EdgeDelta::between(&snapshot(&before), &snapshot(&after));
+        assert_eq!(delta.removed, vec![Edge::new(0, 1), Edge::new(3, 4)]);
+        assert_eq!(delta.added, vec![Edge::new(0, 5), Edge::new(2, 3)]);
+        // Insertion order and endpoint orientation do not reach the delta.
+        let before_rev = [(5, 4), (4, 3), (2, 1), (1, 0)];
+        let after_rev = [(5, 4), (5, 0), (3, 2), (2, 1)];
+        assert_eq!(EdgeDelta::between(&snapshot(&before_rev), &snapshot(&after_rev)), delta);
+        // Trailing edges on either side reach the delta too.
+        let swapped = EdgeDelta::between(&snapshot(&after), &snapshot(&before));
+        assert_eq!((swapped.removed, swapped.added), (delta.added, delta.removed));
     }
 
     #[test]
