@@ -18,7 +18,6 @@
 //! figures merge <file...> [--json]
 //! figures serve [--topo <spec>] [--seed N] [--traffic <spec>] [--oracle]
 //!               [--tcp ADDR]
-//! figures lint [--json] [paths...]
 //! figures topo list
 //! figures topo show <spec>
 //! figures topo build <spec> [--seed N]
@@ -56,12 +55,6 @@
 //! `--oracle` forces the full-rebuild reference mode, whose replies are
 //! byte-identical.
 //!
-//! `figures lint` runs the workspace determinism linter (the `detlint`
-//! crate — see LINTS.md) over the given paths (default `crates/`): static
-//! enforcement of the byte-identical-output contract behind every
-//! shard/launch/merge equality above. Exit 1 on findings, with exact
-//! `file:line:col` diagnostics.
-//!
 //! `--topo <spec>` redirects the topology-generic experiments
 //! (`throughput_vs_size`, `path_length`, `bisection`, `failure_sweep`) at
 //! any registered topology spec; `figures topo list` names the generators
@@ -71,28 +64,34 @@
 //! `fairness_under_skew`, `incast_degradation`); `figures traffic list`
 //! names the workload generators and TRAFFIC.md documents the grammar.
 //!
-//! Unknown experiment names, scales, seeds, specs and shard specs are hard
-//! errors (exit code 2) listing the valid choices — never silent fallbacks.
-//! Every failure is a typed [`CliError`] so all subcommands report them
+//! Every subcommand reads its arguments through one grammar
+//! ([`jellyfish_bench::cli`]): [`Args::split`] sorts them into positionals,
+//! `--flag value` pairs and bare switches against the subcommand's table of
+//! flags below, in any order, a repeated flag keeping its last value; and
+//! [`run_spec`] reads `--scale`/`--seed`/`--topo`/`--traffic` into the one
+//! [`RunSpec`] that `run`, `launch` and `serve` share. Unknown options,
+//! experiment names, scales, seeds, specs and shard specs are hard errors
+//! (exit code 2) listing the valid choices — never silent fallbacks. Every
+//! failure is a typed [`CliError`] so all subcommands report them
 //! identically.
 
 use jellyfish::experiment::{
     self, Experiment, RunCtx, RunSpec, Shard, ShardFragment, TimingFile, WorkPlan,
 };
-use jellyfish::figures::Scale;
 use jellyfish::service::wire::{self, LineOutcome};
 use jellyfish::service::Session;
-use jellyfish_bench::cli::CliError;
+use jellyfish_bench::cli::{run_spec, Args, CliError, Flags};
 use jellyfish_bench::launch::{self, LaunchConfig};
-use jellyfish_bench::merge::{experiment_names, merge_fragments, render_merged};
+use jellyfish_bench::merge::{experiment_names, merge_fragments, read_fragments, render_merged};
 use jellyfish_bench::{render_run, render_run_json};
 use jellyfish_sim::net::LinkParams;
 use jellyfish_topology::properties::path_length_stats;
 use jellyfish_topology::spec::{self, TopoSpec};
 use jellyfish_traffic::{ServerMap, TrafficSpec};
 use std::io::{BufRead, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 const USAGE: &str = "usage: figures <command> [options]
@@ -105,9 +104,6 @@ commands:
   serve                     hold a resident topology, apply churn events and
                             answer dist/path/throughput/bisection queries
                             over line-delimited JSON (see SERVE.md)
-  lint [paths...]           run the determinism linter (detlint) over the
-                            given files/directories (default: crates/);
-                            see LINTS.md for the rules and pragma grammar
   topo list                 list the registered topology generators/transforms
   topo show <spec>          parse a topology spec and print its structure
   topo build <spec>         build a topology spec and print its properties
@@ -150,10 +146,6 @@ above):
 merge options:
   --json                      print JSON instead of TSV
 
-lint options:
-  --json                      print one machine-readable JSON object
-  --list-rules                print the rule registry and exit
-
 serve options:
   --topo <spec>               resident topology (default:
                               jellyfish:switches=20,ports=8,degree=5)
@@ -169,77 +161,59 @@ serve options:
 topo build options:
   --seed N                    build seed (default: 2012)";
 
-/// Parsed `run` options, every flag validated (no silent fallbacks).
-struct RunOptions {
-    run: RunSpec,
-    shard: Option<Shard>,
-    plan: Option<String>,
-    json: bool,
-}
+/// `run`: the experiment, the run flags and the shard options.
+const RUN: Flags = Flags {
+    values: &["--scale", "--seed", "--topo", "--traffic", "--shard", "--plan"],
+    switches: &["--json"],
+    positionals: 1,
+};
 
-fn flag_value<'a>(args: &'a [String], i: usize, name: &str) -> Result<&'a str, CliError> {
-    args.get(i + 1)
-        .map(String::as_str)
-        .ok_or_else(|| CliError::Invalid(format!("{name} needs a value")))
-}
+/// `launch`: `run`'s flags and the launcher's own. `--shard` is listed only
+/// to be refused by name, since the launcher assigns the shards.
+const LAUNCH: Flags = Flags {
+    values: &[
+        "--scale",
+        "--seed",
+        "--topo",
+        "--traffic",
+        "--shard",
+        "--plan",
+        "--jobs",
+        "--hosts",
+        "--run-dir",
+        "--timeout-secs",
+    ],
+    switches: &["--json"],
+    positionals: 1,
+};
 
-fn parse_run_options(args: &[String]) -> Result<RunOptions, CliError> {
-    let mut opts =
-        RunOptions { run: RunSpec::new(Scale::Laptop, 2012), shard: None, plan: None, json: false };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                opts.run.scale = flag_value(args, i, "--scale")?
-                    .parse()
-                    .map_err(|e| CliError::Invalid(format!("{e}")))?;
-                i += 2;
-            }
-            "--seed" => {
-                let raw = flag_value(args, i, "--seed")?;
-                opts.run.seed = parse_seed(raw)?;
-                i += 2;
-            }
-            "--topo" => {
-                let raw = flag_value(args, i, "--topo")?;
-                opts.run.topo = Some(
-                    raw.parse()
-                        .map_err(|e| CliError::Invalid(format!("unparsable --topo: {e}")))?,
-                );
-                i += 2;
-            }
-            "--traffic" => {
-                let raw = flag_value(args, i, "--traffic")?;
-                opts.run.traffic = Some(
-                    raw.parse()
-                        .map_err(|e| CliError::Invalid(format!("unparsable --traffic: {e}")))?,
-                );
-                i += 2;
-            }
-            "--shard" => {
-                opts.shard = Some(flag_value(args, i, "--shard")?.parse()?);
-                i += 2;
-            }
-            "--plan" => {
-                opts.plan = Some(flag_value(args, i, "--plan")?.to_string());
-                i += 2;
-            }
-            "--json" => {
-                opts.json = true;
-                i += 1;
-            }
-            other => return Err(CliError::Usage(format!("unknown option '{other}'"))),
-        }
-    }
-    if opts.shard.is_some() && opts.json {
-        return Err(CliError::Invalid("--shard output is always JSON; drop --json".to_string()));
-    }
-    Ok(opts)
-}
+/// `merge`: any number of fragment files.
+const MERGE: Flags = Flags { values: &[], switches: &["--json"], positionals: usize::MAX };
 
-fn parse_seed(raw: &str) -> Result<u64, CliError> {
-    raw.parse().map_err(|_| {
-        CliError::Invalid(format!("unparsable --seed '{raw}': expected an unsigned integer"))
+/// `serve`: a session has a seed and the overrides, but no scale.
+const SERVE: Flags = Flags {
+    values: &["--seed", "--topo", "--traffic", "--tcp"],
+    switches: &["--oracle"],
+    positionals: 0,
+};
+
+/// `topo show` and `topo build`: a spec and its build seed.
+const TOPO_SPEC: Flags = Flags { values: &["--seed"], switches: &[], positionals: 1 };
+
+/// `list`, `topo list`, `traffic list` and `traffic show`, which word their
+/// own arity errors.
+const NO_FLAGS: Flags = Flags { values: &[], switches: &[], positionals: usize::MAX };
+
+/// The resident topology of a `serve` without `--topo`.
+const DEFAULT_SERVE_TOPO: &str = "jellyfish:switches=20,ports=8,degree=5";
+
+/// The experiment name `run` and `launch` take as their one positional.
+fn experiment_name<'a>(command: &str, args: &'a Args) -> Result<&'a str, CliError> {
+    args.positionals.first().map(String::as_str).ok_or_else(|| {
+        CliError::Invalid(format!(
+            "{command} needs an experiment name: valid experiments are {}",
+            experiment_names()
+        ))
     })
 }
 
@@ -248,17 +222,17 @@ fn parse_seed(raw: &str) -> Result<u64, CliError> {
 /// explicit); a file from a run with another scale, `--topo` or `--traffic`
 /// is merely useless for balancing this one, so workers note it and stripe
 /// instead.
-fn load_plan(opts: &RunOptions) -> Result<Option<TimingFile>, CliError> {
-    let Some(path) = &opts.plan else { return Ok(None) };
+fn load_plan(plan: Option<&str>, run: &RunSpec) -> Result<Option<TimingFile>, CliError> {
+    let Some(path) = plan else { return Ok(None) };
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::Invalid(format!("cannot read --plan '{path}': {e}")))?;
     let tf = TimingFile::from_json(&text)
         .map_err(|e| CliError::Invalid(format!("--plan '{path}' is not a timing file: {e}")))?;
-    if tf.run != (RunSpec { seed: tf.run.seed, ..opts.run.clone() }) {
+    if tf.run != (RunSpec { seed: tf.run.seed, ..run.clone() }) {
         eprintln!(
-            "figures: note: --plan '{path}' measured the run '{}'; this run is '{}', \
+            "figures: note: --plan '{path}' measured the run '{}'; this run is '{run}', \
              so shards fall back to striping",
-            tf.run, opts.run
+            tf.run
         );
         return Ok(None);
     }
@@ -281,10 +255,18 @@ fn resolve_experiments(name: &str) -> Result<Vec<&'static dyn Experiment>, CliEr
         .ok_or_else(|| CliError::unknown("experiment", name, experiment_names()))
 }
 
-fn cmd_list(args: &[String]) -> Result<(), CliError> {
-    if let Some(extra) = args.first() {
-        return Err(CliError::Usage(format!("list takes no arguments (got '{extra}')")));
+/// `list`, `topo list` and `traffic list` take no arguments.
+fn no_arguments(command: &str, args: &[String]) -> Result<(), CliError> {
+    match Args::split(args, &NO_FLAGS)?.positionals.first() {
+        Some(extra) => {
+            Err(CliError::Usage(format!("{command} takes no arguments (got '{extra}')")))
+        }
+        None => Ok(()),
     }
+}
+
+fn cmd_list(args: &[String]) -> Result<(), CliError> {
+    no_arguments("list", args)?;
     for exp in experiment::registry() {
         let topo = if exp.supports_topo_override() { " [--topo]" } else { "" };
         let traffic = if exp.supports_traffic_override() { " [--traffic]" } else { "" };
@@ -349,19 +331,27 @@ fn check_overrides(experiments: &[&'static dyn Experiment], run: &RunSpec) -> Re
     Ok(())
 }
 
-fn cmd_run(name: &str, args: &[String]) -> Result<(), CliError> {
-    let opts = parse_run_options(args)?;
-    if opts.plan.is_some() && opts.shard.is_none() {
+fn cmd_run(args: &[String]) -> Result<(), CliError> {
+    let args = Args::split(args, &RUN)?;
+    let name = experiment_name("run", &args)?;
+    let run = run_spec(&args)?;
+    let shard = args.parse("--shard", str::parse::<Shard>)?;
+    let plan = args.value("--plan");
+    let json = args.switch("--json");
+    if shard.is_some() && json {
+        return Err(CliError::Invalid("--shard output is always JSON; drop --json".to_string()));
+    }
+    if plan.is_some() && shard.is_none() {
         return Err(CliError::Invalid(
             "--plan only affects sharded runs; add --shard K/N (or use launch)".to_string(),
         ));
     }
     let experiments = resolve_experiments(name)?;
-    check_overrides(&experiments, &opts.run)?;
-    let plan = load_plan(&opts)?;
+    check_overrides(&experiments, &run)?;
+    let plan = load_plan(plan, &run)?;
     for exp in experiments {
-        let ctx = RunCtx::new(opts.run.clone());
-        match opts.shard {
+        let ctx = RunCtx::new(run.clone());
+        match shard {
             Some(shard) => {
                 let num_items = exp.work_items(&ctx).len();
                 let timings = plan.as_ref().and_then(|tf| tf.get(exp.name()));
@@ -377,7 +367,7 @@ fn cmd_run(name: &str, args: &[String]) -> Result<(), CliError> {
                 println!("{}", fragment.to_json());
             }
             None => {
-                let render = if opts.json { render_run_json } else { render_run };
+                let render = if json { render_run_json } else { render_run };
                 print!("{}", render(exp.name(), &ctx.run, &exp.run(&ctx)));
             }
         }
@@ -386,125 +376,52 @@ fn cmd_run(name: &str, args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_merge(args: &[String]) -> Result<(), CliError> {
-    let mut json = false;
-    let mut files = Vec::new();
-    for a in args {
-        match a.as_str() {
-            "--json" => json = true,
-            flag if flag.starts_with("--") => {
-                return Err(CliError::Usage(format!("unknown option '{flag}'")))
-            }
-            file => files.push(file.to_string()),
-        }
-    }
-    if files.is_empty() {
+    let args = Args::split(args, &MERGE)?;
+    if args.positionals.is_empty() {
         return Err(CliError::Invalid("merge needs at least one fragment file".to_string()));
     }
-    let mut fragments: Vec<ShardFragment> = Vec::new();
-    for file in &files {
-        let text = std::fs::read_to_string(file)
-            .map_err(|e| CliError::Invalid(format!("cannot read '{file}': {e}")))?;
-        for (lineno, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let frag = ShardFragment::from_json(line)
-                .map_err(|e| CliError::Invalid(format!("{file}:{}: {e}", lineno + 1)))?;
-            fragments.push(frag);
-        }
+    let mut fragments = Vec::new();
+    for file in &args.positionals {
+        fragments.extend(read_fragments(Path::new(file))?);
     }
     // Validate every group before printing anything, then print per
     // experiment in canonical registry order — the same order `figures run
     // all` evaluates in (jellyfish_bench::merge shares this path with the
     // launcher).
     let merged = merge_fragments(&fragments)?;
-    print!("{}", render_merged(&merged, json));
+    print!("{}", render_merged(&merged, args.switch("--json")));
     Ok(())
 }
 
 // ------------------------------------------------------------------ serve
 
-/// Parsed `serve` options.
-struct ServeOptions {
-    topo: TopoSpec,
-    seed: u64,
-    traffic: Option<TrafficSpec>,
-    oracle: bool,
-    tcp: Option<String>,
-}
-
-fn parse_serve_options(args: &[String]) -> Result<ServeOptions, CliError> {
-    let mut opts = ServeOptions {
-        topo: "jellyfish:switches=20,ports=8,degree=5"
-            .parse()
-            .expect("the default serve spec parses"),
-        seed: 2012,
-        traffic: None,
-        oracle: false,
-        tcp: None,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--topo" => {
-                let raw = flag_value(args, i, "--topo")?;
-                opts.topo = raw
-                    .parse()
-                    .map_err(|e| CliError::Invalid(format!("unparsable --topo: {e}")))?;
-                i += 2;
-            }
-            "--seed" => {
-                opts.seed = parse_seed(flag_value(args, i, "--seed")?)?;
-                i += 2;
-            }
-            "--traffic" => {
-                let raw = flag_value(args, i, "--traffic")?;
-                opts.traffic = Some(
-                    raw.parse()
-                        .map_err(|e| CliError::Invalid(format!("unparsable --traffic: {e}")))?,
-                );
-                i += 2;
-            }
-            "--oracle" => {
-                opts.oracle = true;
-                i += 1;
-            }
-            "--tcp" => {
-                opts.tcp = Some(flag_value(args, i, "--tcp")?.to_string());
-                i += 2;
-            }
-            other => return Err(CliError::Usage(format!("unknown option '{other}'"))),
-        }
-    }
-    Ok(opts)
-}
-
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
-    let opts = parse_serve_options(args)?;
-    let topo = opts
-        .topo
-        .build(opts.seed)
-        .map_err(|e| CliError::Invalid(format!("--topo '{}' does not build: {e}", opts.topo)))?;
-    if let Some(tspec) = &opts.traffic {
+    let args = Args::split(args, &SERVE)?;
+    let RunSpec { seed, topo, traffic, .. } = run_spec(&args)?;
+    let spec =
+        topo.unwrap_or_else(|| DEFAULT_SERVE_TOPO.parse().expect("the default serve spec parses"));
+    let oracle = args.switch("--oracle");
+    let topo = spec
+        .build(seed)
+        .map_err(|e| CliError::Invalid(format!("--topo '{spec}' does not build: {e}")))?;
+    if let Some(tspec) = &traffic {
         // Probe the workload once so a spec that cannot generate on this
         // topology is an exit-2 error, not a panic mid-session.
         tspec
-            .stream(&ServerMap::new(&topo), opts.seed)
+            .stream(&ServerMap::new(&topo), seed)
             .map_err(|e| CliError::Invalid(format!("--traffic '{tspec}' does not build: {e}")))?;
     }
-    let mut session =
-        if opts.oracle { Session::oracle(topo, opts.seed) } else { Session::new(topo, opts.seed) }
-            .with_traffic(opts.traffic.clone());
+    let mut session = if oracle { Session::oracle(topo, seed) } else { Session::new(topo, seed) }
+        .with_traffic(traffic);
     eprintln!(
-        "figures: serving {} (seed {}, {} switches, {} links{})",
-        opts.topo,
-        opts.seed,
+        "figures: serving {spec} (seed {seed}, {} switches, {} links{})",
         session.topology().num_switches(),
         session.topology().num_links(),
-        if opts.oracle { ", oracle mode" } else { "" }
+        if oracle { ", oracle mode" } else { "" }
     );
-    match &opts.tcp {
-        None => serve_stdio(&mut session),
+    match args.value("--tcp") {
+        None => serve_lines(&mut session, std::io::stdin().lock(), std::io::stdout().lock())
+            .map(|_shutdown| ()),
         Some(addr) => serve_tcp(&mut session, addr),
     }
 }
@@ -513,24 +430,29 @@ fn io_err(what: &str, e: std::io::Error) -> CliError {
     CliError::Invalid(format!("{what}: {e}"))
 }
 
-/// Serves one session over stdin/stdout until EOF or a `shutdown` op.
-fn serve_stdio(session: &mut Session) -> Result<(), CliError> {
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    for line in stdin.lock().lines() {
+/// Answers one client's request lines, one flushed reply line each, until
+/// EOF or a `shutdown` op; blank lines are skipped. Returns whether a
+/// `shutdown` ended it. Serving stdin/stdout and each TCP connection both
+/// run this loop.
+fn serve_lines(
+    session: &mut Session,
+    requests: impl BufRead,
+    mut replies: impl Write,
+) -> Result<bool, CliError> {
+    for line in requests.lines() {
         let line = line.map_err(|e| io_err("cannot read request", e))?;
         if line.trim().is_empty() {
             continue;
         }
         let outcome = wire::handle_line(session, &line);
-        writeln!(out, "{}", outcome.text()).map_err(|e| io_err("cannot write reply", e))?;
-        out.flush().map_err(|e| io_err("cannot write reply", e))?;
+        writeln!(replies, "{}", outcome.text())
+            .and_then(|()| replies.flush())
+            .map_err(|e| io_err("cannot write reply", e))?;
         if matches!(outcome, LineOutcome::Shutdown(_)) {
-            break;
+            return Ok(true);
         }
     }
-    Ok(())
+    Ok(false)
 }
 
 /// Serves connections one at a time on `addr`; the resident session (and
@@ -543,86 +465,40 @@ fn serve_tcp(session: &mut Session, addr: &str) -> Result<(), CliError> {
     eprintln!("figures: listening on {local}");
     for conn in listener.incoming() {
         let stream = conn.map_err(|e| io_err("accept failed", e))?;
-        let mut writer = stream.try_clone().map_err(|e| io_err("cannot clone connection", e))?;
-        let reader = std::io::BufReader::new(stream);
-        let mut shutdown = false;
-        for line in reader.lines() {
-            // A dropped client is normal churn for a daemon, not an error.
-            let Ok(line) = line else { break };
-            if line.trim().is_empty() {
-                continue;
-            }
-            let outcome = wire::handle_line(session, &line);
-            if writeln!(writer, "{}", outcome.text()).and_then(|()| writer.flush()).is_err() {
-                break;
-            }
-            if matches!(outcome, LineOutcome::Shutdown(_)) {
-                shutdown = true;
-                break;
-            }
-        }
-        if shutdown {
+        let replies = stream.try_clone().map_err(|e| io_err("cannot clone connection", e))?;
+        // A dropped client is normal churn for a daemon, not an error.
+        if let Ok(true) = serve_lines(session, std::io::BufReader::new(stream), replies) {
             break;
         }
     }
     Ok(())
 }
 
-// ------------------------------------------------------------------ lint
-
-/// `figures lint [--json] [--list-rules] [paths...]` — the determinism
-/// linter, wired through the same `detlint` library the standalone binary
-/// uses (`cargo run -p detlint`). Exit 0 clean, 1 findings, 2 errors.
-fn cmd_lint(args: &[String]) -> Result<(), CliError> {
-    let mut json = false;
-    let mut paths: Vec<PathBuf> = Vec::new();
-    for a in args {
-        match a.as_str() {
-            "--json" => json = true,
-            "--list-rules" => {
-                for rule in detlint::rules::registry() {
-                    println!("{}\t{}", rule.id, rule.summary);
-                }
-                return Ok(());
-            }
-            flag if flag.starts_with("--") => {
-                return Err(CliError::Usage(format!("unknown option '{flag}'")))
-            }
-            path => paths.push(PathBuf::from(path)),
-        }
-    }
-    if paths.is_empty() {
-        paths.push(PathBuf::from("crates"));
-    }
-    let report = detlint::lint_paths(&paths)?;
-    if json {
-        print!("{}", detlint::render_json(&report));
-    } else {
-        print!("{}", detlint::render_text(&report));
-    }
-    if report.is_clean() {
-        Ok(())
-    } else {
-        Err(CliError::Findings)
-    }
-}
-
 // ---------------------------------------------------------------- launch
 
 fn cmd_launch(args: &[String]) -> Result<(), CliError> {
-    let Some(name) = args.first() else {
-        return Err(CliError::Invalid(format!(
-            "launch needs an experiment name: valid experiments are {}",
-            experiment_names()
-        )));
-    };
+    let args = Args::split(args, &LAUNCH)?;
+    let name = experiment_name("launch", &args)?;
     let experiments = resolve_experiments(name)?;
-    let (jobs, opts, hosts_file, run_dir, timeout) = parse_launch_options(&args[1..])?;
-    check_overrides(&experiments, &opts.run)?;
+    if args.value("--shard").is_some() {
+        return Err(CliError::Invalid(
+            "launch assigns the shards itself; use --jobs N instead of --shard".to_string(),
+        ));
+    }
+    let jobs = args.parse("--jobs", |raw| positive("--jobs", raw))?;
+    let timeout = args.parse("--timeout-secs", |raw| positive("--timeout-secs", raw))?;
+    let Some(jobs) = jobs else {
+        return Err(CliError::Invalid(
+            "launch needs --jobs N (the number of worker processes)".to_string(),
+        ));
+    };
+    let run = run_spec(&args)?;
+    check_overrides(&experiments, &run)?;
     // Surface an unreadable/unparsable --plan here, before any worker spawns
     // (the workers re-validate it themselves).
-    load_plan(&opts)?;
-    let hosts = match &hosts_file {
+    let plan = args.value("--plan");
+    load_plan(plan, &run)?;
+    let hosts = match args.value("--hosts") {
         Some(path) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| CliError::Invalid(format!("cannot read --hosts '{path}': {e}")))?;
@@ -636,105 +512,38 @@ fn cmd_launch(args: &[String]) -> Result<(), CliError> {
         }
         None => Vec::new(),
     };
-    let run_dir = run_dir.unwrap_or_else(|| {
-        PathBuf::from(format!("figures-runs/{name}-{}-{}", opts.run.scale, opts.run.seed))
-    });
+    let run_dir = args.value("--run-dir").map_or_else(
+        || PathBuf::from(format!("figures-runs/{name}-{}-{}", run.scale, run.seed)),
+        PathBuf::from,
+    );
     let cfg = LaunchConfig {
-        name: name.clone(),
+        name: name.to_string(),
         jobs,
-        run: opts.run,
-        plan: opts.plan.as_ref().map(PathBuf::from),
+        run,
+        plan: plan.map(PathBuf::from),
         hosts,
         run_dir,
-        timeout,
-        json: opts.json,
+        timeout: timeout.map(Duration::from_secs),
+        json: args.switch("--json"),
     };
-    let rendered = launch::launch(&cfg)?;
-    print!("{rendered}");
+    print!("{}", launch::launch(&cfg)?);
     Ok(())
 }
 
-/// Parses `launch` flags: the shared run flags plus `--jobs`, `--hosts`,
-/// `--run-dir`, `--timeout-secs`. `--jobs` is required; `--shard` is the
-/// launcher's to assign.
-#[allow(clippy::type_complexity)]
-fn parse_launch_options(
-    args: &[String],
-) -> Result<(usize, RunOptions, Option<String>, Option<PathBuf>, Option<Duration>), CliError> {
-    let mut jobs: Option<usize> = None;
-    let mut hosts_file: Option<String> = None;
-    let mut run_dir: Option<PathBuf> = None;
-    let mut timeout: Option<Duration> = None;
-    let mut run_flags: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--jobs" => {
-                let raw = flag_value(args, i, "--jobs")?;
-                let n: usize = raw.parse().map_err(|_| {
-                    CliError::Invalid(format!(
-                        "unparsable --jobs '{raw}': expected a positive integer"
-                    ))
-                })?;
-                if n == 0 {
-                    return Err(CliError::Invalid("--jobs must be at least 1".to_string()));
-                }
-                jobs = Some(n);
-                i += 2;
-            }
-            "--timeout-secs" => {
-                let raw = flag_value(args, i, "--timeout-secs")?;
-                let n: u64 = raw.parse().map_err(|_| {
-                    CliError::Invalid(format!(
-                        "unparsable --timeout-secs '{raw}': expected a positive integer"
-                    ))
-                })?;
-                if n == 0 {
-                    return Err(CliError::Invalid("--timeout-secs must be at least 1".to_string()));
-                }
-                timeout = Some(Duration::from_secs(n));
-                i += 2;
-            }
-            "--hosts" => {
-                hosts_file = Some(flag_value(args, i, "--hosts")?.to_string());
-                i += 2;
-            }
-            "--run-dir" => {
-                run_dir = Some(PathBuf::from(flag_value(args, i, "--run-dir")?));
-                i += 2;
-            }
-            "--shard" => {
-                return Err(CliError::Invalid(
-                    "launch assigns the shards itself; use --jobs N instead of --shard".to_string(),
-                ));
-            }
-            "--scale" | "--seed" | "--topo" | "--traffic" | "--plan" => {
-                run_flags.push(args[i].clone());
-                run_flags.push(flag_value(args, i, &args[i])?.to_string());
-                i += 2;
-            }
-            "--json" => {
-                run_flags.push(args[i].clone());
-                i += 1;
-            }
-            other => return Err(CliError::Usage(format!("unknown option '{other}'"))),
-        }
+/// Reads the value of a count flag (`--jobs`, `--timeout-secs`), which must
+/// be at least 1.
+fn positive<T: FromStr + PartialEq + From<u8>>(flag: &str, raw: &str) -> Result<T, String> {
+    match raw.parse() {
+        Err(_) => Err(format!("unparsable {flag} '{raw}': expected a positive integer")),
+        Ok(n) if n == T::from(0) => Err(format!("{flag} must be at least 1")),
+        Ok(n) => Ok(n),
     }
-    let Some(jobs) = jobs else {
-        return Err(CliError::Invalid(
-            "launch needs --jobs N (the number of worker processes)".to_string(),
-        ));
-    };
-    let opts = parse_run_options(&run_flags)?;
-    Ok((jobs, opts, hosts_file, run_dir, timeout))
 }
 
 // ------------------------------------------------------------------ topo
 
 fn cmd_topo_list(args: &[String]) -> Result<(), CliError> {
-    if let Some(extra) = args.first() {
-        return Err(CliError::Usage(format!("topo list takes no arguments (got '{extra}')")));
-    }
+    no_arguments("topo list", args)?;
     println!("generators:");
     for g in spec::generators() {
         println!("  {}\t{}\te.g. {}", g.name(), g.describe(), g.example());
@@ -744,26 +553,16 @@ fn cmd_topo_list(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
+/// The spec and build seed `topo show` and `topo build` take.
 fn parse_spec_arg(args: &[String]) -> Result<(TopoSpec, u64), CliError> {
-    let Some(raw) = args.first() else {
+    let args = Args::split(args, &TOPO_SPEC)?;
+    let Some(raw) = args.positionals.first() else {
         return Err(CliError::Invalid(
             "expected a topology spec (try `figures topo list`)".to_string(),
         ));
     };
     let spec: TopoSpec = raw.parse().map_err(|e| CliError::Invalid(format!("{e}")))?;
-    let mut seed = 2012u64;
-    let rest = &args[1..];
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--seed" => {
-                seed = parse_seed(flag_value(rest, i, "--seed")?)?;
-                i += 2;
-            }
-            other => return Err(CliError::Usage(format!("unknown option '{other}'"))),
-        }
-    }
-    Ok((spec, seed))
+    Ok((spec, run_spec(&args)?.seed))
 }
 
 fn cmd_topo_show(args: &[String]) -> Result<(), CliError> {
@@ -812,9 +611,7 @@ fn cmd_topo_build(args: &[String]) -> Result<(), CliError> {
 // --------------------------------------------------------------- traffic
 
 fn cmd_traffic_list(args: &[String]) -> Result<(), CliError> {
-    if let Some(extra) = args.first() {
-        return Err(CliError::Usage(format!("traffic list takes no arguments (got '{extra}')")));
-    }
+    no_arguments("traffic list", args)?;
     println!("generators:");
     for g in jellyfish_traffic::generators() {
         println!("  {}\t{}\te.g. {}", g.name(), g.describe(), g.example());
@@ -825,12 +622,13 @@ fn cmd_traffic_list(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_traffic_show(args: &[String]) -> Result<(), CliError> {
-    let Some(raw) = args.first() else {
+    let args = Args::split(args, &NO_FLAGS)?;
+    let Some(raw) = args.positionals.first() else {
         return Err(CliError::Invalid(
             "expected a traffic spec (try `figures traffic list`)".to_string(),
         ));
     };
-    if let Some(extra) = args.get(1) {
+    if let Some(extra) = args.positionals.get(1) {
         return Err(CliError::Usage(format!("traffic show takes one spec (got '{extra}')")));
     }
     let spec: TrafficSpec = raw.parse().map_err(|e| CliError::Invalid(format!("{e}")))?;
@@ -877,29 +675,21 @@ fn dispatch(args: &[String]) -> Result<(), CliError> {
     let Some(command) = args.first() else {
         return Err(CliError::Usage("missing command".to_string()));
     };
+    let rest = &args[1..];
     match command.as_str() {
-        "list" => cmd_list(&args[1..]),
-        "run" => {
-            let Some(name) = args.get(1) else {
-                return Err(CliError::Invalid(format!(
-                    "run needs an experiment name: valid experiments are {}",
-                    experiment_names()
-                )));
-            };
-            cmd_run(name, &args[2..])
-        }
-        "launch" => cmd_launch(&args[1..]),
-        "merge" => cmd_merge(&args[1..]),
-        "serve" => cmd_serve(&args[1..]),
-        "lint" => cmd_lint(&args[1..]),
-        "topo" => cmd_topo(&args[1..]),
-        "traffic" => cmd_traffic(&args[1..]),
+        "list" => cmd_list(rest),
+        "run" => cmd_run(rest),
+        "launch" => cmd_launch(rest),
+        "merge" => cmd_merge(rest),
+        "serve" => cmd_serve(rest),
+        "topo" => cmd_topo(rest),
+        "traffic" => cmd_traffic(rest),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             Ok(())
         }
         // Shorthand: `figures fig3 --scale tiny` == `figures run fig3 ...`.
-        name => cmd_run(name, &args[1..]),
+        _ => cmd_run(args),
     }
 }
 
@@ -908,11 +698,9 @@ fn main() -> ExitCode {
     match dispatch(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            if !e.is_silent() {
-                eprintln!("figures: {e}");
-                if e.wants_usage() {
-                    eprintln!("\n{USAGE}");
-                }
+            eprintln!("figures: {e}");
+            if e.wants_usage() {
+                eprintln!("\n{USAGE}");
             }
             ExitCode::from(e.exit_code())
         }

@@ -1,11 +1,111 @@
-//! Typed CLI failure for the `figures` binary.
+//! The `figures` binary's one argument grammar and its typed failure.
+//!
+//! Every subcommand splits its arguments with [`Args::split`] against its
+//! table of accepted flags ([`Flags`]), and `run`, `launch` and `serve` read
+//! `--scale`/`--seed`/`--topo`/`--traffic` with [`run_spec`], the parsing
+//! counterpart of [`RunSpec::args`]. So an unknown option, a flag without
+//! its value and a bad run flag read the same on every subcommand.
 //!
 //! Every subcommand returns `Result<(), CliError>`; `main` is the single
-//! place that prints the error and picks the process exit code. The
-//! historical contract is kept: exit 2 for invalid invocations (unknown
-//! names listing the valid choices, bad flags, unbuildable specs), exit 1
-//! for lint findings, and usage text only when the invocation shape itself
-//! was wrong.
+//! place that prints the error and picks the process exit code: exit 2 for
+//! invalid invocations (unknown names listing the valid choices, bad flags,
+//! unbuildable specs), with the usage text only when the invocation shape
+//! itself was wrong.
+
+use jellyfish::experiment::RunSpec;
+use jellyfish::figures::Scale;
+
+/// The seed of a run that names none.
+pub const DEFAULT_SEED: u64 = 2012;
+
+/// The flags one subcommand accepts, and how many positionals.
+#[derive(Debug, Clone, Copy)]
+pub struct Flags {
+    /// Flags that take the next argument as their value (`--seed 7`).
+    pub values: &'static [&'static str],
+    /// Bare switches (`--json`).
+    pub switches: &'static [&'static str],
+    /// How many positional arguments the subcommand takes; one more is an
+    /// unknown option.
+    pub positionals: usize,
+}
+
+/// An argument list split by a [`Flags`] table.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct Args {
+    /// The positional arguments, in order.
+    pub positionals: Vec<String>,
+    values: Vec<(&'static str, String)>,
+    switches: Vec<&'static str>,
+}
+
+impl Args {
+    /// Splits `args` into positionals, `--flag value` pairs and bare
+    /// switches. A flag's value is the next argument, whatever it is. An
+    /// argument starting with `--` that `flags` does not list, or a
+    /// positional beyond `flags.positionals`, is an unknown option.
+    pub fn split(args: &[String], flags: &Flags) -> Result<Args, CliError> {
+        let mut out = Args::default();
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            if let Some(&flag) = flags.values.iter().find(|&&f| f == arg) {
+                let value = rest
+                    .next()
+                    .ok_or_else(|| CliError::Invalid(format!("{flag} needs a value")))?;
+                out.values.push((flag, value.clone()));
+            } else if let Some(&flag) = flags.switches.iter().find(|&&f| f == arg) {
+                out.switches.push(flag);
+            } else if arg.starts_with("--") || out.positionals.len() == flags.positionals {
+                return Err(CliError::Usage(format!("unknown option '{arg}'")));
+            } else {
+                out.positionals.push(arg.clone());
+            }
+        }
+        Ok(out)
+    }
+
+    /// The value of `flag`; the last one when it was given twice.
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        self.values.iter().rev().find(|(f, _)| *f == flag).map(|(_, v)| v.as_str())
+    }
+
+    /// The value of `flag` read by `parse`, or `None` when it was not given;
+    /// a value `parse` rejects is an invalid invocation.
+    pub fn parse<T>(
+        &self,
+        flag: &str,
+        parse: impl FnOnce(&str) -> Result<T, String>,
+    ) -> Result<Option<T>, CliError> {
+        self.value(flag).map(parse).transpose().map_err(CliError::Invalid)
+    }
+
+    /// Whether the switch `flag` was given.
+    pub fn switch(&self, flag: &str) -> bool {
+        self.switches.contains(&flag)
+    }
+}
+
+/// Reads `--scale`, `--seed`, `--topo` and `--traffic` into a [`RunSpec`]:
+/// the parsing counterpart of [`RunSpec::args`]. An absent flag keeps the
+/// default run: laptop scale, seed [`DEFAULT_SEED`], no override.
+pub fn run_spec(args: &Args) -> Result<RunSpec, CliError> {
+    Ok(RunSpec {
+        scale: args
+            .parse("--scale", |raw| raw.parse().map_err(|e| format!("{e}")))?
+            .unwrap_or(Scale::Laptop),
+        seed: args
+            .parse("--seed", |raw| {
+                raw.parse()
+                    .map_err(|_| format!("unparsable --seed '{raw}': expected an unsigned integer"))
+            })?
+            .unwrap_or(DEFAULT_SEED),
+        topo: args
+            .parse("--topo", |raw| raw.parse().map_err(|e| format!("unparsable --topo: {e}")))?,
+        traffic: args.parse("--traffic", |raw| {
+            raw.parse().map_err(|e| format!("unparsable --traffic: {e}"))
+        })?,
+    })
+}
 
 /// Why a `figures` invocation failed, carrying the exit code and (for
 /// unknown names) the valid-choices listing every subcommand reports the
@@ -28,9 +128,6 @@ pub enum CliError {
     /// An invocation whose shape is wrong enough to reprint the usage text
     /// (unknown flag, missing subcommand). Exit 2.
     Usage(String),
-    /// The command ran and found problems it already reported on stdout
-    /// (lint findings). Exit 1, nothing further to print.
-    Findings,
 }
 
 impl CliError {
@@ -46,21 +143,12 @@ impl CliError {
 
     /// The process exit code this error maps to.
     pub fn exit_code(&self) -> u8 {
-        match self {
-            CliError::Findings => 1,
-            _ => 2,
-        }
+        2
     }
 
     /// Whether `main` should append the usage text after the message.
     pub fn wants_usage(&self) -> bool {
         matches!(self, CliError::Usage(_))
-    }
-
-    /// Whether there is a message to print (lint findings already printed
-    /// their report).
-    pub fn is_silent(&self) -> bool {
-        matches!(self, CliError::Findings)
     }
 }
 
@@ -71,7 +159,6 @@ impl std::fmt::Display for CliError {
                 write!(f, "unknown {what} '{got}' (valid choices: {valid})")
             }
             CliError::Invalid(msg) | CliError::Usage(msg) => write!(f, "{msg}"),
-            CliError::Findings => Ok(()),
         }
     }
 }
@@ -90,12 +177,23 @@ impl From<String> for CliError {
 mod tests {
     use super::*;
 
+    /// The run flags alone, as `run`, `launch` and `serve` list them.
+    const RUN_FLAGS: Flags = Flags {
+        values: &["--scale", "--seed", "--topo", "--traffic"],
+        switches: &["--json"],
+        positionals: 1,
+    };
+
+    fn split(args: &[&str]) -> Result<Args, CliError> {
+        let args: Vec<String> = args.iter().map(ToString::to_string).collect();
+        Args::split(&args, &RUN_FLAGS)
+    }
+
     #[test]
     fn exit_codes_match_the_historical_contract() {
         assert_eq!(CliError::unknown("experiment", "x", "a, b").exit_code(), 2);
         assert_eq!(CliError::Invalid("bad".into()).exit_code(), 2);
         assert_eq!(CliError::Usage("bad".into()).exit_code(), 2);
-        assert_eq!(CliError::Findings.exit_code(), 1);
     }
 
     #[test]
@@ -111,7 +209,52 @@ mod tests {
     fn only_usage_errors_reprint_usage() {
         assert!(CliError::Usage("x".into()).wants_usage());
         assert!(!CliError::Invalid("x".into()).wants_usage());
-        assert!(!CliError::Findings.wants_usage());
-        assert!(CliError::Findings.is_silent());
+    }
+
+    #[test]
+    fn split_sorts_positionals_values_and_switches() {
+        let args = split(&["--seed", "3", "fig9", "--json", "--seed", "--json"]).unwrap();
+        assert_eq!(args.positionals, ["fig9"]);
+        assert_eq!(args.value("--seed"), Some("--json"), "the last value wins, taken verbatim");
+        assert!(args.switch("--json"));
+        assert_eq!(args.value("--topo"), None);
+        assert!(!split(&["fig9"]).unwrap().switch("--json"));
+    }
+
+    #[test]
+    fn split_names_the_unknown_option_and_the_valueless_flag() {
+        let usage = |msg: &str| Err(CliError::Usage(msg.to_string()));
+        assert_eq!(split(&["fig9", "--shard", "1/2"]), usage("unknown option '--shard'"));
+        assert_eq!(split(&["fig9", "extra"]), usage("unknown option 'extra'"));
+        assert_eq!(
+            split(&["fig9", "--seed"]),
+            Err(CliError::Invalid("--seed needs a value".into()))
+        );
+    }
+
+    #[test]
+    fn run_spec_reads_back_what_args_prints() {
+        let bare = RunSpec::new(Scale::Tiny, 7);
+        let topo = bare.clone().with_topo("fattree:k=4+fail_links=0.1".parse().unwrap());
+        let traffic = bare.clone().with_traffic("zipf:s=1.2,hot_racks=4+epochs=2".parse().unwrap());
+        let both = topo.clone().with_traffic("stride:k=3".parse().unwrap());
+        for run in [bare, topo, traffic, both, RunSpec::new(Scale::Paper, u64::MAX)] {
+            let args = Args::split(&run.args(), &RUN_FLAGS).unwrap();
+            assert_eq!(run_spec(&args).unwrap(), run, "{:?}", run.args());
+        }
+        let default = run_spec(&split(&[]).unwrap()).unwrap();
+        assert_eq!(default, RunSpec::new(Scale::Laptop, DEFAULT_SEED));
+    }
+
+    #[test]
+    fn run_spec_names_the_bad_flag() {
+        let err = |args: &[&str]| run_spec(&split(args).unwrap()).unwrap_err().to_string();
+        assert_eq!(err(&["--seed", "x"]), "unparsable --seed 'x': expected an unsigned integer");
+        assert_eq!(
+            err(&["--scale", "huge"]),
+            "unknown scale 'huge': valid scales are tiny, laptop, paper"
+        );
+        assert!(err(&["--topo", "nope:x=1"]).starts_with("unparsable --topo: "));
+        assert!(err(&["--traffic", "nope"]).starts_with("unparsable --traffic: "));
     }
 }

@@ -216,18 +216,7 @@ fn collect_worker(
         return Err(format!("worker exited with {status}"));
     }
     let path = fragment_path(run_dir, cmd.shard);
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("fragment file {} unreadable: {e}", path.display()))?;
-    let mut fragments = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        fragments.push(
-            ShardFragment::from_json(line)
-                .map_err(|e| format!("fragment file {}:{}: {e}", path.display(), lineno + 1))?,
-        );
-    }
+    let fragments = merge::read_fragments(&path)?;
     if fragments.is_empty() {
         return Err(format!("fragment file {} is empty", path.display()));
     }

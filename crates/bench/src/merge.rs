@@ -11,8 +11,12 @@
 //! parsed the run's specs. Violations are reported with the experiment name
 //! *and* the offending item's debug label, so "item 7 is missing" reads as
 //! "item 7 ('jellyfish 96sw x16') is missing".
+//!
+//! [`read_fragments`] is the one reader of fragment files, for `merge`'s
+//! arguments and for the launcher's worker output alike.
 
 use jellyfish::experiment::{self, Dataset, Experiment, RunCtx, RunSpec, ShardFragment};
+use std::path::Path;
 
 /// One merged experiment: the run the fragments agreed on and the
 /// recombined dataset, ready for rendering.
@@ -33,6 +37,24 @@ pub fn experiment_names() -> String {
     let mut names = vec!["all"];
     names.extend(experiment::names());
     names.join(", ")
+}
+
+/// Reads every fragment of one file, one JSON line each; blank lines are
+/// skipped. An unreadable file or a malformed line is an error naming the
+/// file (and `file:line`).
+pub fn read_fragments(path: &Path) -> Result<Vec<ShardFragment>, String> {
+    let file = path.display();
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read '{file}': {e}"))?;
+    let mut fragments = Vec::new();
+    for (lineno, line) in text.lines().enumerate() {
+        if !line.trim().is_empty() {
+            fragments.push(
+                ShardFragment::from_json(line)
+                    .map_err(|e| format!("{file}:{}: {e}", lineno + 1))?,
+            );
+        }
+    }
+    Ok(fragments)
 }
 
 /// Validates and merges a set of fragments (from any number of experiments),
