@@ -92,11 +92,11 @@ proptest! {
         let pairs: Vec<_> = (0..n).map(|s| (s, (s + n / 2) % n)).filter(|(s, d)| s != d).collect();
         let csr = topo.csr();
         let table = PathTable::build(&csr, RoutingScheme::ksp8(), pairs);
-        let counts = table.directed_link_path_counts(&csr);
-        let total: usize = counts.values().sum();
+        let counts = table.arc_path_counts(&csr);
+        let total: usize = counts.iter().sum();
         let hops: usize = table.iter().flat_map(|(_, ps)| ps.iter().map(|p| p.len() - 1)).sum();
         prop_assert_eq!(total, hops);
-        prop_assert_eq!(counts.len(), 2 * topo.num_links());
+        prop_assert_eq!(counts.len(), csr.num_arcs());
     }
 
     /// The rayon path-table build is identical to a serial per-pair loop

@@ -28,7 +28,6 @@ use crate::impair::Impairments;
 use jellyfish_topology::spec::ImpairConfig;
 use jellyfish_topology::CsrGraph;
 use jellyfish_traffic::ServerMap;
-use std::collections::HashMap;
 
 /// A node in the simulated network (switch or host).
 pub type SimNode = usize;
@@ -169,11 +168,6 @@ impl Network {
         self.num_switches
     }
 
-    /// Number of hosts in the fabric.
-    pub fn num_hosts(&self) -> usize {
-        self.tor_of.len()
-    }
-
     /// The id of the directed link `(u, v)`, or `None` when no such link
     /// exists (e.g. it was failed out of the topology).
     pub fn link_id(&self, u: SimNode, v: SimNode) -> Option<LinkId> {
@@ -189,11 +183,6 @@ impl Network {
             self.csr.arc_index(u, v)
         };
         id.map(|id| id as LinkId)
-    }
-
-    /// Whether a directed link exists.
-    pub fn has_link(&self, u: SimNode, v: SimNode) -> bool {
-        self.link_id(u, v).is_some()
     }
 
     /// Hands one full-size packet to the directed link `(u, v)` at time `now`.
@@ -283,33 +272,6 @@ impl Network {
     pub fn no_link_drops(&self) -> u64 {
         self.no_link
     }
-
-    /// Per-directed-link utilization over a horizon: transmitted packets
-    /// divided by `rate × horizon`.
-    pub fn link_utilization(&self, horizon: f64) -> HashMap<(SimNode, SimNode), f64> {
-        let denom = self.params.rate * horizon;
-        let mut out = HashMap::new();
-        let mut insert = |u: SimNode, v: SimNode| {
-            let id = self.link_id(u, v).expect("enumerated links exist") as usize;
-            out.insert((u, v), self.links[id].transmitted as f64 / denom);
-        };
-        for u in self.csr.nodes() {
-            for &v in self.csr.neighbors(u) {
-                insert(u, v as SimNode);
-            }
-        }
-        for (s, &tor) in self.tor_of.iter().enumerate() {
-            insert(self.host_node(s), tor);
-            insert(tor, self.host_node(s));
-        }
-        out
-    }
-
-    /// The base RTT (propagation + one transmission per hop, no queueing) of
-    /// a path with `hops` links, for senders estimating their initial RTO.
-    pub fn base_rtt(&self, hops: usize, params: LinkParams) -> f64 {
-        2.0 * hops as f64 * (params.delay + 1.0 / params.rate)
-    }
 }
 
 /// A source-routed packet. Payload packets carry `seq`; acknowledgements
@@ -349,17 +311,18 @@ mod tests {
         let csr = topo.csr();
         let net = Network::build(&csr, &servers, LinkParams::default());
         assert_eq!(net.num_switches(), 6);
-        assert_eq!(net.num_hosts(), 18);
+        assert_eq!(servers.num_servers(), 18);
+        let has_link = |u, v| net.link_id(u, v).is_some();
         for (a, b) in csr.edges() {
-            assert!(net.has_link(a, b));
-            assert!(net.has_link(b, a));
+            assert!(has_link(a, b));
+            assert!(has_link(b, a));
         }
         for s in 0..servers.num_servers() {
             let host = net.host_node(s);
-            assert!(net.has_link(host, servers.switch_of(s)));
-            assert!(net.has_link(servers.switch_of(s), host));
+            assert!(has_link(host, servers.switch_of(s)));
+            assert!(has_link(servers.switch_of(s), host));
         }
-        assert!(!net.has_link(0, net.host_node(17)) || servers.switch_of(17) == 0);
+        assert!(!has_link(0, net.host_node(17)) || servers.switch_of(17) == 0);
     }
 
     #[test]
@@ -500,19 +463,5 @@ mod tests {
         };
         assert!((dup_arrival - arrival - 1.0 / params.rate).abs() < 1e-12);
         assert_eq!(net.total_transmitted(), 2, "the copy burns a transmission slot");
-    }
-
-    #[test]
-    fn utilization_and_rtt_helpers() {
-        let mut net = network();
-        let params = LinkParams::default();
-        let (u, v) = (net.host_node(0), 0);
-        for _ in 0..10 {
-            net.transmit(u, v, 0.0);
-        }
-        let util = net.link_utilization(1.0);
-        assert!((util[&(u, v)] - 10.0 / params.rate).abs() < 1e-9);
-        let rtt = net.base_rtt(3, params);
-        assert!((rtt - 2.0 * 3.0 * (params.delay + 0.01)).abs() < 1e-9);
     }
 }

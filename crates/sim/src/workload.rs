@@ -31,13 +31,6 @@ pub struct Connection {
     pub coupled: bool,
 }
 
-impl Connection {
-    /// Number of subflows.
-    pub fn num_subflows(&self) -> usize {
-        self.subflow_paths.len()
-    }
-}
-
 /// Builds the connections for `flows` under the given routing scheme and
 /// transport policy. Each flow's subflow seed is derived from its position
 /// in `flows`, so the same flows in the same order give the same
@@ -125,7 +118,7 @@ mod tests {
         );
         assert_eq!(conns.len(), tm.flows().len());
         for c in &conns {
-            assert_eq!(c.num_subflows(), 8);
+            assert_eq!(c.subflow_paths.len(), 8);
             assert!(c.coupled);
         }
     }
@@ -197,7 +190,7 @@ mod tests {
                 TransportPolicy::Tcp { flows },
                 2,
             );
-            assert!(conns.iter().all(|c| c.num_subflows() == flows));
+            assert!(conns.iter().all(|c| c.subflow_paths.len() == flows));
         }
     }
 }
