@@ -51,11 +51,6 @@ pub mod yen;
 /// last entry the destination, consecutive entries adjacent.
 pub type Path = Vec<jellyfish_topology::NodeId>;
 
-/// Number of links (hops) in a path.
-pub fn path_hops(path: &Path) -> usize {
-    path.len().saturating_sub(1)
-}
-
 /// Checks that `path` is a valid simple path in the snapshot.
 pub fn is_valid_simple_path(csr: &jellyfish_topology::CsrGraph, path: &Path) -> bool {
     if path.is_empty() {
@@ -74,12 +69,6 @@ pub fn is_valid_simple_path(csr: &jellyfish_topology::CsrGraph, path: &Path) -> 
 mod tests {
     use super::*;
     use jellyfish_topology::{CsrGraph, Graph};
-
-    #[test]
-    fn path_hops_counts_links() {
-        assert_eq!(path_hops(&vec![3]), 0);
-        assert_eq!(path_hops(&vec![0, 1, 2]), 2);
-    }
 
     #[test]
     fn valid_simple_path_checks() {

@@ -110,13 +110,6 @@ impl CostModel {
     pub fn switch_cost(&self, ports: usize) -> f64 {
         self.per_port * ports as f64
     }
-
-    /// Cost of a whole topology bought from scratch: all ports plus one cable
-    /// per switch-to-switch link and per server.
-    pub fn greenfield_cost(&self, topo: &Topology) -> f64 {
-        self.per_port * topo.total_ports() as f64
-            + self.per_cable * (topo.num_links() + topo.total_servers()) as f64
-    }
 }
 
 /// One stage of a Clos expansion plan.
@@ -273,12 +266,8 @@ mod tests {
     }
 
     #[test]
-    fn cost_model_greenfield() {
-        let topo = small_clos().build().unwrap();
-        let cost = CostModel::default();
-        let expected = 100.0 * topo.total_ports() as f64 + 10.0 * (32 + 80) as f64;
-        assert!((cost.greenfield_cost(&topo) - expected).abs() < 1e-9);
-        assert!((cost.switch_cost(48) - 4800.0).abs() < 1e-9);
+    fn cost_model_prices_switches_by_port() {
+        assert!((CostModel::default().switch_cost(48) - 4800.0).abs() < 1e-9);
     }
 
     #[test]

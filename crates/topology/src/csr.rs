@@ -167,13 +167,6 @@ impl CsrGraph {
         row.binary_search(&(v as u32)).ok().map(|i| range.start + i)
     }
 
-    /// Id of the arc `v -> u` given the arc `u -> v`.
-    pub fn reverse_arc(&self, arc: ArcId) -> ArcId {
-        let u = self.arc_source(arc);
-        let v = self.arc_target(arc);
-        self.arc_index(v, u).expect("reverse arc exists by symmetry")
-    }
-
     /// Undirected edge id of an arc.
     #[inline]
     pub fn edge_of_arc(&self, arc: ArcId) -> EdgeId {
@@ -295,8 +288,8 @@ mod tests {
             assert_ne!(fwd, rev);
             assert_eq!(csr.edge_of_arc(fwd), edge);
             assert_eq!(csr.edge_of_arc(rev), edge);
-            assert_eq!(csr.reverse_arc(fwd), rev);
-            assert_eq!(csr.reverse_arc(rev), fwd);
+            assert_eq!((csr.arc_source(fwd), csr.arc_target(fwd)), (a, b));
+            assert_eq!((csr.arc_source(rev), csr.arc_target(rev)), (b, a));
         }
         // Edge ids are lexicographic in (a, b).
         let endpoints: Vec<_> = (0..csr.num_edges()).map(|e| csr.edge_endpoints(e)).collect();

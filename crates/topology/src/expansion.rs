@@ -130,38 +130,6 @@ pub fn add_network_switch(
     add_switch(topo, ports, 0, seed)
 }
 
-/// Converts spare server ports into network ports on an existing switch by
-/// detaching `count` servers and splicing the freed ports into the network.
-/// Used to model capacity upgrades without buying hardware.
-pub fn convert_server_ports_to_network(
-    topo: &mut Topology,
-    switch: NodeId,
-    count: usize,
-    seed: u64,
-) -> Result<Vec<(NodeId, NodeId)>, TopologyError> {
-    if topo.servers(switch) < count {
-        return Err(TopologyError::InvalidParameters(format!(
-            "switch {switch} only has {} servers attached",
-            topo.servers(switch)
-        )));
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    topo.set_servers(switch, topo.servers(switch) - count)?;
-    let mut added = Vec::new();
-    while topo.free_ports(switch) >= 2 {
-        let Some((v, w)) = pick_splice_link(topo.graph(), switch, &mut rng) else {
-            break;
-        };
-        topo.disconnect(v, w);
-        topo.connect(switch, v);
-        topo.connect(switch, w);
-        added.push((switch, v));
-        added.push((switch, w));
-    }
-    debug_assert!(topo.check_invariants().is_ok());
-    Ok(added)
-}
-
 /// Picks a uniform-random existing link `(v, w)` of `g` such that `u` is
 /// adjacent to neither `v` nor `w` and neither endpoint is `u` itself: 64
 /// rejection samples, then a uniform pick from a scan. The one link sampler
@@ -309,17 +277,6 @@ mod tests {
         let report = add_switch(&mut topo, 10, 0, 3).unwrap();
         assert!(report.unmatched_ports > 0);
         assert!(topo.check_invariants().is_ok());
-    }
-
-    #[test]
-    fn convert_server_ports_adds_network_links() {
-        let mut topo = base_topology();
-        let degree_before = topo.graph().degree(0);
-        let links = convert_server_ports_to_network(&mut topo, 0, 2, 3).unwrap();
-        assert_eq!(links.len(), 2);
-        assert_eq!(topo.graph().degree(0), degree_before + 2);
-        assert_eq!(topo.servers(0), 2);
-        assert!(convert_server_ports_to_network(&mut topo, 0, 10, 3).is_err());
     }
 
     #[test]

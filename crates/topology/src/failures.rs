@@ -20,13 +20,6 @@ pub struct FailureReport {
     pub failed_switches: Vec<NodeId>,
 }
 
-impl FailureReport {
-    /// Total number of failure events injected.
-    pub fn total_failures(&self) -> usize {
-        self.failed_links.len() + self.failed_switches.len()
-    }
-}
-
 /// Removes a uniform-random `fraction` of all switch-to-switch links
 /// (rounded to the nearest whole link count). Servers stay attached.
 ///
@@ -43,15 +36,6 @@ pub fn fail_random_links(topo: &mut Topology, fraction: f64, seed: u64) -> Failu
     }
     debug_assert!(topo.check_invariants().is_ok());
     FailureReport { failed_links: failed, failed_switches: Vec::new() }
-}
-
-/// Fails an exact number of uniform-random links.
-pub fn fail_link_count(topo: &mut Topology, count: usize, seed: u64) -> FailureReport {
-    let total = topo.num_links();
-    if total == 0 {
-        return FailureReport { failed_links: Vec::new(), failed_switches: Vec::new() };
-    }
-    fail_random_links(topo, count.min(total) as f64 / total as f64, seed)
 }
 
 /// Fails a uniform-random `fraction` of switches: every network link incident
@@ -157,20 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn fail_link_count_exact() {
-        let mut t = topo();
-        let before = t.num_links();
-        let r = fail_link_count(&mut t, 10, 5);
-        assert_eq!(r.failed_links.len(), 10);
-        assert_eq!(t.num_links(), before - 10);
-        // Requesting more than exist fails them all.
-        let mut t2 = topo();
-        let all = t2.num_links();
-        let r2 = fail_link_count(&mut t2, all + 100, 5);
-        assert_eq!(r2.failed_links.len(), all);
-    }
-
-    #[test]
     fn moderate_failures_keep_rrg_connected() {
         // An 8-regular random graph on 40 nodes survives 15% link failures
         // with overwhelming probability (the paper's resilience claim).
@@ -204,11 +174,5 @@ mod tests {
         // Largest component is a single switch.
         assert!((s.switch_fraction - 1.0 / 40.0).abs() < 1e-12);
         assert!(s.server_fraction > 0.0);
-    }
-
-    #[test]
-    fn total_failures_counts_both_kinds() {
-        let r = FailureReport { failed_links: vec![(0, 1), (2, 3)], failed_switches: vec![7] };
-        assert_eq!(r.total_failures(), 3);
     }
 }

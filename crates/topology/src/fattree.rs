@@ -12,18 +12,15 @@
 //! which is exactly the "same equipment" accounting the paper uses when
 //! comparing against Jellyfish.
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::Graph;
 use crate::topology::{SwitchKind, Topology, TopologyError};
 
-/// A generated fat-tree, exposing both the [`Topology`] and the layer
-/// structure (useful for cabling-layout experiments in §6).
+/// A generated fat-tree: its [`Topology`] and port count `k`. Switches are
+/// numbered edge (pod-major), then aggregation (pod-major), then core.
 #[derive(Debug, Clone)]
 pub struct FatTree {
     topology: Topology,
     k: usize,
-    edge: Vec<NodeId>,
-    aggregation: Vec<NodeId>,
-    core: Vec<NodeId>,
 }
 
 impl FatTree {
@@ -68,32 +65,21 @@ impl FatTree {
 
         let mut servers = vec![0usize; n];
         let mut kinds = vec![SwitchKind::Core; n];
-        let mut edge_nodes = Vec::with_capacity(num_edge);
-        let mut agg_nodes = Vec::with_capacity(num_agg);
-        let mut core_nodes = Vec::with_capacity(num_core);
         for pod in 0..k {
             for e in 0..half {
                 let id = edge_id(pod, e);
                 servers[id] = half;
                 kinds[id] = SwitchKind::TopOfRack;
-                edge_nodes.push(id);
             }
             for a in 0..half {
-                let id = agg_id(pod, a);
-                kinds[id] = SwitchKind::Aggregation;
-                agg_nodes.push(id);
-            }
-        }
-        for i in 0..half {
-            for j in 0..half {
-                core_nodes.push(core_id(i, j));
+                kinds[agg_id(pod, a)] = SwitchKind::Aggregation;
             }
         }
 
         let topology =
             Topology::from_parts(g, vec![k; n], servers, kinds, format!("fat-tree(k={k})"));
         debug_assert!(topology.check_invariants().is_ok());
-        Ok(FatTree { topology, k, edge: edge_nodes, aggregation: agg_nodes, core: core_nodes })
+        Ok(FatTree { topology, k })
     }
 
     /// The switch port count `k`.
@@ -111,34 +97,6 @@ impl FatTree {
         self.topology
     }
 
-    /// Edge-layer (ToR) switches, pod-major order.
-    pub fn edge_switches(&self) -> &[NodeId] {
-        &self.edge
-    }
-
-    /// Aggregation-layer switches, pod-major order.
-    pub fn aggregation_switches(&self) -> &[NodeId] {
-        &self.aggregation
-    }
-
-    /// Core switches.
-    pub fn core_switches(&self) -> &[NodeId] {
-        &self.core
-    }
-
-    /// Pod index of a non-core switch (edge or aggregation).
-    pub fn pod_of(&self, node: NodeId) -> Option<usize> {
-        let half = self.k / 2;
-        let num_edge = self.k * half;
-        if node < num_edge {
-            Some(node / half)
-        } else if node < 2 * num_edge {
-            Some((node - num_edge) / half)
-        } else {
-            None
-        }
-    }
-
     /// Number of servers in a full fat-tree built from `k`-port switches:
     /// `k^3 / 4`.
     pub fn servers_for_port_count(k: usize) -> usize {
@@ -154,12 +112,6 @@ impl FatTree {
     /// Total port count (the paper's equipment-cost measure): `5 k^3 / 4`.
     pub fn ports_for_port_count(k: usize) -> usize {
         5 * k * k * k / 4
-    }
-
-    /// Number of edges crossing the worst-case bisection of a full-bisection
-    /// fat-tree: `k^3 / 8` (half the servers' uplink capacity).
-    pub fn bisection_links_for_port_count(k: usize) -> usize {
-        k * k * k / 8
     }
 
     /// Fraction of switch-to-switch links that stay within a pod when the
@@ -208,9 +160,10 @@ mod tests {
         let ft = FatTree::new(4).unwrap();
         let t = ft.topology();
         assert_eq!(t.num_switches(), 20);
-        assert_eq!(ft.edge_switches().len(), 8);
-        assert_eq!(ft.aggregation_switches().len(), 8);
-        assert_eq!(ft.core_switches().len(), 4);
+        let layer = |kind| t.graph().nodes().filter(|&v| t.kind(v) == kind).count();
+        assert_eq!(layer(SwitchKind::TopOfRack), 8);
+        assert_eq!(layer(SwitchKind::Aggregation), 8);
+        assert_eq!(layer(SwitchKind::Core), 4);
         assert_eq!(t.total_servers(), 16);
         // Every switch uses exactly k ports.
         for v in t.graph().nodes() {
@@ -262,26 +215,17 @@ mod tests {
     }
 
     #[test]
-    fn pods_are_identified_correctly() {
-        let ft = FatTree::new(4).unwrap();
-        // First pod's edge switches are nodes 0,1; aggregation 8,9.
-        assert_eq!(ft.pod_of(0), Some(0));
-        assert_eq!(ft.pod_of(1), Some(0));
-        assert_eq!(ft.pod_of(2), Some(1));
-        assert_eq!(ft.pod_of(8), Some(0));
-        assert_eq!(ft.pod_of(9), Some(0));
-        assert_eq!(ft.pod_of(10), Some(1));
-        // Core switches have no pod.
-        assert_eq!(ft.pod_of(16), None);
-    }
-
-    #[test]
     fn core_switches_reach_every_pod() {
         let ft = FatTree::new(6).unwrap();
         let t = ft.topology();
-        for &c in ft.core_switches() {
+        // Aggregation switches follow the 18 edge switches, 3 per pod.
+        let pod_of_aggregation = |v: usize| {
+            assert_eq!(t.kind(v), SwitchKind::Aggregation, "core switch neighbour {v}");
+            (v - 18) / 3
+        };
+        for c in t.graph().nodes().filter(|&v| t.kind(v) == SwitchKind::Core) {
             let mut pods: Vec<usize> =
-                t.graph().neighbors(c).iter().filter_map(|&v| ft.pod_of(v)).collect();
+                t.graph().neighbors(c).iter().map(|&v| pod_of_aggregation(v)).collect();
             pods.sort_unstable();
             pods.dedup();
             assert_eq!(pods.len(), 6, "core switch {c} does not reach all pods");
@@ -292,17 +236,15 @@ mod tests {
     fn kinds_assigned_per_layer() {
         let ft = FatTree::new(4).unwrap();
         let t = ft.topology();
-        for &e in ft.edge_switches() {
-            assert_eq!(t.kind(e), SwitchKind::TopOfRack);
-            assert_eq!(t.servers(e), 2);
-        }
-        for &a in ft.aggregation_switches() {
-            assert_eq!(t.kind(a), SwitchKind::Aggregation);
-            assert_eq!(t.servers(a), 0);
-        }
-        for &c in ft.core_switches() {
-            assert_eq!(t.kind(c), SwitchKind::Core);
-            assert_eq!(t.servers(c), 0);
+        // Edge switches 0..8 (pod-major), aggregation 8..16, core 16..20.
+        for v in t.graph().nodes() {
+            let (kind, servers) = match v {
+                0..=7 => (SwitchKind::TopOfRack, 2),
+                8..=15 => (SwitchKind::Aggregation, 0),
+                _ => (SwitchKind::Core, 0),
+            };
+            assert_eq!(t.kind(v), kind, "switch {v}");
+            assert_eq!(t.servers(v), servers, "switch {v}");
         }
     }
 

@@ -248,11 +248,6 @@ impl Graph {
         }
     }
 
-    /// Number of edges with both endpoints inside `set`.
-    pub fn edges_within(&self, set: &BTreeSet<NodeId>) -> usize {
-        self.edges.iter().filter(|e| set.contains(&e.a) && set.contains(&e.b)).count()
-    }
-
     /// Checks internal consistency (adjacency mirrors the edge list). Used by
     /// tests and debug assertions in the generators.
     pub fn check_invariants(&self) -> Result<(), String> {
@@ -427,18 +422,6 @@ mod tests {
         assert!(g.has_edge(2, 3));
         assert_eq!(g.num_edges(), 1);
         assert!(g.check_invariants().is_ok());
-    }
-
-    #[test]
-    fn edges_within_subset() {
-        let mut g = Graph::new(5);
-        g.add_edge(0, 1);
-        g.add_edge(1, 2);
-        g.add_edge(3, 4);
-        let set: BTreeSet<_> = [0, 1, 2].into_iter().collect();
-        assert_eq!(g.edges_within(&set), 2);
-        let set2: BTreeSet<_> = [0, 3].into_iter().collect();
-        assert_eq!(g.edges_within(&set2), 0);
     }
 
     #[test]

@@ -245,11 +245,6 @@ impl Topology {
         self.ports.iter().sum()
     }
 
-    /// Total number of ports actually in use (network links ×2 + servers).
-    pub fn used_ports(&self) -> usize {
-        2 * self.graph.num_edges() + self.total_servers()
-    }
-
     /// Switches that have servers attached (the "racks").
     pub fn racks(&self) -> Vec<NodeId> {
         self.graph.nodes().filter(|&n| self.servers[n] > 0).collect()
@@ -315,18 +310,6 @@ impl Topology {
         }
         Ok(())
     }
-
-    /// Normalized oversubscription indicator: total server line rate divided
-    /// by twice the bisection-ish network capacity per server is left to the
-    /// flow crate; here we expose the raw ratio of server ports to network
-    /// ports, a quick sanity metric.
-    pub fn server_to_network_port_ratio(&self) -> f64 {
-        let net_ports: usize = self.graph.nodes().map(|n| self.graph.degree(n)).sum();
-        if net_ports == 0 {
-            return f64::INFINITY;
-        }
-        self.total_servers() as f64 / net_ports as f64
-    }
 }
 
 #[cfg(test)]
@@ -348,7 +331,6 @@ mod tests {
         assert_eq!(t.num_links(), 3);
         assert_eq!(t.total_servers(), 6);
         assert_eq!(t.total_ports(), 12);
-        assert_eq!(t.used_ports(), 2 * 3 + 6);
         assert_eq!(t.free_ports(0), 0);
         assert!(t.check_invariants().is_ok());
     }
@@ -413,8 +395,9 @@ mod tests {
         let mut t = triangle();
         t.set_servers(1, 0).unwrap();
         assert_eq!(t.racks(), vec![0, 2]);
-        // 4 servers, 6 network port-endpoints.
-        assert!((t.server_to_network_port_ratio() - 4.0 / 6.0).abs() < 1e-12);
+        // 4 server ports against 6 network port-endpoints.
+        assert_eq!(t.total_servers(), 4);
+        assert_eq!(t.graph().nodes().map(|n| t.graph().degree(n)).sum::<usize>(), 6);
     }
 
     #[test]
