@@ -14,9 +14,9 @@
 //! for every waiver. The rules and their rationale are documented in
 //! LINTS.md at the repository root.
 //!
-//! Run it standalone (`cargo run -p detlint -- crates/`) or through the
-//! bench CLI (`figures lint [--json] [paths...]`). Exit code 0 means clean,
-//! 1 means findings, 2 means a usage or I/O error.
+//! Run it as the `detlint` binary (`cargo run -p detlint -- crates/`), the
+//! one command-line entry to the linter. Exit code 0 means clean, 1 means
+//! findings, 2 means a usage or I/O error.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
