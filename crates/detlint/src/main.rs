@@ -1,4 +1,4 @@
-//! `detlint` — the standalone determinism-linter binary.
+//! `detlint` — the determinism linter's command-line binary (CI's lint job runs it).
 //!
 //! ```text
 //! detlint [--json] [--list-rules] [paths...]
