@@ -2,7 +2,7 @@
 //!
 //! The build environment has no access to crates.io, so this workspace ships
 //! a dependency-free property-testing harness with the `proptest` surface the
-//! Jellyfish reproduction's tests use (see DESIGN.md, substitution 3):
+//! Jellyfish reproduction's tests use (see DESIGN.md, substitution 5):
 //!
 //! * the [`proptest!`] macro with an optional `#![proptest_config(...)]`
 //!   header and `arg in strategy` bindings;
@@ -182,7 +182,7 @@ macro_rules! impl_tuple_strategy {
     ($(($($name:ident),+))*) => {$(
         impl<$($name: Strategy),+> Strategy for ($($name,)+) {
             type Value = ($($name::Value,)+);
-            #[allow(non_snake_case)]
+            #[expect(non_snake_case, reason = "the tuple's type parameter names double as its element bindings")]
             fn sample(&self, rng: &mut TestRng) -> Self::Value {
                 let ($($name,)+) = self;
                 ($($name.sample(rng),)+)

@@ -3,7 +3,7 @@
 //! The build environment has no access to crates.io, so this workspace ships
 //! a deterministic, dependency-free implementation of exactly the `rand 0.8`
 //! API surface the Jellyfish reproduction uses (see DESIGN.md,
-//! substitution 3):
+//! substitution 5):
 //!
 //! * [`rngs::StdRng`] — a seedable RNG (xoshiro256++ seeded via SplitMix64,
 //!   instead of upstream's ChaCha12; streams therefore differ from upstream
@@ -15,6 +15,11 @@
 //!
 //! All sampling is fully deterministic given the seed, across platforms and
 //! thread counts.
+//!
+//! [`SeedableRng::seed_from_u64`] is the only way to make a generator, so
+//! determinism rule D03 (LINTS.md) holds by construction: there is no
+//! `thread_rng`, `from_entropy`, `OsRng` or `random()`, and code that asks
+//! for an entropy-seeded generator does not compile.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

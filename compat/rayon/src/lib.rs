@@ -2,7 +2,7 @@
 //!
 //! The build environment has no access to crates.io, so this workspace ships
 //! a dependency-free data-parallelism shim with the `rayon` API subset the
-//! Jellyfish reproduction uses (see DESIGN.md, substitution 3):
+//! Jellyfish reproduction uses (see DESIGN.md, substitution 5):
 //! `par_iter()` / `into_par_iter()`, `map`, `collect`, `for_each`.
 //!
 //! Semantics match rayon where it matters for this workspace:
@@ -10,9 +10,16 @@
 //! * **Order preservation** — `collect()` yields results in input order, so a
 //!   parallel sweep is item-for-item identical to the serial loop;
 //! * **Deterministic results** regardless of thread count or scheduling:
-//!   items never observe each other, and reduction order is the input order;
+//!   items never observe each other;
 //! * **Load balancing** — workers claim items from a shared atomic counter,
 //!   so an expensive item does not serialize the rest of the batch.
+//!
+//! There is deliberately no reducer (`sum`, `fold`, `reduce`, …): a parallel
+//! chain ends in `collect` or `for_each`, and a reduction is a serial fold
+//! over the collected results, in input order. That is the determinism rule
+//! D04 (LINTS.md): a float reduction whose grouping followed work-stealing
+//! order would print different bytes on a different core count, so here it
+//! does not compile.
 //!
 //! The implementation is eager (the whole input is materialized, then
 //! processed on `std::thread::scope` workers), which is fine at the
@@ -101,14 +108,6 @@ pub trait ParallelIterator: Sized {
         F: Fn(Self::Item) + Sync + Send,
     {
         let _ = Map { base: self, f: |x| f(x) }.drive();
-    }
-
-    /// Sums the items in input order (deterministic also for floats).
-    fn sum<S>(self) -> S
-    where
-        S: std::iter::Sum<Self::Item>,
-    {
-        self.drive().into_iter().sum()
     }
 }
 
@@ -259,12 +258,5 @@ mod tests {
     fn empty_input() {
         let out: Vec<u8> = Vec::<u8>::new().into_par_iter().map(|x| x).collect();
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn sum_is_deterministic() {
-        let a: f64 = (0..1000).into_par_iter().map(|i| (i as f64).sqrt()).sum();
-        let b: f64 = (0..1000).map(|i| (i as f64).sqrt()).sum();
-        assert_eq!(a, b);
     }
 }

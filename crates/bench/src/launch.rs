@@ -279,12 +279,20 @@ pub fn run_workers(
             Ok(child) => running.push(Running {
                 idx: i,
                 child,
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "D02: a worker deadline decides when to kill it, never what it prints"
+                )]
                 deadline: timeout.map(|t| Instant::now() + t),
             }),
             Err(e) => return abort(running, e),
         }
     }
     while remaining > 0 {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "D02: the poll clock schedules retries and deadlines, never what a worker prints"
+        )]
         let now = Instant::now();
         // Re-spawn workers whose backoff has elapsed.
         let mut deferred = Vec::new();
@@ -297,6 +305,10 @@ pub fn run_workers(
                 Ok(child) => running.push(Running {
                     idx: i,
                     child,
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "D02: a worker deadline decides when to kill it, never what it prints"
+                    )]
                     deadline: timeout.map(|t| Instant::now() + t),
                 }),
                 Err(e) => return abort(running, e),
@@ -478,6 +490,10 @@ mod tests {
         let marker = dir.join("attempts");
         let shard = Shard::new(2, 3).unwrap();
         let cmd = sh(shard, format!("echo x >> {}; exit 3", marker.display()));
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "D02: the test times the launcher's retry and kill schedule"
+        )]
         let start = std::time::Instant::now();
         let err = run_workers(&[cmd], &dir, None).unwrap_err();
         assert!(err.contains("shard 2/3"), "error must name the shard: {err}");
@@ -511,6 +527,10 @@ mod tests {
                 p = payload.display()
             ),
         );
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "D02: the test times the launcher's retry and kill schedule"
+        )]
         let start = std::time::Instant::now();
         let fragments = run_workers(&[cmd], &dir, Some(Duration::from_secs(1))).unwrap();
         assert_eq!(fragments.len(), 1);
@@ -530,6 +550,10 @@ mod tests {
         let dir = scratch("timeout-twice");
         let shard = Shard::new(1, 2).unwrap();
         let cmd = sh(shard, "exec sleep 30".to_string());
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "D02: the test times the launcher's retry and kill schedule"
+        )]
         let start = std::time::Instant::now();
         let err = run_workers(&[cmd], &dir, Some(Duration::from_millis(300))).unwrap_err();
         assert!(err.contains("shard 1/2"), "error must name the shard: {err}");
@@ -582,6 +606,10 @@ mod tests {
                 p = pid_file.display()
             ),
         );
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "D02: the test times the launcher's retry and kill schedule"
+        )]
         let start = std::time::Instant::now();
         let err = run_workers(&[fail, slow], &dir, None).unwrap_err();
         assert!(err.contains("shard 1/2"), "{err}");

@@ -156,6 +156,10 @@ fn a_hung_worker_is_killed_at_the_timeout_and_the_launch_fails_fast() {
     // 1s deadline both attempts are killed, and the launch fails naming the
     // shard instead of blocking on the 60s sleep.
     std::fs::write(&hosts, "sleep 60 # {}\n").unwrap();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D02: the test times the launcher's kill at the worker deadline"
+    )]
     let start = std::time::Instant::now();
     let launched = figures(&[
         "launch",

@@ -622,8 +622,14 @@ impl fmt::Display for Shard {
 /// every item lands in exactly one bin — which is what keeps the
 /// `figures merge` coverage validation independent of the partitioner that
 /// produced the fragments.
+///
+/// Under both rules the `j`-th item placed lands in one of the first `j + 1`
+/// bins, so a plan stores only the first `min(num_shards, num_items)` bins
+/// and every shard past them owns nothing: `--shard 1/N` costs memory in
+/// the item count, not in `N`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkPlan {
+    num_shards: usize,
     bins: Vec<Vec<usize>>,
 }
 
@@ -632,11 +638,11 @@ impl WorkPlan {
     /// `K - 1` modulo `num_shards`.
     pub fn striped(num_items: usize, num_shards: usize) -> WorkPlan {
         assert!(num_shards > 0, "a work plan needs at least one shard");
-        let mut bins = vec![Vec::new(); num_shards];
+        let mut bins = vec![Vec::new(); num_shards.min(num_items)];
         for index in 0..num_items {
             bins[index % num_shards].push(index);
         }
-        WorkPlan { bins }
+        WorkPlan { num_shards, bins }
     }
 
     /// The LPT (longest processing time first) greedy bin-packing: items in
@@ -649,11 +655,14 @@ impl WorkPlan {
         assert!(num_shards > 0, "a work plan needs at least one shard");
         let mut order: Vec<usize> = (0..timings_us.len()).collect();
         order.sort_by(|&a, &b| timings_us[b].cmp(&timings_us[a]).then(a.cmp(&b)));
-        let mut bins = vec![Vec::new(); num_shards];
-        let mut loads = vec![0u128; num_shards];
+        // The j-th item placed finds bin j still empty, so the least-loaded
+        // bin (ties to the lowest index) is never past the item count.
+        let num_bins = num_shards.min(timings_us.len());
+        let mut bins = vec![Vec::new(); num_bins];
+        let mut loads = vec![0u128; num_bins];
         for index in order {
             let mut best = 0;
-            for bin in 1..num_shards {
+            for bin in 1..num_bins {
                 if loads[bin] < loads[best] {
                     best = bin;
                 }
@@ -664,7 +673,7 @@ impl WorkPlan {
         for bin in &mut bins {
             bin.sort_unstable();
         }
-        WorkPlan { bins }
+        WorkPlan { num_shards, bins }
     }
 
     /// The partition sharded workers actually use: LPT when `timings` holds
@@ -677,21 +686,21 @@ impl WorkPlan {
         }
     }
 
-    /// Number of bins (shards) this plan partitions into.
+    /// Number of shards this plan partitions into.
     pub fn num_shards(&self) -> usize {
-        self.bins.len()
+        self.num_shards
     }
 
-    /// The item indices shard `K/N` owns under this plan, ascending; panics
-    /// when the plan was built for a different shard count.
+    /// The item indices shard `K/N` owns under this plan, ascending (empty
+    /// for a `K` past the item count); panics when the plan was built for a
+    /// different shard count.
     pub fn items_for(&self, shard: Shard) -> &[usize] {
         assert_eq!(
-            shard.count,
-            self.bins.len(),
+            shard.count, self.num_shards,
             "work plan was built for {} shards, asked for shard {shard}",
-            self.bins.len()
+            self.num_shards
         );
-        &self.bins[shard.index - 1]
+        self.bins.get(shard.index - 1).map_or(&[], Vec::as_slice)
     }
 
     /// Whether `index` belongs to `shard` under this plan.
@@ -861,6 +870,10 @@ pub trait Experiment: Sync {
         let mut timed: Vec<(ItemResult, u64)> = items
             .par_iter()
             .map(|item| {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "D02: the item's wall-clock goes to `timings_us`, never into its result"
+                )]
                 let start = std::time::Instant::now();
                 let result = self.run_item(ctx, item);
                 let micros = start.elapsed().as_micros().max(1) as u64;
@@ -1164,6 +1177,25 @@ mod tests {
         assert_eq!(WorkPlan::plan(5, 2, Some(&[9, 9, 9])), striped, "stale length: striped");
         let timed = WorkPlan::plan(5, 2, Some(&[50, 1, 1, 1, 1]));
         assert_eq!(timed, WorkPlan::lpt(&[50, 1, 1, 1, 1], 2));
+    }
+
+    #[test]
+    fn plans_allocate_bins_by_item_count_not_shard_count() {
+        let n = usize::MAX;
+        let shard = |k| Shard::new(k, n).unwrap();
+        let striped = WorkPlan::striped(5, n);
+        assert_eq!(striped.num_shards(), n);
+        for item in 0..5 {
+            assert_eq!(striped.items_for(shard(item + 1)), &[item]);
+        }
+        assert!(striped.items_for(shard(6)).is_empty());
+        assert!(striped.items_for(shard(n)).is_empty());
+        let lpt = WorkPlan::lpt(&[3, 1, 2], n);
+        assert_eq!(lpt.items_for(shard(1)), &[0]);
+        assert_eq!(lpt.items_for(shard(2)), &[2]);
+        assert_eq!(lpt.items_for(shard(3)), &[1]);
+        assert!(lpt.items_for(shard(4)).is_empty());
+        assert!(lpt.items_for(shard(n)).is_empty());
     }
 
     #[test]

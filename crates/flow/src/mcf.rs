@@ -43,6 +43,13 @@ const CERTIFICATE_INTERVAL: usize = 4;
 /// The range [`McfOptions::epsilon`] is clamped to.
 const EPSILON_RANGE: (f64, f64) = (1e-3, 0.5);
 
+/// A demand, or a remainder of one still to route, at or below this is
+/// negligible: `sanitize` drops such commodities and the routing loop stops
+/// sending once a remainder falls to it. One threshold serves both: a
+/// commodity kept but never routed grows no length, so neither the
+/// `D(l) ≥ 1` backstop nor the certificate would ever end the solve.
+const NEGLIGIBLE_DEMAND: f64 = 1e-12;
+
 /// Stored arc lengths are multiplied by [`RENORMALIZE_BY`] once their sum
 /// passes this. One update grows the sum by at most a factor 1 + ε ≤ 1.5,
 /// so it stays far from overflow.
@@ -217,13 +224,13 @@ fn gk_apply(
     }
 }
 
-/// Validates commodities against the snapshot; zero-demand commodities and
-/// self-loops are dropped.
+/// Validates commodities against the snapshot; commodities of negligible
+/// demand and self-loops are dropped.
 fn sanitize(csr: &CsrGraph, commodities: &[Commodity]) -> Vec<Commodity> {
     commodities
         .iter()
         .copied()
-        .filter(|c| c.src != c.dst && c.demand > 0.0)
+        .filter(|c| c.src != c.dst && c.demand > NEGLIGIBLE_DEMAND)
         .inspect(|c| {
             assert!(
                 c.src < csr.num_nodes() && c.dst < csr.num_nodes(),
@@ -304,7 +311,7 @@ pub fn max_concurrent_flow(
     let stop = 'solve: loop {
         for c in &commodities {
             let mut remaining = c.demand;
-            while remaining > 1e-12 {
+            while remaining > NEGLIGIBLE_DEMAND {
                 if arcs.exhausted() {
                     break 'solve McfStop::Backstop;
                 }
@@ -441,6 +448,13 @@ mod tests {
             McfOptions::default(),
         );
         assert!(sol2.lambda.is_infinite(), "self-loop demands are dropped");
+        let sol3 = max_concurrent_flow(
+            &g,
+            &[Commodity { src: 0, dst: 1, demand: 1e-13 }],
+            McfOptions::default(),
+        );
+        assert!(sol3.lambda.is_infinite(), "negligible demands are dropped");
+        assert_eq!(sol3.stop, McfStop::Certified);
     }
 
     #[test]

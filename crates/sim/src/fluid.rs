@@ -29,8 +29,9 @@ use std::collections::HashMap;
 pub struct FluidReport {
     /// Per-connection normalized throughput (fraction of the NIC rate).
     pub throughputs: Vec<f64>,
-    /// Per-directed-link utilization in `[0, 1]`.
-    pub link_utilization: HashMap<(SimNode, SimNode), f64>,
+    /// Per-directed-link utilization in `[0, 1]`, one entry per link the
+    /// subflow paths cross, in the order the paths first cross them.
+    pub link_utilization: Vec<((SimNode, SimNode), f64)>,
 }
 
 impl FluidReport {
@@ -176,7 +177,9 @@ mod tests {
         assert!((report.throughputs[0] - 0.5).abs() < 1e-9);
         assert!((report.throughputs[1] - 0.5).abs() < 1e-9);
         // The inter-switch link is fully utilized.
-        assert!((report.link_utilization[&(0, 1)] - 1.0).abs() < 1e-9);
+        let (_, switch_link) =
+            report.link_utilization.iter().find(|(link, _)| *link == (0, 1)).unwrap();
+        assert!((switch_link - 1.0).abs() < 1e-9);
         assert!((report.mean_throughput() - 0.5).abs() < 1e-9);
     }
 
@@ -229,7 +232,7 @@ mod tests {
         let switch_links_used = |r: &FluidReport| {
             r.link_utilization
                 .iter()
-                .filter(|(&(u, v), &util)| u < 20 && v < 20 && util > 1e-9)
+                .filter(|&&((u, v), util)| u < 20 && v < 20 && util > 1e-9)
                 .count()
         };
         assert!(
@@ -264,7 +267,7 @@ mod tests {
             4,
         );
         let report = max_min_fair_allocation(&conns);
-        for (&link, &u) in &report.link_utilization {
+        for &(link, u) in &report.link_utilization {
             assert!((0.0..=1.0 + 1e-9).contains(&u), "link {link:?} utilization {u}");
         }
         for &t in &report.throughputs {

@@ -256,7 +256,7 @@ pub fn switch_demands(
     // A BTreeMap keeps the aggregation deterministic end to end: the
     // per-pair accumulation order is the (fixed) flow order, and the
     // output order is ascending (src, dst) by construction — no sort,
-    // no hash-order dependence (detlint D01).
+    // no hash-order dependence (D01, LINTS.md).
     let mut agg: BTreeMap<(NodeId, NodeId), f64> = BTreeMap::new();
     for f in flows {
         let s = servers.switch_of(f.src);

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 /// sampled values (only the ones the generator takes are used). Canonical
 /// means exactly what `Display` prints, so string equality is the
 /// round-trip check.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "one parameter per sampled spec value")]
 fn spec_string(
     g: usize,
     k: usize,
