@@ -6,23 +6,28 @@
 //! during the measurement window divided by what its NIC could have sent in
 //! that window, which is exactly the paper's "% of the servers' NIC rate".
 //!
-//! The loop's bookkeeping hashes nothing and lives in reused buffers. The
-//! heap holds 24-byte `(time bits, counter, slot)` keys while the events sit
-//! in a slab whose slots a free list recycles. Every event time is finite
+//! The loop's bookkeeping hashes nothing and lives in reused buffers. Pending
+//! events wait in a calendar queue (the private `queue` module) under
+//! 16-byte keys, `(time bits) << 64 | counter`. Every event time is finite
 //! and non-negative (start jitter is drawn from `[0, 0.05)` and every later
 //! time adds non-negative terms to the current time), so ordering times by
 //! their bits orders them numerically, and the unique, increasing counter
-//! breaks ties in scheduling order. Each subflow's hops are resolved to link
-//! ids once, when the simulator is built.
+//! breaks ties in scheduling order. The queue's buckets are one
+//! acknowledgement's serialization time wide, `ACK_SIZE / rate`: every
+//! packet arrives at least that long after it is sent, so a new event
+//! almost never lands in the bucket being drained, and each bucket is
+//! sorted once. Each subflow's hops are resolved to link ids once, when the
+//! simulator is built.
 
 use crate::mptcp::lia_increase_per_ack;
 use crate::net::{LinkId, Network, Packet, TransmitOutcome};
 use crate::tcp::{AckAction, TcpReceiver, TcpSender};
 use crate::workload::Connection;
+use queue::EventQueue;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+
+mod queue;
 
 /// Relative size of an acknowledgement compared to a full data segment.
 const ACK_SIZE: f64 = 0.05;
@@ -145,7 +150,7 @@ struct ConnState {
     subflows: Vec<Subflow>,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Event {
     Arrive(Packet),
     TimeoutCheck { conn: usize, subflow: usize },
@@ -157,12 +162,8 @@ pub struct Simulator {
     network: Network,
     config: SimConfig,
     connections: Vec<ConnState>,
-    /// Min-heap of `(time bits, counter, slab slot)`.
-    queue: BinaryHeap<Reverse<(u64, u64, u32)>>,
-    /// Pending events, indexed by the slot their heap key carries.
-    slab: Vec<Event>,
-    /// Slab slots whose events have been handled.
-    free: Vec<u32>,
+    /// Pending events, least `(time bits, counter)` key first.
+    queue: EventQueue,
     event_counter: u64,
     events_handled: u64,
     now: f64,
@@ -201,12 +202,10 @@ impl Simulator {
             })
             .collect();
         Simulator {
+            queue: EventQueue::new(ACK_SIZE / network.rate()),
             network,
             config,
             connections: conn_states,
-            queue: BinaryHeap::new(),
-            slab: Vec::new(),
-            free: Vec::new(),
             event_counter: 0,
             events_handled: 0,
             now: 0.0,
@@ -220,17 +219,7 @@ impl Simulator {
         // Bit order is numeric order only for finite times >= +0.0.
         debug_assert!(time.is_finite() && time.is_sign_positive(), "event time {time}");
         self.event_counter += 1;
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = event;
-                slot
-            }
-            None => {
-                self.slab.push(event);
-                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
-            }
-        };
-        self.queue.push(Reverse((time.to_bits(), self.event_counter, slot)));
+        self.queue.push(queue::key(time, self.event_counter), event);
     }
 
     /// Schedules the arrival (and any duplicate) of a packet just handed to
@@ -264,13 +253,11 @@ impl Simulator {
         self.now = 0.0;
         self.schedule(self.config.warmup, Event::WarmupSnapshot);
 
-        while let Some(Reverse((bits, _, slot))) = self.queue.pop() {
-            let time = f64::from_bits(bits);
+        while let Some((key, event)) = self.queue.pop() {
+            let time = queue::key_time(key);
             if time > self.config.duration {
                 break;
             }
-            let event = self.slab[slot as usize];
-            self.free.push(slot);
             self.events_handled += 1;
             self.now = time;
             match event {
