@@ -153,21 +153,6 @@ impl Network {
         self
     }
 
-    /// The attached impairment config, if any.
-    pub fn impairment(&self) -> Option<&ImpairConfig> {
-        self.impair.as_ref().map(super::impair::Impairments::cfg)
-    }
-
-    /// Sim node id of server `s`.
-    pub fn host_node(&self, server: usize) -> SimNode {
-        self.num_switches + server
-    }
-
-    /// Number of switches in the fabric.
-    pub fn num_switches(&self) -> usize {
-        self.num_switches
-    }
-
     /// The id of the directed link `(u, v)`, or `None` when no such link
     /// exists (e.g. it was failed out of the topology).
     pub fn link_id(&self, u: SimNode, v: SimNode) -> Option<LinkId> {
@@ -183,11 +168,6 @@ impl Network {
             self.csr.arc_index(u, v)
         };
         id.map(|id| id as LinkId)
-    }
-
-    /// Hands one full-size packet to the directed link `(u, v)` at time `now`.
-    pub fn transmit(&mut self, u: SimNode, v: SimNode, now: f64) -> TransmitOutcome {
-        self.transmit_on(self.link_id(u, v), now, 1.0)
     }
 
     /// Hands a packet of `size` MSS units to a link resolved by
@@ -298,10 +278,22 @@ mod tests {
     use super::*;
     use jellyfish_topology::JellyfishBuilder;
 
+    /// Sim node of server `s` in the 6-switch fabrics below: servers
+    /// follow the switches.
+    fn host(s: usize) -> SimNode {
+        6 + s
+    }
+
     fn network() -> Network {
         let topo = JellyfishBuilder::new(6, 6, 3).seed(1).build().unwrap();
         let servers = ServerMap::new(&topo);
         Network::build(&topo.csr(), &servers, LinkParams::default())
+    }
+
+    /// Hands one full-size packet to server 0's uplink (its ToR is switch 0)
+    /// at time `now`.
+    fn send_up(net: &mut Network, now: f64) -> TransmitOutcome {
+        net.transmit_on(net.link_id(host(0), 0), now, 1.0)
     }
 
     #[test]
@@ -310,7 +302,7 @@ mod tests {
         let servers = ServerMap::new(&topo);
         let csr = topo.csr();
         let net = Network::build(&csr, &servers, LinkParams::default());
-        assert_eq!(net.num_switches(), 6);
+        assert_eq!(csr.num_nodes(), 6);
         assert_eq!(servers.num_servers(), 18);
         let has_link = |u, v| net.link_id(u, v).is_some();
         for (a, b) in csr.edges() {
@@ -318,11 +310,10 @@ mod tests {
             assert!(has_link(b, a));
         }
         for s in 0..servers.num_servers() {
-            let host = net.host_node(s);
-            assert!(has_link(host, servers.switch_of(s)));
-            assert!(has_link(servers.switch_of(s), host));
+            assert!(has_link(host(s), servers.switch_of(s)));
+            assert!(has_link(servers.switch_of(s), host(s)));
         }
-        assert!(!has_link(0, net.host_node(17)) || servers.switch_of(17) == 0);
+        assert!(!has_link(0, host(17)) || servers.switch_of(17) == 0);
     }
 
     #[test]
@@ -340,23 +331,22 @@ mod tests {
         }
         let (arcs, hosts) = (csr.num_arcs(), servers.num_servers());
         for s in 0..hosts {
-            let (host, tor) = (net.host_node(s), servers.switch_of(s));
-            assert_eq!(net.link_id(host, tor), Some((arcs + s) as LinkId));
-            assert_eq!(net.link_id(tor, host), Some((arcs + hosts + s) as LinkId));
+            let tor = servers.switch_of(s);
+            assert_eq!(net.link_id(host(s), tor), Some((arcs + s) as LinkId));
+            assert_eq!(net.link_id(tor, host(s)), Some((arcs + hosts + s) as LinkId));
         }
-        assert_eq!(net.link_id(net.host_node(0), net.host_node(1)), None);
-        assert_eq!(net.link_id(net.host_node(hosts), 0), None, "no such host");
+        assert_eq!(net.link_id(host(0), host(1)), None);
+        assert_eq!(net.link_id(host(hosts), 0), None, "no such host");
     }
 
     #[test]
     fn transmit_serializes_packets() {
         let mut net = network();
         let params = LinkParams::default();
-        let (u, v) = (net.host_node(0), 0);
-        let TransmitOutcome::Delivered { arrival: a1 } = net.transmit(u, v, 0.0) else {
+        let TransmitOutcome::Delivered { arrival: a1 } = send_up(&mut net, 0.0) else {
             panic!("first packet dropped");
         };
-        let TransmitOutcome::Delivered { arrival: a2 } = net.transmit(u, v, 0.0) else {
+        let TransmitOutcome::Delivered { arrival: a2 } = send_up(&mut net, 0.0) else {
             panic!("second packet dropped");
         };
         // Second packet waits behind the first: exactly one transmission time later.
@@ -371,10 +361,9 @@ mod tests {
         let servers = ServerMap::new(&topo);
         let params = LinkParams { buffer: 5, ..Default::default() };
         let mut net = Network::build(&topo.csr(), &servers, params);
-        let (u, v) = (net.host_node(0), 0);
         let mut drops = 0;
         for _ in 0..20 {
-            if net.transmit(u, v, 0.0) == TransmitOutcome::Dropped {
+            if send_up(&mut net, 0.0) == TransmitOutcome::Dropped {
                 drops += 1;
             }
         }
@@ -390,12 +379,11 @@ mod tests {
         let topo = JellyfishBuilder::new(6, 6, 3).seed(1).build().unwrap();
         let servers = ServerMap::new(&topo);
         let mut net = Network::build(&topo.csr(), &servers, params);
-        let (u, v) = (net.host_node(0), 0);
-        assert!(matches!(net.transmit(u, v, 0.0), TransmitOutcome::Delivered { .. }));
-        assert!(matches!(net.transmit(u, v, 0.0), TransmitOutcome::Delivered { .. }));
-        assert_eq!(net.transmit(u, v, 0.0), TransmitOutcome::Dropped);
+        assert!(matches!(send_up(&mut net, 0.0), TransmitOutcome::Delivered { .. }));
+        assert!(matches!(send_up(&mut net, 0.0), TransmitOutcome::Delivered { .. }));
+        assert_eq!(send_up(&mut net, 0.0), TransmitOutcome::Dropped);
         // After enough time the queue has drained and packets are accepted again.
-        assert!(matches!(net.transmit(u, v, 1.0), TransmitOutcome::Delivered { .. }));
+        assert!(matches!(send_up(&mut net, 1.0), TransmitOutcome::Delivered { .. }));
     }
 
     #[test]
@@ -403,9 +391,9 @@ mod tests {
         // Hosts are never directly connected; a failed-link scenario must
         // degrade (typed outcome), not abort.
         let mut net = network();
-        let h0 = net.host_node(0);
-        let h1 = net.host_node(1);
-        assert_eq!(net.transmit(h0, h1, 0.0), TransmitOutcome::NoLink);
+        let link = net.link_id(host(0), host(1));
+        assert_eq!(link, None);
+        assert_eq!(net.transmit_on(link, 0.0, 1.0), TransmitOutcome::NoLink);
         assert_eq!(net.no_link_drops(), 1);
         assert_eq!(net.total_transmitted(), 0);
     }
@@ -419,8 +407,7 @@ mod tests {
             let servers = ServerMap::new(&topo);
             let mut net = Network::build(&topo.csr(), &servers, LinkParams::default())
                 .with_impairment(cfg, seed);
-            let (u, v) = (net.host_node(0), 0);
-            (0..200).map(|i| net.transmit(u, v, i as f64 * 0.1)).collect::<Vec<_>>()
+            (0..200).map(|i| send_up(&mut net, i as f64 * 0.1)).collect::<Vec<_>>()
         };
         assert_eq!(run(7), run(7), "same impairment seed must replay identically");
         assert_ne!(run(7), run(8), "different seeds should impair differently");
@@ -441,11 +428,10 @@ mod tests {
         let servers = ServerMap::new(&topo);
         let mut net =
             Network::build(&topo.csr(), &servers, LinkParams::default()).with_impairment(cfg, 7);
-        let (u, v) = (net.host_node(0), 0);
-        assert!(matches!(net.transmit(u, v, 0.0), TransmitOutcome::Delivered { .. }));
-        assert!(matches!(net.transmit(u, v, 0.0), TransmitOutcome::Delivered { .. }));
+        assert!(matches!(send_up(&mut net, 0.0), TransmitOutcome::Delivered { .. }));
+        assert!(matches!(send_up(&mut net, 0.0), TransmitOutcome::Delivered { .. }));
         // Default buffer (25) would accept this; the override drops it.
-        assert_eq!(net.transmit(u, v, 0.0), TransmitOutcome::Dropped);
+        assert_eq!(send_up(&mut net, 0.0), TransmitOutcome::Dropped);
         assert_eq!(net.total_wire_losses(), 0, "queue overflow is not a wire loss");
     }
 
@@ -457,8 +443,7 @@ mod tests {
         let topo = JellyfishBuilder::new(6, 6, 3).seed(1).build().unwrap();
         let servers = ServerMap::new(&topo);
         let mut net = Network::build(&topo.csr(), &servers, params).with_impairment(cfg, 7);
-        let (u, v) = (net.host_node(0), 0);
-        let TransmitOutcome::Duplicated { arrival, dup_arrival } = net.transmit(u, v, 0.0) else {
+        let TransmitOutcome::Duplicated { arrival, dup_arrival } = send_up(&mut net, 0.0) else {
             panic!("duplicate probability 1.0 must duplicate");
         };
         assert!((dup_arrival - arrival - 1.0 / params.rate).abs() < 1e-12);

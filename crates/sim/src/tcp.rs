@@ -228,11 +228,6 @@ impl TcpReceiver {
         }
         self.rcv_next
     }
-
-    /// Next expected sequence number.
-    pub fn expected(&self) -> u64 {
-        self.rcv_next
-    }
 }
 
 #[cfg(test)]
@@ -361,7 +356,7 @@ mod tests {
         assert_eq!(r.on_data(2), 1, "gap: ack stays at 1");
         assert_eq!(r.on_data(3), 1);
         assert_eq!(r.on_data(1), 4, "filling the gap drains the buffer");
-        assert_eq!(r.expected(), 4);
+        assert_eq!(r.rcv_next, 4);
         // Duplicate data does not regress the ACK.
         assert_eq!(r.on_data(2), 4);
     }

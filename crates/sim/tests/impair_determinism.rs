@@ -51,6 +51,10 @@ fn ge_probs() -> (core::ops::Range<f64>, core::ops::Range<f64>) {
     (0.01..0.2, 0.05..0.5)
 }
 
+/// Server 0's sim node in [`impaired_network`]'s fabric: servers follow
+/// its 6 switches, and server 0 hangs off switch 0.
+const HOST0: usize = 6;
+
 fn impaired_network(cfg: ImpairConfig, impair_seed: u64) -> Network {
     let topo = JellyfishBuilder::new(6, 6, 3).seed(1).build().unwrap();
     let servers = ServerMap::new(&topo);
@@ -73,10 +77,10 @@ proptest! {
         let cfg = cfg_from(k, sel, ge);
         let mut a = impaired_network(cfg, seed);
         let mut b = impaired_network(cfg, seed);
-        let (u, v) = (a.host_node(0), 0);
+        let up = a.link_id(HOST0, 0);
         for i in 0..300 {
             let now = i as f64 * 0.004;
-            prop_assert_eq!(a.transmit(u, v, now), b.transmit(u, v, now), "packet {}", i);
+            prop_assert_eq!(a.transmit_on(up, now, 1.0), b.transmit_on(up, now, 1.0), "packet {}", i);
         }
         prop_assert_eq!(a.total_wire_losses(), b.total_wire_losses());
         prop_assert_eq!(a.total_drops(), b.total_drops());
@@ -98,12 +102,12 @@ proptest! {
         let mut solo = impaired_network(cfg, seed);
         // Observed link: host 0's uplink. Background traffic: host 0's
         // downlink — a distinct directed link with its own stream.
-        let (u, v) = (interleaved.host_node(0), 0);
+        let (up, down) = (interleaved.link_id(HOST0, 0), interleaved.link_id(0, HOST0));
         for i in 0..200 {
             let now = i as f64 * 0.004;
-            interleaved.transmit(v, u, now);
-            let a = interleaved.transmit(u, v, now);
-            let b = solo.transmit(u, v, now);
+            interleaved.transmit_on(down, now, 1.0);
+            let a = interleaved.transmit_on(up, now, 1.0);
+            let b = solo.transmit_on(up, now, 1.0);
             prop_assert_eq!(a, b, "packet {}", i);
         }
     }
