@@ -78,7 +78,7 @@
 use jellyfish::experiment::{
     self, Experiment, RunCtx, RunSpec, Shard, ShardFragment, TimingFile, WorkPlan,
 };
-use jellyfish::service::wire::{self, LineOutcome};
+use jellyfish::service::wire::{self, LineOutcome, Request};
 use jellyfish::service::Session;
 use jellyfish_bench::cli::{run_spec, Args, CliError, Flags};
 use jellyfish_bench::launch::{self, LaunchConfig};
@@ -130,7 +130,9 @@ run options:
 
 launch options (plus --scale, --seed, --topo, --traffic, --plan, --json as
 above):
-  --jobs N                    number of worker processes / shards (required)
+  --jobs N                    number of worker processes / shards (required;
+                              clamped to the largest work-item count among
+                              the selected experiments)
   --hosts <file>              worker command templates, one per line
                               ('{}' is replaced by the quoted worker
                               command, e.g. 'ssh build-01 {}'); default is
@@ -431,20 +433,23 @@ fn io_err(what: &str, e: std::io::Error) -> CliError {
 }
 
 /// Answers one client's request lines, one flushed reply line each, until
-/// EOF or a `shutdown` op; blank lines are skipped. Returns whether a
-/// `shutdown` ended it. Serving stdin/stdout and each TCP connection both
-/// run this loop.
+/// EOF or a `shutdown` op; blank lines are skipped, and a line over
+/// `wire::MAX_REQUEST_BYTES` is answered with an error and skipped unread.
+/// Returns whether a `shutdown` ended it. Serving stdin/stdout and each TCP
+/// connection both run this loop.
 fn serve_lines(
     session: &mut Session,
-    requests: impl BufRead,
+    mut requests: impl BufRead,
     mut replies: impl Write,
 ) -> Result<bool, CliError> {
-    for line in requests.lines() {
-        let line = line.map_err(|e| io_err("cannot read request", e))?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let outcome = wire::handle_line(session, &line);
+    while let Some(request) = wire::read_request(&mut requests, wire::MAX_REQUEST_BYTES)
+        .map_err(|e| io_err("cannot read request", e))?
+    {
+        let outcome = match request {
+            Request::Line(line) if line.trim().is_empty() => continue,
+            Request::Line(line) => wire::handle_line(session, &line),
+            Request::TooLong => wire::too_long_reply(),
+        };
         writeln!(replies, "{}", outcome.text())
             .and_then(|()| replies.flush())
             .map_err(|e| io_err("cannot write reply", e))?;
@@ -485,7 +490,7 @@ fn cmd_launch(args: &[String]) -> Result<(), CliError> {
             "launch assigns the shards itself; use --jobs N instead of --shard".to_string(),
         ));
     }
-    let jobs = args.parse("--jobs", |raw| positive("--jobs", raw))?;
+    let jobs = args.parse("--jobs", |raw| positive::<usize>("--jobs", raw))?;
     let timeout = args.parse("--timeout-secs", |raw| positive("--timeout-secs", raw))?;
     let Some(jobs) = jobs else {
         return Err(CliError::Invalid(
@@ -494,6 +499,13 @@ fn cmd_launch(args: &[String]) -> Result<(), CliError> {
     };
     let run = run_spec(&args)?;
     check_overrides(&experiments, &run)?;
+    // A shard past every work item owns nothing, and the merged bytes do
+    // not depend on the shard count, so workers beyond the largest
+    // experiment's item count would only idle (or, for a huge N, exhaust
+    // the host's processes).
+    let ctx = RunCtx::new(run.clone());
+    let most_items = experiments.iter().map(|e| e.work_items(&ctx).len()).max().unwrap_or(0);
+    let jobs = jobs.min(most_items).max(1);
     // Surface an unreadable/unparsable --plan here, before any worker spawns
     // (the workers re-validate it themselves).
     let plan = args.value("--plan");

@@ -322,6 +322,34 @@ fn merge_of_a_deeply_nested_line_exits_2_naming_the_line() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `--jobs` is clamped to the largest work-item count among the selected
+/// experiments (fig9 has 3 at tiny scale), so `usize::MAX` spawns three
+/// workers and prints the run's bytes. Only `usize::MAX` is safe to test:
+/// without the clamp, a smaller huge N would ask the host for N processes.
+#[test]
+fn launch_clamps_jobs_to_the_largest_item_count() {
+    let dir = scratch("clamp");
+    let run = figures(&["run", "fig9", "--scale", "tiny"]);
+    assert!(run.status.success(), "{}", stderr(&run));
+    let run_dir = dir.join("run");
+    let jobs = usize::MAX.to_string();
+    let launched = figures(&[
+        "launch",
+        "fig9",
+        "--scale",
+        "tiny",
+        "--jobs",
+        &jobs,
+        "--run-dir",
+        run_dir.to_str().unwrap(),
+    ]);
+    assert!(launched.status.success(), "{}", stderr(&launched));
+    assert_eq!(stdout(&launched), stdout(&run), "launch must be byte-identical to run");
+    assert!(stderr(&launched).contains("fig9 x 3 shard(s)"), "{}", stderr(&launched));
+    assert!(run_dir.join("shard-3.jsonl").exists() && !run_dir.join("shard-4.jsonl").exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn launch_flag_validation_is_strict() {
     let no_jobs = figures(&["launch", "fig2b", "--scale", "tiny"]);

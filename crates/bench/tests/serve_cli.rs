@@ -126,6 +126,35 @@ fn deeply_nested_request_is_an_error_reply_not_a_crash() {
     assert!(replies[1].starts_with("{\"ok\":true,\"op\":\"stats\""), "{}", replies[1]);
 }
 
+/// A request line over the 1 MiB cap is answered with an error naming the
+/// limit and skipped without being buffered; the session answers the next
+/// request and exits 0 at EOF. The padded request is valid JSON, so a
+/// server without the cap would answer it like any other.
+#[test]
+fn over_long_request_is_an_error_reply_and_the_next_is_answered() {
+    let mut child = Command::new(BIN)
+        .args(serve_args(&[]))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("figures serve starts");
+    let padded = format!("{{\"op\":\"stats\"{}}}", " ".repeat(1 << 20));
+    let script = format!("{padded}\n{{\"op\":\"stats\"}}\n");
+    child.stdin.take().unwrap().write_all(script.as_bytes()).expect("script written");
+    let out = child.wait_with_output().expect("figures serve exits");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let transcript = String::from_utf8(out.stdout).unwrap();
+    let replies: Vec<&str> = transcript.lines().collect();
+    assert_eq!(replies.len(), 2, "{transcript}");
+    assert!(
+        replies[0].starts_with("{\"ok\":false") && replies[0].contains("1048576-byte limit"),
+        "{}",
+        replies[0]
+    );
+    assert!(replies[1].starts_with("{\"ok\":true,\"op\":\"stats\""), "{}", replies[1]);
+}
+
 #[test]
 fn serve_rejects_bad_options_with_exit_2() {
     for args in [

@@ -7,6 +7,8 @@
 //! ([`crate::json`]), so a scripted session produces a byte-stable
 //! transcript — the CI smoke diffs one against a committed golden.
 
+use std::io::{self, BufRead};
+
 use jellyfish_routing::path_table::RoutingScheme;
 
 use crate::json::{escape_into, num_into, parse_document, Value};
@@ -14,6 +16,68 @@ use crate::service::{ChurnEvent, Delta, Query, Reply, Session};
 
 /// Valid `scheme` values, listed in every scheme error.
 pub const SCHEME_CHOICES: &str = "ecmp8, ecmp64, ksp8, ecmp:N, ksp:N";
+
+/// The longest request line the server reads, in bytes before its newline
+/// (1 MiB). A longer line is answered with [`too_long_reply`] and skipped.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+
+/// One line of input, as [`read_request`] returns it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Request {
+    /// A line within the limit, without its line ending.
+    Line(String),
+    /// A line over the limit, consumed through its newline but not kept.
+    TooLong,
+}
+
+/// Reads the next request line, keeping at most `limit` bytes of it: the
+/// rest of a longer line is consumed up to and including its newline
+/// without being buffered. `None` at end of input. As with
+/// [`BufRead::lines`], a line ends at `\n` or `\r\n`, the last line may
+/// lack one, and a line that is not UTF-8 is an `InvalidData` error.
+pub fn read_request(reader: &mut impl BufRead, limit: usize) -> io::Result<Option<Request>> {
+    let mut line = Vec::new();
+    let (mut read_any, mut too_long, mut ended) = (false, false, false);
+    while !ended {
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            break;
+        }
+        read_any = true;
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let body = &chunk[..newline.unwrap_or(chunk.len())];
+        too_long |= line.len() + body.len() > limit;
+        if !too_long {
+            line.extend_from_slice(body);
+        }
+        ended = newline.is_some();
+        let used = newline.map_or(chunk.len(), |at| at + 1);
+        reader.consume(used);
+    }
+    if !read_any {
+        return Ok(None);
+    }
+    if too_long {
+        return Ok(Some(Request::TooLong));
+    }
+    if ended && line.last() == Some(&b'\r') {
+        line.pop();
+    }
+    String::from_utf8(line).map(|line| Some(Request::Line(line))).map_err(|_| {
+        io::Error::new(io::ErrorKind::InvalidData, "stream did not contain valid UTF-8")
+    })
+}
+
+/// The reply to a line over [`MAX_REQUEST_BYTES`].
+pub fn too_long_reply() -> LineOutcome {
+    LineOutcome::Reply(error_reply(&format!(
+        "request line longer than the {MAX_REQUEST_BYTES}-byte limit; the line was skipped"
+    )))
+}
 
 /// What the server loop should do with one input line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -354,5 +418,27 @@ mod tests {
                 assert_eq!(a, b, "diverged on {req}");
             }
         }
+    }
+
+    #[test]
+    fn read_request_caps_lines_and_skips_the_rest_of_a_long_one() {
+        // A 4-byte reader buffer splits every line across chunks.
+        let input = "ab\r\nabcdefgh\n\nabcdef\nxyz";
+        let mut reader = std::io::BufReader::with_capacity(4, input.as_bytes());
+        let mut read = || read_request(&mut reader, 6).unwrap();
+        assert_eq!(read(), Some(Request::Line("ab".to_string())));
+        assert_eq!(read(), Some(Request::TooLong));
+        assert_eq!(read(), Some(Request::Line(String::new())));
+        assert_eq!(read(), Some(Request::Line("abcdef".to_string())), "the limit itself fits");
+        assert_eq!(
+            read(),
+            Some(Request::Line("xyz".to_string())),
+            "the last line needs no newline"
+        );
+        assert_eq!(read(), None);
+        let mut not_utf8: &[u8] = b"\xff\n";
+        let err = read_request(&mut not_utf8, 6).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(too_long_reply().text().contains(&MAX_REQUEST_BYTES.to_string()));
     }
 }
