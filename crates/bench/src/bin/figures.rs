@@ -449,6 +449,7 @@ fn serve_lines(
             Request::Line(line) if line.trim().is_empty() => continue,
             Request::Line(line) => wire::handle_line(session, &line),
             Request::TooLong => wire::too_long_reply(),
+            Request::NotUtf8 => wire::not_utf8_reply(),
         };
         writeln!(replies, "{}", outcome.text())
             .and_then(|()| replies.flush())

@@ -155,6 +155,31 @@ fn over_long_request_is_an_error_reply_and_the_next_is_answered() {
     assert!(replies[1].starts_with("{\"ok\":true,\"op\":\"stats\""), "{}", replies[1]);
 }
 
+/// A request line that is not UTF-8 is answered with an error naming
+/// UTF-8, and the session answers the next request and exits 0 at EOF.
+#[test]
+fn non_utf8_request_is_an_error_reply_and_the_next_is_answered() {
+    let mut child = Command::new(BIN)
+        .args(serve_args(&[]))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("figures serve starts");
+    child.stdin.take().unwrap().write_all(b"\xff\n{\"op\":\"stats\"}\n").expect("script written");
+    let out = child.wait_with_output().expect("figures serve exits");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let transcript = String::from_utf8(out.stdout).unwrap();
+    let replies: Vec<&str> = transcript.lines().collect();
+    assert_eq!(replies.len(), 2, "{transcript}");
+    assert!(
+        replies[0].starts_with("{\"ok\":false") && replies[0].contains("UTF-8"),
+        "{}",
+        replies[0]
+    );
+    assert!(replies[1].starts_with("{\"ok\":true,\"op\":\"stats\""), "{}", replies[1]);
+}
+
 #[test]
 fn serve_rejects_bad_options_with_exit_2() {
     for args in [

@@ -3,15 +3,16 @@
 //! A [`Session`] holds a resident [`Topology`] plus its CSR snapshot,
 //! absorbs typed [`ChurnEvent`] deltas (link/switch failures, restore,
 //! incremental expansion — the paper's §4.2 operating regime), and answers
-//! [`Query`] requests. Routing state is maintained *incrementally*: the
-//! all-pairs distance matrix is repaired only for affected sources
-//! ([`jellyfish_routing::incremental::repair_all_pairs`]) and cached ECMP
-//! path sets are invalidated per pair with the exact shortest-path-DAG
-//! predicate ([`jellyfish_routing::incremental::edge_on_shortest_path`]),
-//! instead of rebuilding everything per event. An event's [`EdgeDelta`] is
-//! one merge of the old and new snapshots' sorted edge lists, and
-//! [`affected_sources`] flags the rows it may change once, for both the
-//! repair and the path cache.
+//! [`Query`] requests. Every event names its [`EdgeDelta`] — the links it
+//! removed and added — and the session edits its CSR snapshot by it
+//! ([`CsrGraph::edit`]) instead of re-sorting the whole fabric. Routing
+//! state is maintained *incrementally*: the all-pairs distance matrix is
+//! repaired where the delta moves distances
+//! ([`jellyfish_routing::incremental::repair_all_pairs`], which reports the
+//! rows that changed), and cached ECMP path sets are invalidated per pair
+//! with the exact shortest-path-DAG predicate
+//! ([`jellyfish_routing::incremental::edge_on_shortest_path`]), instead of
+//! rebuilding everything per event.
 //!
 //! ## Determinism contract
 //!
@@ -26,7 +27,11 @@
 //!   history-dependent (swap-remove), and seeded samplers shuffle
 //!   `edges()`, so only the clone keeps later events bit-reproducible.
 //!   The base's CSR snapshot is kept too, so a restore clones it instead of
-//!   re-sorting the base's edges.
+//!   re-sorting the base's edges. Both clones go through `clone_from`, into
+//!   the failed state's buffers.
+//! * The edited snapshot equals [`Topology::csr`] of the current topology:
+//!   edge ids are a pure function of the edge set, and the edit keeps them
+//!   so ([`CsrGraph::edit`]).
 //! * Hop distances are canonical, so any correct row repair is
 //!   byte-identical to a full rebuild. ECMP enumeration reads the
 //!   destination's row of the resident, repaired matrix and the sorted CSR
@@ -36,9 +41,11 @@
 //!   tie-breaking), so KSP cache entries are all dropped on every
 //!   effective delta and recomputed lazily.
 //!
-//! Construct with [`Session::oracle`] to force full rebuilds and
-//! drop-all-caches on every event — the bit-identical reference the
-//! churn-equivalence proptest and `--oracle` CLI flag compare against.
+//! Construct with [`Session::oracle`] to force a fresh [`Topology::csr`]
+//! snapshot, a full distance rebuild and drop-all-caches on every event —
+//! the bit-identical reference the churn-equivalence proptest and
+//! `--oracle` CLI flag compare against. An oracle session's delta is the
+//! merge of its old and new snapshots ([`EdgeDelta::between`]).
 //!
 //! The wire protocol (line-delimited JSON over stdin/stdout or TCP) lives
 //! in [`wire`]; SERVE.md documents the grammar.
@@ -48,16 +55,14 @@ use std::collections::BTreeMap;
 use jellyfish_flow::bisection::{min_bisection_heuristic, BisectionCut};
 use jellyfish_flow::throughput::{normalized_throughput, ThroughputOptions, ThroughputResult};
 use jellyfish_routing::ecmp::all_shortest_paths;
-use jellyfish_routing::incremental::{
-    affected_sources, edge_on_shortest_path, repair_all_pairs, EdgeDelta,
-};
+use jellyfish_routing::incremental::{edge_on_shortest_path, repair_all_pairs};
 use jellyfish_routing::path_table::RoutingScheme;
 use jellyfish_routing::shortest::all_pairs_distances;
 use jellyfish_routing::yen::k_shortest_paths;
 use jellyfish_routing::Path;
 use jellyfish_topology::bfs::{DistanceMatrix, UNREACHED};
-use jellyfish_topology::spec::ScenarioTransform;
-use jellyfish_topology::{CsrGraph, NodeId, Topology};
+use jellyfish_topology::spec::{ScenarioTransform, SpecError};
+use jellyfish_topology::{CsrGraph, Edge, EdgeDelta, NodeId, Topology};
 use jellyfish_traffic::{ServerMap, TrafficSpec};
 
 pub mod wire;
@@ -65,6 +70,9 @@ pub mod wire;
 /// Seed-derivation token for the session traffic matrix; the same token
 /// `failure_sweep` has always used, so ported sweeps reproduce goldens.
 pub const TRAFFIC_SEED_XOR: u64 = 0xFA11;
+
+/// The most Kernighan–Lin restarts one bisection query may ask for.
+pub const MAX_BISECTION_RESTARTS: usize = 64;
 
 /// A typed topology delta applied to a [`Session`].
 #[derive(Debug, Clone, PartialEq)]
@@ -169,8 +177,9 @@ pub struct Delta {
     pub servers: usize,
     /// Topology generation counter after the event.
     pub generation: u64,
-    /// Distance rows recomputed by BFS (`None` while the matrix is not yet
-    /// materialized — it is built lazily on the first dist/path query).
+    /// Distance rows the event changed, plus new switches' rows (every row
+    /// of a full rebuild); `None` while the matrix is not yet materialized
+    /// — it is built lazily on the first dist/path query.
     pub repaired_rows: Option<usize>,
     /// Rows of the (repaired) distance matrix, when materialized.
     pub total_rows: Option<usize>,
@@ -253,8 +262,7 @@ pub struct SessionStats {
     pub events: u64,
     /// Queries answered.
     pub queries: u64,
-    /// Distance rows recomputed by BFS across all events (repairs and the
-    /// rows of full rebuilds both count).
+    /// [`Delta::repaired_rows`] summed over all events.
     pub rows_repaired: u64,
     /// Events whose distance update was a full rebuild.
     pub full_rebuilds: u64,
@@ -289,7 +297,7 @@ pub struct Session {
     base_csr: CsrGraph,
     /// Current topology.
     topo: Topology,
-    /// CSR snapshot of `topo`, refreshed on every apply.
+    /// CSR snapshot of `topo`, edited by every event's delta.
     csr: CsrGraph,
     /// Session seed: churn sampling and default traffic derive from it.
     seed: u64,
@@ -381,41 +389,47 @@ impl Session {
     /// unchanged.
     pub fn apply(&mut self, event: &ChurnEvent) -> Result<Delta, ServiceError> {
         self.validate(event)?;
-        match *event {
+        let spec_error = |e: SpecError| ServiceError::Spec(e.to_string());
+        let named = match *event {
             ChurnEvent::FailLink { a, b } => {
                 // Validated above; disconnect cannot fail now.
                 assert!(self.topo.disconnect(a, b));
+                EdgeDelta { removed: vec![Edge::new(a, b)], added: Vec::new() }
             }
-            ChurnEvent::FailLinks { fraction } => {
-                ScenarioTransform::FailLinks(fraction)
-                    .apply(&mut self.topo, self.seed)
-                    .map_err(|e| ServiceError::Spec(e.to_string()))?;
-            }
+            ChurnEvent::FailLinks { fraction } => ScenarioTransform::FailLinks(fraction)
+                .apply(&mut self.topo, self.seed)
+                .map_err(spec_error)?,
             ChurnEvent::FailSwitch { node } => {
                 // Mirror fail_random_switches for a single named switch.
+                let row = self.csr.neighbors(node).iter().map(|&w| Edge::new(node, w as NodeId));
+                let delta = EdgeDelta { removed: row.collect(), added: Vec::new() };
                 self.topo.graph_mut().isolate_node(node);
                 self.topo.set_servers(node, 0).map_err(|e| ServiceError::Spec(e.to_string()))?;
+                delta
             }
-            ChurnEvent::FailSwitches { fraction } => {
-                ScenarioTransform::FailSwitches(fraction)
-                    .apply(&mut self.topo, self.seed)
-                    .map_err(|e| ServiceError::Spec(e.to_string()))?;
-            }
+            ChurnEvent::FailSwitches { fraction } => ScenarioTransform::FailSwitches(fraction)
+                .apply(&mut self.topo, self.seed)
+                .map_err(spec_error)?,
             ChurnEvent::Restore => {
-                self.topo = self.base.clone();
+                self.topo.clone_from(&self.base);
+                EdgeDelta::between(&self.csr, &self.base_csr)
             }
-            ChurnEvent::Expand { racks } => {
-                ScenarioTransform::Expand(racks)
-                    .apply(&mut self.topo, self.seed)
-                    .map_err(|e| ServiceError::Spec(e.to_string()))?;
-            }
-        }
-        let csr = match event {
-            ChurnEvent::Restore => self.base_csr.clone(),
-            _ => self.topo.csr(),
+            ChurnEvent::Expand { racks } => ScenarioTransform::Expand(racks)
+                .apply(&mut self.topo, self.seed)
+                .map_err(spec_error)?,
         };
-        let delta = EdgeDelta::between(&self.csr, &csr);
-        self.csr = csr;
+        let delta = if self.oracle {
+            let csr = self.topo.csr();
+            let delta = EdgeDelta::between(&self.csr, &csr);
+            self.csr = csr;
+            delta
+        } else {
+            match event {
+                ChurnEvent::Restore => self.csr.clone_from(&self.base_csr),
+                _ => self.csr.edit(&named, self.topo.num_switches()),
+            }
+            named
+        };
         let (repaired, total, full, dropped, kept) = self.refresh_routing(&delta);
 
         self.stats.events += 1;
@@ -446,13 +460,12 @@ impl Session {
     ///
     /// KSP entries are dropped on every effective delta (Yen's output
     /// depends on global tie-breaking — there is no sound incremental
-    /// subset). ECMP entries survive exactly when [`affected_sources`],
-    /// run once on the *pre-repair* matrix, flags neither distance row (an
-    /// unflagged row is unchanged) and no delta edge lies on the pair's
+    /// subset). ECMP entries survive exactly when the repair reports
+    /// neither distance row changed and no delta edge lies on the pair's
     /// shortest-path DAG ([`edge_on_shortest_path`] reads only the two
     /// unchanged rows, so old-DAG and new-DAG membership coincide for
-    /// surviving pairs). A delta that shrinks the node set flags every
-    /// row, so the repair rebuilds the matrix and the cache empties.
+    /// surviving pairs). A delta that shrinks the node set rebuilds the
+    /// matrix and empties the cache.
     fn refresh_routing(
         &mut self,
         delta: &EdgeDelta,
@@ -480,23 +493,18 @@ impl Session {
         if delta.is_empty() && n_new == dist.num_cols() {
             return (Some(0), Some(n_new), false, 0, cached);
         }
-        let affected = affected_sources(dist, &self.csr, delta);
-        let outcome = repair_all_pairs(dist, &self.csr, &affected);
+        let outcome = repair_all_pairs(dist, &self.csr, delta);
         let dist = &*dist;
+        let changed = |row: NodeId| outcome.changed.get(row).copied().unwrap_or(true);
         self.paths.retain(|&((scheme_tag, _), src, dst), _| {
-            if scheme_tag != ECMP_TAG {
-                return false;
-            }
-            if affected.get(src).copied().unwrap_or(true)
-                || affected.get(dst).copied().unwrap_or(true)
-            {
-                return false;
-            }
-            !delta
-                .removed
-                .iter()
-                .chain(&delta.added)
-                .any(|e| edge_on_shortest_path(dist, src, dst, e.a, e.b))
+            scheme_tag == ECMP_TAG
+                && !changed(src)
+                && !changed(dst)
+                && !delta
+                    .removed
+                    .iter()
+                    .chain(&delta.added)
+                    .any(|e| edge_on_shortest_path(dist, src, dst, e.a, e.b))
         });
         let kept = self.paths.len();
         (
@@ -535,6 +543,11 @@ impl Session {
             Query::Bisection { restarts } => {
                 if restarts == 0 {
                     return Err(ServiceError::Param("bisection needs restarts >= 1".into()));
+                }
+                if restarts > MAX_BISECTION_RESTARTS {
+                    return Err(ServiceError::Param(format!(
+                        "bisection takes at most {MAX_BISECTION_RESTARTS} restarts, got {restarts}"
+                    )));
                 }
                 let cut = min_bisection_heuristic(&self.topo, restarts, self.seed);
                 Reply::Bisection { cut }
@@ -600,6 +613,14 @@ impl Session {
             ChurnEvent::Expand { racks } => {
                 if racks == 0 {
                     return Err(ServiceError::Param("expand needs racks >= 1".into()));
+                }
+                // One event may at most double the fabric and its n² matrix.
+                let limit = self.topo.num_switches();
+                if racks > limit {
+                    return Err(ServiceError::Param(format!(
+                        "expand adds at most {limit} racks (the switch count) per event, \
+                         got {racks}"
+                    )));
                 }
             }
         }
@@ -676,11 +697,22 @@ mod tests {
                 ChurnEvent::Expand { racks: 0 },
                 ServiceError::Param("expand needs racks >= 1".into()),
             ),
+            (
+                ChurnEvent::Expand { racks: n + 1 },
+                ServiceError::Param(format!(
+                    "expand adds at most {n} racks (the switch count) per event, got {}",
+                    n + 1
+                )),
+            ),
         ];
         for (event, error) in refused {
             assert_eq!(session.apply(&event), Err(error), "{event:?}");
             assert!(format!("{session:?}") == before, "{event:?} changed the session");
         }
+        let over = Query::Bisection { restarts: MAX_BISECTION_RESTARTS + 1 };
+        let limit = ServiceError::Param("bisection takes at most 64 restarts, got 65".into());
+        assert_eq!(session.query(&over).unwrap_err(), limit);
+        assert!(format!("{session:?}") == before, "a refused query changed the session");
 
         let hits = session.stats().path_cache_hits;
         let mut fresh = Session::new(session.topology().clone(), 7);

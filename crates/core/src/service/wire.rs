@@ -17,6 +17,11 @@ use crate::service::{ChurnEvent, Delta, Query, Reply, Session};
 /// Valid `scheme` values, listed in every scheme error.
 pub const SCHEME_CHOICES: &str = "ecmp8, ecmp64, ksp8, ecmp:N, ksp:N";
 
+/// The widest `ecmp:N` or `ksp:N` scheme a query may ask for: `ecmp64` is
+/// the widest any experiment uses, and Yen with a huge `k` runs until it
+/// has enumerated every simple path.
+pub const MAX_SCHEME_WIDTH: usize = 64;
+
 /// The longest request line the server reads, in bytes before its newline
 /// (1 MiB). A longer line is answered with [`too_long_reply`] and skipped.
 pub const MAX_REQUEST_BYTES: usize = 1 << 20;
@@ -28,13 +33,17 @@ pub enum Request {
     Line(String),
     /// A line over the limit, consumed through its newline but not kept.
     TooLong,
+    /// A line within the limit that is not UTF-8, consumed through its
+    /// newline.
+    NotUtf8,
 }
 
 /// Reads the next request line, keeping at most `limit` bytes of it: the
 /// rest of a longer line is consumed up to and including its newline
 /// without being buffered. `None` at end of input. As with
-/// [`BufRead::lines`], a line ends at `\n` or `\r\n`, the last line may
-/// lack one, and a line that is not UTF-8 is an `InvalidData` error.
+/// [`BufRead::lines`], a line ends at `\n` or `\r\n` and the last line may
+/// lack one; a line that is not UTF-8 is a [`Request::NotUtf8`], so the
+/// next line is read as usual.
 pub fn read_request(reader: &mut impl BufRead, limit: usize) -> io::Result<Option<Request>> {
     let mut line = Vec::new();
     let (mut read_any, mut too_long, mut ended) = (false, false, false);
@@ -67,9 +76,7 @@ pub fn read_request(reader: &mut impl BufRead, limit: usize) -> io::Result<Optio
     if ended && line.last() == Some(&b'\r') {
         line.pop();
     }
-    String::from_utf8(line).map(|line| Some(Request::Line(line))).map_err(|_| {
-        io::Error::new(io::ErrorKind::InvalidData, "stream did not contain valid UTF-8")
-    })
+    Ok(Some(String::from_utf8(line).map_or(Request::NotUtf8, Request::Line)))
 }
 
 /// The reply to a line over [`MAX_REQUEST_BYTES`].
@@ -77,6 +84,11 @@ pub fn too_long_reply() -> LineOutcome {
     LineOutcome::Reply(error_reply(&format!(
         "request line longer than the {MAX_REQUEST_BYTES}-byte limit; the line was skipped"
     )))
+}
+
+/// The reply to a line that is not UTF-8.
+pub fn not_utf8_reply() -> LineOutcome {
+    LineOutcome::Reply(error_reply("request line is not valid UTF-8; the line was skipped"))
 }
 
 /// What the server loop should do with one input line.
@@ -149,7 +161,8 @@ fn parse_event(v: &Value) -> Result<ChurnEvent, String> {
     }
 }
 
-/// Parses a `scheme` string (`ecmp8`, `ksp8`, `ecmp:N`, `ksp:N`, ...).
+/// Parses a `scheme` string (`ecmp8`, `ksp8`, `ecmp:N`, `ksp:N`, ...),
+/// with `N` in `1..=MAX_SCHEME_WIDTH`.
 pub fn parse_scheme(s: &str) -> Result<RoutingScheme, String> {
     let parsed = match s {
         "ecmp8" => Some(RoutingScheme::ecmp8()),
@@ -166,7 +179,15 @@ pub fn parse_scheme(s: &str) -> Result<RoutingScheme, String> {
             }
         }
     };
-    parsed.ok_or_else(|| format!("unknown scheme '{s}' (valid choices: {SCHEME_CHOICES})"))
+    match parsed {
+        Some(RoutingScheme::Ecmp { way: n } | RoutingScheme::KShortestPaths { k: n })
+            if n > MAX_SCHEME_WIDTH =>
+        {
+            Err(format!("scheme '{s}' asks for {n} paths; the limit is {MAX_SCHEME_WIDTH}"))
+        }
+        Some(scheme) => Ok(scheme),
+        None => Err(format!("unknown scheme '{s}' (valid choices: {SCHEME_CHOICES})")),
+    }
 }
 
 fn parse_query(v: &Value) -> Result<Query, String> {
@@ -370,8 +391,40 @@ mod tests {
         assert_eq!(parse_scheme("ecmp8").unwrap(), RoutingScheme::ecmp8());
         assert_eq!(parse_scheme("ecmp:4").unwrap(), RoutingScheme::Ecmp { way: 4 });
         assert_eq!(parse_scheme("ksp:3").unwrap(), RoutingScheme::KShortestPaths { k: 3 });
+        assert_eq!(parse_scheme("ksp:64").unwrap(), RoutingScheme::KShortestPaths { k: 64 });
         assert!(parse_scheme("ospf").unwrap_err().contains(SCHEME_CHOICES));
         assert!(parse_scheme("ecmp:0").is_err());
+        for over in ["ecmp:65", "ksp:65"] {
+            let err = parse_scheme(over).unwrap_err();
+            assert_eq!(err, format!("scheme '{over}' asks for 65 paths; the limit is 64"));
+        }
+    }
+
+    /// Requests over a limit are error replies that name it, and the
+    /// session answers the next request as before.
+    #[test]
+    fn over_limit_requests_are_refused_by_name() {
+        let mut s = session();
+        let rows = [
+            (
+                "{\"op\":\"query\",\"q\":\"path\",\"src\":0,\"dst\":5,\"scheme\":\"ksp:65\"}",
+                "limit is 64",
+            ),
+            (
+                "{\"op\":\"query\",\"q\":\"path\",\"src\":0,\"dst\":5,\"scheme\":\"ecmp:65\"}",
+                "limit is 64",
+            ),
+            ("{\"op\":\"query\",\"q\":\"bisection\",\"restarts\":65}", "at most 64 restarts"),
+            ("{\"op\":\"apply\",\"event\":\"expand\",\"racks\":13}", "at most 12 racks"),
+        ];
+        for (req, limit) in rows {
+            let reply = line(&mut s, req);
+            assert!(reply.starts_with("{\"ok\":false,\"error\":"), "{req} -> {reply}");
+            assert!(reply.contains(limit), "{req} -> {reply}");
+        }
+        let st = line(&mut s, "{\"op\":\"stats\"}");
+        assert!(st.contains("\"switches\":12") && st.contains("\"events\":0"), "{st}");
+        assert!(st.contains("\"queries\":0"), "{st}");
     }
 
     #[test]
@@ -436,9 +489,10 @@ mod tests {
             "the last line needs no newline"
         );
         assert_eq!(read(), None);
-        let mut not_utf8: &[u8] = b"\xff\n";
-        let err = read_request(&mut not_utf8, 6).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let mut not_utf8: &[u8] = b"\xff\r\nab\n";
+        assert_eq!(read_request(&mut not_utf8, 6).unwrap(), Some(Request::NotUtf8));
+        assert_eq!(read_request(&mut not_utf8, 6).unwrap(), Some(Request::Line("ab".to_string())));
         assert!(too_long_reply().text().contains(&MAX_REQUEST_BYTES.to_string()));
+        assert!(not_utf8_reply().text().contains("UTF-8"));
     }
 }

@@ -8,7 +8,10 @@
 //! Apply replies are compared at the typed level on the topology-shape
 //! fields (repair accounting legitimately differs between the modes);
 //! query replies are compared as rendered wire bytes, and the full
-//! distance matrices are compared after every event. Several pairs' ECMP
+//! distance matrices are compared after every event. So are the CSR
+//! snapshots: the incremental session edits its own by the delta each
+//! event names, and it must equal a fresh `Topology::csr()` and the
+//! oracle's, whose delta is the merge of its old and new snapshots. Several pairs' ECMP
 //! paths are cached before the churn and queried again after every event,
 //! so a cache entry that survives an event it should not shows as a reply
 //! that differs from the oracle's.
@@ -169,6 +172,11 @@ proptest! {
                 prop_assert_eq!(
                     inc.distances(), ora.distances(),
                     "{}: step {} ({:?}): distance matrices diverged", spec, step, event
+                );
+                let fresh = inc.topology().csr();
+                prop_assert!(
+                    inc.csr() == &fresh && ora.csr() == &fresh,
+                    "{}: step {} ({:?}): the edited snapshot is not the snapshot", spec, step, event
                 );
             }
         }

@@ -2,239 +2,328 @@
 //!
 //! The live-topology service (`jellyfish::service`) holds a resident
 //! [`DistanceMatrix`] and applies link/switch failures, restores and
-//! incremental expansion as *deltas*. An [`EdgeDelta`] is one merge of the
-//! old and new [`CsrGraph`] snapshots' sorted edge lists. After a delta,
-//! most sources' distance rows are provably unchanged: [`affected_sources`]
-//! flags the others from the old matrix, the delta and the new snapshot,
-//! and [`repair_all_pairs`] recomputes only the flagged rows with the block
-//! driver of the full rebuild ([`map_source_blocks`]).
+//! incremental expansion as *deltas*: every event names its [`EdgeDelta`],
+//! and the service edits its snapshot by it. [`repair_rows`] then brings
+//! each old row to the edited snapshot in place with a dynamic
+//! shortest-path update for unit weights (after Ramalingam and Reps, "An
+//! incremental algorithm for a generalization of the shortest-path
+//! problem", J. Algorithms 21(2), 1996), and fills new nodes' rows with the
+//! block driver of the full rebuild ([`map_source_blocks`]).
+//! [`repair_all_pairs`] rebuilds the matrix instead when the delta shrinks
+//! the node set (it re-keys nodes) or is too large for the row repair to
+//! win.
 //!
 //! Byte-identity with a full rebuild is structural, not probabilistic: hop
-//! distances are canonical values, so any correct BFS writes the same `u32`s
-//! a full [`all_pairs_distances`](crate::shortest::all_pairs_distances)
-//! sweep would. Write `d` for the old distances from a source `s`. The
-//! criteria below are *sound* (a row they leave unflagged keeps every old
-//! value) and *exact* for a delta of one removed or one added old–old edge
-//! (they flag precisely the rows that change):
+//! distances are canonical values, so a correct repair writes the same
+//! `u32`s a full [`all_pairs_distances`] sweep would.
 //!
-//! * **Removed edge `(u, v)`** — flag `s` when the edge was *tight*,
-//!   `d(v) == d(u) + 1`, and the far endpoint `v` has no neighbour in the
-//!   new snapshot at the near endpoint's level `d(u)`.
-//! * **Added edge `(u, v)`** (both endpoints old) — flag `s` when
-//!   `|d(u) − d(v)| >= 2`: only then is the edge a shortcut.
-//! * **Expansion** — new nodes attach to the old graph at a *boundary* set
-//!   `B` (old endpoints of old↔new edges). A path from `s` through the new
-//!   region enters at some `u ∈ B` and exits at some `v ∈ B`, spending at
-//!   least 2 hops inside; flag `s` when `|d(u) − d(v)| >= 3` for some
-//!   boundary pair. New nodes' own rows are always recomputed, and
-//!   unflagged old rows gain their new-node columns by symmetry
-//!   (`d(s,x) = d(x,s)` on an undirected graph).
+//! ## The row repair
 //!
-//! An edge or boundary pair with one endpoint unreachable from `s` flags
-//! `s`; with both unreachable it does not (a region `s` cannot reach cannot
-//! change its row).
+//! Fix a source `s`. Write `d` for its old row, extended to the new node
+//! count with new nodes unreached (they are isolated in the old graph),
+//! `d'` for its new distances and `N'(x)` for the neighbours of `x` in the
+//! new snapshot. A node `w ∈ N'(x)` with `d(w) = d(x) − 1` is a *parent*
+//! of `x`, and `x` a *child* of `w`.
 //!
-//! **Soundness**, for any mix of the three (an expansion rewire removes old
-//! edges *and* adds old↔new ones). Let `d'` be the new distances from an
-//! unflagged `s`, on old nodes.
+//! 1. **Orphans.** A removed edge is *tight* when its far endpoint sat one
+//!    level below its near one, `d(v) = d(u) + 1`. A far endpoint left
+//!    with no parent starts an orphan sweep, which visits candidates in
+//!    level order: a candidate with no non-orphan parent is an *orphan*,
+//!    and an orphan makes its children candidates.
+//! 2. **Seeds.** Each orphan is relabelled one more than its lowest
+//!    non-orphan neighbour (unreached when it has none), and each added
+//!    edge whose endpoint's label plus one undercuts the other endpoint's
+//!    lowers that label.
+//! 3. **Settle.** One bucket-queue pass in label order pops every lowered
+//!    node and lowers its neighbours' labels to its own plus one.
 //!
-//! * *No distance falls.* Surviving old edges and, by the addition test,
-//!   added old–old edges join nodes whose `d` differs by at most 1; by the
-//!   expansion test a detour through the new region spends at least as
-//!   many hops as the `d` gap between its entry and exit. So along any new
-//!   path from `s`, `d` grows by at most the path's length: `d <= d'`.
-//! * *No distance rises*, by induction on the level `k = d(t)`. In the old
-//!   graph `t` had a neighbour at level `k − 1`. If that edge survived, `t`
-//!   still has it; if it was removed, it was tight with `t` as its far
-//!   endpoint, and the removal test left `s` unflagged only because `t` has
-//!   a neighbour at level `k − 1` in the new snapshot. Either way
-//!   `d'(t) <= d'(w) + 1 <= k` for that neighbour `w`.
+//! A row in which no removed edge is tight and no added edge shortens
+//! anything costs `O(|delta|)` plus one neighbour scan per tight removed
+//! edge; a touched row costs the entries that move and their neighbours.
+//! The row is reported changed when an old column's final label differs
+//! from `d`, so the report is exact for every delta. For one removed or one
+//! added link it names the rows whose far endpoint lost its last parent, or
+//! whose endpoints sat two or more levels apart.
 //!
-//! **Exactness for one edge.** If the one removed edge flags `s`, every
-//! neighbour the far endpoint `v` has left sits at level `>= d(v)`, and a
-//! removal lengthens no path, so `d'(v) > d(v)`. If the one added edge flags
-//! `s`, it shortens the path to its far endpoint, or reaches a node that
-//! was unreachable. The `affected_rows` tests check soundness under mixed
-//! deltas and exactness for single edges on every topology generator.
+//! ## Soundness
+//!
+//! *Every non-orphan `x` other than `s` with `d(x)` finite keeps a
+//! non-orphan parent.* If `x` was a candidate, the sweep checked it after
+//! every orphan one level closer was known. Otherwise `x` was never
+//! pushed: no parent of `x` became an orphan (an orphan pushes all its
+//! children), and no tight removed edge left `x` without a parent. `x` had
+//! an old parent `w`; if the edge `w–x` survived, `w` is a parent in the
+//! new snapshot, and if it was removed it was tight into `x`, which
+//! therefore kept another parent. Either parent is a non-orphan. By
+//! induction on the level, every non-orphan has `d'(x) <= d(x)`.
+//!
+//! *Labels never undercut `d'`.* Every label is the length of a walk from
+//! `s` in the new snapshot: a non-orphan's `d(x)` by the above, an
+//! orphan's seed through a non-orphan neighbour, and every lowering one
+//! edge past a labelled node.
+//!
+//! *Labels reach `d'`.* Suppose a node ends above `d'`; on a shortest new
+//! path to it let `y` be the first such node and `p` its predecessor, so
+//! `ℓ(p) = d'(p) = d'(y) − 1` is finite. If the settle pass popped `p`, it
+//! lowered `y` to at most `d'(y)`. Otherwise `p` is a non-orphan that kept
+//! `d(p)`. If `p–y` is an added edge, the seeds lowered `y` to at most
+//! `d(p) + 1`. If it is an old edge, `d(y) <= d(p) + 1` in the old graph, so
+//! a non-orphan `y` starts at most there and an orphan `y` is seeded at
+//! most there through `p`. Each case contradicts `ℓ(y) > d'(y)`.
+//!
+//! Arithmetic: unreached is `u32::MAX`, so a label plus one saturates, and
+//! the sweep adds one only to finite levels. The `affected_rows` tests
+//! check the repair against full rebuilds under mixed deltas on every
+//! topology generator, and the reported rows against the changed rows.
 
 use crate::shortest::{all_pairs_distances, DistanceMatrix, UNREACHED};
 use jellyfish_topology::bfs::map_source_blocks;
-use jellyfish_topology::graph::Edge;
-use jellyfish_topology::{CsrGraph, NodeId};
-use std::cmp::Ordering;
-
-/// An undirected edge-set delta between two topology snapshots.
-///
-/// `added` may reference nodes beyond the old matrix (expansion); `removed`
-/// edges always existed in the old graph. Both lists are sorted.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EdgeDelta {
-    /// Edges present before and absent after.
-    pub removed: Vec<Edge>,
-    /// Edges absent before and present after.
-    pub added: Vec<Edge>,
-}
-
-impl EdgeDelta {
-    /// The delta between two snapshots: one merge of their edge lists,
-    /// which edge ids keep in lexicographic `(a, b)` order.
-    pub fn between(before: &CsrGraph, after: &CsrGraph) -> Self {
-        let edge = |(a, b): (NodeId, NodeId)| Edge { a, b };
-        let (mut old, mut new) = (before.edges().peekable(), after.edges().peekable());
-        let mut delta = EdgeDelta::default();
-        loop {
-            match (old.peek(), new.peek()) {
-                (Some(x), Some(y)) => match x.cmp(y) {
-                    Ordering::Less => delta.removed.extend(old.next().map(edge)),
-                    Ordering::Greater => delta.added.extend(new.next().map(edge)),
-                    Ordering::Equal => {
-                        old.next();
-                        new.next();
-                    }
-                },
-                (Some(_), None) => delta.removed.extend(old.by_ref().map(edge)),
-                (None, Some(_)) => delta.added.extend(new.by_ref().map(edge)),
-                (None, None) => return delta,
-            }
-        }
-    }
-
-    /// True when nothing changed.
-    pub fn is_empty(&self) -> bool {
-        self.removed.is_empty() && self.added.is_empty()
-    }
-}
+use jellyfish_topology::{CsrGraph, EdgeDelta, NodeId};
 
 /// What a [`repair_all_pairs`] call did, for delta reporting and benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RepairOutcome {
-    /// Rows recomputed by BFS (affected old rows plus all new-node rows).
+    /// One flag per old row: whether its distances to old nodes changed
+    /// (every flag is set when the delta re-keyed nodes). An unset row is
+    /// bit-unchanged on its old columns, which is what lets callers keep
+    /// derived per-pair state (the live service's path cache).
+    pub changed: Vec<bool>,
+    /// The set flags plus every new node's row; every row when the delta
+    /// re-keyed nodes.
     pub repaired_rows: usize,
     /// Rows of the repaired matrix.
     pub total_rows: usize,
-    /// True when the delta forced a from-scratch rebuild (node removal).
+    /// True when the matrix was rebuilt from scratch: the delta re-keyed
+    /// nodes, or was too large for the row repair to win.
     pub full_rebuild: bool,
 }
 
-/// Flags the old sources whose distance rows `delta` may change, by the
-/// criteria of the module docs; `dist` is the pre-delta matrix and `after`
-/// the post-delta snapshot.
-///
-/// Returns one flag per old row. New-node rows (beyond the old matrix) are
-/// not represented here — they are always recomputed. A delta that shrinks
-/// the node set re-keys nodes, so it flags every row. An unflagged row is
-/// bit-unchanged by [`repair_all_pairs`], which is what lets callers keep
-/// derived per-pair state (the live service's path cache).
-pub fn affected_sources(dist: &DistanceMatrix, after: &CsrGraph, delta: &EdgeDelta) -> Vec<bool> {
-    let n_old = dist.num_cols();
-    if after.num_nodes() < n_old {
-        return vec![true; n_old];
-    }
-    // Boundary of the new region: old endpoints of old<->new added edges.
-    let mut boundary: Vec<NodeId> = Vec::new();
-    let mut added_old: Vec<Edge> = Vec::new();
-    for e in &delta.added {
-        match (e.a < n_old, e.b < n_old) {
-            (true, true) => added_old.push(*e),
-            (true, false) => boundary.push(e.a),
-            (false, true) => boundary.push(e.b),
-            // new<->new edges are internal to the recomputed region.
-            (false, false) => {}
-        }
-    }
-    boundary.sort_unstable();
-    boundary.dedup();
-
-    // |d(s,u) - d(s,v)|, or None when exactly one endpoint is unreachable
-    // from s (both unreachable reads as 0).
-    let spread = |row: &[u32], u: NodeId, v: NodeId| -> Option<u32> {
-        match (row[u], row[v]) {
-            (UNREACHED, UNREACHED) => Some(0),
-            (UNREACHED, _) | (_, UNREACHED) => None,
-            (du, dv) => Some(du.abs_diff(dv)),
-        }
-    };
-    // A removed edge flags s when it was tight and its far endpoint has no
-    // neighbour left at the near endpoint's level.
-    let loses_parent = |row: &[u32], e: &Edge| -> bool {
-        let (near, far) = match spread(row, e.a, e.b) {
-            Some(1) if row[e.a] < row[e.b] => (row[e.a], e.b),
-            Some(1) => (row[e.b], e.a),
-            Some(_) => return false,
-            None => return true,
-        };
-        !after.neighbors(far).iter().any(|&w| (w as usize) < n_old && row[w as usize] == near)
-    };
-
-    (0..n_old)
-        .map(|s| {
-            let row = dist.row(s);
-            delta.removed.iter().any(|e| loses_parent(row, e))
-                || added_old.iter().any(|e| !matches!(spread(row, e.a, e.b), Some(d) if d <= 1))
-                || boundary.iter().enumerate().any(|(i, &u)| {
-                    boundary[i + 1..]
-                        .iter()
-                        .any(|&v| !matches!(spread(row, u, v), Some(d) if d <= 2))
-                })
-        })
-        .collect()
+/// Nodes by level, popped lowest level first.
+struct Buckets {
+    levels: Vec<Vec<u32>>,
+    /// No level below this holds an entry.
+    next: usize,
+    pending: usize,
 }
 
-/// Repairs an all-pairs matrix in place to the state `csr` snapshots,
-/// recomputing the old rows `affected` flags (from [`affected_sources`])
-/// and every new-node row. Returns what was recomputed.
+impl Buckets {
+    fn push(&mut self, level: u32, node: NodeId) {
+        let level = level as usize;
+        self.levels[level].push(node as u32);
+        self.next = if self.pending == 0 { level } else { self.next.min(level) };
+        self.pending += 1;
+    }
+
+    fn pop(&mut self) -> Option<(u32, NodeId)> {
+        if self.pending == 0 {
+            return None;
+        }
+        loop {
+            if let Some(node) = self.levels[self.next].pop() {
+                self.pending -= 1;
+                return Some((self.next as u32, node as NodeId));
+            }
+            self.next += 1;
+        }
+    }
+}
+
+/// A node's part in the current row's orphan sweep.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Sweep {
+    Untouched,
+    Candidate,
+    Orphan,
+}
+
+/// The row repair of the module docs, with its scratch reused across rows.
+struct RowRepair {
+    queue: Buckets,
+    /// Each node's part in the current row's sweep.
+    sweep: Vec<Sweep>,
+    /// The current row's candidates, orphans among them.
+    candidates: Vec<NodeId>,
+    /// The current row's orphans, with their old labels.
+    orphans: Vec<(NodeId, u32)>,
+}
+
+impl RowRepair {
+    fn new(n: usize) -> Self {
+        RowRepair {
+            // A label is an old level plus one, one past an orphan's seed
+            // across an added edge, or one past a settled distance: at most
+            // n + 1.
+            queue: Buckets { levels: vec![Vec::new(); n + 2], next: 0, pending: 0 },
+            sweep: vec![Sweep::Untouched; n],
+            candidates: Vec::new(),
+            orphans: Vec::new(),
+        }
+    }
+
+    /// Queues `x` for the orphan test at `level`, once per row.
+    fn candidate(&mut self, level: u32, x: NodeId) {
+        if self.sweep[x] == Sweep::Untouched {
+            self.sweep[x] = Sweep::Candidate;
+            self.candidates.push(x);
+            self.queue.push(level, x);
+        }
+    }
+
+    /// Repairs `row` (one source's labels over every node of `csr`, the
+    /// edited snapshot) for `delta`. Returns whether a column below
+    /// `n_old` changed.
+    fn run(&mut self, row: &mut [u32], csr: &CsrGraph, delta: &EdgeDelta, n_old: usize) -> bool {
+        for e in &delta.removed {
+            let (du, dv) = (row[e.a], row[e.b]);
+            let far = if du != UNREACHED && dv == du + 1 {
+                e.b
+            } else if dv != UNREACHED && du == dv + 1 {
+                e.a
+            } else {
+                continue;
+            };
+            let level = row[far];
+            if !csr.neighbors(far).iter().any(|&w| row[w as usize] == level - 1) {
+                self.candidate(level, far);
+            }
+        }
+        while let Some((level, x)) = self.queue.pop() {
+            let sweep = &self.sweep;
+            let parent =
+                |&w: &u32| row[w as usize] == level - 1 && sweep[w as usize] != Sweep::Orphan;
+            if csr.neighbors(x).iter().any(parent) {
+                continue;
+            }
+            self.sweep[x] = Sweep::Orphan;
+            self.orphans.push((x, level));
+            for &z in csr.neighbors(x) {
+                if row[z as usize] == level + 1 {
+                    self.candidate(level + 1, z as NodeId);
+                }
+            }
+        }
+
+        let RowRepair { queue, sweep, candidates, orphans } = self;
+        let orphan = |x: NodeId| sweep[x] == Sweep::Orphan;
+        for &(x, _) in orphans.iter() {
+            let seed = csr
+                .neighbors(x)
+                .iter()
+                .filter(|&&w| !orphan(w as NodeId))
+                .map(|&w| row[w as usize].saturating_add(1))
+                .min()
+                .unwrap_or(UNREACHED);
+            row[x] = seed;
+            if seed != UNREACHED {
+                queue.push(seed, x);
+            }
+        }
+        let mut lowered = false;
+        let mut lower = |row: &mut [u32], queue: &mut Buckets, y: NodeId, label: u32| {
+            lowered |= y < n_old && !orphan(y);
+            row[y] = label;
+            queue.push(label, y);
+        };
+        for e in &delta.added {
+            for (u, v) in [(e.a, e.b), (e.b, e.a)] {
+                let through = row[u].saturating_add(1);
+                if through < row[v] {
+                    lower(row, queue, v, through);
+                }
+            }
+        }
+        if candidates.is_empty() && queue.pending == 0 {
+            // Most rows: no sweep and no shortcut, so nothing moved.
+            return false;
+        }
+        while let Some((level, x)) = queue.pop() {
+            if row[x] != level {
+                continue;
+            }
+            for &y in csr.neighbors(x) {
+                if level + 1 < row[y as usize] {
+                    lower(row, queue, y as NodeId, level + 1);
+                }
+            }
+        }
+
+        let changed = lowered || orphans.iter().any(|&(x, old)| row[x] != old);
+        for x in candidates.drain(..) {
+            sweep[x] = Sweep::Untouched;
+        }
+        orphans.clear();
+        changed
+    }
+}
+
+/// Brings an all-pairs matrix in place to the snapshot `csr`, which is the
+/// matrix's snapshot edited by `delta`, and reports the rows that changed.
 ///
-/// The repaired matrix is byte-identical to `all_pairs_distances(csr)`.
+/// A small delta goes to [`repair_rows`]. A delta that shrinks the node
+/// set re-keys nodes, and a large one costs the row repair more than a
+/// rebuild: every row tests every delta link, and a rebuild sweeps every
+/// arc once per 64 rows and level. On 20- to 686-switch fabrics the repair
+/// wins while `2 · rows · |delta| <= ⌈nodes / 64⌉ · arcs` (PERF.md, "Churn
+/// at the cost of the change"), so a larger delta rebuilds the matrix with
+/// [`all_pairs_distances`] and compares it with the old one.
+///
+/// The result is byte-identical to `all_pairs_distances(csr)`.
 pub fn repair_all_pairs(
     dist: &mut DistanceMatrix,
     csr: &CsrGraph,
-    affected: &[bool],
+    delta: &EdgeDelta,
 ) -> RepairOutcome {
     let n_old = dist.num_cols();
     let n_new = csr.num_nodes();
-    if n_new < n_old || dist.num_rows() != n_old {
-        // Shrinking deltas (a restore after expansion) re-key every node;
-        // there is nothing to repair against.
-        *dist = all_pairs_distances(csr);
-        return RepairOutcome { repaired_rows: n_new, total_rows: n_new, full_rebuild: true };
+    let rekeyed = n_new < n_old || dist.num_rows() != n_old;
+    let links = delta.removed.len() + delta.added.len();
+    if !rekeyed && 2 * n_old * links <= n_new.div_ceil(64) * csr.num_arcs() {
+        return repair_rows(dist, csr, delta);
     }
-    assert_eq!(affected.len(), n_old, "one flag per old row");
-    let sources: Vec<NodeId> = (0..n_old).filter(|&s| affected[s]).chain(n_old..n_new).collect();
-    let outcome =
-        RepairOutcome { repaired_rows: sources.len(), total_rows: n_new, full_rebuild: false };
-    if sources.is_empty() {
-        return outcome;
-    }
-    let blocks = map_source_blocks(csr, &sources, |_, rows| rows.to_vec());
-    let rows = sources.iter().zip(blocks.iter().flat_map(|rows| rows.chunks_exact(n_new)));
+    let fresh = all_pairs_distances(csr);
+    let (changed, repaired_rows) = if rekeyed {
+        (vec![true; n_old], n_new)
+    } else {
+        let changed: Vec<bool> =
+            (0..n_old).map(|s| fresh.row(s)[..n_old] != *dist.row(s)).collect();
+        let count = changed.iter().filter(|&&c| c).count();
+        (changed, count + n_new - n_old)
+    };
+    *dist = fresh;
+    RepairOutcome { changed, repaired_rows, total_rows: n_new, full_rebuild: true }
+}
 
-    if n_new == n_old {
-        for (&s, row) in rows {
+/// The row repair of the module docs, whatever the delta's size: every old
+/// row is repaired in place, and every new node's row comes from
+/// multi-source BFS. [`repair_all_pairs`] calls it for small deltas; tests
+/// call it directly. Panics when `delta` drops nodes.
+///
+/// The result is byte-identical to `all_pairs_distances(csr)`.
+pub fn repair_rows(dist: &mut DistanceMatrix, csr: &CsrGraph, delta: &EdgeDelta) -> RepairOutcome {
+    let n_old = dist.num_cols();
+    let n_new = csr.num_nodes();
+    assert!(n_new >= n_old && dist.num_rows() == n_old, "the row repair cannot drop nodes");
+    if n_new > n_old {
+        // New columns start unreached: the new nodes were isolated before.
+        let mut data = vec![UNREACHED; n_new * n_new];
+        for (s, row) in dist.rows().enumerate() {
+            data[s * n_new..s * n_new + n_old].copy_from_slice(row);
+        }
+        *dist = DistanceMatrix::from_flat(n_new, data);
+    }
+    let mut repair = RowRepair::new(n_new);
+    let changed: Vec<bool> =
+        (0..n_old).map(|s| repair.run(dist.row_mut(s), csr, delta, n_old)).collect();
+    let new_rows: Vec<NodeId> = (n_old..n_new).collect();
+    if !new_rows.is_empty() {
+        let blocks = map_source_blocks(csr, &new_rows, |_, rows| rows.to_vec());
+        let rows = blocks.iter().flat_map(|rows| rows.chunks_exact(n_new));
+        for (&s, row) in new_rows.iter().zip(rows) {
             dist.row_mut(s).copy_from_slice(row);
         }
-        return outcome;
     }
-
-    // The node count grew: re-stride unaffected rows, write affected and
-    // new rows, then fill unaffected rows' new columns by symmetry.
-    let mut data = vec![UNREACHED; n_new * n_new];
-    for s in 0..n_old {
-        if !affected[s] {
-            data[s * n_new..s * n_new + n_old].copy_from_slice(dist.row(s));
-        }
-    }
-    for (&s, row) in rows {
-        data[s * n_new..(s + 1) * n_new].copy_from_slice(row);
-    }
-    for s in 0..n_old {
-        if !affected[s] {
-            for x in n_old..n_new {
-                data[s * n_new + x] = data[x * n_new + s];
-            }
-        }
-    }
-    *dist = DistanceMatrix::from_flat(n_new, data);
-    outcome
+    let repaired_rows = changed.iter().filter(|&&c| c).count() + new_rows.len();
+    RepairOutcome { changed, repaired_rows, total_rows: n_new, full_rebuild: false }
 }
 
 /// True when the undirected edge `(u, v)` lies on some shortest `src → dst`
@@ -249,7 +338,7 @@ pub fn repair_all_pairs(
 /// Only rows `src` and `dst` are read (`d(v,dst)` goes through the
 /// undirected symmetry `d(dst,v)`), so on a matrix repaired by
 /// [`repair_all_pairs`] the predicate is valid for removed edges too: a
-/// pair whose rows the repair left untouched sees its pre-delta values.
+/// pair whose rows the repair left unchanged sees its pre-delta values.
 pub fn edge_on_shortest_path(
     dist: &DistanceMatrix,
     src: NodeId,
@@ -277,15 +366,24 @@ mod tests {
     use jellyfish_topology::failures::{fail_random_links, fail_random_switches};
     use jellyfish_topology::{JellyfishBuilder, Topology};
 
-    fn assert_repair_matches_rebuild(before: &Topology, after: &Topology) -> RepairOutcome {
+    type Repair = fn(&mut DistanceMatrix, &CsrGraph, &EdgeDelta) -> RepairOutcome;
+
+    fn assert_matches_rebuild(
+        repair: Repair,
+        before: &Topology,
+        after: &Topology,
+    ) -> RepairOutcome {
         let old = before.csr();
         let mut dist = all_pairs_distances(&old);
         let csr = after.csr();
-        let affected = affected_sources(&dist, &csr, &EdgeDelta::between(&old, &csr));
-        let outcome = repair_all_pairs(&mut dist, &csr, &affected);
+        let outcome = repair(&mut dist, &csr, &EdgeDelta::between(&old, &csr));
         let full = all_pairs_distances(&csr);
         assert_eq!(dist.as_flat(), full.as_flat(), "repair diverged from full rebuild");
         outcome
+    }
+
+    fn assert_repair_matches_rebuild(before: &Topology, after: &Topology) -> RepairOutcome {
+        assert_matches_rebuild(repair_all_pairs, before, after)
     }
 
     #[test]
@@ -296,7 +394,7 @@ mod tests {
         assert!(failed.disconnect(e.a, e.b));
         let outcome = assert_repair_matches_rebuild(&base, &failed);
         assert!(!outcome.full_rebuild);
-        assert!(outcome.repaired_rows <= outcome.total_rows);
+        assert!(outcome.repaired_rows < outcome.total_rows);
     }
 
     #[test]
@@ -308,13 +406,19 @@ mod tests {
         assert_repair_matches_rebuild(&failed, &base);
     }
 
+    /// A 15 % failure (11 of 75 links) costs the row repair more than a
+    /// rebuild, which still reports exactly the changed rows; the row
+    /// repair itself gives the same matrix and report.
     #[test]
     fn random_link_failures_match_rebuild() {
         let base = JellyfishBuilder::new(30, 8, 5).seed(5).build().unwrap();
         let mut failed = base.clone();
         fail_random_links(&mut failed, 0.15, 99);
         let outcome = assert_repair_matches_rebuild(&base, &failed);
+        assert!(outcome.full_rebuild, "a large delta rebuilds");
         assert!(outcome.repaired_rows > 0, "a 15% failure must touch some rows");
+        let rows = assert_matches_rebuild(repair_rows, &base, &failed);
+        assert_eq!((rows.changed, rows.full_rebuild), (outcome.changed, false));
     }
 
     #[test]
@@ -325,14 +429,18 @@ mod tests {
         assert_repair_matches_rebuild(&base, &failed);
     }
 
+    /// New columns start unreached next to old rows' finite labels, the
+    /// case where unchecked level arithmetic would overflow.
     #[test]
     fn expansion_grows_the_matrix() {
         let base = JellyfishBuilder::new(20, 8, 5).seed(7).build().unwrap();
         let mut grown = base.clone();
         add_racks(&mut grown, 2, 8, 3, 13).unwrap();
-        let outcome = assert_repair_matches_rebuild(&base, &grown);
+        let outcome = assert_matches_rebuild(repair_rows, &base, &grown);
         assert!(!outcome.full_rebuild);
         assert_eq!(outcome.total_rows, grown.num_switches());
+        assert_eq!(outcome.changed.len(), base.num_switches());
+        assert_eq!(assert_repair_matches_rebuild(&base, &grown).changed, outcome.changed);
     }
 
     #[test]
@@ -343,10 +451,9 @@ mod tests {
         let old = grown.csr();
         let mut dist = all_pairs_distances(&old);
         let csr = base.csr();
-        let affected = affected_sources(&dist, &csr, &EdgeDelta::between(&old, &csr));
-        assert!(affected.iter().all(|&hit| hit), "a shrink re-keys every row");
-        let outcome = repair_all_pairs(&mut dist, &csr, &affected);
+        let outcome = repair_all_pairs(&mut dist, &csr, &EdgeDelta::between(&old, &csr));
         assert!(outcome.full_rebuild);
+        assert!(outcome.changed.iter().all(|&c| c), "a shrink re-keys every row");
         assert_eq!(dist.as_flat(), all_pairs_distances(&csr).as_flat());
     }
 
@@ -357,34 +464,10 @@ mod tests {
         let mut dist = all_pairs_distances(&csr);
         let delta = EdgeDelta::between(&csr, &csr);
         assert!(delta.is_empty());
-        let affected = affected_sources(&dist, &csr, &delta);
-        assert!(affected.iter().all(|&hit| !hit));
-        let outcome = repair_all_pairs(&mut dist, &csr, &affected);
+        let outcome = repair_all_pairs(&mut dist, &csr, &delta);
         assert_eq!(outcome.repaired_rows, 0);
+        assert!(outcome.changed.iter().all(|&c| !c));
         assert!(!outcome.full_rebuild);
-    }
-
-    #[test]
-    fn edge_delta_between_is_order_independent() {
-        let snapshot = |edges: &[(NodeId, NodeId)]| {
-            let mut g = jellyfish_topology::Graph::new(6);
-            for &(u, v) in edges {
-                g.add_edge(u, v);
-            }
-            CsrGraph::from_graph(&g)
-        };
-        let before = [(0, 1), (1, 2), (3, 4), (4, 5)];
-        let after = [(1, 2), (2, 3), (0, 5), (4, 5)];
-        let delta = EdgeDelta::between(&snapshot(&before), &snapshot(&after));
-        assert_eq!(delta.removed, vec![Edge::new(0, 1), Edge::new(3, 4)]);
-        assert_eq!(delta.added, vec![Edge::new(0, 5), Edge::new(2, 3)]);
-        // Insertion order and endpoint orientation do not reach the delta.
-        let before_rev = [(5, 4), (4, 3), (2, 1), (1, 0)];
-        let after_rev = [(5, 4), (5, 0), (3, 2), (2, 1)];
-        assert_eq!(EdgeDelta::between(&snapshot(&before_rev), &snapshot(&after_rev)), delta);
-        // Trailing edges on either side reach the delta too.
-        let swapped = EdgeDelta::between(&snapshot(&after), &snapshot(&before));
-        assert_eq!((swapped.removed, swapped.added), (delta.added, delta.removed));
     }
 
     #[test]

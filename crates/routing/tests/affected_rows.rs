@@ -1,17 +1,20 @@
-//! The affected-row criterion of `incremental::affected_sources` against
+//! The row repair (`incremental::repair_rows`) and the repair that picks
+//! between it and a rebuild by delta size (`repair_all_pairs`) against
 //! full rebuilds, on one instance of every topology generator:
 //!
 //! * sound — under random mixed deltas (removals, old–old additions, an
-//!   expansion) every row that changes is flagged;
-//! * exact — for a delta of one removed or one added edge, the flagged
-//!   rows are the changed rows, for every such edge of every fabric.
+//!   expansion) the repaired matrix equals the rebuild, and the rows the
+//!   repair reports as changed are exactly the rows whose old columns
+//!   differ;
+//! * exact — for a delta of one removed or one added edge, the same holds
+//!   for every such edge of every fabric.
 
 use std::sync::OnceLock;
 
-use jellyfish_routing::incremental::{affected_sources, repair_all_pairs, EdgeDelta};
+use jellyfish_routing::incremental::{repair_all_pairs, repair_rows, RepairOutcome};
 use jellyfish_routing::shortest::{all_pairs_distances, DistanceMatrix};
 use jellyfish_topology::spec::ScenarioTransform;
-use jellyfish_topology::{CsrGraph, Graph, NodeId, TopoSpec, Topology};
+use jellyfish_topology::{CsrGraph, EdgeDelta, Graph, NodeId, TopoSpec, Topology};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -43,21 +46,26 @@ fn fabrics() -> &'static [(&'static str, Topology)] {
     })
 }
 
-/// The flags for the delta `before → after`, the old rows that changed
-/// (compared on the old columns), and whether the repair those flags drive
-/// reproduced the full rebuild.
-fn flags_and_changes(before: &CsrGraph, after: &CsrGraph) -> (Vec<bool>, Vec<bool>, bool) {
+type Repair = fn(&mut DistanceMatrix, &CsrGraph, &EdgeDelta) -> RepairOutcome;
+
+/// The rows `repair` of `before → after` reports as changed, the old rows
+/// that changed (compared on the old columns), and whether the repaired
+/// matrix equals the full rebuild.
+fn reported_and_changed(
+    repair: Repair,
+    before: &CsrGraph,
+    after: &CsrGraph,
+) -> (Vec<bool>, Vec<bool>, bool) {
     let old = all_pairs_distances(before);
     let new = all_pairs_distances(after);
-    let flags = affected_sources(&old, after, &EdgeDelta::between(before, after));
     let n_old = old.num_cols();
     let changed = (0..n_old).map(|s| new.row(s)[..n_old] != *old.row(s)).collect();
     let mut repaired = old.clone();
-    repair_all_pairs(&mut repaired, after, &flags);
-    (flags, changed, repaired == new)
+    let outcome = repair(&mut repaired, after, &EdgeDelta::between(before, after));
+    (outcome.changed, changed, repaired == new)
 }
 
-fn flagged_rows(flags: &[bool]) -> Vec<NodeId> {
+fn rows(flags: &[bool]) -> Vec<NodeId> {
     (0..flags.len()).filter(|&s| flags[s]).collect()
 }
 
@@ -65,10 +73,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Up to three removed old edges, up to two added old–old edges and
-    /// at most one expansion rack, applied together: every changed row is
-    /// flagged, and the flagged repair equals the full rebuild.
+    /// at most one expansion rack, applied together: the repair equals the
+    /// full rebuild and reports exactly the changed rows.
     #[test]
-    fn every_changed_row_is_flagged(
+    fn mixed_deltas_repair_to_the_rebuild_and_report_the_changed_rows(
         removals in 0usize..4,
         additions in 0usize..3,
         racks in 0usize..2,
@@ -95,22 +103,23 @@ proptest! {
                     topo.graph_mut().add_edge(u, v);
                 }
             }
-            let (flags, changed, repaired) = flags_and_changes(&base.csr(), &topo.csr());
-            for s in 0..n_old {
-                prop_assert!(
-                    flags[s] || !changed[s],
-                    "{}: row {} changed but was not flagged (seed {})", spec, s, seed
+            for repair in [repair_rows as Repair, repair_all_pairs] {
+                let (reported, changed, repaired) =
+                    reported_and_changed(repair, &base.csr(), &topo.csr());
+                prop_assert!(repaired, "{}: repair differs from the rebuild (seed {})", spec, seed);
+                prop_assert_eq!(
+                    rows(&reported), rows(&changed),
+                    "{}: reported rows are not the changed rows (seed {})", spec, seed
                 );
             }
-            prop_assert!(repaired, "{}: flagged repair differs from the rebuild", spec);
         }
     }
 }
 
-/// Removing any one edge, or adding any one edge between old nodes, flags
-/// exactly the rows that change.
+/// Removing any one edge, or adding any one edge between old nodes,
+/// reports exactly the rows that change.
 #[test]
-fn one_edge_deltas_flag_exactly_the_changed_rows() {
+fn one_edge_deltas_report_exactly_the_changed_rows() {
     for (spec, base) in fabrics() {
         let before = base.csr();
         let n = base.num_switches();
@@ -121,13 +130,13 @@ fn one_edge_deltas_flag_exactly_the_changed_rows() {
                 if !removal {
                     graph.add_edge(u, v);
                 }
-                let (flags, changed, repaired) =
-                    flags_and_changes(&before, &CsrGraph::from_graph(&graph));
+                let (reported, changed, repaired) =
+                    reported_and_changed(repair_rows, &before, &CsrGraph::from_graph(&graph));
                 let what = if removal { "removing" } else { "adding" };
                 assert_eq!(
-                    flagged_rows(&flags),
-                    flagged_rows(&changed),
-                    "{spec}: {what} {u}-{v}: flagged rows are not the changed rows"
+                    rows(&reported),
+                    rows(&changed),
+                    "{spec}: {what} {u}-{v}: reported rows are not the changed rows"
                 );
                 assert!(repaired, "{spec}: {what} {u}-{v}: repair differs from the rebuild");
             }
@@ -137,7 +146,7 @@ fn one_edge_deltas_flag_exactly_the_changed_rows() {
 
 /// The diamond s–a–b, s–c–b: removing a–b lengthens only the rows of a and
 /// b. The removed edge is tight from s, but b keeps its other neighbour c at
-/// a's level, so row s stays unflagged.
+/// a's level, so no orphan sweep starts and row s is not reported.
 #[test]
 fn a_diamond_keeps_the_row_that_sees_another_parent() {
     let (s, a, b, c) = (0, 1, 2, 3);
@@ -148,7 +157,8 @@ fn a_diamond_keeps_the_row_that_sees_another_parent() {
     let before = CsrGraph::from_graph(&graph);
     graph.remove_edge(a, b);
     let after = CsrGraph::from_graph(&graph);
-    let dist: DistanceMatrix = all_pairs_distances(&before);
-    let flags = affected_sources(&dist, &after, &EdgeDelta::between(&before, &after));
-    assert_eq!(flags, vec![false, true, true, false]);
+    let mut dist: DistanceMatrix = all_pairs_distances(&before);
+    let outcome = repair_rows(&mut dist, &after, &EdgeDelta::between(&before, &after));
+    assert_eq!(outcome.changed, vec![false, true, true, false]);
+    assert_eq!(dist, all_pairs_distances(&after));
 }

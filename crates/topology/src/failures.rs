@@ -41,6 +41,9 @@ pub fn fail_random_links(topo: &mut Topology, fraction: f64, seed: u64) -> Failu
 /// Fails a uniform-random `fraction` of switches: every network link incident
 /// to a failed switch is removed and its servers are considered offline
 /// (server count set to zero so capacity calculations exclude them).
+///
+/// The report lists the failed switches and every link they lost, once
+/// each, as `(min, max)` pairs.
 pub fn fail_random_switches(topo: &mut Topology, fraction: f64, seed: u64) -> FailureReport {
     let fraction = fraction.clamp(0.0, 1.0);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -48,12 +51,14 @@ pub fn fail_random_switches(topo: &mut Topology, fraction: f64, seed: u64) -> Fa
     switches.shuffle(&mut rng);
     let to_fail = ((switches.len() as f64) * fraction).round() as usize;
     let failed: Vec<NodeId> = switches.into_iter().take(to_fail).collect();
+    let mut failed_links = Vec::new();
     for &s in &failed {
-        topo.graph_mut().isolate_node(s);
+        let lost = topo.graph_mut().isolate_node(s);
+        failed_links.extend(lost.into_iter().map(|v| (s.min(v), s.max(v))));
         topo.set_servers(s, 0).expect("zero servers always fits");
     }
     debug_assert!(topo.check_invariants().is_ok());
-    FailureReport { failed_links: Vec::new(), failed_switches: failed }
+    FailureReport { failed_links, failed_switches: failed }
 }
 
 /// Largest-connected-component statistics after failures: the fraction of
@@ -155,8 +160,10 @@ mod tests {
     #[test]
     fn switch_failures_remove_links_and_servers() {
         let mut t = topo();
+        let links_before = t.num_links();
         let r = fail_random_switches(&mut t, 0.1, 7);
         assert_eq!(r.failed_switches.len(), 4);
+        assert_eq!(t.num_links(), links_before - r.failed_links.len(), "each lost link once");
         for &s in &r.failed_switches {
             assert_eq!(t.graph().degree(s), 0);
             assert_eq!(t.servers(s), 0);

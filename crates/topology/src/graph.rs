@@ -54,13 +54,32 @@ impl fmt::Display for Edge {
 /// Nodes are identified by dense indices `0..num_nodes()`. All links are
 /// treated as having unit capacity by the rest of the workspace; capacity
 /// scaling happens at the consumer level.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Graph {
     adjacency: Vec<Vec<NodeId>>,
     /// Edge list; position of each edge is tracked in `edge_index` so removal
     /// is O(degree) (swap-remove in the list, fix the moved edge's index).
     edges: Vec<Edge>,
     edge_index: std::collections::HashMap<Edge, usize>,
+}
+
+/// `clone_from` reuses the target's buffers field by field (a derived
+/// `Clone` would allocate a fresh graph), so a live session's restore copies
+/// the base into the failed state's allocations.
+impl Clone for Graph {
+    fn clone(&self) -> Self {
+        Graph {
+            adjacency: self.adjacency.clone(),
+            edges: self.edges.clone(),
+            edge_index: self.edge_index.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.adjacency.clone_from(&source.adjacency);
+        self.edges.clone_from(&source.edges);
+        self.edge_index.clone_from(&source.edge_index);
+    }
 }
 
 impl Graph {
@@ -240,12 +259,14 @@ impl Graph {
         self.edges.iter().filter(|e| in_set[e.a] != in_set[e.b]).count()
     }
 
-    /// Removes all edges incident to `n` (the node itself stays, isolated).
-    pub fn isolate_node(&mut self, n: NodeId) {
+    /// Removes all edges incident to `n` (the node itself stays, isolated)
+    /// and returns the neighbours it had.
+    pub fn isolate_node(&mut self, n: NodeId) -> Vec<NodeId> {
         let neighbors: Vec<NodeId> = self.adjacency[n].clone();
-        for v in neighbors {
+        for &v in &neighbors {
             self.remove_edge(n, v);
         }
+        neighbors
     }
 
     /// Checks internal consistency (adjacency mirrors the edge list). Used by

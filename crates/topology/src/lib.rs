@@ -67,8 +67,8 @@ pub mod swdc;
 pub mod topology;
 
 pub use bfs::{DistanceMatrix, MsBfsScratch, UNREACHED};
-pub use csr::{ArcId, CsrGraph, EdgeId};
-pub use graph::{Graph, NodeId};
+pub use csr::{ArcId, CsrGraph, EdgeDelta, EdgeId};
+pub use graph::{Edge, Graph, NodeId};
 pub use rrg::JellyfishBuilder;
 pub use spec::{ScenarioTransform, SpecError, TopoSpec, TopologyGenerator};
 pub use topology::{InvariantError, SwitchKind, Topology, TopologyError};

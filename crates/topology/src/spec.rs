@@ -41,10 +41,12 @@
 //! differ from topology specs only in their registry and transforms.
 
 use crate::clos::ClosConfig;
+use crate::csr::EdgeDelta;
 use crate::degree_diameter::{optimized_graph, AnnealParams, FIGURE3_CONFIGS};
 use crate::expansion::add_racks;
 use crate::failures::{fail_random_links, fail_random_switches};
 use crate::fattree::FatTree;
+use crate::graph::{Edge, NodeId};
 use crate::rrg::{build_heterogeneous, JellyfishBuilder};
 use crate::swdc::{Lattice, SwdcBuilder};
 use crate::topology::{Topology, TopologyError};
@@ -589,19 +591,27 @@ impl ScenarioTransform {
         }
     }
 
-    /// Applies the transform in place.
-    pub fn apply(&self, topo: &mut Topology, base_seed: u64) -> Result<(), SpecError> {
+    /// Applies the transform in place and returns the links it removed and
+    /// added, from the reports of the procedures it wraps.
+    pub fn apply(&self, topo: &mut Topology, base_seed: u64) -> Result<EdgeDelta, SpecError> {
         let seed = self.derived_seed(base_seed);
-        match *self {
+        fn edges(links: &[(NodeId, NodeId)]) -> impl Iterator<Item = Edge> + '_ {
+            links.iter().map(|&(u, v)| Edge::new(u, v))
+        }
+        let delta = match *self {
             ScenarioTransform::FailLinks(f) => {
-                fail_random_links(topo, f, seed);
+                let report = fail_random_links(topo, f, seed);
+                EdgeDelta::net(edges(&report.failed_links).collect(), Vec::new())
             }
             ScenarioTransform::FailSwitches(f) => {
-                fail_random_switches(topo, f, seed);
+                let report = fail_random_switches(topo, f, seed);
+                EdgeDelta::net(edges(&report.failed_links).collect(), Vec::new())
             }
             ScenarioTransform::DegradeUniform(f) => {
-                fail_random_links(topo, f, seed);
-                fail_random_switches(topo, f, seed ^ 0x5D1C);
+                let links = fail_random_links(topo, f, seed);
+                let switches = fail_random_switches(topo, f, seed ^ 0x5D1C);
+                let removed = edges(&links.failed_links).chain(edges(&switches.failed_links));
+                EdgeDelta::net(removed.collect(), Vec::new())
             }
             ScenarioTransform::Expand(racks) => {
                 if topo.num_switches() == 0 {
@@ -609,13 +619,16 @@ impl ScenarioTransform {
                 }
                 let ports = topo.ports(0);
                 let servers = topo.servers(0);
-                add_racks(topo, racks, ports, servers, seed)?;
+                let reports = add_racks(topo, racks, ports, servers, seed)?;
+                let removed = reports.iter().flat_map(|r| edges(&r.removed_links));
+                let added = reports.iter().flat_map(|r| edges(&r.added_links));
+                EdgeDelta::net(removed.collect(), added.collect())
             }
             // Impairment lives in the simulation layer, not the graph; the
             // config is read back out via [`TopoSpec::impairment`].
-            ScenarioTransform::Impair(_) => {}
-        }
-        Ok(())
+            ScenarioTransform::Impair(_) => EdgeDelta::default(),
+        };
+        Ok(delta)
     }
 }
 

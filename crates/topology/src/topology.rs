@@ -104,7 +104,7 @@ impl std::error::Error for TopologyError {}
 /// * `graph.degree(i) + servers(i) <= ports(i)` for every switch `i`
 ///   (a switch cannot use more ports than it has);
 /// * the graph is simple (no parallel switch-to-switch links).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Topology {
     graph: Graph,
     ports: Vec<usize>,
@@ -113,6 +113,30 @@ pub struct Topology {
     name: String,
     /// Bumped by every mutation; lets CSR-snapshot holders detect staleness.
     generation: u64,
+}
+
+/// `clone_from` reuses the target's buffers field by field, as
+/// [`Graph`]'s does.
+impl Clone for Topology {
+    fn clone(&self) -> Self {
+        Topology {
+            graph: self.graph.clone(),
+            ports: self.ports.clone(),
+            servers: self.servers.clone(),
+            kinds: self.kinds.clone(),
+            name: self.name.clone(),
+            generation: self.generation,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.graph.clone_from(&source.graph);
+        self.ports.clone_from(&source.ports);
+        self.servers.clone_from(&source.servers);
+        self.kinds.clone_from(&source.kinds);
+        self.name.clone_from(&source.name);
+        self.generation = source.generation;
+    }
 }
 
 impl Topology {
