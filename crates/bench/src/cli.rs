@@ -87,7 +87,7 @@ impl Args {
 
 /// Reads `--scale`, `--seed`, `--topo` and `--traffic` into a [`RunSpec`]:
 /// the parsing counterpart of [`RunSpec::args`]. An absent flag keeps the
-/// default run: laptop scale, seed [`DEFAULT_SEED`], no override.
+/// default run: laptop scale, seed 2012 (`DEFAULT_SEED`), no override.
 pub fn run_spec(args: &Args) -> Result<RunSpec, CliError> {
     Ok(RunSpec {
         scale: args

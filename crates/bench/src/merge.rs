@@ -7,6 +7,8 @@
 //! registered experiment, fragments of one experiment must agree on their
 //! [`RunSpec`] (scale, seed, `--topo` and `--traffic`), and the items must
 //! cover the experiment's work-item list exactly — no duplicates, no gaps.
+//! Items that disagree on metadata or table columns are refused by
+//! [`Experiment::merge`] itself.
 //! The fragment reader has already paired every item with its timing and
 //! parsed the run's specs. Violations are reported with the experiment name
 //! *and* the offending item's debug label, so "item 7 is missing" reads as
@@ -83,7 +85,8 @@ pub fn merge_fragments(fragments: &[ShardFragment]) -> Result<Vec<MergedRun>, St
 }
 
 /// All fragments of one experiment, with the merge validation `figures
-/// merge` applies: full, duplicate-free item coverage under one run.
+/// merge` applies: full, duplicate-free item coverage under one run, and
+/// items that agree on metadata and columns.
 fn merge_group(exp: &dyn Experiment, fragments: &[&ShardFragment]) -> Result<MergedRun, String> {
     let name = exp.name();
     let run = &fragments[0].run;
@@ -107,37 +110,8 @@ fn merge_group(exp: &dyn Experiment, fragments: &[&ShardFragment]) -> Result<Mer
     let expected = work_items.len();
     let mut seen = vec![false; expected];
     let mut items = Vec::new();
-    let mut columns: Option<&[String]> = None;
-    let mut meta: Vec<(&str, &str)> = Vec::new();
     for f in fragments {
         for item in &f.items {
-            // Pre-validate what Dataset::concat asserts, so corrupted or
-            // version-skewed fragment files fail cleanly instead of panicking.
-            for (k, v) in &item.data.meta {
-                match meta.iter().find(|(ek, _)| ek == k) {
-                    Some((_, ev)) if ev != v => {
-                        return Err(format!(
-                            "{name}: fragments disagree on metadata '{k}' ('{ev}' vs '{v}'); \
-                             were they produced by different builds?"
-                        ));
-                    }
-                    Some(_) => {}
-                    None => meta.push((k, v)),
-                }
-            }
-            if !item.data.columns.is_empty() {
-                match columns {
-                    None => columns = Some(&item.data.columns),
-                    Some(cols) if cols != item.data.columns.as_slice() => {
-                        return Err(format!(
-                            "{name}: fragments disagree on table columns \
-                             ({cols:?} vs {:?}); were they produced by different builds?",
-                            item.data.columns
-                        ));
-                    }
-                    Some(_) => {}
-                }
-            }
             if item.index >= expected {
                 return Err(format!(
                     "{name}: fragment {} has item {} but the experiment only has {expected} \
@@ -163,7 +137,10 @@ fn merge_group(exp: &dyn Experiment, fragments: &[&ShardFragment]) -> Result<Mer
             work_items[missing].label
         ));
     }
-    Ok(MergedRun { name, run: run.clone(), data: exp.merge(items) })
+    let data = exp
+        .merge(items)
+        .map_err(|e| format!("{name}: {e}; were they produced by different builds?"))?;
+    Ok(MergedRun { name, run: run.clone(), data })
 }
 
 /// Renders merged runs exactly as `figures run` prints them (TSV blocks, or

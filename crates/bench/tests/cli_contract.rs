@@ -156,3 +156,26 @@ fn every_malformed_invocation_keeps_its_exit_code_and_first_stderr_line() {
         drift.join("\n")
     );
 }
+
+/// One expansion adds at most as many racks as the fabric has switches.
+/// Every spec consumer reaches that limit through the transform itself, so
+/// a huge `+expand=` is a named error before anything is allocated: the
+/// first row once asked the allocator for 6.4 GB and aborted.
+#[test]
+fn an_expansion_past_the_switch_count_exits_2_naming_the_limit() {
+    let limit = |n: usize, racks: usize| {
+        format!(
+            "bad parameter: expand adds at most {n} racks (the switch count) at once, got {racks}"
+        )
+    };
+    let huge = "jellyfish:switches=10,ports=4,degree=3+expand=100000000";
+    assert_eq!(
+        first_error(&["topo", "build", huge, "--seed", "7"]),
+        (Some(2), format!("figures: {}", limit(10, 100_000_000)))
+    );
+    let over = "jellyfish:switches=16,ports=8,degree=5+expand=17";
+    assert_eq!(
+        first_error(&["run", "failure_sweep", "--scale", "tiny", "--topo", over]),
+        (Some(2), format!("figures: --topo '{over}' does not build: {}", limit(16, 17)))
+    );
+}

@@ -265,6 +265,39 @@ fn merge_rejects_shards_of_different_runs_naming_both_values() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Two shards of one run whose items disagree on a `topo:` value (here
+/// shard 2/2 is edited to name another fat-tree) are refused by the
+/// experiment's own merge: exit 2, naming the experiment, the key and both
+/// values.
+#[test]
+fn merge_of_fragments_that_disagree_on_a_topo_value_exits_2_naming_the_experiment() {
+    let dir = scratch("meta-mismatch");
+    let mut files = Vec::new();
+    for shard in ["1/2", "2/2"] {
+        let out = figures(&["run", "table1", "--scale", "tiny", "--seed", "7", "--shard", shard]);
+        assert!(out.status.success(), "{}", stderr(&out));
+        let mut fragment = stdout(&out);
+        assert!(fragment.contains("[\"topo:fat-tree\",\"fattree:k=6\"]"), "{fragment}");
+        if shard == "2/2" {
+            fragment = fragment.replace("fattree:k=6", "fattree:k=8");
+        }
+        let file = dir.join(format!("shard-{}.jsonl", &shard[..1]));
+        std::fs::write(&file, fragment).unwrap();
+        files.push(file);
+    }
+    let merged = figures(&["merge", files[0].to_str().unwrap(), files[1].to_str().unwrap()]);
+    assert_eq!(merged.status.code(), Some(2), "{}", stderr(&merged));
+    let err = stderr(&merged);
+    assert!(
+        err.contains(
+            "table1: fragments disagree on metadata 'topo:fat-tree' \
+             ('fattree:k=6' vs 'fattree:k=8')"
+        ),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// With both overrides set, `launch --json` and `merge --json` print byte
 /// for byte what `run --json` prints: the run record crosses the worker
 /// command line, the fragments and the merge in one shape.

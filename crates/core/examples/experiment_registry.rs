@@ -44,7 +44,9 @@ fn main() {
             ShardFragment::from_json(&fragment.to_json()).expect("fragment JSON round-trips")
         })
         .collect();
-    let merged = exp.merge(fragments.into_iter().flat_map(|f| f.items).collect());
+    let merged = exp
+        .merge(fragments.into_iter().flat_map(|f| f.items).collect())
+        .expect("fragments of one run agree on metadata and columns");
     assert_eq!(merged, dataset, "sharded merge must equal the unsharded run");
     println!("2-way sharded run merged byte-identically to the unsharded run.");
 

@@ -1,105 +1,12 @@
-//! Physical layout and cabling models (paper §6).
-//!
-//! Three questions from the paper are modeled here:
-//!
-//! 1. **Cable counts** — Jellyfish needs fewer switches (hence fewer cables)
-//!    than a fat-tree for the same server pool.
-//! 2. **Cable lengths** — with the paper's "switch-cluster" optimization
-//!    (placing all switches in a central cluster of racks), how long do
-//!    cables get, and do they stay under the ≈10 m electrical-cable limit?
-//! 3. **Massive scale / containers** — the two-layer Jellyfish of §6.3:
-//!    switches are split across containers (pods), a fraction of each
-//!    switch's network links is constrained to stay inside its container,
-//!    and the rest is wired randomly across containers. Figure 14 sweeps that
-//!    fraction.
+//! Massive scale / containers (paper §6.3): the two-layer Jellyfish, whose
+//! switches are split across containers (pods), with a fraction of each
+//! switch's network links constrained to stay inside its container and the
+//! rest wired randomly across containers. Figure 14 sweeps that fraction.
 
 use jellyfish_topology::graph::Graph;
 use jellyfish_topology::topology::{SwitchKind, Topology, TopologyError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Simple data-center floor model: racks on a square grid, `rack_pitch`
-/// meters apart, with the option of placing all switches in a central
-/// cluster (the paper's recommended layout).
-#[derive(Debug, Clone, Copy)]
-pub struct FloorPlan {
-    /// Distance between adjacent rack positions, in meters.
-    pub rack_pitch: f64,
-    /// Maximum length of an electrical (cheap) cable, in meters.
-    pub electrical_limit: f64,
-    /// Whether switches are placed in a central switch-cluster (true) or
-    /// each switch stays with its server rack (false).
-    pub central_switch_cluster: bool,
-}
-
-impl Default for FloorPlan {
-    fn default() -> Self {
-        FloorPlan { rack_pitch: 0.6, electrical_limit: 10.0, central_switch_cluster: true }
-    }
-}
-
-/// Cable statistics for a topology under a floor plan.
-#[derive(Debug, Clone, Copy)]
-pub struct CableReport {
-    /// Total number of switch-to-switch cables.
-    pub switch_cables: usize,
-    /// Total number of server-to-switch cables.
-    pub server_cables: usize,
-    /// Mean switch-to-switch cable length in meters.
-    pub mean_length: f64,
-    /// Maximum switch-to-switch cable length in meters.
-    pub max_length: f64,
-    /// Fraction of switch-to-switch cables that exceed the electrical limit
-    /// (and therefore need optical transceivers).
-    pub optical_fraction: f64,
-}
-
-/// Computes cable statistics. Racks (switches) are laid out on a
-/// near-square grid in node order; with a central switch cluster all
-/// switches sit within a compact square at the center of the floor, so
-/// switch-to-switch cables only span the cluster.
-pub fn cable_report(topo: &Topology, plan: FloorPlan) -> CableReport {
-    let n = topo.num_switches();
-    let side = (n as f64).sqrt().ceil() as usize;
-    let position = |idx: usize| -> (f64, f64) {
-        let (x, y) = (idx % side, idx / side);
-        (x as f64 * plan.rack_pitch, y as f64 * plan.rack_pitch)
-    };
-    let mut lengths = Vec::with_capacity(topo.num_links());
-    for e in topo.graph().edges() {
-        let length = if plan.central_switch_cluster {
-            // Both endpoints live in the central cluster: the span is within
-            // a square big enough to hold all switches at ~40 switches/rack
-            // (the paper: "3-5 racks can hold the switches of a few-thousand
-            // server cluster").
-            let cluster_racks = (n as f64 / 40.0).ceil().max(1.0);
-            let cluster_side = cluster_racks.sqrt().ceil() * plan.rack_pitch;
-            // Average intra-cluster run plus slack for vertical routing.
-            cluster_side + 2.0
-        } else {
-            let (xa, ya) = position(e.a);
-            let (xb, yb) = position(e.b);
-            ((xa - xb).abs() + (ya - yb).abs()) + 2.0 // Manhattan + slack
-        };
-        lengths.push(length);
-    }
-    let switch_cables = lengths.len();
-    let mean =
-        if lengths.is_empty() { 0.0 } else { lengths.iter().sum::<f64>() / lengths.len() as f64 };
-    let max = lengths.iter().copied().fold(0.0, f64::max);
-    let optical = if lengths.is_empty() {
-        0.0
-    } else {
-        lengths.iter().filter(|&&l| l > plan.electrical_limit).count() as f64 / lengths.len() as f64
-    };
-    CableReport {
-        switch_cables,
-        server_cables: topo.total_servers(),
-        mean_length: mean,
-        max_length: max,
-        optical_fraction: optical,
-    }
-}
 
 /// A two-layer ("container-localized") Jellyfish (§6.3, Figure 14): switches
 /// are split evenly across `containers`; each switch dedicates
@@ -204,54 +111,33 @@ fn random_regular_within(
     }
 }
 
-/// Fraction of switch-to-switch links whose endpoints share a container,
-/// given `per_container` switches per container (node order = container
-/// order, as produced by [`two_layer_jellyfish`]).
-pub fn measured_local_fraction(topo: &Topology, per_container: usize) -> f64 {
-    let total = topo.num_links();
-    if total == 0 || per_container == 0 {
-        return 0.0;
-    }
-    let local = topo.graph().edges().filter(|e| e.a / per_container == e.b / per_container).count();
-    local as f64 / total as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use jellyfish_topology::fattree::FatTree;
-    use jellyfish_topology::JellyfishBuilder;
+
+    /// Fraction of switch-to-switch links whose endpoints share a container,
+    /// given `per_container` switches per container (node order = container
+    /// order, as produced by [`two_layer_jellyfish`]).
+    fn measured_local_fraction(topo: &Topology, per_container: usize) -> f64 {
+        let total = topo.num_links();
+        if total == 0 || per_container == 0 {
+            return 0.0;
+        }
+        let local =
+            topo.graph().edges().filter(|e| e.a / per_container == e.b / per_container).count();
+        local as f64 / total as f64
+    }
 
     #[test]
     fn jellyfish_uses_fewer_cables_than_fat_tree_for_same_servers() {
         // §6.2: for the same server pool Jellyfish needs 15-20% fewer
-        // network cables because it needs fewer switches.
+        // network cables because it needs fewer switches. Every link is one
+        // switch-to-switch cable and every server one server cable.
         let ft = FatTree::new(8).unwrap(); // 128 servers, 80 switches
         let jf = crate::experiment::catalog::jellyfish_total_spec(64, 8, 128).build(1).unwrap();
-        let ft_report = cable_report(ft.topology(), FloorPlan::default());
-        let jf_report = cable_report(&jf, FloorPlan::default());
-        assert!(jf_report.switch_cables < ft_report.switch_cables);
-        assert_eq!(ft_report.server_cables, jf_report.server_cables);
-    }
-
-    #[test]
-    fn central_cluster_keeps_cables_electrical_at_small_scale() {
-        let topo = JellyfishBuilder::new(60, 24, 12).seed(2).build().unwrap();
-        let report = cable_report(&topo, FloorPlan::default());
-        assert_eq!(report.optical_fraction, 0.0, "small clusters should need no optics");
-        assert!(report.max_length <= 10.0);
-        assert!(report.mean_length > 0.0);
-    }
-
-    #[test]
-    fn distributed_layout_needs_longer_cables_than_cluster() {
-        let topo = JellyfishBuilder::new(400, 24, 12).seed(3).build().unwrap();
-        let cluster = cable_report(&topo, FloorPlan::default());
-        let spread =
-            cable_report(&topo, FloorPlan { central_switch_cluster: false, ..Default::default() });
-        assert!(spread.mean_length > cluster.mean_length);
-        assert!(spread.max_length > cluster.max_length);
-        assert!(spread.optical_fraction >= cluster.optical_fraction);
+        assert!(jf.num_links() < ft.topology().num_links());
+        assert_eq!(ft.topology().total_servers(), jf.total_servers());
     }
 
     #[test]

@@ -21,20 +21,13 @@ pub struct CapacitySearchOptions {
     /// Number of additional permutations used to verify the final answer
     /// (the paper uses 10).
     pub verify_samples: usize,
-    /// Throughput-solver options used for each check.
-    pub throughput: ThroughputOptions,
     /// RNG seed (topology wiring per probe and traffic sampling derive from it).
     pub seed: u64,
 }
 
 impl Default for CapacitySearchOptions {
     fn default() -> Self {
-        CapacitySearchOptions {
-            probe_samples: 3,
-            verify_samples: 10,
-            throughput: ThroughputOptions::default(),
-            seed: 1,
-        }
+        CapacitySearchOptions { probe_samples: 3, verify_samples: 10, seed: 1 }
     }
 }
 
@@ -71,7 +64,9 @@ pub fn supports_full_throughput(
 /// throughput under random-permutation traffic.
 ///
 /// The search range is `[switches, switches × (ports − 1)]` (at least one
-/// server per switch, at least one network port per switch). Each probe
+/// server per switch, at least one network port per switch). Every check
+/// runs the solver with [`ThroughputOptions::default`], which stops once
+/// λ ≥ 1 is certified: only full throughput matters here. Each probe
 /// builds `jellyfish:switches=..,ports=..,servers_total=..`, which spreads
 /// the servers as evenly as possible.
 pub fn servers_at_full_throughput(
@@ -86,7 +81,7 @@ pub fn servers_at_full_throughput(
             Ok(topo) => supports_full_throughput(
                 &topo,
                 opts.probe_samples,
-                opts.throughput,
+                ThroughputOptions::default(),
                 opts.seed.wrapping_mul(31).wrapping_add(salt),
             ),
             Err(_) => false,
@@ -108,7 +103,7 @@ pub fn servers_at_full_throughput(
         Ok(topo) => supports_full_throughput(
             &topo,
             opts.verify_samples,
-            opts.throughput,
+            ThroughputOptions::default(),
             opts.seed.wrapping_add(0x5EED),
         ),
         Err(_) => false,
@@ -122,12 +117,7 @@ mod tests {
     use jellyfish_topology::fattree::FatTree;
 
     fn fast_opts() -> CapacitySearchOptions {
-        CapacitySearchOptions {
-            probe_samples: 1,
-            verify_samples: 2,
-            throughput: ThroughputOptions { epsilon: 0.08, ..Default::default() },
-            seed: 3,
-        }
+        CapacitySearchOptions { probe_samples: 1, verify_samples: 2, seed: 3 }
     }
 
     #[test]
@@ -166,7 +156,7 @@ mod tests {
         assert!(supports_full_throughput(
             &topo,
             1,
-            fast_opts().throughput,
+            ThroughputOptions::default(),
             fast_opts().seed.wrapping_mul(31).wrapping_add(result.servers as u64)
         ));
     }

@@ -170,16 +170,17 @@ impl Dataset {
     /// order and keep first-seen label order; rows and cells concatenate;
     /// column headers must agree across fragments that set them; metadata
     /// keys keep first-seen order and must agree on their value when
-    /// repeated.
-    pub fn concat<I: IntoIterator<Item = Dataset>>(fragments: I) -> Dataset {
+    /// repeated. A disagreement is an error naming both values.
+    pub fn concat<I: IntoIterator<Item = Dataset>>(fragments: I) -> Result<Dataset, ConcatError> {
         let mut out = Dataset::new();
         for frag in fragments {
-            for (k, v) in frag.meta {
-                match out.meta.iter().find(|(ek, _)| *ek == k) {
-                    Some((_, ev)) => {
-                        assert_eq!(*ev, v, "dataset fragments disagree on metadata '{k}'");
+            for (key, other) in frag.meta {
+                match out.meta.iter().find(|(k, _)| *k == key) {
+                    Some((_, first)) if *first != other => {
+                        return Err(ConcatError::Meta { key, first: first.clone(), other });
                     }
-                    None => out.meta.push((k, v)),
+                    Some(_) => {}
+                    None => out.meta.push((key, other)),
                 }
             }
             for s in frag.series {
@@ -191,17 +192,17 @@ impl Dataset {
             if !frag.columns.is_empty() {
                 if out.columns.is_empty() {
                     out.columns = frag.columns;
-                } else {
-                    assert_eq!(
-                        out.columns, frag.columns,
-                        "dataset fragments disagree on table columns"
-                    );
+                } else if out.columns != frag.columns {
+                    return Err(ConcatError::Columns {
+                        first: std::mem::take(&mut out.columns),
+                        other: frag.columns,
+                    });
                 }
             }
             out.rows.extend(frag.rows);
             out.cells.extend(frag.cells);
         }
-        out
+        Ok(out)
     }
 
     /// Renders the dataset as tab-separated text: `# key\tvalue` metadata
@@ -297,6 +298,43 @@ impl Dataset {
 fn fmt_num(v: f64) -> String {
     format!("{v}")
 }
+
+/// Why [`Dataset::concat`] refused its fragments: two of them disagree on
+/// what must be shared.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ConcatError {
+    /// Two fragments give one metadata key different values.
+    Meta {
+        /// The metadata key.
+        key: String,
+        /// The value the first fragment to set the key gave.
+        first: String,
+        /// The value a later fragment gave.
+        other: String,
+    },
+    /// Two fragments set different table column headers.
+    Columns {
+        /// The headers the first fragment to set them gave.
+        first: Vec<String>,
+        /// The headers a later fragment gave.
+        other: Vec<String>,
+    },
+}
+
+impl fmt::Display for ConcatError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConcatError::Meta { key, first, other } => {
+                write!(f, "fragments disagree on metadata '{key}' ('{first}' vs '{other}')")
+            }
+            ConcatError::Columns { first, other } => {
+                write!(f, "fragments disagree on table columns ({first:?} vs {other:?})")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ConcatError {}
 
 /// One independent unit of an experiment's work.
 #[derive(Debug, Clone, PartialEq)]
@@ -847,16 +885,20 @@ pub trait Experiment: Sync {
     fn run_item(&self, ctx: &RunCtx, item: &WorkItem) -> ItemResult;
 
     /// Combines item results (any order; the default sorts by item index and
-    /// concatenates with [`Dataset::concat`]). Overrides must stay
-    /// order-insensitive in the same way: sort first, then combine.
-    fn merge(&self, mut results: Vec<ItemResult>) -> Dataset {
+    /// concatenates with [`Dataset::concat`], whose error it returns).
+    /// Overrides must stay order-insensitive in the same way: sort first,
+    /// then combine.
+    fn merge(&self, mut results: Vec<ItemResult>) -> Result<Dataset, ConcatError> {
         results.sort_by_key(|r| r.index);
         Dataset::concat(results.into_iter().map(|r| r.data))
     }
 
-    /// Runs every work item (in parallel) and merges: the single-process path.
+    /// Runs every work item (in parallel) and merges: the single-process
+    /// path. Items of one run that disagree on metadata or columns are a bug
+    /// in the experiment, so this panics naming it.
     fn run(&self, ctx: &RunCtx) -> Dataset {
         self.merge(self.run_selected_timed(ctx, &|_| true).items)
+            .unwrap_or_else(|e| panic!("{}: {e}", self.name()))
     }
 
     /// The timing-aware driver everything funnels through: evaluates the
@@ -1033,13 +1075,62 @@ mod tests {
         let mut b = Dataset::new();
         b.push_meta("topo:y", "fattree:k=4");
         b.push_meta("topo:x", "jellyfish:switches=4,ports=3,degree=2");
-        let merged = Dataset::concat([a, b]);
+        let merged = Dataset::concat([a, b]).unwrap();
         assert_eq!(merged.meta.len(), 2);
         assert_eq!(merged.meta[0].0, "topo:x");
         let tsv = merged.to_tsv();
         assert!(tsv.starts_with(
             "# topo:x\tjellyfish:switches=4,ports=3,degree=2\n# topo:y\tfattree:k=4\n"
         ));
+    }
+
+    #[test]
+    fn concat_refuses_fragments_that_disagree_on_metadata() {
+        let fragment = |spec: &str| {
+            let mut ds = Dataset::new();
+            ds.push_meta("topo:fat-tree", spec);
+            ds.push_point("ft", 1.0, 0.5);
+            ds
+        };
+        let err = Dataset::concat([fragment("fattree:k=6"), fragment("fattree:k=8")]).unwrap_err();
+        assert_eq!(
+            err,
+            ConcatError::Meta {
+                key: "topo:fat-tree".into(),
+                first: "fattree:k=6".into(),
+                other: "fattree:k=8".into()
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "fragments disagree on metadata 'topo:fat-tree' ('fattree:k=6' vs 'fattree:k=8')"
+        );
+    }
+
+    #[test]
+    fn concat_refuses_fragments_that_disagree_on_columns() {
+        let fragment = |columns: &[&str]| {
+            let mut ds = Dataset::new();
+            ds.set_columns(columns);
+            ds.push_row("k=4", vec![0.5]);
+            ds
+        };
+        // A fragment without columns agrees with any.
+        let merged = Dataset::concat([fragment(&["config", "x"]), Dataset::new()]).unwrap();
+        assert_eq!(merged.columns, ["config", "x"]);
+        let err =
+            Dataset::concat([fragment(&["config", "x"]), fragment(&["config", "y"])]).unwrap_err();
+        assert_eq!(
+            err,
+            ConcatError::Columns {
+                first: vec!["config".into(), "x".into()],
+                other: vec!["config".into(), "y".into()]
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "fragments disagree on table columns ([\"config\", \"x\"] vs [\"config\", \"y\"])"
+        );
     }
 
     #[test]
@@ -1071,7 +1162,7 @@ mod tests {
         a.push_point("ft", 1.0, 0.4);
         let mut b = Dataset::new();
         b.push_point("jf", 2.0, 0.6);
-        let merged = Dataset::concat([a, b]);
+        let merged = Dataset::concat([a, b]).unwrap();
         assert_eq!(merged.series.len(), 2);
         assert_eq!(merged.series[0].label, "jf");
         assert_eq!(merged.series[0].points, vec![(1.0, 0.5), (2.0, 0.6)]);

@@ -268,7 +268,6 @@ impl Experiment for Fig2c {
         let opts = crate::capacity::CapacitySearchOptions {
             probe_samples: if ctx.run.scale == Scale::Paper { 3 } else { 1 },
             verify_samples: if ctx.run.scale == Scale::Paper { 10 } else { 2 },
-            throughput: ThroughputOptions::default(),
             seed: ctx.run.seed,
         };
         let result = crate::capacity::servers_at_full_throughput(switches, k, opts);
@@ -561,7 +560,6 @@ impl Experiment for Fig7 {
                 ports: 24,
                 servers_per_switch: 16,
                 seed,
-                ..Default::default()
             },
             Scale::Tiny => ExpansionScenario {
                 initial_servers: 96,
@@ -572,7 +570,6 @@ impl Experiment for Fig7 {
                 ports: 12,
                 servers_per_switch: 8,
                 seed,
-                ..Default::default()
             },
         };
         let stages = run_expansion_comparison(scenario).expect("expansion scenario is feasible");

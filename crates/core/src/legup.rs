@@ -5,13 +5,15 @@
 //! authors and are not public; per DESIGN.md (substitution 3) the baseline
 //! here is the budgeted Clos upgrade planner from
 //! [`jellyfish_topology::clos`]. Both arms of the comparison get the same
-//! budget per expansion stage and the same cost model; the metric is the
+//! budget per expansion stage and the same prices; the metric is the
 //! normalized bisection bandwidth of the network each arm can build, found
 //! with the Kernighan–Lin heuristic (LEGUP optimizes bisection bandwidth, so
 //! the paper compares on that metric too).
 
 use jellyfish_flow::bisection::{min_bisection_heuristic, BisectionCut};
-use jellyfish_topology::clos::{ClosConfig, ClosUpgradePlanner, CostModel};
+use jellyfish_topology::clos::{
+    switch_cost, ClosConfig, ClosUpgradePlanner, PER_CABLE, PER_REWIRE,
+};
 use jellyfish_topology::expansion::add_network_switch;
 use jellyfish_topology::rrg::build_heterogeneous;
 use jellyfish_topology::{Topology, TopologyError};
@@ -47,8 +49,6 @@ pub struct ExpansionScenario {
     pub ports: usize,
     /// Servers attached per ToR/leaf switch.
     pub servers_per_switch: usize,
-    /// Cost model (ports, cables, rewiring).
-    pub cost: CostModel,
     /// RNG seed.
     pub seed: u64,
 }
@@ -63,7 +63,6 @@ impl Default for ExpansionScenario {
             stage_budget: 100_000.0,
             ports: 24,
             servers_per_switch: 16,
-            cost: CostModel::default(),
             seed: 2012,
         }
     }
@@ -75,22 +74,14 @@ fn normalized_bisection(topo: &Topology, seed: u64) -> f64 {
     cut.normalized
 }
 
-/// How many switches (ToR, `ports`-port, `servers_per_switch` servers each,
-/// rest of the ports cabled randomly) a given budget buys for Jellyfish,
-/// including cable costs.
-fn jellyfish_switches_for_budget(
-    budget: f64,
-    ports: usize,
-    servers_per_switch: usize,
-    cost: &CostModel,
-) -> usize {
-    // Per switch: the switch itself + cables for its servers + half a cable
-    // per network port (each network cable is shared by two ports).
-    let network_ports = ports - servers_per_switch;
-    let per_switch = cost.switch_cost(ports)
-        + cost.per_cable * servers_per_switch as f64
-        + cost.per_cable * network_ports as f64 / 2.0
-        + cost.per_rewire * network_ports as f64 / 2.0;
+/// How many server-less `ports`-port switches, every port cabled randomly
+/// into the network, a given budget buys for Jellyfish, including cable
+/// costs.
+fn jellyfish_switches_for_budget(budget: f64, ports: usize) -> usize {
+    // Per switch: the switch itself + half a cable and half a rewire per port
+    // (each network cable is shared by two ports).
+    let per_switch =
+        switch_cost(ports) + PER_CABLE * ports as f64 / 2.0 + PER_REWIRE * ports as f64 / 2.0;
     (budget / per_switch).floor() as usize
 }
 
@@ -109,9 +100,6 @@ pub fn run_expansion_comparison(
     let initial_racks = scenario.initial_servers.div_ceil(spt);
     let mut jf_ports_list = vec![ports; initial_racks];
     let mut jf_degrees = vec![ports - spt; initial_racks];
-    // Spend any initial budget left after the racks on extra network switches.
-    let rack_cost = scenario.initial_budget / initial_racks.max(1) as f64;
-    let _ = rack_cost;
     let mut jellyfish = build_heterogeneous(&jf_ports_list, &jf_degrees, scenario.seed)?;
 
     // --- Clos arm: an initial leaf-spine sized for the same servers with a
@@ -129,7 +117,7 @@ pub fn run_expansion_comparison(
         spine_ports: (2 * max_leaves).max(ports),
         servers_per_leaf: spt,
     };
-    let mut clos_planner = ClosUpgradePlanner::new(clos_initial.clone(), scenario.cost, 0.25);
+    let mut clos_planner = ClosUpgradePlanner::new(clos_initial.clone());
     let mut clos_topo = clos_initial.build()?;
 
     let mut stages = Vec::with_capacity(scenario.stages + 1);
@@ -150,20 +138,17 @@ pub fn run_expansion_comparison(
             // Both arms must absorb the new servers first.
             new_leaves = scenario.first_expansion_servers.div_ceil(spt);
             servers += scenario.first_expansion_servers;
-            let rack_price =
-                scenario.cost.switch_cost(ports) + scenario.cost.per_cable * spt as f64;
+            let rack_price = switch_cost(ports) + PER_CABLE * spt as f64;
             budget_jf -= rack_price * new_leaves as f64;
-            for i in 0..new_leaves {
+            for _ in 0..new_leaves {
                 jf_ports_list.push(ports);
                 jf_degrees.push(ports - spt);
-                let _ = i;
             }
             jellyfish =
                 build_heterogeneous(&jf_ports_list, &jf_degrees, scenario.seed ^ stage as u64)?;
         }
         // Jellyfish: spend the remaining budget on pure network switches.
-        let extra_switches =
-            jellyfish_switches_for_budget(budget_jf.max(0.0), ports, 0, &scenario.cost);
+        let extra_switches = jellyfish_switches_for_budget(budget_jf.max(0.0), ports);
         for i in 0..extra_switches {
             add_network_switch(
                 &mut jellyfish,
@@ -199,7 +184,6 @@ mod tests {
             ports: 12,
             servers_per_switch: 8,
             seed: 7,
-            ..Default::default()
         }
     }
 

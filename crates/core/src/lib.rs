@@ -8,8 +8,7 @@
 //! * [`capacity`] — the "how many servers can this network support at full
 //!   throughput?" binary search (paper §4, evaluation methodology).
 //! * [`metrics`] — Jain's fairness index and the latency histogram.
-//! * [`cabling`] — physical layout and cable-length models, switch-cluster
-//!   placement, and the two-layer (container-localized) Jellyfish of §6.3.
+//! * [`cabling`] — the two-layer (container-localized) Jellyfish of §6.3.
 //! * [`legup`] — the incremental-expansion cost comparison against a
 //!   LEGUP-style Clos upgrade planner (Figure 7).
 //! * [`experiment`] — the first-class experiment API: every figure/table of
@@ -20,7 +19,7 @@
 //! * [`figures`] — the shared experiment vocabulary ([`figures::Scale`],
 //!   [`figures::Series`], [`figures::ParseScaleError`]); the
 //!   `jellyfish-bench` crate turns the registry into the `figures` CLI
-//!   (`list`, `run`, `launch`, `merge`, `serve`, `lint`, `topo`, `traffic`).
+//!   (`list`, `run`, `launch`, `merge`, `serve`, `topo`, `traffic`).
 //! * [`service`] — the live-topology session: a resident
 //!   [`Topology`](jellyfish_topology::Topology) + CSR snapshot that absorbs
 //!   typed [`service::ChurnEvent`] deltas with incremental routing repair
@@ -63,7 +62,7 @@ pub mod prelude {
     pub use crate::capacity::{servers_at_full_throughput, CapacitySearchOptions};
     pub use crate::metrics::jain_fairness_index;
     pub use jellyfish_flow::throughput::{normalized_throughput, ThroughputOptions};
-    pub use jellyfish_flow::{Commodity, McfOptions};
+    pub use jellyfish_flow::Commodity;
     pub use jellyfish_routing::path_table::RoutingScheme;
     pub use jellyfish_routing::yen::k_shortest_paths;
     pub use jellyfish_sim::{SimConfig, Simulator, TransportPolicy};

@@ -611,16 +611,9 @@ impl Session {
             }
             ChurnEvent::Restore => {}
             ChurnEvent::Expand { racks } => {
+                // `ScenarioTransform::apply` refuses more racks than switches.
                 if racks == 0 {
                     return Err(ServiceError::Param("expand needs racks >= 1".into()));
-                }
-                // One event may at most double the fabric and its n² matrix.
-                let limit = self.topo.num_switches();
-                if racks > limit {
-                    return Err(ServiceError::Param(format!(
-                        "expand adds at most {limit} racks (the switch count) per event, \
-                         got {racks}"
-                    )));
                 }
             }
         }
@@ -699,8 +692,9 @@ mod tests {
             ),
             (
                 ChurnEvent::Expand { racks: n + 1 },
-                ServiceError::Param(format!(
-                    "expand adds at most {n} racks (the switch count) per event, got {}",
+                ServiceError::Spec(format!(
+                    "bad parameter: expand adds at most {n} racks (the switch count) at once, \
+                     got {}",
                     n + 1
                 )),
             ),

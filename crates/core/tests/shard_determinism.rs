@@ -76,7 +76,7 @@ fn baselines() -> &'static [Baseline] {
             .map(|(name, topo, traffic)| {
                 let exp = find(name);
                 let items = exp.run_selected_timed(&ctx_for(topo, traffic), &|_| true).items;
-                let dataset = exp.merge(items.clone());
+                let dataset = exp.merge(items.clone()).unwrap();
                 Baseline { name, topo, traffic, items, dataset }
             })
             .collect()
@@ -114,7 +114,7 @@ proptest! {
                 .collect();
             // Shard outputs can arrive for merging in any order.
             shards.rotate_left(rotation % n.max(1));
-            let merged = exp.merge(shards.into_iter().flatten().collect());
+            let merged = exp.merge(shards.into_iter().flatten().collect()).unwrap();
             prop_assert_eq!(
                 &merged, &base.dataset,
                 "{} (topo {:?}): {} shards merged != unsharded", base.name, base.topo, n
@@ -161,7 +161,7 @@ fn sharded_runs_roundtrip_through_fragment_json() {
             assert_eq!(parsed, fragment, "{}: JSON altered fragment {k}/{N}", base.name);
             parsed_items.extend(parsed.items);
         }
-        let merged = exp.merge(parsed_items);
+        let merged = exp.merge(parsed_items).unwrap();
         assert_eq!(
             merged, base.dataset,
             "{} (topo {:?}): sharded recompute != unsharded",

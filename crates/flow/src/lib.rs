@@ -29,5 +29,5 @@ pub mod bisection;
 pub mod mcf;
 pub mod throughput;
 
-pub use mcf::{Commodity, McfOptions, McfSolution};
+pub use mcf::{Commodity, McfSolution};
 pub use throughput::{normalized_throughput, ThroughputOptions};

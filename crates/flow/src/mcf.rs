@@ -29,6 +29,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::throughput::ThroughputOptions;
 use jellyfish_routing::shortest::ShortestPathSearch;
 use jellyfish_topology::{ArcId, CsrGraph, NodeId};
 
@@ -39,9 +40,6 @@ use jellyfish_topology::{ArcId, CsrGraph, NodeId};
 /// solves, intervals 1, 2, 4, 6 and 8 took 2.1, 1.7, 1.0, 0.94 and 1.2 s
 /// (PERF.md).
 const CERTIFICATE_INTERVAL: usize = 4;
-
-/// The range [`McfOptions::epsilon`] is clamped to.
-const EPSILON_RANGE: (f64, f64) = (1e-3, 0.5);
 
 /// A demand, or a remainder of one still to route, at or below this is
 /// negligible: `sanitize` drops such commodities and the routing loop stops
@@ -73,30 +71,9 @@ pub struct Commodity {
     pub demand: f64,
 }
 
-/// Options controlling the approximation.
-#[derive(Debug, Clone, Copy)]
-pub struct McfOptions {
-    /// Approximation accuracy ε, clamped to `[0.001, 0.5]`: once the
-    /// certificate closes, the returned λ is ≥ OPT/(1 + ε) ≥ (1 − ε)·OPT.
-    /// Smaller is slower (roughly 1/ε²).
-    pub epsilon: f64,
-    /// Stop early once λ provably reaches this value (useful for "is the
-    /// network at full throughput?" checks where only λ ≥ 1 matters).
-    pub lambda_cap: Option<f64>,
-}
-
-impl Default for McfOptions {
-    fn default() -> Self {
-        McfOptions { epsilon: 0.05, lambda_cap: None }
-    }
-}
-
-impl McfOptions {
-    /// The ε the solver actually uses: `epsilon` clamped to `[0.001, 0.5]`.
-    pub fn clamped_epsilon(&self) -> f64 {
-        self.epsilon.clamp(EPSILON_RANGE.0, EPSILON_RANGE.1)
-    }
-}
+/// The λ at which a [`ThroughputOptions::stop_at_full`] solve stops: every
+/// demand routed in full.
+const FULL_THROUGHPUT: f64 = 1.0;
 
 /// Why a solve stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,7 +81,7 @@ pub enum McfStop {
     /// The certificate closed, `λ_hi ≤ (1 + ε)·λ`; trivial instances (no
     /// commodity, an unreachable one) close it exactly.
     Certified,
-    /// `λ` reached [`McfOptions::lambda_cap`] first.
+    /// `λ` reached 1 first, with [`ThroughputOptions::stop_at_full`] set.
     Cap,
     /// The textbook stop `D(l) ≥ 1` came first.
     Backstop,
@@ -113,8 +90,9 @@ pub enum McfStop {
 /// Result of a max-concurrent-flow computation.
 #[derive(Debug, Clone)]
 pub struct McfSolution {
-    /// The certified lower bound λ_lo on the optimum λ* (truncated at
-    /// `lambda_cap`): a feasible flow routes this fraction of every demand.
+    /// The certified lower bound λ_lo on the optimum λ* (truncated at 1
+    /// under `stop_at_full`): a feasible flow routes this fraction of every
+    /// demand.
     pub lambda: f64,
     /// The certified upper bound λ_hi ≥ λ*: the least `D(l)/α(l)` over the
     /// certificates taken (infinite with no commodity, 0 with an
@@ -275,12 +253,12 @@ fn dual_bound(
 /// Returns λ such that every commodity can simultaneously route a `λ`
 /// fraction of its demand, and an upper bound `lambda_hi` on the optimum;
 /// the solve stops once the two are within a factor `1 + ε`. With
-/// `opts.lambda_cap = Some(c)`, iteration stops as soon as λ ≥ c is
-/// certified, which is much faster when only a threshold matters.
+/// `opts.stop_at_full`, iteration stops as soon as λ ≥ 1 is certified,
+/// which is much faster when only full throughput matters.
 pub fn max_concurrent_flow(
     csr: &CsrGraph,
     commodities: &[Commodity],
-    opts: McfOptions,
+    opts: ThroughputOptions,
 ) -> McfSolution {
     let commodities = sanitize(csr, commodities);
     let exact = |lambda: f64, path_computations| McfSolution {
@@ -332,7 +310,7 @@ pub fn max_concurrent_flow(
         }
         phases += 1;
         let lambda_lo = arcs.lambda_lo(phases, scaling);
-        if opts.lambda_cap.is_some_and(|cap| lambda_lo >= cap) {
+        if opts.stop_at_full && lambda_lo >= FULL_THROUGHPUT {
             break McfStop::Cap;
         }
         if phases.is_multiple_of(CERTIFICATE_INTERVAL) {
@@ -346,7 +324,7 @@ pub fn max_concurrent_flow(
         lambda_hi = lambda_hi.min(dual_bound(csr, &sources, &arcs.length, &mut search));
     }
     let lambda_lo = arcs.lambda_lo(phases, scaling);
-    let lambda = opts.lambda_cap.map_or(lambda_lo, |cap| lambda_lo.min(cap));
+    let lambda = if opts.stop_at_full { lambda_lo.min(FULL_THROUGHPUT) } else { lambda_lo };
     McfSolution { lambda, lambda_hi, stop, path_computations }
 }
 
@@ -354,6 +332,11 @@ pub fn max_concurrent_flow(
 mod tests {
     use super::*;
     use jellyfish_topology::{Graph, JellyfishBuilder};
+
+    /// The default ε, solved to the certificate rather than stopped at 1.
+    fn uncapped() -> ThroughputOptions {
+        ThroughputOptions { stop_at_full: false, ..Default::default() }
+    }
 
     fn single_link() -> CsrGraph {
         let mut g = Graph::new(2);
@@ -366,7 +349,7 @@ mod tests {
     fn bracket(
         g: &CsrGraph,
         commodities: &[Commodity],
-        opts: McfOptions,
+        opts: ThroughputOptions,
         optimum: f64,
     ) -> McfSolution {
         let sol = max_concurrent_flow(g, commodities, opts);
@@ -384,13 +367,13 @@ mod tests {
     #[test]
     fn single_commodity_on_single_link() {
         let commodities = [Commodity { src: 0, dst: 1, demand: 1.0 }];
-        bracket(&single_link(), &commodities, McfOptions::default(), 1.0);
+        bracket(&single_link(), &commodities, uncapped(), 1.0);
     }
 
     #[test]
     fn demand_double_capacity_halves_lambda() {
         let commodities = [Commodity { src: 0, dst: 1, demand: 2.0 }];
-        bracket(&single_link(), &commodities, McfOptions::default(), 0.5);
+        bracket(&single_link(), &commodities, uncapped(), 0.5);
     }
 
     #[test]
@@ -398,7 +381,7 @@ mod tests {
         // Full-duplex link: 0→1 and 1→0 each get their own unit arc.
         let commodities =
             [Commodity { src: 0, dst: 1, demand: 1.0 }, Commodity { src: 1, dst: 0, demand: 1.0 }];
-        bracket(&single_link(), &commodities, McfOptions::default(), 1.0);
+        bracket(&single_link(), &commodities, uncapped(), 1.0);
     }
 
     #[test]
@@ -411,7 +394,7 @@ mod tests {
         g.add_edge(2, 3);
         let g = CsrGraph::from_graph(&g);
         let commodities = [Commodity { src: 0, dst: 3, demand: 2.0 }];
-        bracket(&g, &commodities, McfOptions::default(), 1.0);
+        bracket(&g, &commodities, uncapped(), 1.0);
     }
 
     #[test]
@@ -424,7 +407,7 @@ mod tests {
         let g = CsrGraph::from_graph(&g);
         let commodities =
             [Commodity { src: 0, dst: 3, demand: 1.0 }, Commodity { src: 1, dst: 3, demand: 1.0 }];
-        bracket(&g, &commodities, McfOptions::default(), 0.5);
+        bracket(&g, &commodities, uncapped(), 0.5);
     }
 
     #[test]
@@ -433,26 +416,20 @@ mod tests {
         g.add_edge(0, 1);
         let g = CsrGraph::from_graph(&g);
         let commodities = [Commodity { src: 0, dst: 2, demand: 1.0 }];
-        let sol = max_concurrent_flow(&g, &commodities, McfOptions::default());
+        let sol = max_concurrent_flow(&g, &commodities, uncapped());
         assert_eq!((sol.lambda, sol.lambda_hi), (0.0, 0.0));
     }
 
     #[test]
     fn empty_commodities_are_unconstrained() {
         let g = single_link();
-        let sol = max_concurrent_flow(&g, &[], McfOptions::default());
+        let sol = max_concurrent_flow(&g, &[], uncapped());
         assert!(sol.lambda.is_infinite() && sol.lambda_hi.is_infinite());
-        let sol2 = max_concurrent_flow(
-            &g,
-            &[Commodity { src: 0, dst: 0, demand: 5.0 }],
-            McfOptions::default(),
-        );
+        let sol2 =
+            max_concurrent_flow(&g, &[Commodity { src: 0, dst: 0, demand: 5.0 }], uncapped());
         assert!(sol2.lambda.is_infinite(), "self-loop demands are dropped");
-        let sol3 = max_concurrent_flow(
-            &g,
-            &[Commodity { src: 0, dst: 1, demand: 1e-13 }],
-            McfOptions::default(),
-        );
+        let sol3 =
+            max_concurrent_flow(&g, &[Commodity { src: 0, dst: 1, demand: 1e-13 }], uncapped());
         assert!(sol3.lambda.is_infinite(), "negligible demands are dropped");
         assert_eq!(sol3.stop, McfStop::Certified);
     }
@@ -461,15 +438,14 @@ mod tests {
     fn lambda_cap_stops_early() {
         let g = single_link();
         let commodities = [Commodity { src: 0, dst: 1, demand: 0.01 }];
-        let opts = McfOptions { lambda_cap: Some(1.0), ..Default::default() };
-        let sol = max_concurrent_flow(&g, &commodities, opts);
+        let sol = max_concurrent_flow(&g, &commodities, ThroughputOptions::default());
         assert!((sol.lambda - 1.0).abs() < 1e-9);
         assert_eq!(sol.stop, McfStop::Cap);
         assert!(sol.lambda_hi >= 100.0, "λ* = 100 ≤ λ_hi = {}", sol.lambda_hi);
         // Without the cap λ would be ~100; with it we stop at 1.0.
-        let uncapped = max_concurrent_flow(&g, &commodities, McfOptions::default());
-        assert!(uncapped.lambda > 10.0);
-        assert!(sol.path_computations < uncapped.path_computations);
+        let full = max_concurrent_flow(&g, &commodities, uncapped());
+        assert!(full.lambda > 10.0);
+        assert!(sol.path_computations < full.path_computations);
     }
 
     #[test]
@@ -482,10 +458,14 @@ mod tests {
         let coarse = max_concurrent_flow(
             &g,
             &commodities,
-            McfOptions { epsilon: 0.3, ..Default::default() },
+            ThroughputOptions { epsilon: 0.3, stop_at_full: false },
         );
-        let fine =
-            bracket(&g, &commodities, McfOptions { epsilon: 0.02, ..Default::default() }, 1.0);
+        let fine = bracket(
+            &g,
+            &commodities,
+            ThroughputOptions { epsilon: 0.02, stop_at_full: false },
+            1.0,
+        );
         assert!(fine.lambda_hi / fine.lambda <= coarse.lambda_hi / coarse.lambda);
     }
 
@@ -499,7 +479,7 @@ mod tests {
         assert_eq!(g.num_arcs(), 100);
         let commodities = [Commodity { src: 0, dst: 13, demand: 1.0 }];
         for epsilon in [0.005, 0.001] {
-            let opts = McfOptions { epsilon, lambda_cap: None };
+            let opts = ThroughputOptions { epsilon, stop_at_full: false };
             let sol = max_concurrent_flow(&g, &commodities, opts);
             let eps = opts.clamped_epsilon();
             assert!(sol.lambda > 0.0 && sol.lambda <= sol.lambda_hi, "ε = {epsilon}: {sol:?}");
@@ -542,8 +522,7 @@ mod tests {
         let g = topo.csr();
         let commodities: Vec<Commodity> =
             (0..20).map(|i| Commodity { src: i, dst: (i + 7) % 20, demand: 2.0 }).collect();
-        let opts = McfOptions { lambda_cap: Some(1.0), ..Default::default() };
-        let sol = max_concurrent_flow(&g, &commodities, opts);
+        let sol = max_concurrent_flow(&g, &commodities, ThroughputOptions::default());
         assert!((sol.lambda - 1.0).abs() < 1e-9, "lambda = {}", sol.lambda);
     }
 
@@ -554,7 +533,7 @@ mod tests {
         let topo = JellyfishBuilder::new(10, 6, 3).seed(4).build().unwrap();
         let g = topo.csr();
         let commodities = [Commodity { src: 0, dst: 5, demand: 1.0 }];
-        let sol = max_concurrent_flow(&g, &commodities, McfOptions::default());
+        let sol = max_concurrent_flow(&g, &commodities, uncapped());
         assert_eq!(sol.stop, McfStop::Certified);
         assert!(sol.lambda <= sol.lambda_hi && sol.lambda_hi <= 1.05 * sol.lambda, "{sol:?}");
         assert!(sol.lambda <= g.degree(0) as f64, "{sol:?}");

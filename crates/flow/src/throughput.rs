@@ -8,14 +8,20 @@
 //! simultaneously, and the per-flow normalized throughput is `min(λ, 1)`
 //! because a server can never exceed its NIC rate.
 
-use crate::mcf::{max_concurrent_flow, Commodity, McfOptions};
+use crate::mcf::{max_concurrent_flow, Commodity};
 use jellyfish_topology::Topology;
 use jellyfish_traffic::{switch_demands, Flow, ServerMap};
 
-/// Options for [`normalized_throughput`].
+/// The range [`ThroughputOptions::epsilon`] is clamped to.
+const EPSILON_RANGE: (f64, f64) = (1e-3, 0.5);
+
+/// Options of the flow solver, for [`normalized_throughput`] and
+/// [`max_concurrent_flow`].
 #[derive(Debug, Clone, Copy)]
 pub struct ThroughputOptions {
-    /// Approximation accuracy for the flow solver.
+    /// Approximation accuracy ε, clamped to `[0.001, 0.5]`: once the
+    /// certificate closes, the returned λ is ≥ OPT/(1 + ε) ≥ (1 − ε)·OPT.
+    /// Smaller is slower (roughly 1/ε²).
     pub epsilon: f64,
     /// If true (default), stop as soon as full throughput (λ ≥ 1) is
     /// certified instead of computing the exact λ.
@@ -25,6 +31,13 @@ pub struct ThroughputOptions {
 impl Default for ThroughputOptions {
     fn default() -> Self {
         ThroughputOptions { epsilon: 0.05, stop_at_full: true }
+    }
+}
+
+impl ThroughputOptions {
+    /// The ε the solver actually uses: `epsilon` clamped to `[0.001, 0.5]`.
+    pub fn clamped_epsilon(&self) -> f64 {
+        self.epsilon.clamp(EPSILON_RANGE.0, EPSILON_RANGE.1)
     }
 }
 
@@ -71,26 +84,22 @@ pub fn normalized_throughput(
         .into_iter()
         .map(|(src, dst, demand)| Commodity { src, dst, demand })
         .collect();
-    let mcf_opts = McfOptions {
-        epsilon: opts.epsilon,
-        lambda_cap: if opts.stop_at_full { Some(1.0) } else { None },
-    };
     if commodities.is_empty() {
         return ThroughputResult {
             lambda: f64::INFINITY,
             lambda_hi: f64::INFINITY,
             normalized: 1.0,
             commodities: 0,
-            epsilon: mcf_opts.clamped_epsilon(),
+            epsilon: opts.clamped_epsilon(),
         };
     }
-    let solution = max_concurrent_flow(&topo.csr(), &commodities, mcf_opts);
+    let solution = max_concurrent_flow(&topo.csr(), &commodities, opts);
     ThroughputResult {
         lambda: solution.lambda,
         lambda_hi: solution.lambda_hi,
         normalized: solution.lambda.clamp(0.0, 1.0),
         commodities: commodities.len(),
-        epsilon: mcf_opts.clamped_epsilon(),
+        epsilon: opts.clamped_epsilon(),
     }
 }
 

@@ -1,16 +1,17 @@
 //! Pins the Garg–Könemann solver's output bits beyond what the goldens
 //! cover: for one tiny instance of every registered topology generator, with
-//! and without a λ cap, `max_concurrent_flow` must return exactly the λ and
-//! λ_hi bits and the shortest-path call count recorded here. Any change to
-//! the inner Dijkstra's tie-breaking, its path order, the update arithmetic
-//! or the certificate schedule shows up as a mismatch, even on fabrics no
-//! golden renders.
+//! and without `stop_at_full` (the λ ≥ 1 cap), `max_concurrent_flow` must
+//! return exactly the λ and λ_hi bits and the shortest-path call count
+//! recorded here. Any change to the inner Dijkstra's tie-breaking, its path
+//! order, the update arithmetic or the certificate schedule shows up as a
+//! mismatch, even on fabrics no golden renders.
 //!
 //! Each pin also keeps the λ the solver reported before its search became
 //! exact and its stop certified. That λ was a feasible flow's value, so it
 //! can never exceed the new certified upper bound λ_hi.
 
-use jellyfish_flow::mcf::{max_concurrent_flow, Commodity, McfOptions};
+use jellyfish_flow::mcf::{max_concurrent_flow, Commodity};
+use jellyfish_flow::throughput::ThroughputOptions;
 use jellyfish_topology::TopoSpec;
 use jellyfish_traffic::{switch_demands, ServerMap, TrafficMatrix};
 
@@ -24,7 +25,7 @@ const EPSILON: f64 = 0.1;
 /// One pinned solve; λ values are `to_bits` patterns.
 struct Pin {
     spec: &'static str,
-    lambda_cap: Option<f64>,
+    stop_at_full: bool,
     lambda: u64,
     lambda_hi: u64,
     path_computations: usize,
@@ -39,7 +40,7 @@ const PINS: &[Pin] = &[
     // parent λ 0.6934627730879589. λ < 1, so the cap never bites.
     Pin {
         spec: "jellyfish:switches=20,ports=8,degree=5",
-        lambda_cap: None,
+        stop_at_full: false,
         lambda: 0x3fe745d1745d1746,
         lambda_hi: 0x3fe984e475c29f5d,
         path_computations: 4320,
@@ -47,7 +48,7 @@ const PINS: &[Pin] = &[
     },
     Pin {
         spec: "jellyfish:switches=20,ports=8,degree=5",
-        lambda_cap: Some(1.0),
+        stop_at_full: true,
         lambda: 0x3fe745d1745d1746,
         lambda_hi: 0x3fe984e475c29f5d,
         path_computations: 4320,
@@ -57,7 +58,7 @@ const PINS: &[Pin] = &[
     // parent λ 0.8983931790891223.
     Pin {
         spec: "fattree:k=4",
-        lambda_cap: None,
+        stop_at_full: false,
         lambda: 0x3fed89d89d89d89e,
         lambda_hi: 0x3ff0189374bc6a7f,
         path_computations: 192,
@@ -65,7 +66,7 @@ const PINS: &[Pin] = &[
     },
     Pin {
         spec: "fattree:k=4",
-        lambda_cap: Some(1.0),
+        stop_at_full: true,
         lambda: 0x3fed89d89d89d89e,
         lambda_hi: 0x3ff0189374bc6a7f,
         path_computations: 192,
@@ -75,7 +76,7 @@ const PINS: &[Pin] = &[
     // parent λ 1.1704143458619665. Capped: λ_lo reaches 1 after 32 phases.
     Pin {
         spec: "swdc:lattice=ring,n=24,servers=2",
-        lambda_cap: None,
+        stop_at_full: false,
         lambda: 0x3ff3dcb08d3dcb09,
         lambda_hi: 0x3ff5d484ac1a9874,
         path_computations: 8100,
@@ -83,7 +84,7 @@ const PINS: &[Pin] = &[
     },
     Pin {
         spec: "swdc:lattice=ring,n=24,servers=2",
-        lambda_cap: Some(1.0),
+        stop_at_full: true,
         lambda: 0x3ff0000000000000,
         lambda_hi: 0x3ff6553c77ee01da,
         path_computations: 1440,
@@ -93,7 +94,7 @@ const PINS: &[Pin] = &[
     // parent λ 1.2453040165580664.
     Pin {
         spec: "dd:n=20,ports=6,degree=4,servers=1",
-        lambda_cap: None,
+        stop_at_full: false,
         lambda: 0x3ff4c1bacf914c1c,
         lambda_hi: 0x3ff6d45f4b258d2d,
         path_computations: 3840,
@@ -101,7 +102,7 @@ const PINS: &[Pin] = &[
     },
     Pin {
         spec: "dd:n=20,ports=6,degree=4,servers=1",
-        lambda_cap: Some(1.0),
+        stop_at_full: true,
         lambda: 0x3ff0000000000000,
         lambda_hi: 0x3ff72c37d1f58c08,
         path_computations: 640,
@@ -111,7 +112,7 @@ const PINS: &[Pin] = &[
     // parent λ 0.6813737872225606.
     Pin {
         spec: "leafspine:leaf=6,spine=3,servers=4",
-        lambda_cap: None,
+        stop_at_full: false,
         lambda: 0x3fe745d1745d1746,
         lambda_hi: 0x3fe992438ae882fd,
         path_computations: 480,
@@ -119,7 +120,7 @@ const PINS: &[Pin] = &[
     },
     Pin {
         spec: "leafspine:leaf=6,spine=3,servers=4",
-        lambda_cap: Some(1.0),
+        stop_at_full: true,
         lambda: 0x3fe745d1745d1746,
         lambda_hi: 0x3fe992438ae882fd,
         path_computations: 480,
@@ -142,14 +143,14 @@ fn instance(spec: &str) -> (jellyfish_topology::CsrGraph, Vec<Commodity>) {
 fn max_concurrent_flow_bits_are_pinned_on_every_generator() {
     for pin in PINS {
         let (csr, commodities) = instance(pin.spec);
-        let opts = McfOptions { epsilon: EPSILON, lambda_cap: pin.lambda_cap };
+        let opts = ThroughputOptions { epsilon: EPSILON, stop_at_full: pin.stop_at_full };
         let sol = max_concurrent_flow(&csr, &commodities, opts);
         assert_eq!(
             (sol.lambda.to_bits(), sol.lambda_hi.to_bits(), sol.path_computations),
             (pin.lambda, pin.lambda_hi, pin.path_computations),
-            "{} cap {:?}: λ = {}, λ_hi = {}",
+            "{} stop_at_full {}: λ = {}, λ_hi = {}",
             pin.spec,
-            pin.lambda_cap,
+            pin.stop_at_full,
             sol.lambda,
             sol.lambda_hi
         );
@@ -161,12 +162,13 @@ fn max_concurrent_flow_bits_are_pinned_on_every_generator() {
 #[test]
 fn pins_cover_every_generator_with_and_without_cap() {
     for generator in jellyfish_topology::spec::generators() {
-        for cap in [None, Some(1.0)] {
+        for stop_at_full in [false, true] {
             assert!(
                 PINS.iter().any(|pin| {
-                    pin.spec.split(':').next() == Some(generator.name()) && pin.lambda_cap == cap
+                    pin.spec.split(':').next() == Some(generator.name())
+                        && pin.stop_at_full == stop_at_full
                 }),
-                "no pin for {} with cap {cap:?}",
+                "no pin for {} with stop_at_full {stop_at_full}",
                 generator.name()
             );
         }

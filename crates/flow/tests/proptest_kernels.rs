@@ -7,7 +7,8 @@
 use jellyfish_flow::bisection::{
     kl_refine, kl_refine_reference, min_bisection_heuristic, min_bisection_heuristic_reference,
 };
-use jellyfish_flow::mcf::{max_concurrent_flow, Commodity, McfOptions, McfStop};
+use jellyfish_flow::mcf::{max_concurrent_flow, Commodity, McfStop};
+use jellyfish_flow::throughput::ThroughputOptions;
 use jellyfish_topology::{JellyfishBuilder, Topology};
 use proptest::prelude::*;
 
@@ -52,7 +53,7 @@ proptest! {
                 demand: 1.0,
             })
             .collect();
-        let opts = McfOptions { epsilon: 0.25, lambda_cap: None };
+        let opts = ThroughputOptions { epsilon: 0.25, stop_at_full: false };
         let a = max_concurrent_flow(&csr, &commodities, opts);
         let b = max_concurrent_flow(&csr, &commodities, opts);
         prop_assert_eq!(a.lambda.to_bits(), b.lambda.to_bits());

@@ -14,9 +14,10 @@
 //! * [`path_table`] — per source–destination path sets (the routing state a
 //!   switch would hold), built in parallel, and the link path-count
 //!   statistics behind Figure 9;
-//! * [`incremental`] — affected-source repair of all-pairs distance
-//!   matrices after a topology delta (the live-service churn path),
-//!   byte-identical to a full rebuild.
+//! * [`incremental`] — row repair of an all-pairs distance matrix after a
+//!   topology delta (the live-service churn path): each row is brought to
+//!   the edited snapshot by a dynamic shortest-path update that touches only
+//!   the distances that move, byte-identical to a full rebuild.
 //!
 //! Every entry point consumes an immutable
 //! [`CsrGraph`](jellyfish_topology::CsrGraph) snapshot (take one with

@@ -5,7 +5,6 @@
 //!
 //! All functions traverse an immutable [`CsrGraph`] snapshot.
 
-use crate::Path;
 use jellyfish_topology::{ArcId, CsrGraph, NodeId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -134,31 +133,26 @@ impl ShortestPathSearch {
     }
 }
 
-/// Shortest path by Dijkstra under the node-pair weight function
-/// `weight(u, v)`, as a node path and its cost: a one-shot
-/// [`ShortestPathSearch`].
-pub fn weighted_shortest_path<F>(
-    csr: &CsrGraph,
-    src: NodeId,
-    dst: NodeId,
-    weight: F,
-) -> Option<(Path, f64)>
-where
-    F: Fn(NodeId, NodeId) -> f64,
-{
-    let mut arcs = Vec::new();
-    let arc_weight = |u, arc| weight(u, csr.arc_target(arc));
-    let cost = ShortestPathSearch::new().find_path(csr, src, dst, arc_weight, &mut arcs)?;
-    let mut path = Vec::with_capacity(arcs.len() + 1);
-    path.push(src);
-    path.extend(arcs.iter().map(|&arc| csr.arc_target(arc)));
-    Some((path, cost))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use jellyfish_topology::{Graph, JellyfishBuilder};
+
+    /// The cheapest `src → dst` path under the node-pair weight
+    /// `weight(u, v)`, as nodes, and its cost: one `find_path` call whose
+    /// arc weight reads the source node the search passes.
+    fn node_path(
+        csr: &CsrGraph,
+        src: NodeId,
+        dst: NodeId,
+        weight: impl Fn(NodeId, NodeId) -> f64,
+    ) -> Option<(Vec<NodeId>, f64)> {
+        let mut arcs = Vec::new();
+        let arc_weight = |u, arc| weight(u, csr.arc_target(arc));
+        let cost = ShortestPathSearch::new().find_path(csr, src, dst, arc_weight, &mut arcs)?;
+        let path = std::iter::once(src).chain(arcs.iter().map(|&arc| csr.arc_target(arc)));
+        Some((path.collect(), cost))
+    }
 
     fn grid3x3() -> CsrGraph {
         // 0-1-2 / 3-4-5 / 6-7-8 grid, no wraparound.
@@ -272,12 +266,13 @@ mod tests {
     fn arc_weights_match_pair_weights() {
         let topo = JellyfishBuilder::new(30, 8, 5).seed(4).build().unwrap();
         let csr = topo.csr();
-        // A weight that depends on the endpoints, expressed both ways.
+        // A weight that depends on the endpoints, read once through the
+        // source node the search passes and once through the arc's own.
         let pair_weight = |u: usize, v: usize| 1.0 + ((u * 7 + v * 13) % 5) as f64;
         let mut search = ShortestPathSearch::new();
         let mut arcs = Vec::new();
         for v in csr.nodes() {
-            let (path, d1) = weighted_shortest_path(&csr, 3, v, pair_weight).unwrap();
+            let (path, d1) = node_path(&csr, 3, v, pair_weight).unwrap();
             let d2 = search
                 .find_path(
                     &csr,
@@ -309,7 +304,7 @@ mod tests {
                 1.0
             }
         };
-        let (path, cost) = weighted_shortest_path(&csr, 0, 2, weight).unwrap();
+        let (path, cost) = node_path(&csr, 0, 2, weight).unwrap();
         assert_eq!(path, vec![0, 1, 2]);
         assert!((cost - 2.0).abs() < 1e-12);
     }
@@ -324,7 +319,7 @@ mod tests {
         g.add_edge(0, 2);
         let csr = CsrGraph::from_graph(&g);
         let weight = |u: usize, v: usize| if u + v == 2 { 3e-40 } else { 1e-40 };
-        let (path, cost) = weighted_shortest_path(&csr, 0, 2, weight).unwrap();
+        let (path, cost) = node_path(&csr, 0, 2, weight).unwrap();
         assert_eq!((path, cost), (vec![0, 1, 2], 2e-40));
         let mut search = ShortestPathSearch::new();
         let dist = search.distances(&csr, 0, |u, arc| weight(u, csr.arc_target(arc)));
@@ -333,7 +328,8 @@ mod tests {
 
     #[test]
     fn dijkstra_infinite_weight_masks_links() {
-        let mut g = Graph::new(3);
+        // Node 3 is isolated: unreachable under any weights.
+        let mut g = Graph::new(4);
         g.add_edge(0, 1);
         g.add_edge(1, 2);
         let csr = CsrGraph::from_graph(&g);
@@ -344,13 +340,17 @@ mod tests {
                 1.0
             }
         };
-        assert!(weighted_shortest_path(&csr, 0, 2, weight).is_none());
+        assert!(node_path(&csr, 0, 2, weight).is_none());
+        assert_eq!(node_path(&csr, 0, 1, weight), Some((vec![0, 1], 1.0)));
+        let mut arcs = vec![0];
+        let unreachable = ShortestPathSearch::new().find_path(&csr, 0, 3, |_, _| 1.0, &mut arcs);
+        assert_eq!((unreachable, arcs.len()), (None, 0), "no path leaves the buffer empty");
     }
 
     #[test]
     fn weighted_path_to_self() {
         let g = grid3x3();
-        let (p, c) = weighted_shortest_path(&g, 4, 4, |_, _| 1.0).unwrap();
+        let (p, c) = node_path(&g, 4, 4, |_, _| 1.0).unwrap();
         assert_eq!(p, vec![4]);
         assert_eq!(c, 0.0);
     }

@@ -6,8 +6,8 @@
 //! previously found paths, with links and nodes of the shared prefix masked
 //! out of the shortest-path search.
 //!
-//! This implementation is hand-rolled on top of the crate's Dijkstra (unit
-//! link weights by default), per the reproduction note that no external graph
+//! This implementation is hand-rolled on top of the crate's Dijkstra at unit
+//! link weights (hop count), per the reproduction note that no external graph
 //! crate is used. One [`ShortestPathSearch`] and one arc buffer serve every
 //! spur search of a call, and masked nodes and links are flags in a node
 //! mask and an edge mask (an undirected edge id masks both directions), set
@@ -18,26 +18,11 @@ use crate::Path;
 use jellyfish_topology::{ArcId, CsrGraph, EdgeId, NodeId};
 use std::collections::BTreeSet;
 
-/// Finds up to `k` loopless shortest paths from `src` to `dst` using unit
-/// link weights (hop count). Paths are returned sorted by (length, lexical
-/// order) and are pairwise distinct. Returns an empty vector if `dst` is
-/// unreachable; returns `[[src]]` when `src == dst`.
+/// Finds up to `k` loopless shortest paths from `src` to `dst` by hop
+/// count. Paths are returned sorted by (length, lexical order) and are
+/// pairwise distinct. Returns an empty vector if `dst` is unreachable;
+/// returns `[[src]]` when `src == dst`.
 pub fn k_shortest_paths(csr: &CsrGraph, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
-    k_shortest_paths_weighted(csr, src, dst, k, |_, _| 1.0)
-}
-
-/// Weighted variant of [`k_shortest_paths`]; `weight(u, v)` must be positive
-/// and finite for every link.
-pub fn k_shortest_paths_weighted<F>(
-    csr: &CsrGraph,
-    src: NodeId,
-    dst: NodeId,
-    k: usize,
-    weight: F,
-) -> Vec<Path>
-where
-    F: Fn(NodeId, NodeId) -> f64 + Copy,
-{
     if k == 0 {
         return Vec::new();
     }
@@ -46,16 +31,15 @@ where
     }
     let mut search = ShortestPathSearch::new();
     let mut arcs: Vec<ArcId> = Vec::new();
-    let arc_weight = |u, arc| weight(u, csr.arc_target(arc));
-    if search.find_path(csr, src, dst, arc_weight, &mut arcs).is_none() {
+    if search.find_path(csr, src, dst, |_, _| 1.0, &mut arcs).is_none() {
         return Vec::new();
     }
 
     let first = std::iter::once(src).chain(arcs.iter().map(|&arc| csr.arc_target(arc)));
     let mut found: Vec<Path> = vec![first.collect()];
-    // Candidate set keyed by (cost, path) to keep deterministic ordering and
-    // deduplicate spur results found via different prefixes.
-    let mut candidates: BTreeSet<(CostKey, Path)> = BTreeSet::new();
+    // Candidate set keyed by (length, path) to keep deterministic ordering
+    // and deduplicate spur results found via different prefixes.
+    let mut candidates: BTreeSet<(usize, Path)> = BTreeSet::new();
     let mut node_masked = vec![false; csr.num_nodes()];
     let mut edge_masked = vec![false; csr.num_edges()];
     let mut masked_edges: Vec<EdgeId> = Vec::new();
@@ -83,11 +67,14 @@ where
                 node_masked[n] = true;
             }
             let spur_weight = |u: NodeId, arc: ArcId| {
-                let v = csr.arc_target(arc);
-                if node_masked[u] || node_masked[v] || edge_masked[csr.edge_of_arc(arc)] {
-                    return f64::INFINITY;
+                let masked = node_masked[u]
+                    || node_masked[csr.arc_target(arc)]
+                    || edge_masked[csr.edge_of_arc(arc)];
+                if masked {
+                    f64::INFINITY
+                } else {
+                    1.0
                 }
-                weight(u, v)
             };
             let spur = search.find_path(csr, spur_node, dst, spur_weight, &mut arcs);
             for &n in &root[..spur_idx] {
@@ -107,10 +94,9 @@ where
             if found.contains(&total) {
                 continue;
             }
-            let cost = path_cost(&total, weight);
-            candidates.insert((CostKey(cost), total));
+            candidates.insert((total.len(), total));
         }
-        // Pop the cheapest candidate not yet in the result set.
+        // Pop the shortest candidate not yet in the result set.
         let next = loop {
             let Some((_, path)) = candidates.pop_first() else {
                 return found;
@@ -122,36 +108,6 @@ where
         found.push(next);
     }
     found
-}
-
-fn path_cost<F: Fn(NodeId, NodeId) -> f64>(path: &Path, weight: F) -> f64 {
-    path.windows(2).map(|w| weight(w[0], w[1])).sum()
-}
-
-/// Ordered f64 key for the candidate set. `total_cmp` keeps the order
-/// total (and the set's invariants intact) even for a NaN cost; on the
-/// finite, non-negative costs Yen produces it is the numeric order.
-#[derive(Debug, Clone, Copy)]
-struct CostKey(f64);
-
-impl PartialEq for CostKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other).is_eq()
-    }
-}
-
-impl Eq for CostKey {}
-
-impl PartialOrd for CostKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for CostKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
 }
 
 #[cfg(test)]
@@ -245,21 +201,6 @@ mod tests {
         assert_eq!(paths.len(), 2);
         assert_eq!(paths[0].len(), 4);
         assert_eq!(paths[1].len(), 4);
-    }
-
-    #[test]
-    fn weighted_paths_respect_weights() {
-        let g = diamond();
-        // Make the 0-1 link very expensive: the cheapest path must avoid it.
-        let weight = |u: usize, v: usize| {
-            if (u.min(v), u.max(v)) == (0, 1) {
-                10.0
-            } else {
-                1.0
-            }
-        };
-        let paths = k_shortest_paths_weighted(&g, 0, 3, 3, weight);
-        assert_eq!(paths[0], vec![0, 4, 3]);
     }
 
     #[test]

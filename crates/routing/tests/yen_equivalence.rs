@@ -1,46 +1,76 @@
 //! Equivalence proof for Yen's k-shortest-paths: on graphs from every
 //! registered topology generator, some with failed links, for every ordered
-//! node pair and k ∈ {1, 3, 8}, `k_shortest_paths_weighted` must return the
+//! node pair and k ∈ {1, 3, 8}, `k_shortest_paths` must return the
 //! identical `Vec<Path>` as the implementation it replaced, which is kept
-//! below verbatim as the oracle: a fresh one-shot Dijkstra per spur search,
-//! masked nodes and links held in two per-spur `HashSet`s, the root prefix
-//! cloned per spur node. Weights are unit (every path of a length ties) and
-//! small integers (ties between paths of different hop counts), the cases
-//! where the search's tie-breaking and the candidate order decide which
-//! paths come out.
+//! below as the oracle: a fresh one-shot Dijkstra per spur search, masked
+//! nodes and links held in two per-spur `HashSet`s, the root prefix cloned
+//! per spur node. The oracle's Dijkstra is its own too: each round it
+//! settles the unsettled node of least `(distance, id)` by a linear scan,
+//! where the library pops a binary heap. Weights are hop counts, so every
+//! path of a length ties: the case where the search's tie-breaking and the
+//! candidate order decide which paths come out.
 
-use jellyfish_routing::shortest::weighted_shortest_path;
-use jellyfish_routing::yen::k_shortest_paths_weighted;
+use jellyfish_routing::yen::k_shortest_paths;
 use jellyfish_routing::Path;
 use jellyfish_topology::{CsrGraph, NodeId, TopoSpec};
 use std::collections::{BTreeSet, HashSet};
 
 // ------------------------------------------------------------------ oracle
 
-fn oracle_k_shortest_paths_weighted<F>(
-    csr: &CsrGraph,
-    src: NodeId,
-    dst: NodeId,
-    k: usize,
-    weight: F,
-) -> Vec<Path>
+/// The cheapest `src → dst` path under the node-pair weight `weight(u, v)`
+/// (an infinite weight masks the link), or `None` when `dst` is
+/// unreachable. Nodes settle in `(distance, id)` order and an arc relaxes
+/// only on a strictly shorter distance, so each node's parent is the first
+/// settled neighbour that reached it.
+fn oracle_shortest_path<F>(csr: &CsrGraph, src: NodeId, dst: NodeId, weight: F) -> Option<Path>
 where
-    F: Fn(NodeId, NodeId) -> f64 + Copy,
+    F: Fn(NodeId, NodeId) -> f64,
 {
+    let n = csr.num_nodes();
+    let mut dist = vec![f64::INFINITY; n];
+    let mut parent = vec![usize::MAX; n];
+    let mut settled = vec![false; n];
+    dist[src] = 0.0;
+    loop {
+        let u = (0..n)
+            .filter(|&v| !settled[v] && dist[v].is_finite())
+            .min_by(|&a, &b| dist[a].total_cmp(&dist[b]).then(a.cmp(&b)))?;
+        if u == dst {
+            break;
+        }
+        settled[u] = true;
+        for arc in csr.arc_range(u) {
+            let v = csr.arc_target(arc);
+            let w = weight(u, v);
+            if w.is_finite() && dist[u] + w < dist[v] {
+                dist[v] = dist[u] + w;
+                parent[v] = u;
+            }
+        }
+    }
+    let mut path = vec![dst];
+    while path[path.len() - 1] != src {
+        path.push(parent[path[path.len() - 1]]);
+    }
+    path.reverse();
+    Some(path)
+}
+
+fn oracle_k_shortest_paths(csr: &CsrGraph, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
     if k == 0 {
         return Vec::new();
     }
     if src == dst {
         return vec![vec![src]];
     }
-    let Some((first, _)) = weighted_shortest_path(csr, src, dst, weight) else {
+    let Some(first) = oracle_shortest_path(csr, src, dst, |_, _| 1.0) else {
         return Vec::new();
     };
 
     let mut found: Vec<Path> = vec![first];
-    // Candidate set keyed by (cost, path) to keep deterministic ordering and
+    // Candidate set keyed by (hops, path) to keep deterministic ordering and
     // deduplicate spur results found via different prefixes.
-    let mut candidates: BTreeSet<(CostKey, Path)> = BTreeSet::new();
+    let mut candidates: BTreeSet<(usize, Path)> = BTreeSet::new();
 
     while found.len() < k {
         let last = found.last().expect("at least one path found").clone();
@@ -70,9 +100,9 @@ where
                 if masked_links.contains(&(u.min(v), u.max(v))) {
                     return f64::INFINITY;
                 }
-                weight(u, v)
+                1.0
             };
-            if let Some((spur_path, _)) = weighted_shortest_path(csr, spur_node, dst, spur_weight) {
+            if let Some(spur_path) = oracle_shortest_path(csr, spur_node, dst, spur_weight) {
                 let mut total: Path = root[..spur_idx].to_vec();
                 total.extend(spur_path);
                 // Guard against any residual loop (should not happen).
@@ -82,11 +112,10 @@ where
                 if found.contains(&total) {
                     continue;
                 }
-                let cost = path_cost(&total, weight);
-                candidates.insert((CostKey(cost), total));
+                candidates.insert((total.len() - 1, total));
             }
         }
-        // Pop the cheapest candidate not yet in the result set.
+        // Pop the shortest candidate not yet in the result set.
         let next = loop {
             let Some(entry) = candidates.iter().next().cloned() else {
                 return found;
@@ -104,28 +133,6 @@ where
 fn has_duplicate(path: &Path) -> bool {
     let mut seen = HashSet::with_capacity(path.len());
     path.iter().any(|&n| !seen.insert(n))
-}
-
-fn path_cost<F: Fn(NodeId, NodeId) -> f64>(path: &Path, weight: F) -> f64 {
-    path.windows(2).map(|w| weight(w[0], w[1])).sum()
-}
-
-/// Ordered f64 key for the candidate set (costs are finite by construction).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct CostKey(f64);
-
-impl Eq for CostKey {}
-
-impl PartialOrd for CostKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for CostKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.partial_cmp(&other.0).unwrap_or(std::cmp::Ordering::Equal)
-    }
 }
 
 // ------------------------------------------------------------------ inputs
@@ -146,33 +153,18 @@ const SPECS: &[&str] = &[
 
 const SEED: u64 = 7;
 
-/// Hop count: every path of one length ties.
-fn unit(_: NodeId, _: NodeId) -> f64 {
-    1.0
-}
-
-/// Direction-dependent small integers in `1..=3`: paths of different hop
-/// counts tie, and a path and its reverse can cost differently.
-fn small_int(u: NodeId, v: NodeId) -> f64 {
-    1.0 + ((u * 7 + v * 13) % 3) as f64
-}
-
 // ------------------------------------------------------------------- proof
 
 #[test]
 fn yen_matches_the_hashset_oracle_on_every_generator() {
     for spec in SPECS {
         let csr = spec.parse::<TopoSpec>().unwrap().build(SEED).unwrap().csr();
-        for (name, weight) in
-            [("unit", unit as fn(NodeId, NodeId) -> f64), ("small_int", small_int)]
-        {
-            for k in [1, 3, 8] {
-                for src in csr.nodes() {
-                    for dst in csr.nodes() {
-                        let want = oracle_k_shortest_paths_weighted(&csr, src, dst, k, weight);
-                        let got = k_shortest_paths_weighted(&csr, src, dst, k, weight);
-                        assert_eq!(got, want, "{spec} {name} k={k}: {src} -> {dst}");
-                    }
+        for k in [1, 3, 8] {
+            for src in csr.nodes() {
+                for dst in csr.nodes() {
+                    let want = oracle_k_shortest_paths(&csr, src, dst, k);
+                    let got = k_shortest_paths(&csr, src, dst, k);
+                    assert_eq!(got, want, "{spec} k={k}: {src} -> {dst}");
                 }
             }
         }
@@ -200,7 +192,7 @@ fn some_pairs_are_disconnected_and_some_run_out_of_paths() {
         let csr = spec.parse::<TopoSpec>().unwrap().build(SEED).unwrap().csr();
         for src in csr.nodes() {
             for dst in csr.nodes().filter(|&d| d != src) {
-                let n = k_shortest_paths_weighted(&csr, src, dst, 8, unit).len();
+                let n = k_shortest_paths(&csr, src, dst, 8).len();
                 unreachable |= n == 0;
                 short |= (1..8).contains(&n);
             }

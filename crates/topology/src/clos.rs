@@ -85,31 +85,27 @@ impl ClosConfig {
     }
 }
 
-/// Cost model shared by the LEGUP-style planner and the Jellyfish expansion
-/// comparison (Figure 7). All prices are in the same arbitrary currency the
-/// paper's budget axis uses.
-#[derive(Debug, Clone, Copy)]
-pub struct CostModel {
-    /// Price of one switch port (switch cost is ports × this).
-    pub per_port: f64,
-    /// Price of one cable (material + labor).
-    pub per_cable: f64,
-    /// Price of re-running one existing cable during an upgrade.
-    pub per_rewire: f64,
-}
+// Prices shared by the LEGUP-style planner and the Jellyfish expansion
+// comparison (Figure 7), in the same arbitrary currency the paper's budget
+// axis uses: roughly commodity numbers, $100 a port, $10 a cable and $5 to
+// move a cable.
 
-impl Default for CostModel {
-    fn default() -> Self {
-        // Roughly commodity numbers: $100/port, $10/cable, $5 to move a cable.
-        CostModel { per_port: 100.0, per_cable: 10.0, per_rewire: 5.0 }
-    }
-}
+/// Price of one switch port (a switch costs its ports × this).
+pub const PER_PORT: f64 = 100.0;
 
-impl CostModel {
-    /// Cost of buying a switch with `ports` ports.
-    pub fn switch_cost(&self, ports: usize) -> f64 {
-        self.per_port * ports as f64
-    }
+/// Price of one cable (material + labor).
+pub const PER_CABLE: f64 = 10.0;
+
+/// Price of re-running one existing cable during an upgrade.
+pub const PER_REWIRE: f64 = 5.0;
+
+/// Fraction of each new spine's ports the planner leaves unused for future
+/// growth.
+const RESERVE_FRACTION: f64 = 0.25;
+
+/// Cost of buying a switch with `ports` ports.
+pub fn switch_cost(ports: usize) -> f64 {
+    PER_PORT * ports as f64
 }
 
 /// One stage of a Clos expansion plan.
@@ -130,31 +126,19 @@ pub struct ClosStage {
 /// Starting from an initial `ClosConfig`, each call to
 /// [`ClosUpgradePlanner::expand`] spends at most `budget` on additional spine
 /// switches (and the cables to wire them to every leaf), after optionally
-/// adding leaves to host new servers. A fraction of each new spine's ports is
+/// adding leaves to host new servers. A quarter of each new spine's ports is
 /// reserved for future leaves — the "keep some ports free to ease expansion"
-/// behaviour of LEGUP that the paper identifies as a structural tax.
+/// behaviour of LEGUP that the paper identifies as a structural tax. New
+/// leaves and spines have the port counts of `initial`'s.
 #[derive(Debug, Clone)]
 pub struct ClosUpgradePlanner {
-    cost: CostModel,
-    /// Fraction of spine ports intentionally left unused for future growth.
-    pub reserve_fraction: f64,
-    /// Port count of every newly purchased spine switch.
-    pub spine_ports: usize,
-    /// Port count of every newly purchased leaf switch.
-    pub leaf_ports: usize,
     current: ClosConfig,
 }
 
 impl ClosUpgradePlanner {
     /// Creates a planner starting from `initial`.
-    pub fn new(initial: ClosConfig, cost: CostModel, reserve_fraction: f64) -> Self {
-        ClosUpgradePlanner {
-            cost,
-            reserve_fraction: reserve_fraction.clamp(0.0, 0.9),
-            spine_ports: initial.spine_ports,
-            leaf_ports: initial.leaf_ports,
-            current: initial,
-        }
+    pub fn new(initial: ClosConfig) -> Self {
+        ClosUpgradePlanner { current: initial }
     }
 
     /// The current Clos configuration.
@@ -177,8 +161,8 @@ impl ClosUpgradePlanner {
         // Step 1: add leaves (mandatory server growth), paying ports + cables
         // to every existing spine.
         if new_leaves > 0 {
-            let leaf_cost = self.cost.switch_cost(self.leaf_ports)
-                + self.cost.per_cable * (cfg.spines + cfg.servers_per_leaf) as f64;
+            let leaf_cost = switch_cost(cfg.leaf_ports)
+                + PER_CABLE * (cfg.spines + cfg.servers_per_leaf) as f64;
             let affordable = (remaining / leaf_cost).floor() as usize;
             let added = new_leaves.min(affordable);
             if added < new_leaves {
@@ -193,25 +177,21 @@ impl ClosUpgradePlanner {
         // Step 2: spend the rest on spine switches. A spine's usable ports are
         // reduced by the reserve fraction, and it must connect to every leaf.
         loop {
-            let usable =
-                ((self.spine_ports as f64) * (1.0 - self.reserve_fraction)).floor() as usize;
+            let usable = ((cfg.spine_ports as f64) * (1.0 - RESERVE_FRACTION)).floor() as usize;
             if usable < cfg.leaves {
                 break; // a new spine cannot even reach all leaves: stop buying
             }
-            let spine_cost =
-                self.cost.switch_cost(self.spine_ports) + self.cost.per_cable * cfg.leaves as f64;
+            let spine_cost = switch_cost(cfg.spine_ports) + PER_CABLE * cfg.leaves as f64;
             if spine_cost > remaining {
                 break;
             }
             // Adding a spine also requires each leaf to have a free port.
-            if cfg.servers_per_leaf + cfg.spines + 1 > self.leaf_ports {
+            if cfg.servers_per_leaf + cfg.spines + 1 > cfg.leaf_ports {
                 break;
             }
             cfg.spines += 1;
             remaining -= spine_cost;
         }
-        cfg.leaf_ports = self.leaf_ports;
-        cfg.spine_ports = self.spine_ports;
 
         let topology = cfg.build()?;
         let spent = budget - remaining;
@@ -267,12 +247,12 @@ mod tests {
 
     #[test]
     fn cost_model_prices_switches_by_port() {
-        assert!((CostModel::default().switch_cost(48) - 4800.0).abs() < 1e-9);
+        assert!((switch_cost(48) - 4800.0).abs() < 1e-9);
     }
 
     #[test]
     fn planner_buys_spines_within_budget() {
-        let mut planner = ClosUpgradePlanner::new(small_clos(), CostModel::default(), 0.25);
+        let mut planner = ClosUpgradePlanner::new(small_clos());
         let stage = planner.expand(3_300.0, 0).unwrap();
         // Each spine costs 3200 (ports) + 80 (cables) = 3280 => exactly one
         // more spine fits in the budget.
@@ -283,7 +263,7 @@ mod tests {
 
     #[test]
     fn planner_adds_leaves_then_spines() {
-        let mut planner = ClosUpgradePlanner::new(small_clos(), CostModel::default(), 0.0);
+        let mut planner = ClosUpgradePlanner::new(small_clos());
         let stage = planner.expand(20_000.0, 4).unwrap();
         assert_eq!(stage.leaves, 12);
         assert!(stage.spines >= 4);
@@ -292,30 +272,33 @@ mod tests {
 
     #[test]
     fn planner_errors_when_leaves_unaffordable() {
-        let mut planner = ClosUpgradePlanner::new(small_clos(), CostModel::default(), 0.0);
+        let mut planner = ClosUpgradePlanner::new(small_clos());
         assert!(planner.expand(100.0, 5).is_err());
     }
 
     #[test]
     fn planner_respects_leaf_port_limit() {
         // Leaves have 16 ports, 10 servers: at most 6 spines ever.
-        let mut planner = ClosUpgradePlanner::new(small_clos(), CostModel::default(), 0.0);
+        let mut planner = ClosUpgradePlanner::new(small_clos());
         let stage = planner.expand(1e9, 0).unwrap();
         assert_eq!(stage.spines, 6);
     }
 
     #[test]
     fn reserve_fraction_limits_spine_usefulness() {
-        // With 8 leaves and 32-port spines, a 0.8 reserve leaves only 6 usable
-        // ports per new spine: no spine can reach all leaves, so none is bought.
-        let mut planner = ClosUpgradePlanner::new(small_clos(), CostModel::default(), 0.8);
+        // With 25 leaves and 32-port spines, the quarter reserve leaves 24
+        // usable ports per new spine: no spine can reach all leaves, so none
+        // is bought, though all 32 ports would reach them.
+        let crowded = ClosConfig { leaves: 25, ..small_clos() };
+        assert!(crowded.build().is_ok());
+        let mut planner = ClosUpgradePlanner::new(crowded);
         let stage = planner.expand(1e9, 0).unwrap();
         assert_eq!(stage.spines, 4);
     }
 
     #[test]
     fn successive_stages_accumulate() {
-        let mut planner = ClosUpgradePlanner::new(small_clos(), CostModel::default(), 0.1);
+        let mut planner = ClosUpgradePlanner::new(small_clos());
         let s1 = planner.expand(5_000.0, 0).unwrap();
         let s2 = planner.expand(5_000.0, 0).unwrap();
         assert!(s2.spines >= s1.spines);

@@ -37,22 +37,14 @@ pub const FIGURE3_CONFIGS: [(usize, usize, usize); 9] = [
     (198, 24, 16),
 ];
 
-/// Parameters of the simulated-annealing optimizer.
-#[derive(Debug, Clone, Copy)]
-pub struct AnnealParams {
-    /// Number of proposed rewiring moves.
-    pub iterations: usize,
-    /// Initial temperature (in units of average-path-length delta).
-    pub initial_temperature: f64,
-    /// Multiplicative cooling applied every `iterations / 100` moves.
-    pub cooling: f64,
-}
+/// Proposed rewiring moves per annealing run.
+const ANNEAL_ITERATIONS: usize = 4000;
 
-impl Default for AnnealParams {
-    fn default() -> Self {
-        AnnealParams { iterations: 4000, initial_temperature: 0.05, cooling: 0.96 }
-    }
-}
+/// Initial annealing temperature, in units of average-path-length delta.
+const INITIAL_TEMPERATURE: f64 = 0.05;
+
+/// Multiplicative cooling applied every `ANNEAL_ITERATIONS / 100` moves.
+const COOLING: f64 = 0.96;
 
 /// Builds a low-average-path-length `degree`-regular benchmark graph on `n`
 /// nodes by simulated annealing from a random regular graph.
@@ -64,7 +56,6 @@ pub fn optimized_graph(
     n: usize,
     ports: usize,
     degree: usize,
-    params: AnnealParams,
     seed: u64,
 ) -> Result<Topology, TopologyError> {
     // The classical short-cut below computes `ports - degree` before
@@ -87,10 +78,10 @@ pub fn optimized_graph(
     let mut current = mean_path_length(&graph);
     let mut best_graph = graph.clone();
     let mut best = current;
-    let mut temperature = params.initial_temperature;
-    let cool_every = (params.iterations / 100).max(1);
+    let mut temperature = INITIAL_TEMPERATURE;
+    let cool_every = (ANNEAL_ITERATIONS / 100).max(1);
 
-    for it in 0..params.iterations {
+    for it in 0..ANNEAL_ITERATIONS {
         // Propose a double edge swap: (a,b),(c,d) -> (a,c),(b,d). Degree is
         // preserved; reject if it creates parallel edges or disconnects.
         let m = graph.num_edges();
@@ -130,7 +121,7 @@ pub fn optimized_graph(
             graph.add_edge(c, d);
         }
         if it % cool_every == 0 {
-            temperature *= params.cooling;
+            temperature *= COOLING;
         }
     }
 
@@ -198,7 +189,7 @@ pub fn figure3_pair(
             "degree {degree} + servers {servers_per_switch} exceeds {ports} ports"
         )));
     }
-    let mut bench = optimized_graph(switches, ports, degree, AnnealParams::default(), seed)?;
+    let mut bench = optimized_graph(switches, ports, degree, seed)?;
     let mut jelly = JellyfishBuilder::new(switches, ports, degree).seed(seed ^ 0xF00D).build()?;
     for topo in [&mut bench, &mut jelly] {
         for v in 0..switches {
@@ -241,8 +232,7 @@ mod tests {
         let degree = 4;
         let random = JellyfishBuilder::new(n, 6, degree).seed(8).build().unwrap();
         let random_aspl = path_length_stats(&random.csr()).mean;
-        let params = AnnealParams { iterations: 1500, ..AnnealParams::default() };
-        let optimized = optimized_graph(n, 6, degree, params, 8).unwrap();
+        let optimized = optimized_graph(n, 6, degree, 8).unwrap();
         let optimized_aspl = path_length_stats(&optimized.csr()).mean;
         assert!(
             optimized_aspl <= random_aspl + 1e-9,
@@ -257,7 +247,7 @@ mod tests {
 
     #[test]
     fn optimized_graph_uses_classical_construction_when_available() {
-        let topo = optimized_graph(10, 5, 3, AnnealParams::default(), 0).unwrap();
+        let topo = optimized_graph(10, 5, 3, 0).unwrap();
         assert!(topo.name().contains("classical"));
         assert_eq!(path_length_stats(&topo.csr()).diameter, 2);
         assert_eq!(topo.total_servers(), 10 * 2);

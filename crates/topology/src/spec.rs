@@ -42,7 +42,7 @@
 
 use crate::clos::ClosConfig;
 use crate::csr::EdgeDelta;
-use crate::degree_diameter::{optimized_graph, AnnealParams, FIGURE3_CONFIGS};
+use crate::degree_diameter::{optimized_graph, FIGURE3_CONFIGS};
 use crate::expansion::add_racks;
 use crate::failures::{fail_random_links, fail_random_switches};
 use crate::fattree::FatTree;
@@ -520,8 +520,9 @@ pub enum ScenarioTransform {
     /// servers (`+fail_switches=0.02`); wraps [`fail_random_switches`].
     FailSwitches(f64),
     /// Incrementally add this many racks via the paper's §4.2 link-splice
-    /// procedure (`+expand=40`). Each new rack copies the port budget and
-    /// server count of switch 0; wraps [`add_racks`].
+    /// procedure (`+expand=40`), at most as many as the fabric has switches.
+    /// Each new rack copies the port budget and server count of switch 0;
+    /// wraps [`add_racks`].
     Expand(usize),
     /// Uniform degradation: fail the same fraction of links *and* of
     /// switches (`+degrade_uniform=0.05`) — the "everything ages at the same
@@ -614,8 +615,17 @@ impl ScenarioTransform {
                 EdgeDelta::net(removed.collect(), Vec::new())
             }
             ScenarioTransform::Expand(racks) => {
-                if topo.num_switches() == 0 {
+                let limit = topo.num_switches();
+                if limit == 0 {
                     return Err(SpecError::Param("cannot expand an empty topology".into()));
+                }
+                // One expansion at most doubles the fabric (and a live
+                // session's n² distance matrix); checked before `add_racks`
+                // allocates a report per rack.
+                if racks > limit {
+                    return Err(SpecError::Param(format!(
+                        "expand adds at most {limit} racks (the switch count) at once, got {racks}"
+                    )));
                 }
                 let ports = topo.ports(0);
                 let servers = topo.servers(0);
@@ -870,7 +880,7 @@ impl TopologyGenerator for DegreeDiameterGen {
             }
             None => (params.usize("n")?, params.usize("ports")?, params.usize("degree")?),
         };
-        let mut topo = optimized_graph(n, ports, degree, AnnealParams::default(), seed)?;
+        let mut topo = optimized_graph(n, ports, degree, seed)?;
         if let Some(servers) = params.usize_opt("servers")? {
             if degree + servers > ports {
                 return Err(SpecError::Param(format!(
@@ -1169,6 +1179,17 @@ mod tests {
         let t = grown.build(3).unwrap();
         assert_eq!(t.num_switches(), 23);
         assert!(t.check_invariants().is_ok());
+        // One expansion adds at most the switch count, refused before any
+        // change: a second one of 23 racks doubles the grown fabric.
+        let mut doubled = t.clone();
+        let over = ScenarioTransform::Expand(24).apply(&mut doubled, 3).unwrap_err();
+        assert_eq!(
+            over.to_string(),
+            "bad parameter: expand adds at most 23 racks (the switch count) at once, got 24"
+        );
+        assert_eq!(doubled.generation(), t.generation(), "a refused expansion mutates nothing");
+        ScenarioTransform::Expand(23).apply(&mut doubled, 3).unwrap();
+        assert_eq!(doubled.num_switches(), 46);
 
         let degraded: TopoSpec =
             "jellyfish:switches=40,ports=12,degree=8+degrade_uniform=0.1".parse().unwrap();

@@ -7,6 +7,7 @@
 //! additionally tag switches with a [`SwitchKind`] so that layout and cabling
 //! code can reason about layers and pods.
 
+use crate::csr::CsrGraph;
 use crate::graph::{Graph, NodeId};
 use std::fmt;
 
@@ -214,8 +215,8 @@ impl Topology {
     /// after mutations (expansion, failures). Pair the snapshot with
     /// [`Topology::generation`] to detect staleness: a snapshot taken at
     /// generation `g` no longer reflects the topology once `generation() != g`.
-    pub fn csr(&self) -> crate::csr::CsrGraph {
-        crate::csr::CsrGraph::from_graph(&self.graph)
+    pub fn csr(&self) -> CsrGraph {
+        CsrGraph::from_graph(&self.graph)
     }
 
     /// Mutation counter: incremented by every mutating method
