@@ -91,7 +91,7 @@ impl ClosConfig {
 // move a cable.
 
 /// Price of one switch port (a switch costs its ports × this).
-pub const PER_PORT: f64 = 100.0;
+const PER_PORT: f64 = 100.0;
 
 /// Price of one cable (material + labor).
 pub const PER_CABLE: f64 = 10.0;
@@ -129,7 +129,7 @@ pub struct ClosStage {
 /// adding leaves to host new servers. A quarter of each new spine's ports is
 /// reserved for future leaves — the "keep some ports free to ease expansion"
 /// behaviour of LEGUP that the paper identifies as a structural tax. New
-/// leaves and spines have the port counts of `initial`'s.
+/// leaves and spines have `initial`'s port counts.
 #[derive(Debug, Clone)]
 pub struct ClosUpgradePlanner {
     current: ClosConfig,
