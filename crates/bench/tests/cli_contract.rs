@@ -12,8 +12,12 @@ const BIN: &str = env!("CARGO_BIN_EXE_figures");
 /// the daemon ends at EOF instead of hanging) and returns its exit code and
 /// first stderr line.
 fn first_error(args: &[&str]) -> (Option<i32>, String) {
-    let out =
-        Command::new(BIN).args(args).stdin(Stdio::null()).output().expect("figures binary runs");
+    exit_and_first_line(Command::new(BIN).args(args))
+}
+
+/// The exit code and first stderr line of `cmd`, run with stdin closed.
+fn exit_and_first_line(cmd: &mut Command) -> (Option<i32>, String) {
+    let out = cmd.stdin(Stdio::null()).output().expect("figures binary runs");
     let stderr = String::from_utf8(out.stderr).expect("stderr is UTF-8");
     (out.status.code(), stderr.lines().next().unwrap_or_default().to_string())
 }
@@ -160,7 +164,9 @@ fn every_malformed_invocation_keeps_its_exit_code_and_first_stderr_line() {
 /// One expansion adds at most as many racks as the fabric has switches.
 /// Every spec consumer reaches that limit through the transform itself, so
 /// a huge `+expand=` is a named error before anything is allocated: the
-/// first row once asked the allocator for 6.4 GB and aborted.
+/// first case once asked the allocator for 6.4 GB and aborted. It runs
+/// under a 2 GB address-space limit (`ulimit -v`), so a regression aborts
+/// at once instead of growing the fabric by 10^8 racks.
 #[test]
 fn an_expansion_past_the_switch_count_exits_2_naming_the_limit() {
     let limit = |n: usize, racks: usize| {
@@ -169,10 +175,12 @@ fn an_expansion_past_the_switch_count_exits_2_naming_the_limit() {
         )
     };
     let huge = "jellyfish:switches=10,ports=4,degree=3+expand=100000000";
-    assert_eq!(
-        first_error(&["topo", "build", huge, "--seed", "7"]),
-        (Some(2), format!("figures: {}", limit(10, 100_000_000)))
+    let bounded = exit_and_first_line(
+        Command::new("sh")
+            .args(["-c", "ulimit -v 2000000 && exec \"$0\" \"$@\"", BIN])
+            .args(["topo", "build", huge, "--seed", "7"]),
     );
+    assert_eq!(bounded, (Some(2), format!("figures: {}", limit(10, 100_000_000))));
     let over = "jellyfish:switches=16,ports=8,degree=5+expand=17";
     assert_eq!(
         first_error(&["run", "failure_sweep", "--scale", "tiny", "--topo", over]),
